@@ -4,8 +4,8 @@
 Two measured layers, written to ``BENCH_precomp.json`` at the repo root:
 
 - **precompute_layer** — the cold single-process frame-precompute pass
-  (``precompute_trace``) with ``REPRO_KERNELS=python`` vs the resolved
-  compiled backend (numba or the bundled C extension).  Parity is
+  (``precompute_frame`` over every frame) with ``REPRO_KERNELS=python``
+  vs the compiled C backend.  Parity is
   asserted bit for bit: every ``FramePrecomp`` array must satisfy
   ``==``, so the reported ``parity_max_rel_err`` is exactly 0.0.
 - **sweep_layer** — end-to-end multi-process sweeps (fresh ``Runtime``
@@ -53,7 +53,7 @@ from repro.runtime.engine import Runtime  # noqa: E402
 from repro.simgpu import _kernels  # noqa: E402
 from repro.simgpu.batch import (  # noqa: E402
     clear_precomp_cache,
-    precompute_trace,
+    precompute_frame,
 )
 from repro.simgpu.config import GpuConfig  # noqa: E402
 from repro.simgpu.precomp_store import PRECOMP_DIR_ENV  # noqa: E402
@@ -85,14 +85,14 @@ def _array_fields(fp) -> list:
 
 
 def _precomp_parity(reference, candidate) -> float:
-    """Exact-parity check between two TracePrecomp objects.
+    """Exact-parity check between two per-frame precompute lists.
 
     Returns the worst relative error over every array column — the
     fast-path contract makes that exactly 0.0, and the caller asserts
     it; a nonzero return only happens on the way to a raised error.
     """
     worst = 0.0
-    for ref_fp, new_fp in zip(reference.frames, candidate.frames):
+    for ref_fp, new_fp in zip(reference, candidate):
         for name, ref_arr in _array_fields(ref_fp):
             new_arr = getattr(new_fp, name)
             if np.array_equal(ref_arr, new_arr):
@@ -113,7 +113,7 @@ def measure_precompute_layer(trace, reps: int) -> dict:
         for _ in range(reps):
             _use_backend(backend)
             start = time.perf_counter()
-            precompute_trace(trace)
+            [precompute_frame(trace, frame) for frame in trace.frames]
             best = min(best, time.perf_counter() - start)
         return best
 
@@ -132,9 +132,9 @@ def measure_precompute_layer(trace, reps: int) -> dict:
 
     compiled_s = cold_best(compiled)
     _use_backend("python")
-    reference = precompute_trace(trace)
+    reference = [precompute_frame(trace, frame) for frame in trace.frames]
     _use_backend(compiled)
-    candidate = precompute_trace(trace)
+    candidate = [precompute_frame(trace, frame) for frame in trace.frames]
     parity = _precomp_parity(reference, candidate)
     assert parity == 0.0, (
         f"compiled precompute diverged from python reference: {parity}"

@@ -31,7 +31,7 @@ from repro.core.predict import predict_time_ns, rep_times_from_draw_times
 from repro.core.subsetting import build_subset
 from repro.gfx.trace import Trace
 from repro.runtime.engine import Runtime
-from repro.simgpu.batch import precompute_trace, simulate_frames_batch
+from repro.simgpu.batch import simulate_frame_range, simulate_trace_multi
 from repro.simgpu.config import GpuConfig
 from repro.simgpu.dvfs import DEFAULT_CLOCKS_MHZ
 from repro.synth.generator import generate_trace
@@ -66,7 +66,7 @@ def clustering_metrics(
     if runtime is not None:
         ground = runtime.simulate_frames(trace, config, label="ground_truth")
     else:
-        ground = simulate_frames_batch(trace, config, precompute_trace(trace))
+        ground = simulate_frame_range(trace, config, 0, trace.num_frames)
     extractor = FeatureExtractor(trace)
     out = []
     for frame, truth in zip(trace.frames, ground):
@@ -109,7 +109,7 @@ def incremental_clustering_metrics(
     """
     from repro.core.incremental import IncrementalClusterer, fit_shared_normalizer
 
-    ground = simulate_frames_batch(trace, config, precompute_trace(trace))
+    ground = simulate_frame_range(trace, config, 0, trace.num_frames)
     extractor = FeatureExtractor(trace)
     matrices = [extractor.frame_matrix(frame) for frame in trace.frames]
     clusterer = IncrementalClusterer(
@@ -519,7 +519,7 @@ def e8_baselines(
     seed: int = 0,
 ) -> ExperimentResult:
     """Implied comparison: similarity clustering vs naive sampling at equal budget."""
-    ground = simulate_frames_batch(trace, config, precompute_trace(trace))
+    ground = simulate_frame_range(trace, config, 0, trace.num_frames)
     extractor = FeatureExtractor(trace)
 
     cluster_errors: List[float] = []
@@ -601,19 +601,14 @@ def e9_cross_architecture_transfer(
     GPU.  This experiment extracts each game's subset once and scores its
     total-time estimate on each preset.
     """
-    from repro.simgpu.batch import precompute_trace as _precompute
-    from repro.simgpu.batch import simulate_trace_batch as _simulate
-
+    configs = [GpuConfig.preset(preset) for preset in presets]
     rows = []
     for name, trace in traces.items():
         subset = build_subset(trace)
-        subset_trace = subset.materialize(trace)
-        parent_precomp = _precompute(trace)
-        subset_precomp = _precompute(subset_trace)
-        for preset in presets:
-            config = GpuConfig.preset(preset)
-            actual = _simulate(trace, config, parent_precomp).total_time_ns
-            result = _simulate(subset_trace, config, subset_precomp)
+        parent_results = simulate_trace_multi(trace, configs)
+        subset_results = simulate_trace_multi(subset.materialize(trace), configs)
+        for preset, parent, result in zip(presets, parent_results, subset_results):
+            actual = parent.total_time_ns
             estimate = subset.estimate_total_time_ns(result.frame_times_ns)
             rows.append(
                 (

@@ -22,7 +22,9 @@ if TYPE_CHECKING:
     from repro.checks.engine import ModuleContext
 
 #: Whole-trace simulation entry points that a per-config loop multiplies.
-_SIM_CALL_NAMES = frozenset({"simulate_trace", "simulate_trace_batch"})
+_SIM_CALL_NAMES = frozenset(
+    {"simulate_trace", "simulate_trace_multi", "simulate_frame_range"}
+)
 
 #: Identifier fragments that mark a loop as iterating architecture
 #: points rather than workloads.
@@ -77,15 +79,16 @@ def simulate_trace_per_config_loop(ctx: "ModuleContext") -> Iterator[Finding]:
     """Whole-trace simulation inside a loop over candidate configs.
 
     An architecture sweep that calls ``simulate_trace`` (or
-    ``simulate_trace_batch``) once per config scales its cost with the
-    candidate count even though every per-draw input except the config
-    columns is loop-invariant.  The config-vectorized path evaluates all
-    candidates against one :class:`~repro.simgpu.batch.FramePrecomp` as
-    a single ``(num_configs, num_draws)`` numpy pass with identical
-    results.  A loop counts as "over configs" when its target or
-    iterable names configs, clocks, or candidates; deliberate reference
-    loops (cross-checking the scalar simulator) carry
-    ``# repro: noqa[PERF001]``.
+    ``simulate_trace_multi`` / ``simulate_frame_range``) once per config
+    scales its cost with the candidate count even though every per-draw
+    input except the config columns is loop-invariant.  The
+    config-vectorized path evaluates all candidates against one
+    :class:`~repro.simgpu.batch.FramePrecomp` as a single
+    ``(num_configs, num_draws)`` numpy pass with identical results.  A
+    loop counts as "over configs" when its target or iterable names
+    configs, clocks, or candidates; a deliberate reference loop
+    (cross-checking the scalar simulator) carries an inline PERF001
+    suppression.
     """
     this = get_rule("PERF001")
     module = ctx.module

@@ -42,7 +42,6 @@ if TYPE_CHECKING:
 SIM_ENTRY_POINTS = frozenset(
     {
         "simulate_trace",
-        "simulate_trace_batch",
         "simulate_trace_multi",
         "simulate_frames",
         "simulate_frames_many",

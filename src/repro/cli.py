@@ -126,8 +126,8 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
         choices=KERNEL_BACKENDS,
         default=None,
         help=(
-            "precompute kernel backend: numba / cext (compiled C) / "
-            "python, or 'auto' for the fastest available (default: "
+            "precompute kernel backend: cext (compiled C) / python, "
+            "or 'auto' for the fastest available (default: "
             "$REPRO_KERNELS or auto); worker processes inherit it"
         ),
     )

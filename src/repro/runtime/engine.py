@@ -479,11 +479,11 @@ class Runtime:
         """Per-frame outputs of ``trace`` on every config, cache-first.
 
         One artifact per (trace content, config) pair; configs missing
-        from the cache are simulated together in one task graph so each
-        chunk computes the order-dependent context arrays once per
-        distinct context signature (the DVFS-sweep sharing the serial
-        batch path has always had).  ``label`` names the stage timer,
-        the trace span, and the ``frames_simulated{phase=...}`` label.
+        from the cache are simulated together in one task graph, so each
+        chunk evaluates them as one config-vectorized pass that computes
+        the order-dependent context rows once per distinct capacity and
+        switch-cost triple.  ``label`` names the stage timer, the trace
+        span, and the ``frames_simulated{phase=...}`` label.
         """
         configs = list(configs)
         if not configs:
@@ -565,7 +565,7 @@ class Runtime:
     def simulate_trace(
         self, trace: Trace, config: GpuConfig, label: str = "simulate"
     ) -> TraceResult:
-        """Cache-aware, parallel equivalent of ``simulate_trace_batch``."""
+        """Cache-aware, parallel equivalent of ``simulate_trace_multi``."""
         from repro.simgpu.batch import trace_result_from_outputs
 
         outputs = self.simulate_frames(trace, config, label=label)

@@ -124,9 +124,9 @@ def _simulate_frame_range(
     """Simulate frames ``[start, stop)`` of the context trace on N configs.
 
     All configs are evaluated in one task so the order-dependent context
-    arrays (texture warmth, switch penalties) are computed once per
-    distinct context signature — the same sharing
-    :class:`repro.simgpu.batch.TracePrecomp` gives a serial DVFS sweep.
+    rows (texture warmth, switch penalties) are computed once per
+    distinct warm capacity and switch-cost triple, exactly as in a
+    serial :func:`repro.simgpu.batch.simulate_trace_multi` sweep.
 
     ``payload`` optionally carries the phase label (the runtime's stage
     name, e.g. ``ground_truth``); simulated-frame counts are recorded as

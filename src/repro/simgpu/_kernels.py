@@ -5,26 +5,26 @@ per-frame *precompute* — above all the Fenwick-tree LRU reuse-distance
 pass (:mod:`repro.simgpu.batch`) and the per-draw texture/render-target
 reductions of :mod:`repro.core.features`.  Both are inherently
 sequential inner loops that numpy cannot vectorize, so this module
-compiles them, keeping numpy as the only *hard* dependency:
+compiles them, keeping numpy as the only dependency.  There are two
+backends:
 
-- **numba** — ``@njit(cache=True)`` implementations
-  (:mod:`repro.simgpu._kernels_numba`), used when numba is importable;
-- **cext** — the same loops as a small C library compiled on demand
-  with the host toolchain (``cc -O2 -shared``) into a content-addressed
-  cache under ``<cache-dir>/kernels/`` and loaded via ``ctypes``; the
-  build is attempted once per process and at most once per source
-  digest per machine;
+- **cext** — the loops as a small C library compiled on demand with the
+  host toolchain (``cc -O2 -shared``, source fed on stdin) into a
+  content-addressed cache under ``<cache-dir>/kernels/`` and loaded via
+  ``ctypes``; the build is attempted once per process and at most once
+  per source digest per machine;
 - **python** — the original pure-Python loops, bit-identical to the
-  pre-kernel code and always available.
+  pre-kernel code and always available: the reference the compiled
+  kernels are tested against.
 
 Backend selection is ``$REPRO_KERNELS`` (or the CLI ``--kernels``
-flag): ``auto`` (default; numba, then cext, then python), or one of the
-explicit names — requesting an unavailable backend is a
+flag): ``auto`` (default; cext, then python), or one of the explicit
+names — requesting an unavailable backend is a
 :class:`~repro.errors.ConfigError`, never a silent fallback.  The
 resolved backend is reported in run manifests and the environment
 fingerprint (:func:`kernel_info`) so run records stay comparable.
 
-**Exactness contract.** Every kernel is defined so all three backends
+**Exactness contract.** Every kernel is defined so both backends
 produce *bit-identical* outputs (the property tests assert ``==``, not
 approx):
 
@@ -33,8 +33,8 @@ approx):
   texture;
 - :func:`segment_sums` is *defined* as running-prefix differences
   (``S[end] - S[start]`` over one sequential left-to-right
-  accumulation), which is what ``np.cumsum`` + subtraction, the C loop,
-  and the numba loop all compute — identical bits for any input, and
+  accumulation), which is what ``np.cumsum`` + subtraction and the C
+  loop both compute — identical bits for any input, and
   equal to a direct per-segment sum whenever the additions are exact
   (integer-valued byte sizes, dyadic bytes-per-pixel — true for every
   value the trace schema can produce).
@@ -60,7 +60,7 @@ from repro.util.rng import stable_unit
 KERNELS_ENV = "REPRO_KERNELS"
 
 #: Valid ``$REPRO_KERNELS`` / ``--kernels`` values.
-KERNEL_BACKENDS = ("auto", "numba", "cext", "python")
+KERNEL_BACKENDS = ("auto", "cext", "python")
 
 #: Bump when a kernel's semantics change: participates in the compiled
 #: library's content address, so stale ``.so`` files are never reloaded.
@@ -77,8 +77,7 @@ class KernelBackend:
     kernels take ``(values, offsets)`` and return per-segment totals
     under the running-prefix-difference contract above.  ``noise``
     takes ``(frame_index, n)`` and returns the per-position draw-noise
-    units (``stable_unit("simgpu-noise", frame_index, i)``); backends
-    without a compiled sha256 (numba) fall back to the python loop.
+    units (``stable_unit("simgpu-noise", frame_index, i)``).
     """
 
     def __init__(
@@ -87,13 +86,13 @@ class KernelBackend:
         reuse: Callable[[np.ndarray, np.ndarray, np.ndarray, int], np.ndarray],
         seg_f64: Callable[[np.ndarray, np.ndarray], np.ndarray],
         seg_i64: Callable[[np.ndarray, np.ndarray], np.ndarray],
-        noise: Optional[Callable[[int, int], np.ndarray]] = None,
+        noise: Callable[[int, int], np.ndarray],
     ) -> None:
         self.name = name
         self._reuse = reuse
         self._seg_f64 = seg_f64
         self._seg_i64 = seg_i64
-        self._noise = noise if noise is not None else _noise_python
+        self._noise = noise
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +417,11 @@ def _compile_c_library() -> Path:
     """Compile (or reuse) the kernel library; returns the ``.so`` path.
 
     The library is content-addressed by source + ABI version, so a
-    machine compiles each kernel revision exactly once; concurrent
-    builders race benignly through the temp-file + ``os.replace``
-    pattern (both produce identical bytes, last writer wins).
+    machine compiles each kernel revision exactly once.  The source is
+    piped to the compiler on stdin, so no shared source file exists that
+    a crashed or concurrent builder could leave half-written; the
+    library itself lands via temp file + ``os.replace`` (concurrent
+    builders produce identical bytes, last writer wins).
     """
     build_dir = _kernel_build_dir()
     so_path = build_dir / f"reprokern-{_c_source_digest()}.so"
@@ -430,16 +431,14 @@ def _compile_c_library() -> Path:
     if compiler is None:
         raise ConfigError("no C compiler (cc/gcc/clang) on PATH")
     build_dir.mkdir(parents=True, exist_ok=True)
-    src_path = build_dir / f"reprokern-{_c_source_digest()}.c"
-    if not src_path.exists():
-        src_path.write_text(_C_SOURCE, encoding="utf-8")
     handle, tmp_name = tempfile.mkstemp(
         dir=build_dir, prefix=f".{so_path.name}.", suffix=".tmp"
     )
     os.close(handle)
     try:
         proc = subprocess.run(
-            [compiler, "-O2", "-fPIC", "-shared", "-o", tmp_name, str(src_path)],
+            [compiler, "-O2", "-fPIC", "-shared", "-x", "c", "-", "-o", tmp_name],
+            input=_C_SOURCE,
             capture_output=True,
             text=True,
             timeout=120,
@@ -513,16 +512,6 @@ def _load_cext_backend() -> KernelBackend:
     return KernelBackend("cext", reuse, seg_f64, seg_i64, noise)
 
 
-def _load_numba_backend() -> KernelBackend:
-    from repro.simgpu import _kernels_numba as nb
-
-    # No noise kernel: hashlib is not nopython-compilable, so numba
-    # keeps the python reference loop for the (memoized) noise stream.
-    return KernelBackend(
-        "numba", nb.reuse_distances, nb.segment_sums_f64, nb.segment_sums_i64
-    )
-
-
 # ---------------------------------------------------------------------------
 # Backend resolution
 # ---------------------------------------------------------------------------
@@ -533,7 +522,6 @@ _RESOLVED: Dict[str, KernelBackend] = {}
 _FAILED: Dict[str, str] = {}
 
 _LOADERS: Dict[str, Callable[[], KernelBackend]] = {
-    "numba": _load_numba_backend,
     "cext": _load_cext_backend,
     "python": lambda: _PYTHON_BACKEND,
 }
@@ -555,7 +543,7 @@ def _try_load(name: str) -> Optional[KernelBackend]:
     except ConfigError as exc:
         _FAILED[name] = str(exc)
         return None
-    except Exception as exc:  # ImportError, OSError, numba typing errors
+    except Exception as exc:  # e.g. OSError: the built library will not load
         _FAILED[name] = f"{type(exc).__name__}: {exc}"
         return None
     _RESOLVED[name] = loaded
@@ -565,7 +553,7 @@ def _try_load(name: str) -> Optional[KernelBackend]:
 def backend() -> KernelBackend:
     """The active kernel backend, resolved lazily from ``$REPRO_KERNELS``.
 
-    ``auto`` tries numba, then the C extension, then pure python; an
+    ``auto`` tries the C extension, then pure python; an
     *explicitly* requested backend that cannot load raises
     :class:`ConfigError` carrying the underlying failure.
     """
@@ -573,7 +561,7 @@ def backend() -> KernelBackend:
     if name == "auto":
         if "auto" in _RESOLVED:
             return _RESOLVED["auto"]
-        for candidate in ("numba", "cext", "python"):
+        for candidate in ("cext", "python"):
             loaded = _try_load(candidate)
             if loaded is not None:
                 _RESOLVED["auto"] = loaded

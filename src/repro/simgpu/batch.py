@@ -11,19 +11,22 @@ per-config costs.  See ``DESIGN.md`` ("Reuse-distance warmth") for why
 this reformulation is exact for the tracker's size-weighted LRU, not an
 approximation.
 
-Two evaluation shapes exist on top of the shared precompute:
+One evaluator runs on top of the shared precompute:
+:func:`simulate_frame_multi` prices **all** candidate configs at once as
+a ``(num_configs, num_draws)`` broadcast against a :class:`ConfigTable`,
+which is what makes architecture sweeps over 828K-draw corpora
+tractable: the per-config Python draw loop is gone entirely.  A single
+config is the ``C = 1`` case.  :func:`simulate_frame_range_multi` is the
+one per-frame driver loop; :func:`simulate_frame_range` (one config,
+per-frame outputs) and :func:`simulate_trace_multi` (whole-trace
+results) are thin views of it.  The sequential
+:class:`~repro.simgpu.simulator.GpuSimulator` stays the reference
+oracle.
 
-- :func:`simulate_frame_arrays` — one config, ``(num_draws,)`` arrays
-  (the historical batch path, kept as a bridge and for parity tests);
-- :func:`simulate_frame_multi` — **all** candidate configs at once as a
-  ``(num_configs, num_draws)`` broadcast against a :class:`ConfigTable`,
-  which is what makes architecture sweeps over 828K-draw corpora
-  tractable: the per-config Python draw loop is gone entirely.
-
-Worker processes memoize per-frame precompute keyed by the trace's
-content digest (:func:`frame_precomp_cached`), so consecutive sweep /
-validate tasks on the same trace never redo table resolution or
-reuse-distance analysis.
+Every caller, in-process or in a worker, gets per-frame precompute from
+a memo keyed by the trace's content digest (:func:`frame_precomp_cached`),
+so consecutive sweep / validate tasks on the same trace never redo table
+resolution or reuse-distance analysis.
 """
 
 from __future__ import annotations
@@ -97,44 +100,6 @@ class FramePrecomp:
     @property
     def num_draws(self) -> int:
         return len(self.draws)
-
-
-@dataclass
-class TracePrecomp:
-    """Precomputed arrays for a whole trace, plus a context cache."""
-
-    trace: Trace
-    frames: List[FramePrecomp]
-    _context_cache: Dict[tuple, List[Tuple[np.ndarray, np.ndarray]]] = field(
-        default_factory=dict
-    )
-
-    def context_arrays(
-        self, config: GpuConfig
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """(warm_fraction, switch_cycles) arrays per frame for ``config``.
-
-        Cached by the config fields that influence them, so a DVFS sweep
-        (same capacities/penalties, different clocks) computes them once.
-        """
-        key = context_signature(config)
-        cached = self._context_cache.get(key)
-        if cached is not None:
-            return cached
-        per_frame = [context_for_frame(fp, config) for fp in self.frames]
-        self._context_cache[key] = per_frame
-        return per_frame
-
-
-def context_signature(config: GpuConfig) -> tuple:
-    """The config fields that influence the order-dependent context."""
-    return (
-        config.tex_cache_kb,
-        config.l2_cache_kb,
-        config.shader_switch_cycles,
-        config.state_switch_cycles,
-        config.rt_switch_cycles,
-    )
 
 
 @dataclass
@@ -271,7 +236,7 @@ def _texture_reuse_arrays(
     The Fenwick-tree pass itself runs as a :mod:`repro.simgpu._kernels`
     kernel over flat per-slot arrays (texture ids, byte sizes, draw
     offsets) — the frame's bindings are flattened here once against the
-    per-trace size table, and the selected backend (numba / C / pure
+    per-trace size table, and either backend (compiled C or pure
     python) produces bit-identical distances (DESIGN.md, "Flat-array
     kernel form").
     """
@@ -349,25 +314,6 @@ def switch_cycles(
         + fp.state_switch * state_cost
         + fp.rt_switch * rt_cost
     )
-
-
-def context_for_frame(
-    fp: FramePrecomp, config: GpuConfig
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(warm_fraction, switch_cycles) for one frame's draws on ``config``.
-
-    Pure array arithmetic over the frame's precomputed event streams;
-    agrees bit-for-bit with walking a fresh
-    :class:`~repro.simgpu.state_tracker.StateTracker` over the frame.
-    """
-    warm = warm_fractions(fp, config.warm_capacity_bytes)
-    switch = switch_cycles(
-        fp,
-        config.shader_switch_cycles,
-        config.state_switch_cycles,
-        config.rt_switch_cycles,
-    )
-    return warm, switch
 
 
 def precompute_frame(trace: Trace, frame) -> FramePrecomp:
@@ -578,14 +524,8 @@ def precompute_frame(trace: Trace, frame) -> FramePrecomp:
     )
 
 
-def precompute_trace(trace: Trace) -> TracePrecomp:
-    """Resolve tables and build the per-draw arrays for every frame."""
-    frames = [precompute_frame(trace, frame) for frame in trace.frames]
-    return TracePrecomp(trace=trace, frames=frames)
-
-
 # ---------------------------------------------------------------------------
-# Worker-side precompute memo
+# Per-process precompute memo
 # ---------------------------------------------------------------------------
 
 #: Per-process FramePrecomp cache: trace content digest -> frame index ->
@@ -699,15 +639,8 @@ def clear_precomp_cache() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Single-config evaluation (the historical batch path)
+# Config-vectorized evaluation (all candidates in one pass)
 # ---------------------------------------------------------------------------
-
-
-def _throughput(regs: np.ndarray, config: GpuConfig) -> np.ndarray:
-    occ = np.minimum(1.0, config.max_full_occupancy_registers / regs)
-    return shadercore.MIN_THROUGHPUT_FACTOR + (
-        1.0 - shadercore.MIN_THROUGHPUT_FACTOR
-    ) * occ
 
 
 @dataclass(frozen=True)
@@ -727,122 +660,6 @@ class BatchFrameOutput:
     draw_core_cycles: np.ndarray
     pass_times_ns: Dict[str, float]
     stage_cycles: Optional[Dict[str, float]] = field(default=None, compare=False)
-
-
-def simulate_frame_arrays(
-    fp: FramePrecomp,
-    warm: np.ndarray,
-    switch: np.ndarray,
-    config: GpuConfig,
-    collect_stages: bool = False,
-) -> BatchFrameOutput:
-    """Evaluate the cost model over one frame's arrays."""
-    vs_ops = (
-        fp.vs_alu
-        + shadercore.TEX_OP_ALU_COST * fp.vs_tex
-        + shadercore.BRANCH_OP_ALU_COST * fp.vs_branch
-    )
-    ps_ops = (
-        fp.ps_alu
-        + shadercore.TEX_OP_ALU_COST * fp.ps_tex
-        + shadercore.BRANCH_OP_ALU_COST * fp.ps_branch
-    )
-    lanes = config.alu_lanes
-    vertex_cycles = fp.verts * vs_ops / (lanes * _throughput(fp.vs_regs, config))
-    pixel_cycles = fp.pix_shaded * ps_ops / (lanes * _throughput(fp.ps_regs, config))
-
-    vertex_bytes = fp.verts * fp.stride
-    fetch_cycles = vertex_bytes / config.vertex_fetch_bytes_per_cycle
-
-    setup_prims = np.where(fp.cull_none, fp.prims, fp.prims * raster.CULL_SURVIVAL)
-    raster_cycles = (
-        setup_prims / config.raster_prims_per_cycle
-        + fp.pix_rast / config.raster_pixels_per_cycle
-    )
-
-    samples = fp.pix_shaded * fp.ps_tex + fp.verts * fp.vs_tex
-    tex_cycles = samples / (config.tex_units_total * config.tex_rate_per_unit)
-    pressure = fp.footprint / (config.tex_cache_kb * 1024)
-    cold = np.minimum(
-        texture.MAX_MISS, texture.BASE_MISS + texture.CAPACITY_MISS_SCALE * pressure
-    )
-    miss = np.where(
-        fp.footprint == 0,
-        0.0,
-        cold * (warm * texture.WARM_MISS_MULTIPLIER + (1.0 - warm)),
-    )
-    tex_bytes = np.minimum(
-        samples * miss * config.cacheline_bytes,
-        texture.FOOTPRINT_OVERFETCH_CAP * fp.footprint,
-    )
-
-    writes = fp.pix_shaded * fp.n_color
-    rop_rate = config.rop_pixels_total_per_cycle * np.where(
-        fp.blend_dest, rop.BLEND_THROUGHPUT_FACTOR, 1.0
-    )
-    depth_tests = np.where(fp.depth_reads, fp.pix_rast, 0.0)
-    rop_cycles = (writes + 0.25 * depth_tests) / rop_rate
-
-    color_write = fp.pix_shaded * fp.color_bpp
-    rt_bytes = color_write + np.where(fp.blend_dest, color_write, 0.0)
-    depth_pp = fp.depth_bpp * config.depth_compression
-    rt_bytes = rt_bytes + np.where(fp.depth_reads, fp.pix_rast * depth_pp, 0.0)
-    rt_bytes = rt_bytes + np.where(fp.depth_writes, fp.pix_shaded * depth_pp, 0.0)
-
-    stages = np.stack(
-        [vertex_cycles, fetch_cycles, raster_cycles, pixel_cycles, tex_cycles, rop_cycles]
-    )
-    slowest = stages.max(axis=0)
-    residual = config.serial_fraction * (stages.sum(axis=0) - slowest)
-    core = slowest + residual + switch + config.draw_overhead_cycles
-    core = core * (1.0 + config.noise_amplitude * (2.0 * fp.noise_units - 1.0))
-
-    dram_bytes = (
-        vertex_bytes * (1.0 - config.l2_hit_vertex)
-        + tex_bytes * (1.0 - config.l2_hit_tex)
-        + rt_bytes * (1.0 - config.l2_hit_rt)
-    )
-    dram = dram_bytes / config.dram_bytes_per_mem_cycle
-
-    core_ns = 1e3 * core / config.core_clock_mhz
-    mem_ns = 1e3 * dram / config.memory_clock_mhz
-    times = np.maximum(core_ns, mem_ns) + config.mem_overlap_residual * np.minimum(
-        core_ns, mem_ns
-    )
-
-    pass_times = {}
-    for pass_name, start, end in fp.pass_spans:
-        total = float(times[start:end].sum())
-        pass_times[pass_name] = pass_times.get(pass_name, 0.0) + total
-
-    stage_cycles: Optional[Dict[str, float]] = None
-    if collect_stages:
-        # Where the simulated cycles went, summed over the frame's draws
-        # — "shader" is the unified-ALU time (vertex + pixel work).
-        stage_cycles = {
-            "shader": float(vertex_cycles.sum() + pixel_cycles.sum()),
-            "fetch": float(fetch_cycles.sum()),
-            "raster": float(raster_cycles.sum()),
-            "texture": float(tex_cycles.sum()),
-            "rop": float(rop_cycles.sum()),
-            "memory": float(dram.sum()),
-        }
-
-    return BatchFrameOutput(
-        frame_index=fp.frame_index,
-        time_ns=float(times.sum()),
-        core_cycles=float(core.sum()),
-        dram_cycles=float(dram.sum()),
-        draw_times_ns=times,
-        draw_core_cycles=core,
-        pass_times_ns=pass_times,
-        stage_cycles=stage_cycles,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Config-vectorized evaluation (all candidates in one pass)
-# ---------------------------------------------------------------------------
 
 
 class ConfigTable:
@@ -933,7 +750,7 @@ def _context_matrix(
     return warm, switch
 
 
-def _throughput_multi(regs: np.ndarray, max_occ_regs: np.ndarray) -> np.ndarray:
+def _throughput(regs: np.ndarray, max_occ_regs: np.ndarray) -> np.ndarray:
     occ = np.minimum(1.0, max_occ_regs / regs)
     return shadercore.MIN_THROUGHPUT_FACTOR + (
         1.0 - shadercore.MIN_THROUGHPUT_FACTOR
@@ -947,9 +764,11 @@ def simulate_frame_multi(
 ) -> List[BatchFrameOutput]:
     """Evaluate one frame on every config as a ``(C, N)`` numpy pass.
 
+    This is the one vectorized form of the cost model in
+    :mod:`repro.simgpu.cost`; a single config is the ``C = 1`` table.
     Returns one :class:`BatchFrameOutput` per config, in table order —
-    row ``i`` of every intermediate is numerically identical to running
-    :func:`simulate_frame_arrays` with ``table.configs[i]``.
+    every operation is elementwise along the config axis, so row ``i``
+    is bit-identical to evaluating ``table.configs[i]`` alone.
     """
     warm, switch = _context_matrix(fp, table)
 
@@ -965,11 +784,11 @@ def simulate_frame_multi(
     )
     vertex_cycles = (
         fp.verts * vs_ops
-        / (table.alu_lanes * _throughput_multi(fp.vs_regs, table.max_occ_regs))
+        / (table.alu_lanes * _throughput(fp.vs_regs, table.max_occ_regs))
     )
     pixel_cycles = (
         fp.pix_shaded * ps_ops
-        / (table.alu_lanes * _throughput_multi(fp.ps_regs, table.max_occ_regs))
+        / (table.alu_lanes * _throughput(fp.ps_regs, table.max_occ_regs))
     )
 
     vertex_bytes = fp.verts * fp.stride
@@ -1072,19 +891,6 @@ def simulate_frame_multi(
 # ---------------------------------------------------------------------------
 
 
-def simulate_frames_batch(
-    trace: Trace, config: GpuConfig, precomp: Optional[TracePrecomp] = None
-) -> List[BatchFrameOutput]:
-    """Vectorized simulation of every frame; returns per-draw detail."""
-    if precomp is None:
-        precomp = precompute_trace(trace)
-    contexts = precomp.context_arrays(config)
-    return [
-        simulate_frame_arrays(fp, warm, switch, config)
-        for fp, (warm, switch) in zip(precomp.frames, contexts)
-    ]
-
-
 def simulate_frame_range_multi(
     trace: Trace,
     configs: Sequence[GpuConfig],
@@ -1175,35 +981,18 @@ def trace_result_from_outputs(
     )
 
 
-def simulate_trace_batch(
-    trace: Trace, config: GpuConfig, precomp: Optional[TracePrecomp] = None
-) -> TraceResult:
-    """Vectorized equivalent of :meth:`GpuSimulator.simulate_trace`."""
-    outputs = simulate_frames_batch(trace, config, precomp)
-    return trace_result_from_outputs(trace.name, config.name, outputs)
-
-
 def simulate_trace_multi(
-    trace: Trace,
-    configs: Sequence[GpuConfig],
-    precomp: Optional[TracePrecomp] = None,
+    trace: Trace, configs: Sequence[GpuConfig]
 ) -> List[TraceResult]:
     """Config-vectorized: the whole trace on every candidate, one pass.
 
-    The fast path for architecture sweeps: per-frame precompute happens
-    once, and every frame is evaluated on all configs as a single
-    ``(num_configs, num_draws)`` broadcast.
+    The fast path for architecture sweeps: each frame's precompute comes
+    from the digest-keyed memo (and the shared store), and every frame is
+    evaluated on all configs as a single ``(num_configs, num_draws)``
+    broadcast.  One config is simply the ``C = 1`` case.
     """
     configs = tuple(configs)
-    if not configs:
-        return []
-    table = ConfigTable(configs)
-    if precomp is None:
-        precomp = precompute_trace(trace)
-    per_config: List[List[BatchFrameOutput]] = [[] for _ in configs]
-    for fp in precomp.frames:
-        for slot, out in enumerate(simulate_frame_multi(fp, table)):
-            per_config[slot].append(out)
+    per_config = simulate_frame_range_multi(trace, configs, 0, trace.num_frames)
     return [
         trace_result_from_outputs(trace.name, config.name, outputs)
         for config, outputs in zip(configs, per_config)

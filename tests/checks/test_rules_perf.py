@@ -24,9 +24,11 @@ def test_perf001_names_the_call():
     report = check(FIXTURES / "perf001_bad.py", select=["PERF001"])
     messages = sorted({f.message for f in report.findings})
     assert messages == [
+        "simulate_frame_range() runs once per config in a loop over "
+        "candidate configs",
         "simulate_trace() runs once per config in a loop over candidate "
         "configs",
-        "simulate_trace_batch() runs once per config in a loop over "
+        "simulate_trace_multi() runs once per config in a loop over "
         "candidate configs",
     ]
 

@@ -136,15 +136,15 @@ class TestRoundTrip:
     def test_simulation_identical_after_roundtrip(self, simple_trace):
         import dataclasses
 
-        from repro.simgpu.batch import simulate_trace_batch
+        from repro.simgpu.batch import simulate_trace_multi
         from repro.simgpu.config import GpuConfig
 
         commands = frames_to_commands(simple_trace.frames)
         back = interpret_commands(commands)
         rebuilt = dataclasses.replace(simple_trace, frames=tuple(back))
         config = GpuConfig.preset("mainstream")
-        a = simulate_trace_batch(simple_trace, config).total_time_ns
-        b = simulate_trace_batch(rebuilt, config).total_time_ns
+        a = simulate_trace_multi(simple_trace, [config])[0].total_time_ns
+        b = simulate_trace_multi(rebuilt, [config])[0].total_time_ns
         assert b == pytest.approx(a, rel=1e-12)
 
     def test_stream_is_minimal(self):

@@ -17,13 +17,12 @@ from repro.errors import SimulationError
 from repro.simgpu.batch import (
     clear_precomp_cache,
     frame_precomp_cached,
-    precompute_trace,
+    simulate_frame_range,
     simulate_frame_range_multi,
-    simulate_frames_batch,
-    simulate_trace_batch,
     simulate_trace_multi,
 )
 from repro.simgpu.config import GpuConfig
+from repro.simgpu.precomp_store import PRECOMP_DIR_ENV
 from repro.simgpu.simulator import GpuSimulator
 
 from tests.conftest import make_draw, make_world
@@ -71,7 +70,7 @@ config_strategy = st.builds(
 class TestEquivalence:
     def test_matches_sequential_on_fixture(self, simple_trace):
         seq = GpuSimulator(CFG).simulate_trace(simple_trace, keep_draw_costs=True)
-        bat = simulate_trace_batch(simple_trace, CFG)
+        bat = simulate_trace_multi(simple_trace, [CFG])[0]
         assert bat.total_time_ns == pytest.approx(seq.total_time_ns, rel=1e-12)
         for fs, fb in zip(seq.frame_results, bat.frame_results):
             assert fb.time_ns == pytest.approx(fs.time_ns, rel=1e-12)
@@ -84,7 +83,7 @@ class TestEquivalence:
 
     def test_per_draw_times_match(self, simple_trace):
         seq = GpuSimulator(CFG).simulate_trace(simple_trace, keep_draw_costs=True)
-        outputs = simulate_frames_batch(simple_trace, CFG)
+        outputs = simulate_frame_range(simple_trace, CFG, 0, simple_trace.num_frames)
         for fs, out in zip(seq.frame_results, outputs):
             np.testing.assert_allclose(
                 out.draw_times_ns, np.array(fs.draw_times_ns()), rtol=1e-12
@@ -99,12 +98,13 @@ class TestEquivalence:
         trace = make_world([draws])
         config = GpuConfig.preset(preset)
         seq = GpuSimulator(config).simulate_trace(trace)
-        bat = simulate_trace_batch(trace, config)
+        bat = simulate_trace_multi(trace, [config])[0]
         assert bat.total_time_ns == pytest.approx(seq.total_time_ns, rel=1e-9)
 
 
 class TestMultiConfigParity:
-    """The config-vectorized pass must agree with both earlier paths."""
+    """The config-vectorized pass must agree with the sequential reference
+    and, row by row, with its own single-config (C = 1) case."""
 
     def _candidates(self):
         return [
@@ -117,11 +117,11 @@ class TestMultiConfigParity:
 
     def test_matches_single_config_batch_exactly(self, simple_trace):
         # Row i of the (C, N) broadcast is the same arithmetic as the
-        # 1-D pass — bit-identical, not just close.
+        # C = 1 pass over that config — bit-identical, not just close.
         configs = self._candidates()
         multi = simulate_trace_multi(simple_trace, configs)
         for config, result in zip(configs, multi):
-            single = simulate_trace_batch(simple_trace, config)
+            single = simulate_trace_multi(simple_trace, [config])[0]
             for fs, fm in zip(single.frame_results, result.frame_results):
                 assert fm.time_ns == fs.time_ns
                 assert fm.core_cycles == fs.core_cycles
@@ -152,13 +152,13 @@ class TestMultiConfigParity:
         configs=st.lists(config_strategy, min_size=1, max_size=4),
     )
     def test_random_traces_and_configs_agree(self, frames, configs):
-        """Sequential, single-config batch, and config-vectorized paths
+        """Sequential, single-config (C = 1) and config-vectorized runs
         agree per frame on time_ns / core_cycles / dram_cycles."""
         trace = make_world(frames)
         multi = simulate_trace_multi(trace, configs)
         for config, result in zip(configs, multi):
             seq = GpuSimulator(config).simulate_trace(trace)
-            bat = simulate_trace_batch(trace, config)
+            bat = simulate_trace_multi(trace, [config])[0]
             triples = zip(
                 seq.frame_results, bat.frame_results, result.frame_results
             )
@@ -171,14 +171,6 @@ class TestMultiConfigParity:
     def test_empty_configs(self, simple_trace):
         assert simulate_trace_multi(simple_trace, []) == []
         assert simulate_frame_range_multi(simple_trace, [], 0, 1) == []
-
-    def test_shared_precomp_matches_fresh(self, simple_trace):
-        configs = self._candidates()
-        precomp = precompute_trace(simple_trace)
-        shared = simulate_trace_multi(simple_trace, configs, precomp)
-        fresh = simulate_trace_multi(simple_trace, configs)
-        for a, b in zip(shared, fresh):
-            assert a.total_time_ns == b.total_time_ns
 
     def test_invalid_range_rejected(self, simple_trace):
         with pytest.raises(SimulationError, match="frame range"):
@@ -198,7 +190,7 @@ class TestFramePrecompMemo:
         third = frame_precomp_cached(simple_trace, frame)
         assert third is not first
 
-    def test_memoized_range_matches_direct(self, simple_trace):
+    def test_memoized_range_matches_direct(self, simple_trace, monkeypatch):
         clear_precomp_cache()
         warmup = simulate_frame_range_multi(
             simple_trace, [CFG], 0, simple_trace.num_frames
@@ -206,31 +198,12 @@ class TestFramePrecompMemo:
         memoized = simulate_frame_range_multi(
             simple_trace, [CFG], 0, simple_trace.num_frames
         )
-        direct = simulate_trace_batch(simple_trace, CFG)
-        for out, warm_out, frame_result in zip(
-            memoized[0], warmup[0], direct.frame_results
-        ):
+        # Recompute from scratch: no memo and no shared store to map.
+        clear_precomp_cache()
+        monkeypatch.setenv(PRECOMP_DIR_ENV, "")
+        fresh = simulate_frame_range_multi(
+            simple_trace, [CFG], 0, simple_trace.num_frames
+        )
+        for out, warm_out, fresh_out in zip(memoized[0], warmup[0], fresh[0]):
             assert out.time_ns == warm_out.time_ns
-            assert out.time_ns == frame_result.time_ns
-
-
-class TestPrecompCache:
-    def test_reuse_across_clocks(self, simple_trace):
-        precomp = precompute_trace(simple_trace)
-        a = simulate_trace_batch(simple_trace, CFG.with_core_clock(800.0), precomp)
-        b = simulate_trace_batch(simple_trace, CFG.with_core_clock(800.0), precomp)
-        assert a.total_time_ns == b.total_time_ns
-        # Cache populated once for the shared capacity/penalty key.
-        assert len(precomp._context_cache) == 1
-
-    def test_cache_key_differs_with_capacity(self, simple_trace):
-        precomp = precompute_trace(simple_trace)
-        simulate_trace_batch(simple_trace, CFG, precomp)
-        simulate_trace_batch(simple_trace, CFG.scaled(tex_cache_kb=32), precomp)
-        assert len(precomp._context_cache) == 2
-
-    def test_precomp_matches_fresh(self, simple_trace):
-        precomp = precompute_trace(simple_trace)
-        with_pre = simulate_trace_batch(simple_trace, CFG, precomp)
-        without = simulate_trace_batch(simple_trace, CFG)
-        assert with_pre.total_time_ns == pytest.approx(without.total_time_ns)
+            assert out.time_ns == fresh_out.time_ns

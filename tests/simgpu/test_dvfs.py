@@ -5,6 +5,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.simgpu.config import GpuConfig
 from repro.simgpu.dvfs import frequency_sweep
+from repro.simgpu.simulator import GpuSimulator
 
 CFG = GpuConfig()
 CLOCKS = (500.0, 1000.0, 2000.0)
@@ -35,9 +36,10 @@ class TestFrequencySweep:
         assert eff[0] >= eff[1] >= eff[2]
 
     def test_batch_and_sequential_agree(self, simple_trace):
-        fast = frequency_sweep(simple_trace, CFG, CLOCKS, use_batch=True)
-        slow = frequency_sweep(simple_trace, CFG, CLOCKS, use_batch=False)
-        for a, b in zip(fast.total_times_ns, slow.total_times_ns):
+        fast = frequency_sweep(simple_trace, CFG, CLOCKS)
+        for clock, a in zip(CLOCKS, fast.total_times_ns):
+            config = CFG.with_core_clock(clock)
+            b = GpuSimulator(config).simulate_trace(simple_trace).total_time_ns
             assert a == pytest.approx(b, rel=1e-9)
 
     def test_improvements_percent(self, simple_trace):

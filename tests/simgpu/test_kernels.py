@@ -1,10 +1,10 @@
 """Kernel dispatch layer: backend selection + cross-backend bit-parity.
 
-The compiled backends (numba, cext) must reproduce the pure-python
-reference *bit for bit* — the property tests assert ``==`` on raw
-float64 arrays, never approximate closeness.  Backend availability is
-machine-dependent: the python backend always runs, the cext tests skip
-without a C compiler, the numba tests skip without numba installed.
+The compiled C backend (cext) must reproduce the pure-python reference
+*bit for bit* — the property tests assert ``==`` on raw float64 arrays,
+never approximate closeness.  Backend availability is machine-dependent:
+the python backend always runs, the cext tests skip without a C
+compiler.
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
+from repro.runtime.cache import CACHE_DIR_ENV
 from repro.simgpu import _kernels
 from repro.simgpu.batch import precompute_frame
 from repro.simgpu.config import GpuConfig
@@ -32,7 +33,7 @@ COMPILED_BACKENDS = [
             not _available(name), reason=f"{name} backend unavailable"
         ),
     )
-    for name in ("cext", "numba")
+    for name in ("cext",)
 ]
 
 
@@ -80,7 +81,7 @@ class TestBackendResolution:
 
     def test_auto_resolves_to_something(self, force_backend):
         force_backend("auto")
-        assert _kernels.backend().name in ("numba", "cext", "python")
+        assert _kernels.backend().name in ("cext", "python")
 
     def test_unknown_backend_rejected(self, force_backend):
         force_backend("fortran")
@@ -92,12 +93,11 @@ class TestBackendResolution:
     def test_unavailable_backend_is_an_error_not_a_fallback(
         self, force_backend, monkeypatch
     ):
-        monkeypatch.setitem(_kernels._FAILED, "numba", "forced for test")
-        monkeypatch.delitem(_kernels._RESOLVED, "numba", raising=False)
-        force_backend("numba")
-        if _kernels._try_load("numba") is None:
-            with pytest.raises(ConfigError, match="unavailable"):
-                _kernels.backend()
+        monkeypatch.setitem(_kernels._FAILED, "cext", "forced for test")
+        monkeypatch.delitem(_kernels._RESOLVED, "cext", raising=False)
+        force_backend("cext")
+        with pytest.raises(ConfigError, match="unavailable: forced for test"):
+            _kernels.backend()
 
     def test_set_backend_exports_env(self, monkeypatch):
         monkeypatch.delenv(_kernels.KERNELS_ENV, raising=False)
@@ -116,6 +116,26 @@ class TestBackendResolution:
         assert info == {"requested": "python", "backend": None}
         info = _kernels.kernel_info(resolve=True)
         assert info == {"requested": "python", "backend": "python"}
+
+
+@pytest.mark.skipif(_kernels._find_compiler() is None, reason="no C compiler")
+class TestCextBuild:
+    def test_leftover_truncated_source_is_not_trusted(
+        self, force_backend, monkeypatch, tmp_path
+    ):
+        # A crashed or concurrent builder may leave half a source file
+        # behind under the content-addressed name; the build must not
+        # compile from it.
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+        build_dir = tmp_path / "kernels"
+        build_dir.mkdir()
+        source = _kernels._C_SOURCE
+        leftover = build_dir / f"reprokern-{_kernels._c_source_digest()}.c"
+        leftover.write_text(source[: len(source) // 2])
+        monkeypatch.setattr(_kernels, "_RESOLVED", {})
+        monkeypatch.setattr(_kernels, "_FAILED", {})
+        force_backend("cext")
+        assert _kernels.backend().name == "cext"
 
 
 class TestPurePythonKernels:
@@ -221,7 +241,7 @@ class TestKernelsMatchSequentialSimulator:
     """The kernel-backed batch path still matches the scalar reference."""
 
     def test_trace_times_identical(self, monkeypatch):
-        from repro.simgpu.batch import simulate_trace_batch
+        from repro.simgpu.batch import simulate_trace_multi
 
         trace = make_world(
             [
@@ -232,6 +252,6 @@ class TestKernelsMatchSequentialSimulator:
         config = GpuConfig()
         reference = GpuSimulator(config).simulate_trace(trace)
         monkeypatch.setenv(_kernels.KERNELS_ENV, "auto")
-        batch = simulate_trace_batch(trace, config)
+        batch = simulate_trace_multi(trace, [config])[0]
         for ref, new in zip(reference.frame_results, batch.frame_results):
             assert new.time_ns == pytest.approx(ref.time_ns, rel=1e-12)
