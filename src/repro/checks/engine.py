@@ -20,10 +20,9 @@ from typing import Dict, Iterable, List, Optional, Sequence
 # __init__ imports this module, so going through the package would be
 # exactly the IMP003 cycle this subsystem flags.
 import repro.checks.astutils as astutils
-import repro.checks.cache as cache_mod
 import repro.checks.callgraph as callgraph_mod
 from repro.checks.findings import Finding
-from repro.checks.registry import get_rule, load_plugin, select_rules
+from repro.checks.registry import get_rule, select_rules
 from repro.errors import CheckError
 
 
@@ -60,19 +59,12 @@ class ModuleContext:
 
 @dataclass
 class CheckReport:
-    """The outcome of one analysis run (pre-baseline).
-
-    ``files_analyzed`` counts files whose rules actually ran this
-    invocation; ``files_cached`` counts files replayed from the
-    incremental cache.  Without a cache every scanned file is analyzed.
-    """
+    """The outcome of one analysis run (pre-baseline)."""
 
     findings: List[Finding]
     files_scanned: int
     noqa_suppressed: int
     rules_run: List[str] = field(default_factory=list)
-    files_analyzed: int = 0
-    files_cached: int = 0
 
     @property
     def errors(self) -> int:
@@ -118,132 +110,58 @@ def run_checks(
     paths: Sequence[object],
     *,
     select: Optional[Iterable[str]] = None,
-    plugins: Sequence[str] = (),
-    cache: Optional[cache_mod.CheckCache] = None,
 ) -> CheckReport:
     """Analyze ``paths`` (files or directories) with the selected rules.
 
-    ``plugins`` are module names imported first so their ``@rule``
-    decorators register; ``select`` restricts to specific rule ids
-    (default: every registered rule).  Files that fail to parse yield
-    an ``IMP000`` finding instead of aborting the run.
-
-    With a ``cache``, files whose content digest matches a cached entry
-    replay their module-scope findings without being parsed, and an
-    unchanged file *set* replays the project-scope findings too — a
-    fully warm run analyzes zero files.  Project rules are whole-program
-    by nature, so any changed file re-runs them over the full set.
+    ``select`` restricts to specific rule ids (default: every
+    registered rule).  Files that fail to parse yield an ``IMP000``
+    finding instead of aborting the run.
     """
-    for plugin in plugins:
-        load_plugin(plugin)
     rules = select_rules(select or ())
     selected_ids = {r.rule_id for r in rules}
     module_rules = [r for r in rules if r.scope == "module"]
     project_rules = [r for r in rules if r.scope == "project"]
 
     files = collect_files([Path(p) for p in paths])
-    located = [(path, _relpath(path)) for path in files]
-    digests = {
-        relpath: cache_mod.file_digest(path.read_bytes())
-        for path, relpath in located
-    }
-
-    file_results: Dict[str, cache_mod.CachedResult] = {}
-    dirty: List[Path] = []
-    dirty_relpaths: List[str] = []
-    for path, relpath in located:
-        cached = (
-            cache.get_file(relpath, digests[relpath]) if cache else None
-        )
-        if cached is not None:
-            file_results[relpath] = cached
-        else:
-            dirty.append(path)
-            dirty_relpaths.append(relpath)
-
-    proj_key = cache_mod.project_digest(digests)
-    project_result: Optional[cache_mod.CachedResult] = None
-    if not project_rules:
-        project_result = cache_mod.CachedResult(findings=[], suppressed=0)
-    elif cache is not None and not dirty:
-        project_result = cache.get_project(proj_key)
-
-    # Dirty files must be parsed for their module rules; a stale
-    # project pass needs every module's AST for the call graph.
-    dirty_set = set(dirty_relpaths)
-    parse_targets = located if project_result is None else [
-        (path, relpath) for path, relpath in located if relpath in dirty_set
-    ]
     modules: List[astutils.ModuleSource] = []
-    syntax_findings: Dict[str, List[Finding]] = {}
-    for path, relpath in parse_targets:
+    raw: List[Finding] = []
+    for path in files:
+        relpath = _relpath(path)
         try:
             modules.append(astutils.parse_module(path, relpath))
         except SyntaxError as exc:
-            if relpath in dirty_set and "IMP000" in selected_ids:
-                syntax_findings[relpath] = [
+            if "IMP000" in selected_ids:
+                raw.append(
                     get_rule("IMP000").finding(
                         relpath,
                         exc.lineno or 1,
                         (exc.offset or 1) - 1,
                         f"syntax error: {exc.msg}",
                     )
-                ]
+                )
 
     project = ProjectContext(modules)
+    for module in modules:
+        for a_rule in module_rules:
+            raw.extend(a_rule.func(ModuleContext(module, project)))
+    for a_rule in project_rules:
+        raw.extend(a_rule.func(project))
+
     by_relpath = project.by_relpath()
-
-    for relpath in dirty_relpaths:
-        raw: List[Finding] = list(syntax_findings.get(relpath, []))
-        module = by_relpath.get(relpath)
-        if module is not None:
-            for a_rule in module_rules:
-                raw.extend(a_rule.func(ModuleContext(module, project)))
-        result = _suppress(raw, by_relpath)
-        file_results[relpath] = result
-        if cache is not None:
-            cache.put_file(relpath, digests[relpath], result)
-
-    if project_result is None:
-        raw = []
-        for a_rule in project_rules:
-            raw.extend(a_rule.func(project))
-        project_result = _suppress(raw, by_relpath)
-        if cache is not None:
-            cache.put_project(proj_key, project_result)
-
-    if cache is not None:
-        cache.save()
-
-    findings: List[Finding] = list(project_result.findings)
-    suppressed = project_result.suppressed
-    for result in file_results.values():
-        findings.extend(result.findings)
-        suppressed += result.suppressed
+    findings: List[Finding] = []
+    suppressed = 0
+    for finding in raw:
+        module = by_relpath.get(finding.path)
+        if module is not None and module.is_suppressed(
+            finding.rule_id, finding.line
+        ):
+            suppressed += 1
+        else:
+            findings.append(finding)
     findings.sort()
     return CheckReport(
         findings=findings,
         files_scanned=len(files),
         noqa_suppressed=suppressed,
         rules_run=sorted(selected_ids),
-        files_analyzed=len(dirty_relpaths),
-        files_cached=len(files) - len(dirty_relpaths),
     )
-
-
-def _suppress(
-    findings: List[Finding],
-    by_relpath: Dict[str, astutils.ModuleSource],
-) -> cache_mod.CachedResult:
-    """Apply inline ``# repro: noqa`` filtering to one batch of findings."""
-    kept: List[Finding] = []
-    suppressed = 0
-    for finding in findings:
-        module = by_relpath.get(finding.path)
-        if module is not None and module.is_suppressed(
-            finding.rule_id, finding.line
-        ):
-            suppressed += 1
-            continue
-        kept.append(finding)
-    return cache_mod.CachedResult(findings=kept, suppressed=suppressed)

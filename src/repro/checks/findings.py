@@ -66,16 +66,3 @@ class Finding:
             "message": self.message,
             "hint": self.hint,
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "Finding":
-        """Inverse of :meth:`as_dict` (used by the incremental cache)."""
-        return cls(
-            path=payload["path"],
-            line=payload["line"],
-            col=payload["col"],
-            rule_id=payload["rule"],
-            severity=payload["severity"],
-            message=payload["message"],
-            hint=payload.get("hint", ""),
-        )

@@ -1,12 +1,11 @@
-"""Plugin-style rule registry.
+"""Rule registry.
 
 A *rule* is a generator function that receives an analysis context and
 yields :class:`~repro.checks.findings.Finding` objects.  Rules register
 themselves at import time through the :func:`rule` decorator — exactly
 the pattern :data:`repro.runtime.tasks.TASK_FUNCTIONS` uses for task
-kinds — so shipping a new rule is one decorated function, and user
-extension modules can contribute rules by being imported
-(``repro check --load-rules my.module``).
+kinds — so shipping a new rule is one decorated function in one of the
+built-in ``rules_*`` modules.
 
 Two scopes exist:
 
@@ -29,12 +28,6 @@ from repro.errors import CheckError
 RuleFunction = Callable[[Any], Iterator[Finding]]
 
 SCOPES: Tuple[str, ...] = ("module", "project")
-
-#: Bump whenever any rule's detection logic or message text changes.
-#: The incremental cache (:mod:`repro.checks.cache`) keys entries on
-#: this together with the selected rule ids, so a rule improvement
-#: invalidates stale cached findings instead of silently serving them.
-RULESET_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -74,7 +67,7 @@ class Rule:
 
 
 #: All registered rules by id.  Populated at import time by the rule
-#: modules (and by any ``--load-rules`` plugin).
+#: modules.
 RULES: Dict[str, Rule] = {}
 
 
@@ -145,22 +138,11 @@ def select_rules(rule_ids: Iterable[str]) -> List[Rule]:
     return [r for r in all_rules() if r.rule_id in wanted]
 
 
-def load_plugin(module_name: str) -> None:
-    """Import a user extension module so its ``@rule`` decorators run."""
-    try:
-        importlib.import_module(module_name)
-    except ImportError as exc:
-        raise CheckError(
-            f"cannot import rule plugin {module_name!r}: {exc}"
-        ) from exc
-
-
 def _ensure_builtin_rules() -> None:
     """Import the built-in rule modules (idempotent).
 
-    Importing is the registration mechanism — the same contract plugins
-    follow — so this goes through :mod:`importlib` rather than binding
-    names nothing reads.
+    Importing is the registration mechanism, so this goes through
+    :mod:`importlib` rather than binding names nothing reads.
     """
     for module in (
         "rules_cachekey",

@@ -34,23 +34,13 @@ def summarize(
     files_scanned: int = 0,
     noqa_suppressed: int = 0,
     baselined: int = 0,
-    files_analyzed: Optional[int] = None,
-    files_cached: int = 0,
 ) -> Dict[str, int]:
-    """The summary block shared by the text footer and the JSON output.
-
-    ``files_analyzed``/``files_cached`` split the scan by incremental
-    cache outcome; without a cache every scanned file was analyzed.
-    """
+    """The summary block shared by the text footer and the JSON output."""
     return {
         "findings": len(findings),
         "errors": sum(1 for f in findings if f.severity == "error"),
         "warnings": sum(1 for f in findings if f.severity == "warning"),
         "files_scanned": files_scanned,
-        "files_analyzed": (
-            files_scanned if files_analyzed is None else files_analyzed
-        ),
-        "files_cached": files_cached,
         "noqa_suppressed": noqa_suppressed,
         "baselined": baselined,
     }
@@ -121,7 +111,7 @@ def render_github(findings: Sequence[Finding]) -> str:
 
 def _sarif_rule_metadata(rule_id: str) -> Dict[str, Any]:
     """Registry metadata for one rule, degrading gracefully for ids the
-    registry no longer knows (e.g. findings replayed from an old run)."""
+    registry does not know."""
     from repro.checks.registry import get_rule
     from repro.errors import CheckError
 

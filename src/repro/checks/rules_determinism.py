@@ -1,11 +1,11 @@
-"""Determinism rules (DET001–DET005).
+"""Determinism rules (DET001–DET003, DET005).
 
 The reproduction's trust chain is: serial run == parallel run == cached
 run, bit for bit (docs/RUNTIME.md).  Every rule here targets a way that
 chain silently breaks — hidden global RNG state, wall-clock or
-environment reads leaking into cache-keyed computation, Python-level
-nondeterminism (mutable defaults shared across calls, unsorted dict
-iteration feeding a digest).
+environment reads leaking into cache-keyed computation, unsorted dict
+iteration feeding a digest.  Mutable default arguments are left to
+ruff (B006), which CI's lint job runs over the same trees.
 """
 
 from __future__ import annotations
@@ -191,51 +191,6 @@ def environ_read(ctx: "ModuleContext") -> Iterator[Finding]:
                     node.lineno,
                     node.col_offset,
                     "call to os.getenv() outside the configuration allowlist",
-                )
-
-
-_MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
-_MUTABLE_CONSTRUCTORS = {"list", "dict", "set", "bytearray", "defaultdict", "deque"}
-
-
-@rule(
-    "DET004",
-    name="mutable-default-arg",
-    hint="default to None and construct the container inside the function body",
-)
-def mutable_default_arg(ctx: "ModuleContext") -> Iterator[Finding]:
-    """A mutable default is one object shared by every call.
-
-    State accumulated in it leaks across calls — and across tasks when
-    the function runs inline (``jobs=1``) but *not* when each worker
-    process gets a fresh module copy, which is precisely the kind of
-    serial-vs-parallel divergence this subsystem exists to prevent.
-    """
-    this = get_rule("DET004")
-    module = ctx.module
-    for node in ast.walk(module.tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        defaults = list(node.args.defaults) + [
-            d for d in node.args.kw_defaults if d is not None
-        ]
-        for default in defaults:
-            mutable = isinstance(default, _MUTABLE_LITERALS) or (
-                isinstance(default, ast.Call)
-                and isinstance(default.func, ast.Name)
-                and default.func.id in _MUTABLE_CONSTRUCTORS
-            )
-            if mutable:
-                label = (
-                    node.name
-                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    else "<lambda>"
-                )
-                yield this.finding(
-                    module.relpath,
-                    default.lineno,
-                    default.col_offset,
-                    f"mutable default argument in {label}()",
                 )
 
 

@@ -1,12 +1,9 @@
-"""Import-hygiene rules (IMP000–IMP003).
+"""Import-hygiene rules (IMP000, IMP003).
 
-PR 2 shipped the motivating bug: ``simgpu/batch.py`` referenced
-``Sequence`` and ``SimulationError`` without importing them, and nothing
-noticed until a rarely-taken error path ran.  These rules make that
-class of defect a CI failure: names must resolve somewhere, imports
-must earn their keep, and the ``repro.*`` module graph must stay
-acyclic (cycles are why "just import it at the top" sometimes can't
-fix the first two).
+IMP000 reports files the engine cannot parse; IMP003 keeps the
+``repro.*`` module graph acyclic.  Undefined names and unused imports
+are left to ruff (F821, F401), which CI's lint job runs over the same
+trees.
 """
 
 from __future__ import annotations
@@ -14,11 +11,7 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING, Dict, Iterator, List, Set, Tuple
 
-from repro.checks.astutils import (
-    ModuleSource,
-    ScopeAnalyzer,
-    annotation_string_names,
-)
+from repro.checks.astutils import ModuleSource
 from repro.checks.findings import Finding
 from repro.checks.registry import get_rule, rule
 
@@ -41,109 +34,6 @@ def syntax_error(ctx: "ModuleContext") -> Iterator[Finding]:
     selected or suppressed like any other rule.
     """
     return iter(())
-
-
-@rule(
-    "IMP001",
-    name="undefined-name",
-    hint="import or define the name; this is a NameError waiting for its code path",
-)
-def undefined_name(ctx: "ModuleContext") -> Iterator[Finding]:
-    """A load of a name with no binding in any enclosing scope.
-
-    The analysis is deliberately flow-free (a name bound anywhere in a
-    scope counts everywhere in it), so every finding is a genuine
-    "nothing ever binds this" — the kind that raises ``NameError`` the
-    first time its branch executes, typically an error path no test
-    covers.  A ``from x import *`` anywhere in the module disables the
-    rule for that module.
-    """
-    this = get_rule("IMP001")
-    module = ctx.module
-    analyzer = ScopeAnalyzer(module.tree)
-    seen: Set[Tuple[str, int]] = set()
-    for undefined in analyzer.undefined_names():
-        key = (undefined.name, undefined.line)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield this.finding(
-            module.relpath,
-            undefined.line,
-            undefined.col,
-            f"undefined name {undefined.name!r}",
-        )
-
-
-@rule(
-    "IMP002",
-    name="unused-import",
-    severity="warning",
-    hint="delete the import (or add the name to __all__ if it is a re-export)",
-)
-def unused_import(ctx: "ModuleContext") -> Iterator[Finding]:
-    """An imported name no code in the module ever loads.
-
-    Dead imports hide real dependencies, slow worker spawn (every pool
-    worker re-imports the module graph), and mask typos — an unused
-    import next to an undefined name is usually one rename gone wrong.
-    ``__init__.py`` files are exempt: their imports *are* the package's
-    public surface.  Same-name re-exports (``import x as x``) and
-    ``__all__`` members count as used.
-    """
-    this = get_rule("IMP002")
-    module = ctx.module
-    if module.path.name == "__init__.py":
-        return
-    loads: Set[str] = set()
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            loads.add(node.id)
-    loads |= _all_exports(module.tree)
-    loads |= annotation_string_names(module.tree)
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname == alias.name:
-                    continue  # re-export idiom
-                bound = alias.asname or alias.name.split(".")[0]
-                if bound not in loads:
-                    yield this.finding(
-                        module.relpath,
-                        node.lineno,
-                        node.col_offset,
-                        f"unused import {bound!r}",
-                    )
-        elif isinstance(node, ast.ImportFrom):
-            if node.module == "__future__":
-                continue
-            for alias in node.names:
-                if alias.name == "*" or alias.asname == alias.name:
-                    continue
-                bound = alias.asname or alias.name
-                if bound not in loads:
-                    yield this.finding(
-                        module.relpath,
-                        node.lineno,
-                        node.col_offset,
-                        f"unused import {bound!r}",
-                    )
-
-
-def _all_exports(tree: ast.Module) -> Set[str]:
-    """String members of a module-level ``__all__`` literal."""
-    exports: Set[str] = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name) and target.id == "__all__":
-                    if isinstance(node.value, (ast.List, ast.Tuple)):
-                        for element in node.value.elts:
-                            if isinstance(element, ast.Constant) and isinstance(
-                                element.value, str
-                            ):
-                                exports.add(element.value)
-    return exports
 
 
 @rule(

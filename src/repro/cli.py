@@ -496,30 +496,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to run (default: all)",
     )
     check.add_argument(
-        "--load-rules",
-        action="append",
-        default=[],
-        metavar="MODULE",
-        help="import a plugin module so its @rule registrations apply",
-    )
-    check.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalog and exit",
-    )
-    check.add_argument(
-        "--changed",
-        action="store_true",
-        help=(
-            "analyze only files git reports as changed against the "
-            "diff base (tracked modifications plus untracked files)"
-        ),
-    )
-    check.add_argument(
-        "--diff-base",
-        default=None,
-        metavar="REV",
-        help="base rev for --changed (default: origin/main)",
     )
     check.add_argument(
         "--prune-baseline",
@@ -528,20 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
             "rewrite the baseline file without entries that no longer "
             "match any finding"
         ),
-    )
-    check.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help=(
-            "disable the content-addressed cache under "
-            ".repro/checks-cache/ and re-analyze every file"
-        ),
-    )
-    check.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="incremental cache location (default: .repro/checks-cache)",
     )
 
     runs = sub.add_parser(
@@ -1067,11 +1032,9 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_check(args) -> int:
     from repro.checks import baseline as baseline_mod
-    from repro.checks import cache as cache_mod
     from repro.checks import reporting
-    from repro.checks.changed import DEFAULT_DIFF_BASE, restrict_to_changed
-    from repro.checks.engine import collect_files, run_checks
-    from repro.checks.registry import all_rules, load_plugin, select_rules
+    from repro.checks.engine import run_checks
+    from repro.checks.registry import all_rules
 
     if args.list_rules:
         rows = [
@@ -1084,25 +1047,7 @@ def _cmd_check(args) -> int:
 
     paths = args.paths or ["src/repro"]
     select = args.select.split(",") if args.select else None
-
-    cache = None
-    if not args.no_incremental:
-        # The cache key needs the resolved rule ids, so plugins load
-        # here (run_checks re-loading them is an idempotent import).
-        for plugin in args.load_rules:
-            load_plugin(plugin)
-        rule_ids = [r.rule_id for r in select_rules(select or ())]
-        cache_root = Path(args.cache_dir) if args.cache_dir else None
-        cache = cache_mod.open_cache(rule_ids, root=cache_root)
-
-    check_paths: Sequence[object] = paths
-    if args.changed:
-        base = args.diff_base or DEFAULT_DIFF_BASE
-        files = collect_files([Path(p) for p in paths])
-        check_paths = restrict_to_changed(files, base)
-    report = run_checks(
-        check_paths, select=select, plugins=args.load_rules, cache=cache
-    )
+    report = run_checks(paths, select=select)
 
     baseline_path = Path(args.baseline) if args.baseline else None
     if baseline_path is None and not args.no_baseline:
@@ -1141,8 +1086,6 @@ def _cmd_check(args) -> int:
         files_scanned=report.files_scanned,
         noqa_suppressed=report.noqa_suppressed,
         baselined=len(applied.baselined),
-        files_analyzed=report.files_analyzed,
-        files_cached=report.files_cached,
     )
     output = reporting.render(fmt, applied.new_findings, summary)
     if args.output:

@@ -36,7 +36,8 @@ from repro.simgpu.config import GpuConfig
 #: v2: BatchFrameOutput grew the optional ``stage_cycles`` field.
 #: v3: feature extraction standardized on ``np.log1p`` (1 ULP shift vs
 #: ``math.log1p`` on some inputs) when the matrix path was vectorized.
-CACHE_FORMAT_VERSION = 3
+#: v4: BatchFrameOutput dropped the unread per-draw ``draw_core_cycles``.
+CACHE_FORMAT_VERSION = 4
 
 #: Introspection hook for the ``repro.checks`` cache-key-completeness
 #: rules (KEY003): the exact fields the :func:`task_key` record carries.

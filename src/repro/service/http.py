@@ -36,6 +36,12 @@ from repro.service.jobs import JobStore
 #: document, so anything bigger is a client error (or abuse).
 MAX_BODY_BYTES = 1 << 20
 
+#: Oversized bodies up to this size are read and discarded before the
+#: 413 goes out: closing a socket with unread input resets it, and the
+#: client would see the reset instead of the 413.  Bigger ones are not
+#: worth reading; their connection is just closed.
+_MAX_DRAIN_BYTES = 8 * MAX_BODY_BYTES
+
 #: How often a streaming handler wakes to check for server shutdown.
 _STREAM_POLL_S = 0.5
 
@@ -58,6 +64,13 @@ class _Handler(BaseHTTPRequestHandler):
         if length <= 0:
             return None
         if length > MAX_BODY_BYTES:
+            if length <= _MAX_DRAIN_BYTES:
+                while length > 0:
+                    chunk = self.rfile.read(min(length, 1 << 16))
+                    if not chunk:
+                        break
+                    length -= len(chunk)
+            self.close_connection = True
             return b"__too_large__"
         return self.rfile.read(length)
 

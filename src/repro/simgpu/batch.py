@@ -645,7 +645,7 @@ def clear_precomp_cache() -> None:
 
 @dataclass(frozen=True)
 class BatchFrameOutput:
-    """Vectorized per-frame result with per-draw detail arrays.
+    """Vectorized per-frame result with per-draw times.
 
     ``stage_cycles`` (summed shader/texture/rop/... cycles per pipeline
     stage) is only populated when the frame was simulated under an
@@ -657,7 +657,6 @@ class BatchFrameOutput:
     core_cycles: float
     dram_cycles: float
     draw_times_ns: np.ndarray
-    draw_core_cycles: np.ndarray
     pass_times_ns: Dict[str, float]
     stage_cycles: Optional[Dict[str, float]] = field(default=None, compare=False)
 
@@ -878,7 +877,6 @@ def simulate_frame_multi(
                 core_cycles=float(core_totals[ci]),
                 dram_cycles=float(dram_totals[ci]),
                 draw_times_ns=times[ci],
-                draw_core_cycles=core[ci],
                 pass_times_ns=pass_times,
                 stage_cycles=stage_cycles,
             )

@@ -1,11 +1,12 @@
 """Suppression fixture: each violation carries its own noqa."""
 
 import random
+import time
 
 
 def jitter() -> float:
     return random.random()  # repro: noqa[DET001]
 
 
-def widen(values: list, extra=[]):  # repro: noqa
-    return list(values) + extra
+def stamp() -> float:
+    return time.time()  # repro: noqa

@@ -19,7 +19,7 @@ from tests.checks.support import (
 def test_noqa_suppresses_targeted_and_bare():
     report = check(FIXTURES / "noqa_suppressed.py")
     assert report.findings == []
-    # One DET001 behind `# repro: noqa[DET001]`, one DET004 behind a
+    # One DET001 behind `# repro: noqa[DET001]`, one DET002 behind a
     # bare `# repro: noqa` — both counted, neither reported.
     assert report.noqa_suppressed == 2
 
@@ -32,10 +32,10 @@ def test_noqa_for_a_different_rule_does_not_suppress():
 
 
 def test_select_restricts_to_the_named_rules():
-    # det001_bad violates DET001 only; selecting DET004 must see nothing.
-    report = check(FIXTURES / "det001_bad.py", select=["DET004"])
+    # det001_bad violates DET001 only; selecting DET003 must see nothing.
+    report = check(FIXTURES / "det001_bad.py", select=["DET003"])
     assert report.findings == []
-    assert report.rules_run == ["DET004"]
+    assert report.rules_run == ["DET003"]
 
 
 def test_select_unknown_rule_id_raises():

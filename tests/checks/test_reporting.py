@@ -30,10 +30,10 @@ WARNING = Finding(
     path="src/repro/b.py",
     line=3,
     col=0,
-    rule_id="IMP002",
+    rule_id="OBS001",
     severity="warning",
-    message="unused import 'json'",
-    hint="delete the import",
+    message="print() in library code bypasses structured logging",
+    hint="log it instead",
 )
 
 
@@ -46,8 +46,9 @@ def test_text_format_is_exact():
         "src/repro/a.py:12:5: DET001 error: "
         "call to global-state RNG random.random()",
         "    hint: seed it",
-        "src/repro/b.py:3:1: IMP002 warning: unused import 'json'",
-        "    hint: delete the import",
+        "src/repro/b.py:3:1: OBS001 warning: "
+        "print() in library code bypasses structured logging",
+        "    hint: log it instead",
         "",
         "2 finding(s) (1 error(s), 1 warning(s)) in 2 file(s); "
         "4 baselined, 1 suppressed inline",
@@ -116,7 +117,7 @@ def test_sarif_format_is_valid_minimal_sarif():
     (run,) = log["runs"]
     assert run["tool"]["driver"]["name"] == "repro-check"
     rules = run["tool"]["driver"]["rules"]
-    assert [r["id"] for r in rules] == ["DET001", "IMP002"]
+    assert [r["id"] for r in rules] == ["DET001", "OBS001"]
     assert rules[0]["defaultConfiguration"]["level"] == "error"
     first, second = run["results"]
     assert first["ruleId"] == "DET001"

@@ -11,7 +11,7 @@ from tests.checks.support import (
     observed,
 )
 
-DET_STEMS = ("det001", "det002", "det003", "det004", "det005")
+DET_STEMS = ("det001", "det002", "det003", "det005")
 
 
 @pytest.mark.parametrize("stem", DET_STEMS)

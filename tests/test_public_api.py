@@ -13,10 +13,7 @@ PUBLIC_MODULES = [
     "repro.util",
     "repro.util.charts",
     "repro.gfx",
-    "repro.gfx.commands",
-    "repro.gfx.commandstream",
     "repro.gfx.tracebin",
-    "repro.gfx.transforms",
     "repro.synth",
     "repro.simgpu",
     "repro.simgpu.batch",
