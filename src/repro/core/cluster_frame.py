@@ -118,11 +118,8 @@ def cluster_frame(
 
 def _compact_labels(labels: np.ndarray) -> np.ndarray:
     """Renumber labels to contiguous 0..k-1 preserving first-seen order."""
-    mapping = {}
-    out = np.empty_like(labels)
-    for i, label in enumerate(labels):
-        key = int(label)
-        if key not in mapping:
-            mapping[key] = len(mapping)
-        out[i] = mapping[key]
-    return out
+    labels = np.asarray(labels)
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=labels.dtype)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse]

@@ -8,7 +8,10 @@ from repro.errors import ValidationError
 
 
 def euclidean_to_point(matrix: np.ndarray, point: np.ndarray) -> np.ndarray:
-    """Euclidean distance from every row of ``matrix`` to ``point``."""
+    """Euclidean distance from every row of ``matrix`` to ``point``.
+
+    ``point`` may also hold one point per row (same shape as ``matrix``).
+    """
     diff = matrix - point
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 

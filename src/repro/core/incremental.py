@@ -26,7 +26,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.cluster_frame import FrameClustering
+from repro.core.cluster_frame import FrameClustering, _compact_labels
 from repro.core.distance import euclidean_to_point
 from repro.core.normalize import Normalizer
 from repro.core.representatives import cluster_sizes, representative_indices
@@ -102,14 +102,7 @@ class IncrementalClusterer:
             global_labels[i] = assigned
 
         # Compact to this frame's local cluster ids (first-seen order).
-        mapping = {}
-        labels = np.empty(n, dtype=np.int64)
-        for i, g in enumerate(global_labels):
-            key = int(g)
-            if key not in mapping:
-                mapping[key] = len(mapping)
-            labels[i] = mapping[key]
-
+        labels = _compact_labels(global_labels)
         return FrameClustering(
             labels=labels,
             representatives=representative_indices(normalized, labels),

@@ -5,17 +5,20 @@ within ``radius``, or founds a new cluster.  No k to choose up front, and
 the radius directly expresses the paper's notion of "performance
 similarity": draws whose normalized characteristics differ by less than
 the radius are presumed to perform alike.
+
+The pass itself is the ``leader`` kernel of :mod:`repro.simgpu._kernels`
+(compiled, with a bit-identical numpy reference); this module validates
+its input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
-from repro.core.distance import euclidean_to_point
 from repro.errors import ClusteringError
+from repro.simgpu import _kernels
 
 
 @dataclass(frozen=True)
@@ -35,43 +38,19 @@ def leader_cluster(matrix: np.ndarray, radius: float) -> LeaderResult:
 
     Points are processed in row order (submission order for draws), which
     makes the result deterministic and order-sensitive in the same way a
-    streaming implementation in a real tool would be.
+    streaming implementation in a real tool would be.  A distance is the
+    square root of the squared differences summed left to right over the
+    columns; ties go to the earliest leader.
     """
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] == 0:
+    if matrix.ndim != 2 or matrix.shape[0] == 0 or matrix.shape[1] == 0:
         raise ClusteringError(
-            f"matrix must be a non-empty 2-D array, got shape {matrix.shape}"
+            f"matrix must be a 2-D array with at least one row and one "
+            f"column, got shape {matrix.shape}"
         )
     if not radius > 0:
         raise ClusteringError(f"radius must be > 0, got {radius}")
-
-    n = matrix.shape[0]
-    labels = np.empty(n, dtype=np.int64)
-    leader_rows: List[np.ndarray] = []
-    leader_indices: List[int] = []
-    leader_matrix = np.empty((0, matrix.shape[1]))
-    # Rebuilding the leader matrix every append is O(k^2); grow in blocks.
-    capacity = 0
-    count = 0
-
-    for i in range(n):
-        if count:
-            dists = euclidean_to_point(leader_matrix[:count], matrix[i])
-            nearest = int(np.argmin(dists))
-            if dists[nearest] <= radius:
-                labels[i] = nearest
-                continue
-        if count == capacity:
-            capacity = max(16, capacity * 2)
-            grown = np.empty((capacity, matrix.shape[1]))
-            grown[:count] = leader_matrix[:count]
-            leader_matrix = grown
-        leader_matrix[count] = matrix[i]
-        leader_rows.append(matrix[i])
-        leader_indices.append(i)
-        labels[i] = count
-        count += 1
-
-    return LeaderResult(
-        labels=labels, leader_indices=np.array(leader_indices, dtype=np.int64)
-    )
+    if not np.isfinite(matrix).all():
+        raise ClusteringError("matrix contains non-finite values (NaN or inf)")
+    labels, leader_indices = _kernels.leader_labels(matrix, radius)
+    return LeaderResult(labels=labels, leader_indices=leader_indices)

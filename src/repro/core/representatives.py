@@ -12,8 +12,16 @@ def representative_indices(matrix: np.ndarray, labels: np.ndarray) -> np.ndarray
     """The medoid-ish representative of each cluster.
 
     For each cluster, the member nearest the cluster centroid in feature
-    space.  Returns an array of row indices, one per cluster id
-    (0..num_clusters-1), in cluster-id order.
+    space (ties to the earliest row).  Returns an array of row indices,
+    one per cluster id (0..num_clusters-1), in cluster-id order.
+
+    All clusters are handled at once.  ``np.add.at`` accumulates each
+    cluster's rows in row order, as ``mean(axis=0)`` of its members does,
+    and the distances use the same ``einsum`` as :func:`euclidean_to_point`
+    on one cluster, so the result equals the per-cluster computation.
+    The ``einsum`` must stay: a two-member cluster's members are exactly
+    equidistant from its centroid in exact arithmetic, so the summation
+    order decides which one is picked.
     """
     matrix = np.asarray(matrix, dtype=float)
     labels = np.asarray(labels)
@@ -23,20 +31,22 @@ def representative_indices(matrix: np.ndarray, labels: np.ndarray) -> np.ndarray
         )
     if matrix.shape[0] == 0:
         raise ClusteringError("cannot pick representatives of an empty matrix")
-    num_clusters = int(labels.max()) + 1
-    expected = set(range(num_clusters))
-    present = set(np.unique(labels).tolist())
-    if present != expected:
+    present = np.unique(labels)
+    num_clusters = int(present[-1]) + 1
+    if present[0] != 0 or len(present) != num_clusters:
         raise ClusteringError(
-            f"labels must be contiguous 0..{num_clusters - 1}; got {sorted(present)}"
+            f"labels must be contiguous 0..{num_clusters - 1}; got {present.tolist()}"
         )
-    reps = np.empty(num_clusters, dtype=np.int64)
-    for cluster in range(num_clusters):
-        member_rows = np.nonzero(labels == cluster)[0]
-        centroid = matrix[member_rows].mean(axis=0)
-        dists = euclidean_to_point(matrix[member_rows], centroid)
-        reps[cluster] = member_rows[int(np.argmin(dists))]
-    return reps
+    sizes = np.bincount(labels)
+    sums = np.zeros((num_clusters, matrix.shape[1]))
+    np.add.at(sums, labels, matrix)
+    centroids = sums / sizes[:, None]
+    dists = euclidean_to_point(matrix, centroids[labels])
+    # Rows grouped by cluster, nearest first; lexsort is stable, so equal
+    # distances keep row order, as argmin does.
+    order = np.lexsort((dists, labels))
+    first = np.cumsum(sizes) - sizes
+    return order[first].astype(np.int64)
 
 
 def cluster_sizes(labels: np.ndarray) -> np.ndarray:

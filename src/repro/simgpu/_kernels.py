@@ -1,21 +1,20 @@
-"""Compiled kernels for the precompute hot path, behind a dispatch layer.
+"""Compiled kernels for the sequential hot loops, behind a dispatch layer.
 
-``BENCH_sweep.json`` showed the config-vectorized sweep is dominated by
-per-frame *precompute* — above all the Fenwick-tree LRU reuse-distance
-pass (:mod:`repro.simgpu.batch`) and the per-draw texture/render-target
-reductions of :mod:`repro.core.features`.  Both are inherently
-sequential inner loops that numpy cannot vectorize, so this module
-compiles them, keeping numpy as the only dependency.  There are two
-backends:
+Sequential inner loops that numpy cannot vectorize dominate three
+layers: per-frame *precompute* (:mod:`repro.simgpu.batch`: the
+Fenwick-tree LRU reuse-distance pass and the draw-noise stream), the
+per-draw texture/render-target reductions of :mod:`repro.core.features`,
+and leader clustering (:mod:`repro.core.leader`), where each draw is
+compared with every leader founded before it.  This module compiles
+them, keeping numpy as the only dependency.  There are two backends:
 
 - **cext** — the loops as a small C library compiled on demand with the
-  host toolchain (``cc -O2 -shared``, source fed on stdin) into a
-  content-addressed cache under ``<cache-dir>/kernels/`` and loaded via
-  ``ctypes``; the build is attempted once per process and at most once
-  per source digest per machine;
-- **python** — the original pure-Python loops, bit-identical to the
-  pre-kernel code and always available: the reference the compiled
-  kernels are tested against.
+  host toolchain (``cc -O2 -ffp-contract=off -shared``, source fed on
+  stdin) into a content-addressed cache under ``<cache-dir>/kernels/``
+  and loaded via ``ctypes``; the build is attempted once per process
+  and at most once per source digest per machine;
+- **python** — the pure-Python/numpy loops, always available: the
+  reference the compiled kernels are tested against.
 
 Backend selection is ``$REPRO_KERNELS`` (or the CLI ``--kernels``
 flag): ``auto`` (default; cext, then python), or one of the explicit
@@ -37,7 +36,15 @@ approx):
   loop both compute — identical bits for any input, and
   equal to a direct per-segment sum whenever the additions are exact
   (integer-valued byte sizes, dyadic bytes-per-pixel — true for every
-  value the trace schema can produce).
+  value the trace schema can produce);
+- :func:`leader_labels` *defines* the leader distance as the square
+  root of the squared differences summed left to right over the feature
+  columns (``np.cumsum`` along a row, one running ``+=`` in C), with
+  ties going to the earliest leader (``np.argmin``).  The library is
+  built with ``-ffp-contract=off`` so no multiply-add is fused, and
+  both backends round every step identically.  Rows must be finite:
+  the caller validates, because numpy's NaN-propagating ``argmin`` and
+  C's ``<`` disagree on NaN.
 """
 
 from __future__ import annotations
@@ -65,7 +72,8 @@ KERNEL_BACKENDS = ("auto", "cext", "python")
 #: Bump when a kernel's semantics change: participates in the compiled
 #: library's content address, so stale ``.so`` files are never reloaded.
 #: v2: added the ``repro_noise_units`` sha256-based draw-noise kernel.
-KERNEL_ABI_VERSION = 2
+#: v3: added the ``repro_leader_cluster`` leader-clustering kernel.
+KERNEL_ABI_VERSION = 3
 
 
 class KernelBackend:
@@ -77,7 +85,10 @@ class KernelBackend:
     kernels take ``(values, offsets)`` and return per-segment totals
     under the running-prefix-difference contract above.  ``noise``
     takes ``(frame_index, n)`` and returns the per-position draw-noise
-    units (``stable_unit("simgpu-noise", frame_index, i)``).
+    units (``stable_unit("simgpu-noise", frame_index, i)``).  ``leader``
+    takes ``(matrix, radius)`` — a C-contiguous finite float64 matrix
+    with at least one column — and returns ``(labels, leader_indices)``
+    as int64 arrays.
     """
 
     def __init__(
@@ -87,12 +98,14 @@ class KernelBackend:
         seg_f64: Callable[[np.ndarray, np.ndarray], np.ndarray],
         seg_i64: Callable[[np.ndarray, np.ndarray], np.ndarray],
         noise: Callable[[int, int], np.ndarray],
+        leader: Callable[[np.ndarray, float], Tuple[np.ndarray, np.ndarray]],
     ) -> None:
         self.name = name
         self._reuse = reuse
         self._seg_f64 = seg_f64
         self._seg_i64 = seg_i64
         self._noise = noise
+        self._leader = leader
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +190,39 @@ def _noise_python(frame_index: int, n: int) -> np.ndarray:
     )
 
 
+def _leader_python(matrix: np.ndarray, radius: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The reference leader loop: each row against every earlier leader.
+
+    ``np.cumsum`` along a row adds left to right, so its last column is
+    exactly the C loop's running sum of squared differences.
+    """
+    n, d = matrix.shape
+    labels = np.empty(n, dtype=np.int64)
+    leaders = np.empty((n, d))
+    leader_indices = np.empty(n, dtype=np.int64)
+    count = 0
+    for i in range(n):
+        if count:
+            diff = leaders[:count] - matrix[i]
+            dists = np.sqrt(np.cumsum(diff * diff, axis=1)[:, -1])
+            nearest = int(np.argmin(dists))
+            if dists[nearest] <= radius:
+                labels[i] = nearest
+                continue
+        leaders[count] = matrix[i]
+        leader_indices[count] = i
+        labels[i] = count
+        count += 1
+    return labels, leader_indices[:count].copy()
+
+
 _PYTHON_BACKEND = KernelBackend(
-    "python", _reuse_python, _seg_f64_python, _seg_i64_python, _noise_python
+    "python",
+    _reuse_python,
+    _seg_f64_python,
+    _seg_i64_python,
+    _noise_python,
+    _leader_python,
 )
 
 
@@ -386,15 +430,63 @@ void repro_noise_units(int64_t frame_index, int64_t n, double *out)
         out[pos] = (double)h / (double)modulus;
     }
 }
+
+/* Leader clustering of n rows of d features (row-major): row i joins the
+ * nearest leader founded before it when that distance is <= radius, else
+ * it founds a new cluster.  A distance is the sqrt of the squared
+ * differences summed left to right over the columns (built with
+ * -ffp-contract=off, so no multiply-add is fused); ties go to the
+ * earliest leader.  `leaders` is n * d scratch for the founders' rows.
+ * Returns the number of clusters. */
+int64_t repro_leader_cluster(
+    const double *matrix, int64_t n, int64_t d, double radius,
+    double *leaders, int64_t *labels, int64_t *leader_indices)
+{
+    int64_t count = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const double *row = matrix + i * d;
+        if (count) {
+            int64_t nearest = 0;
+            double nearest_dist = 0.0;
+            for (int64_t k = 0; k < count; k++) {
+                const double *leader = leaders + k * d;
+                double sum = 0.0;
+                for (int64_t j = 0; j < d; j++) {
+                    double diff = leader[j] - row[j];
+                    sum += diff * diff;
+                }
+                double dist = sqrt(sum);
+                if (k == 0 || dist < nearest_dist) {
+                    nearest = k;
+                    nearest_dist = dist;
+                }
+            }
+            if (nearest_dist <= radius) {
+                labels[i] = nearest;
+                continue;
+            }
+        }
+        memcpy(leaders + count * d, row, (size_t)d * sizeof(double));
+        leader_indices[count] = i;
+        labels[i] = count;
+        count++;
+    }
+    return count;
+}
 """
 
 _I64_P = ctypes.POINTER(ctypes.c_int64)
 _F64_P = ctypes.POINTER(ctypes.c_double)
 
 
+#: Compiler flags; ``-ffp-contract=off`` keeps the leader distance's
+#: multiply and add separately rounded, as numpy rounds them.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+
 def _c_source_digest() -> str:
-    payload = f"abi={KERNEL_ABI_VERSION}\n{_C_SOURCE}".encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()[:16]
+    payload = f"abi={KERNEL_ABI_VERSION}\nflags={' '.join(_CFLAGS)}\n{_C_SOURCE}"
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
 def _find_compiler() -> Optional[str]:
@@ -437,7 +529,7 @@ def _compile_c_library() -> Path:
     os.close(handle)
     try:
         proc = subprocess.run(
-            [compiler, "-O2", "-fPIC", "-shared", "-x", "c", "-", "-o", tmp_name],
+            [compiler, *_CFLAGS, "-x", "c", "-", "-o", tmp_name, "-lm"],
             input=_C_SOURCE,
             capture_output=True,
             text=True,
@@ -472,6 +564,11 @@ def _load_cext_backend() -> KernelBackend:
     lib.repro_segment_sums_i64.argtypes = [_I64_P, _I64_P, ctypes.c_int64, _I64_P]
     lib.repro_noise_units.restype = None
     lib.repro_noise_units.argtypes = [ctypes.c_int64, ctypes.c_int64, _F64_P]
+    lib.repro_leader_cluster.restype = ctypes.c_int64
+    lib.repro_leader_cluster.argtypes = [
+        _F64_P, ctypes.c_int64, ctypes.c_int64, ctypes.c_double,
+        _F64_P, _I64_P, _I64_P,
+    ]
 
     def i64p(array: np.ndarray) -> "ctypes._Pointer":
         return array.ctypes.data_as(_I64_P)
@@ -509,7 +606,17 @@ def _load_cext_backend() -> KernelBackend:
         lib.repro_noise_units(frame_index, n, f64p(out))
         return out
 
-    return KernelBackend("cext", reuse, seg_f64, seg_i64, noise)
+    def leader(matrix: np.ndarray, radius: float) -> Tuple[np.ndarray, np.ndarray]:
+        n, d = matrix.shape
+        leaders = np.empty((n, d), dtype=np.float64)
+        labels = np.empty(n, dtype=np.int64)
+        leader_indices = np.empty(n, dtype=np.int64)
+        count = lib.repro_leader_cluster(
+            f64p(matrix), n, d, radius, f64p(leaders), i64p(labels), i64p(leader_indices)
+        )
+        return labels, leader_indices[:count].copy()
+
+    return KernelBackend("cext", reuse, seg_f64, seg_i64, noise, leader)
 
 
 # ---------------------------------------------------------------------------
@@ -680,12 +787,26 @@ def noise_units(frame_index: int, n: int) -> np.ndarray:
     return backend()._noise(int(frame_index), int(n))
 
 
+def leader_labels(matrix: np.ndarray, radius: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Leader clustering of ``matrix``'s rows: ``(labels, leader_indices)``.
+
+    Rows are taken in order; each joins the nearest leader founded before
+    it when that distance is ``<= radius`` (ties to the earliest leader),
+    else it founds a new cluster.  ``matrix`` must be a finite 2-D array
+    with at least one row and one column; :func:`repro.core.leader.
+    leader_cluster` validates that before calling here.
+    """
+    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    return backend()._leader(matrix, float(radius))
+
+
 __all__: Tuple[str, ...] = (
     "KERNELS_ENV",
     "KERNEL_BACKENDS",
     "KernelBackend",
     "backend",
     "kernel_info",
+    "leader_labels",
     "noise_units",
     "requested_backend",
     "resolved_backend_name",

@@ -62,6 +62,25 @@ class TestLeader:
         with pytest.raises(ClusteringError):
             leader_cluster(np.empty((0, 3)), radius=1.0)
 
+    def test_no_columns_rejected(self):
+        with pytest.raises(ClusteringError, match="one column"):
+            leader_cluster(np.empty((3, 0)), radius=1.0)
+
+    def test_nan_rejected(self):
+        # numpy's argmin would let a NaN row found its own cluster, a C
+        # loop comparing with < would join it to another: neither backend
+        # may see one.
+        matrix = THREE_BLOBS.copy()
+        matrix[5, 1] = np.nan
+        with pytest.raises(ClusteringError, match="non-finite"):
+            leader_cluster(matrix, radius=1.0)
+
+    def test_inf_rejected(self):
+        matrix = THREE_BLOBS.copy()
+        matrix[25, 0] = -np.inf
+        with pytest.raises(ClusteringError, match="non-finite"):
+            leader_cluster(matrix, radius=1.0)
+
     @settings(max_examples=30, deadline=None)
     @given(matrices, st.floats(min_value=0.01, max_value=100))
     def test_invariants(self, matrix, radius):

@@ -7,10 +7,13 @@ the python backend always runs, the cext tests skip without a C
 compiler.
 """
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.errors import ConfigError
 from repro.runtime.cache import CACHE_DIR_ENV
@@ -72,6 +75,28 @@ def slot_arrays(draw):
         np.array(sizes, dtype=np.int64),
         np.array(offsets, dtype=np.int64),
     )
+
+
+#: Coarse values make duplicate rows and exact ties common: with values
+#: 0 and 0.5 in one column and radius 0.5, two rows are exactly radius
+#: apart.
+_GRID = st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def leader_inputs(draw):
+    """(matrix, radius) for the leader kernel, one row and one column included."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    d = draw(st.integers(min_value=1, max_value=6))
+    elements = st.one_of(_GRID, st.floats(min_value=-10, max_value=10))
+    matrix = draw(hnp.arrays(np.float64, (n, d), elements=elements))
+    radius = draw(
+        st.one_of(
+            st.sampled_from([0.25, 0.5, 1.0, 1.5]),
+            st.floats(min_value=1e-3, max_value=30),
+        )
+    )
+    return matrix, radius
 
 
 class TestBackendResolution:
@@ -172,6 +197,16 @@ class TestPurePythonKernels:
         totals = _kernels.segment_sums_i64(values, offsets)
         assert totals.tolist() == [3, 0, 12]
 
+    def test_leader_radius_inclusive_and_ties_to_earliest(self, force_backend):
+        force_backend("python")
+        matrix = np.array([[0.0], [0.75], [1.5], [0.75]])
+        labels, leaders = _kernels.leader_labels(matrix, 0.75)
+        # Row 1 is exactly radius from leader row 0 and joins it; row 2 is
+        # farther and founds a cluster; row 3 is exactly radius from both
+        # leaders and joins the earlier one.
+        assert labels.tolist() == [0, 0, 1, 0]
+        assert leaders.tolist() == [0, 2]
+
 
 def _reuse_with(backend, tex_ids, sizes, offsets):
     """The public reuse_distances wrapper, pinned to one backend object."""
@@ -213,6 +248,22 @@ class TestCompiledParity:
             python._seg_f64(bpps, offsets), compiled._seg_f64(bpps, offsets)
         )
 
+    @settings(max_examples=200, deadline=None)
+    @given(case=leader_inputs())
+    @example(case=(np.array([[0.5, -1.0]]), 1.0))  # one row
+    @example(case=(np.array([[0.0], [0.5], [1.0], [0.25]]), 0.5))  # one column
+    @example(case=(np.array([[1.0, 2.0]] * 5 + [[2.0, 2.0]]), 0.25))  # duplicates
+    @example(case=(np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]]), 0.5))  # radius apart
+    def test_leader_bit_parity(self, backend_name, case):
+        matrix, radius = case
+        python = _kernels._PYTHON_BACKEND
+        compiled = _kernels._try_load(backend_name)
+        expected_labels, expected_leaders = python._leader(matrix, radius)
+        labels, leaders = compiled._leader(matrix, radius)
+        assert labels.dtype == expected_labels.dtype == np.int64
+        assert np.array_equal(labels, expected_labels)
+        assert np.array_equal(leaders, expected_leaders)
+
     def test_full_frame_precompute_parity(self, backend_name, monkeypatch):
         """End to end: precompute_frame arrays agree across backends."""
         trace = make_world(
@@ -235,6 +286,32 @@ class TestCompiledParity:
             assert np.array_equal(
                 getattr(reference, name), getattr(compiled, name)
             ), name
+
+
+def _left_to_right_distance(a, b):
+    """The leader distance contract, one IEEE operation at a time."""
+    total = 0.0
+    for x, y in zip(a.tolist(), b.tolist()):
+        diff = x - y
+        total += diff * diff
+    return math.sqrt(total)
+
+
+@pytest.mark.parametrize("backend_name", ["python", *COMPILED_BACKENDS])
+def test_leader_distance_is_left_to_right_sum(backend_name):
+    """A row exactly the contract distance from the leader joins it; one ULP less does not.
+
+    Summing in ``einsum``'s order, or with a fused multiply-add, changes
+    the distance in tens of these 200 pairs (numpy 2.4, x86-64), and
+    each change flips one of the two decisions.
+    """
+    leader = _kernels._try_load(backend_name)._leader
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        matrix = rng.normal(size=(2, 19))
+        radius = _left_to_right_distance(matrix[0], matrix[1])
+        assert leader(matrix, radius)[0].tolist() == [0, 0]
+        assert leader(matrix, np.nextafter(radius, 0.0))[0].tolist() == [0, 1]
 
 
 class TestKernelsMatchSequentialSimulator:
