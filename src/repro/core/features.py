@@ -14,14 +14,15 @@ simulated cost.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.errors import ValidationError
 from repro.gfx.drawcall import DrawCall
+from repro.gfx.drawtable import DrawTable
 from repro.gfx.frame import Frame
-from repro.gfx.trace import Trace
+from repro.gfx.trace import SHADER_STAT_COLUMNS, Trace
 from repro.simgpu import _kernels
 
 FEATURE_NAMES = (
@@ -49,38 +50,50 @@ FEATURE_NAMES = (
 NUM_FEATURES = len(FEATURE_NAMES)
 
 
+#: Columns of :data:`repro.gfx.trace.SHADER_STAT_COLUMNS` that are
+#: features 4..8, in feature order.
+_SHADER_FEATURES = [
+    SHADER_STAT_COLUMNS.index(name)
+    for name in ("vs_alu_ops", "vs_tex_ops", "ps_alu_ops", "ps_tex_ops", "ps_interpolants")
+]
+
+
 class FeatureExtractor:
     """Extracts feature vectors/matrices for the draws of one trace.
 
-    Matrix extraction is column-vectorized: scalar draw attributes are
-    gathered into numpy columns in one pass, shader sub-vectors come from
-    a per-trace ``(num_shaders, 5)`` table via fancy indexing, and the
-    ``log1p`` compression runs over whole columns.  :meth:`extract` stays
-    as the one-draw reference; :meth:`draws_matrix` produces bit-identical
-    rows without paying a Python-level model evaluation per draw.
+    Matrix extraction reads a frame's :class:`~repro.gfx.drawtable.DrawTable`
+    columns: counts are log-compressed a column at a time, shader,
+    texture and render-target values come from the trace's column
+    lookups (:attr:`Trace.lookup`), and per-draw texture/render-target
+    totals are segment sums.  :meth:`extract` stays as the one-draw
+    reference; :meth:`table_matrix` produces bit-identical rows.
     """
 
     def __init__(self, trace: Trace) -> None:
         self.trace = trace
-        self._shader_lookup: Optional[Tuple[np.ndarray, Dict[int, int]]] = None
         self._footprint_cache: Dict[tuple, float] = {}
         self._rt_bpp_cache: Dict[tuple, float] = {}
-        self._texture_sizes: Optional[Dict[int, int]] = None
-        self._rt_bpp_by_id: Optional[Dict[int, float]] = None
 
     def extract(self, draw: DrawCall) -> np.ndarray:
         """The feature vector of one draw (length ``NUM_FEATURES``).
 
         Uses ``np.log1p`` (not ``math.log1p``) so scalar extraction is
-        bit-identical to the vectorized :meth:`draws_matrix` columns —
+        bit-identical to the vectorized :meth:`table_matrix` columns —
         the two can differ by 1 ULP on some inputs.
         """
+        shader = self.trace.shader(draw.shader_id)
         row = np.empty(NUM_FEATURES)
         row[0] = np.log1p(draw.total_vertices)
         row[1] = np.log1p(draw.primitive_count)
         row[2] = np.log1p(draw.pixels_rasterized)
         row[3] = np.log1p(draw.pixels_shaded)
-        row[4:9] = self._shader_features(draw.shader_id)
+        row[4:9] = (
+            shader.vertex.alu_ops,
+            shader.vertex.tex_ops,
+            shader.pixel.alu_ops,
+            shader.pixel.tex_ops,
+            shader.pixel.interpolants,
+        )
         row[9] = np.log1p(self._footprint(draw.texture_ids))
         row[10] = len(draw.texture_ids)
         row[11] = self._rt_bytes_per_pixel(draw.render_target_ids)
@@ -95,147 +108,50 @@ class FeatureExtractor:
 
     def frame_matrix(self, frame: Frame) -> np.ndarray:
         """Feature matrix of a frame: (num_draws, NUM_FEATURES)."""
-        draws = frame.draw_list
-        if not draws:
+        if not frame.num_draws:
             raise ValidationError(f"frame {frame.index} has no draws")
-        return self.draws_matrix(draws)
+        return self.table_matrix(frame.table)
 
     def draws_matrix(self, draws: Sequence[DrawCall]) -> np.ndarray:
-        """Feature matrix for an arbitrary draw sequence, vectorized.
+        """Feature matrix for an arbitrary draw sequence (via its columns)."""
+        return self.table_matrix(DrawTable.from_draws(draws))
 
-        Row ``i`` equals ``extract(draws[i])`` exactly (``math.log1p``
-        and ``np.log1p`` are the same libm call).
+    def table_matrix(self, table: DrawTable) -> np.ndarray:
+        """Feature matrix of a draw table, one column at a time.
+
+        Row ``i`` equals ``extract(table.draw(i))`` exactly: the counts
+        convert to float64 once, like the scalar path, and the
+        texture/render-target totals are sums of exact integers and
+        dyadic bytes-per-pixel values, so their order cannot change them.
         """
-        n = len(draws)
-        matrix = np.empty((n, NUM_FEATURES))
-        if n == 0:
-            return matrix
-        counts = np.array(
-            [
-                (
-                    d.total_vertices,
-                    d.primitive_count,
-                    d.pixels_rasterized,
-                    d.pixels_shaded,
-                    d.vertex_stride_bytes,
-                    d.instance_count,
-                )
-                for d in draws
-            ],
-            dtype=float,
+        lookup = self.trace.lookup
+        matrix = np.empty((len(table), NUM_FEATURES))
+        verts, prims = table.geometry()
+        matrix[:, 0] = np.log1p(verts)
+        matrix[:, 1] = np.log1p(prims)
+        matrix[:, 2] = np.log1p(table.pixels_rasterized.astype(np.float64))
+        matrix[:, 3] = np.log1p(table.pixels_shaded.astype(np.float64))
+        matrix[:, 4:9] = lookup.shader_stats(table.shader_id)[:, _SHADER_FEATURES]
+        footprint = _kernels.segment_sums_i64(
+            lookup.texture_bytes(table.texture_ids), table.texture_offsets
         )
-        np.log1p(counts, out=counts)
-        matrix[:, 0:4] = counts[:, 0:4]
-        matrix[:, 13] = counts[:, 4]
-        matrix[:, 14] = counts[:, 5]
-        table, index = self._shader_table()
-        try:
-            rows = np.array(
-                [index[d.shader_id] for d in draws], dtype=np.intp
-            )
-        except KeyError as missing:
-            self.trace.shader(missing.args[0])  # raises "unknown shader"
-            raise
-        matrix[:, 4:9] = table[rows]
-        # Texture/render-target columns run as flat slot arrays through
-        # the segment-sum kernels: per-draw totals of per-trace size
-        # tables, bit-identical to the python sums in extract() because
-        # every addend is an exact integer / dyadic float.
-        tex_sizes, tex_offsets = self._texture_slot_arrays(draws)
-        matrix[:, 9] = np.log1p(
-            _kernels.segment_sums_i64(tex_sizes, tex_offsets).astype(np.float64)
+        matrix[:, 9] = np.log1p(footprint.astype(np.float64))
+        matrix[:, 10] = np.diff(table.texture_offsets)
+        matrix[:, 11] = _kernels.segment_sums(
+            lookup.target_bytes_per_pixel(table.render_target_ids),
+            table.render_target_offsets,
         )
-        matrix[:, 10] = np.diff(tex_offsets)
-        rt_bpps, rt_offsets = self._render_target_slot_arrays(draws)
-        matrix[:, 11] = _kernels.segment_sums(rt_bpps, rt_offsets)
-        matrix[:, 12] = np.diff(rt_offsets)
-        matrix[:, 15] = [d.state.depth.reads_depth for d in draws]
-        matrix[:, 16] = [d.state.depth.writes_depth for d in draws]
-        matrix[:, 17] = [d.state.blend.reads_destination for d in draws]
-        matrix[:, 18] = [d.state.cull.value == "none" for d in draws]
+        matrix[:, 12] = np.diff(table.render_target_offsets)
+        matrix[:, 13] = np.log1p(table.vertex_stride.astype(np.float64))
+        matrix[:, 14] = np.log1p(table.instance_count.astype(np.float64))
+        matrix[:, 15:19] = np.column_stack(table.state_flags())
         return matrix
 
     def trace_matrices(self) -> List[np.ndarray]:
         """One feature matrix per frame, for the whole trace."""
         return [self.frame_matrix(frame) for frame in self.trace.frames]
 
-    # -- cached lookups ------------------------------------------------------
-
-    def _shader_table(self) -> Tuple[np.ndarray, Dict[int, int]]:
-        """Per-trace shader feature table + shader-id -> row mapping."""
-        if self._shader_lookup is None:
-            index: Dict[int, int] = {}
-            rows = []
-            for shader_id, shader in self.trace.shaders.items():
-                index[shader_id] = len(rows)
-                rows.append(
-                    (
-                        float(shader.vertex.alu_ops),
-                        float(shader.vertex.tex_ops),
-                        float(shader.pixel.alu_ops),
-                        float(shader.pixel.tex_ops),
-                        float(shader.pixel.interpolants),
-                    )
-                )
-            table = np.array(rows) if rows else np.empty((0, 5))
-            self._shader_lookup = (table, index)
-        return self._shader_lookup
-
-    def _shader_features(self, shader_id: int) -> np.ndarray:
-        table, index = self._shader_table()
-        row = index.get(shader_id)
-        if row is None:
-            self.trace.shader(shader_id)  # raises "unknown shader"
-        return table[index[shader_id]]
-
-    def _texture_slot_arrays(
-        self, draws: Sequence[DrawCall]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Flat per-slot texture byte sizes + per-draw offsets.
-
-        The per-trace id -> byte_size table is built once (``byte_size``
-        is a computed property, so this also caches its evaluation).
-        """
-        if self._texture_sizes is None:
-            self._texture_sizes = {
-                tid: tex.byte_size for tid, tex in self.trace.textures.items()
-            }
-        table = self._texture_sizes
-        offsets = np.zeros(len(draws) + 1, dtype=np.int64)
-        flat: List[int] = []
-        try:
-            for i, draw in enumerate(draws):
-                offsets[i] = len(flat)
-                for tid in draw.texture_ids:
-                    flat.append(table[tid])
-        except KeyError as missing:
-            self.trace.texture(missing.args[0])  # raises "unknown texture"
-            raise
-        offsets[len(draws)] = len(flat)
-        return np.array(flat, dtype=np.int64), offsets
-
-    def _render_target_slot_arrays(
-        self, draws: Sequence[DrawCall]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Flat per-slot render-target bytes/pixel + per-draw offsets."""
-        if self._rt_bpp_by_id is None:
-            self._rt_bpp_by_id = {
-                rid: rt.bytes_per_pixel
-                for rid, rt in self.trace.render_targets.items()
-            }
-        table = self._rt_bpp_by_id
-        offsets = np.zeros(len(draws) + 1, dtype=np.int64)
-        flat: List[float] = []
-        try:
-            for i, draw in enumerate(draws):
-                offsets[i] = len(flat)
-                for rid in draw.render_target_ids:
-                    flat.append(table[rid])
-        except KeyError as missing:
-            self.trace.render_target(missing.args[0])  # raises "unknown RT"
-            raise
-        offsets[len(draws)] = len(flat)
-        return np.array(flat, dtype=np.float64), offsets
+    # -- cached lookups (the one-draw reference path) -------------------------
 
     def _footprint(self, texture_ids: tuple) -> float:
         cached = self._footprint_cache.get(texture_ids)

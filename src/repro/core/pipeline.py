@@ -36,7 +36,6 @@ from repro.core.predict import (
 )
 from repro.core.subsetting import WorkloadSubset, build_subset
 from repro.errors import SubsetError
-from repro.gfx.frame import Frame, RenderPass
 from repro.gfx.trace import Trace
 from repro.runtime.engine import Runtime
 from repro.runtime.telemetry import TelemetrySnapshot
@@ -232,23 +231,12 @@ class SubsettingPipeline:
             raise SubsetError(
                 f"{len(clusterings)} clusterings for {trace.num_frames} frames"
             )
-        rep_frames = []
-        for frame, clustering in zip(trace.frames, clusterings):
-            draws = frame.draw_list
-            order = np.sort(clustering.representatives)
-            rep_draws = tuple(draws[int(i)] for i in order)
-            rep_frames.append(
-                Frame(
-                    index=frame.index,
-                    passes=(
-                        RenderPass(pass_type=rep_draws[0].pass_type, draws=rep_draws),
-                    ),
-                    metadata=dict(frame.metadata),
-                )
-            )
         return Trace(
             name=f"{trace.name}.reps",
-            frames=tuple(rep_frames),
+            frames=tuple(
+                frame.take(np.sort(clustering.representatives))
+                for frame, clustering in zip(trace.frames, clusterings)
+            ),
             shaders=dict(trace.shaders),
             textures=dict(trace.textures),
             render_targets=dict(trace.render_targets),

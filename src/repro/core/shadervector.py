@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import PhaseDetectionError
 from repro.gfx.frame import Frame
 
@@ -29,11 +31,14 @@ def shader_vector(frames: Sequence[Frame]) -> Dict[int, int]:
     """Draw-call counts per shader id across ``frames``."""
     if not frames:
         raise PhaseDetectionError("shader_vector requires at least one frame")
-    counts: Dict[int, int] = {}
-    for frame in frames:
-        for draw in frame.draws():
-            counts[draw.shader_id] = counts.get(draw.shader_id, 0) + 1
-    return counts
+    ids, first, counts = np.unique(
+        np.concatenate([frame.table.shader_id for frame in frames]),
+        return_index=True,
+        return_counts=True,
+    )
+    # In first-use order, so float sums over the vector keep their order.
+    order = np.argsort(first)
+    return dict(zip(ids[order].tolist(), counts[order].tolist()))
 
 
 def quantize_count(count: int, tolerance: float) -> int:

@@ -159,8 +159,6 @@ def build_combined_subset(
     from ``SubsettingPipeline.cluster_all_frames``); only the subset's
     kept positions are used.
     """
-    from repro.gfx.frame import Frame, RenderPass
-
     if subset.parent_name != trace.name:
         raise SubsetError(
             f"subset was built from {subset.parent_name!r}, got trace "
@@ -180,23 +178,13 @@ def build_combined_subset(
                 f"clustering at position {position} covers "
                 f"{clustering.num_draws} draws, frame has {frame.num_draws}"
             )
-        draws = frame.draw_list
         order = np.sort(clustering.representatives)
-        rep_draws = tuple(draws[int(i)] for i in order)
         weight_of = {
             int(rep): int(weight)
             for rep, weight in zip(clustering.representatives, clustering.weights)
         }
         draw_weights.append(tuple(weight_of[int(i)] for i in order))
-        rep_frames.append(
-            Frame(
-                index=frame.index,
-                passes=(
-                    RenderPass(pass_type=rep_draws[0].pass_type, draws=rep_draws),
-                ),
-                metadata=dict(frame.metadata),
-            )
-        )
+        rep_frames.append(frame.take(order))
     rep_trace = Trace(
         name=f"{trace.name}.combined",
         frames=tuple(rep_frames),

@@ -6,9 +6,12 @@ It is the substrate on which both the synthetic workload generator
 (:mod:`repro.synth`) and the performance model (:mod:`repro.simgpu`) operate,
 and the source of the micro-architecture-independent draw-call
 characteristics the paper clusters on (:mod:`repro.core.features`).
+A frame stores its draws as numpy columns (:class:`DrawTable`);
+:class:`DrawCall` is the one-draw view of a row.
 """
 
 from repro.gfx.drawcall import DrawCall
+from repro.gfx.drawtable import DrawTable
 from repro.gfx.enums import (
     BlendMode,
     CullMode,
@@ -17,7 +20,7 @@ from repro.gfx.enums import (
     PrimitiveTopology,
     TextureFormat,
 )
-from repro.gfx.frame import Frame, RenderPass
+from repro.gfx.frame import Frame, PassSpan, RenderPass
 from repro.gfx.resources import BufferDesc, RenderTargetDesc, TextureDesc
 from repro.gfx.shader import ShaderProgram, ShaderStats
 from repro.gfx.state import PipelineState
@@ -39,7 +42,9 @@ __all__ = [
     "RenderTargetDesc",
     "PipelineState",
     "DrawCall",
+    "DrawTable",
     "RenderPass",
+    "PassSpan",
     "Frame",
     "Trace",
     "TraceStats",

@@ -19,10 +19,19 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
-from typing import BinaryIO, Dict, List, Union
+from typing import Any, BinaryIO, Callable, Dict, List, TypeVar, Union
 
-from repro.errors import TraceFormatError
-from repro.gfx.drawcall import DrawCall
+import numpy as np
+
+from repro.errors import TraceFormatError, ValidationError
+from repro.gfx.drawtable import (
+    CODE_COLUMNS,
+    DECODE,
+    ENCODE,
+    INT_COLUMNS,
+    DrawTable,
+    offsets_from_lengths,
+)
 from repro.gfx.enums import (
     BlendMode,
     CullMode,
@@ -31,26 +40,16 @@ from repro.gfx.enums import (
     PrimitiveTopology,
     TextureFormat,
 )
-from repro.gfx.frame import Frame, RenderPass
+from repro.gfx.frame import Frame, PassSpan
 from repro.gfx.resources import BufferDesc, RenderTargetDesc, TextureDesc
 from repro.gfx.shader import ShaderProgram, ShaderStats
-from repro.gfx.state import PipelineState
 from repro.gfx.trace import Trace
 
 MAGIC = b"RPB1"
 END_MAGIC = b"REND"
 
-# One-byte codes per enum, assigned by definition order (append-only:
-# extending an enum must append, or the format version must bump).
-_ENUMS = (PrimitiveTopology, TextureFormat, DepthMode, BlendMode, CullMode, PassType)
-_ENCODE: Dict[type, Dict[object, int]] = {
-    enum_type: {member: code for code, member in enumerate(enum_type)}
-    for enum_type in _ENUMS
-}
-_DECODE: Dict[type, Dict[int, object]] = {
-    enum_type: {code: member for member, code in table.items()}
-    for enum_type, table in _ENCODE.items()
-}
+#: One-byte enum codes: the one code table in :mod:`repro.gfx.drawtable`.
+_ENCODE = ENCODE
 
 _U32 = struct.Struct("<I")
 _SHADER_STATS = struct.Struct("<IIIII")
@@ -60,39 +59,17 @@ _BUFFER = struct.Struct("<III")
 # shader_id, verts, instances, rast, shaded, stride, depth+1, topo, depth
 # mode, blend, cull, pass, n_tex, n_rts
 _DRAW_FIXED = struct.Struct("<IIQQQIIBBBBBBB")
+_DRAW_FIXED_FIELDS = 14
 
 
 def _write_u32(stream: BinaryIO, value: int) -> None:
     stream.write(_U32.pack(value))
 
 
-def _read_u32(stream: BinaryIO) -> int:
-    data = stream.read(4)
-    if len(data) != 4:
-        raise TraceFormatError("unexpected end of binary trace")
-    return _U32.unpack(data)[0]
-
-
 def _write_str(stream: BinaryIO, text: str) -> None:
     raw = text.encode("utf-8")
     _write_u32(stream, len(raw))
     stream.write(raw)
-
-
-def _read_str(stream: BinaryIO) -> str:
-    length = _read_u32(stream)
-    data = stream.read(length)
-    if len(data) != length:
-        raise TraceFormatError("unexpected end of binary trace in string")
-    return data.decode("utf-8")
-
-
-def _expect(stream: BinaryIO, tag: bytes) -> None:
-    data = stream.read(len(tag))
-    if data != tag:
-        raise TraceFormatError(
-            f"expected section tag {tag!r}, found {data!r}"
-        )
 
 
 def _write_stats(stream: BinaryIO, stats: ShaderStats) -> None:
@@ -104,18 +81,6 @@ def _write_stats(stream: BinaryIO, stats: ShaderStats) -> None:
             stats.registers,
             stats.branch_ops,
         )
-    )
-
-
-def _read_stats(stream: BinaryIO) -> ShaderStats:
-    data = stream.read(_SHADER_STATS.size)
-    alu, tex, interp, regs, branch = _SHADER_STATS.unpack(data)
-    return ShaderStats(
-        alu_ops=alu,
-        tex_ops=tex,
-        interpolants=interp,
-        registers=regs,
-        branch_ops=branch,
     )
 
 
@@ -203,131 +168,187 @@ def write_trace_binary(trace: Trace, stream: BinaryIO) -> None:
     stream.write(END_MAGIC)
 
 
+class _Reader:
+    """A cursor over a whole binary trace held in memory."""
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+        self.pos = 0
+
+    def unpack(self, layout: struct.Struct) -> tuple:
+        values = layout.unpack_from(self.data, self.pos)  # struct.error when short
+        self.pos += layout.size
+        return values
+
+    def u32(self) -> int:
+        return self.unpack(_U32)[0]
+
+    def raw(self, size: int) -> bytes:
+        if self.pos + size > len(self.data):
+            raise TraceFormatError("unexpected end of binary trace")
+        chunk = self.data[self.pos : self.pos + size]
+        self.pos += size
+        return chunk
+
+    def text(self) -> str:
+        return self.raw(self.u32()).decode("utf-8")
+
+    def expect(self, tag: bytes) -> None:
+        found = self.data[self.pos : self.pos + len(tag)]
+        if found != tag:
+            raise TraceFormatError(
+                f"expected section tag {tag!r} at byte {self.pos}, found {found!r}"
+            )
+        self.pos += len(tag)
+
+
+_RecordT = TypeVar("_RecordT")
+
+
+def _read_section(
+    reader: _Reader, tag: bytes, label: str, read_one: Callable[[_Reader], _RecordT]
+) -> List[_RecordT]:
+    """A section's records; any defect raises TraceFormatError naming the record."""
+    reader.expect(tag)
+    try:
+        count = reader.u32()
+    except struct.error:
+        raise TraceFormatError(f"unexpected end of binary trace in {tag!r}") from None
+    records = []
+    for position in range(count):
+        start = reader.pos
+        try:
+            records.append(read_one(reader))
+        except (
+            TraceFormatError, ValidationError, struct.error, OverflowError, UnicodeDecodeError
+        ) as exc:
+            raise TraceFormatError(f"{label} {position} at byte {start}: {exc}") from exc
+    return records
+
+
+def _decode(enum_type: type, code: int) -> Any:
+    members = DECODE[enum_type]
+    if code >= len(members):
+        raise TraceFormatError(f"byte {code} is not a {enum_type.__name__} code")
+    return members[code]
+
+
+def _read_stats(reader: _Reader) -> ShaderStats:
+    alu, tex, interp, regs, branch = reader.unpack(_SHADER_STATS)
+    return ShaderStats(
+        alu_ops=alu, tex_ops=tex, interpolants=interp, registers=regs, branch_ops=branch
+    )
+
+
+def _read_shader(reader: _Reader) -> ShaderProgram:
+    shader_id = reader.u32()
+    name = reader.text()
+    vertex = _read_stats(reader)
+    return ShaderProgram(shader_id=shader_id, name=name, vertex=vertex, pixel=_read_stats(reader))
+
+
+def _read_texture(reader: _Reader) -> TextureDesc:
+    tid, w, h, fmt, mips = reader.unpack(_TEXTURE)
+    return TextureDesc(
+        texture_id=tid, width=w, height=h, format=_decode(TextureFormat, fmt), mip_levels=mips
+    )
+
+
+def _read_render_target(reader: _Reader) -> RenderTargetDesc:
+    rid, w, h, fmt, samples = reader.unpack(_RENDER_TARGET)
+    return RenderTargetDesc(
+        target_id=rid, width=w, height=h, format=_decode(TextureFormat, fmt), samples=samples
+    )
+
+
+def _read_buffer(reader: _Reader) -> BufferDesc:
+    bid, size, stride = reader.unpack(_BUFFER)
+    return BufferDesc(buffer_id=bid, byte_size=size, stride=stride)
+
+
+#: ``Struct`` of ``k`` consecutive u32 ids, by ``k``.
+_ID_RUNS: Dict[int, struct.Struct] = {}
+
+
+def _read_frame(reader: _Reader) -> Frame:
+    """One frame's rows gathered straight into columns (no per-draw objects)."""
+    index = reader.u32()
+    spans: List[PassSpan] = []
+    rows: List[tuple] = []
+    ids: List[int] = []
+    data, row_layout, runs = reader.data, _DRAW_FIXED, _ID_RUNS
+    for _ in range(reader.u32()):
+        pass_type = _decode(PassType, reader.raw(1)[0])
+        name = reader.text()
+        count = reader.u32()
+        pos = reader.pos
+        for _ in range(count):
+            row = row_layout.unpack_from(data, pos)
+            pos += row_layout.size
+            rows.append(row)
+            k = row[12] + row[13]
+            if k:
+                run = runs.get(k) or runs.setdefault(k, struct.Struct(f"<{k}I"))
+                ids.extend(run.unpack_from(data, pos))
+                pos += run.size
+        reader.pos = pos
+        spans.append(PassSpan(pass_type, name, len(rows) - count, len(rows)))
+    fixed = np.array(rows, dtype=np.int64).reshape(-1, _DRAW_FIXED_FIELDS)
+    # Each draw's ids are its textures then its render targets.
+    n_tex, n_rts = fixed[:, 12], fixed[:, 13]
+    block = n_tex + n_rts
+    within = np.arange(len(ids)) - np.repeat(offsets_from_lengths(block)[:-1], block)
+    is_texture = within < np.repeat(n_tex, block)
+    flat = np.array(ids, dtype=np.int64)
+    table = DrawTable(
+        **dict(zip(INT_COLUMNS, fixed[:, :6].T)),
+        depth_target=fixed[:, 6] - 1,
+        **{name: fixed[:, 7 + k] for k, (name, _) in enumerate(CODE_COLUMNS)},
+        texture_ids=flat[is_texture],
+        texture_offsets=offsets_from_lengths(n_tex),
+        render_target_ids=flat[~is_texture],
+        render_target_offsets=offsets_from_lengths(n_rts),
+    )
+    table.validate()
+    return Frame.from_table(index, table, spans)
+
+
 def read_trace_binary(stream: BinaryIO) -> Trace:
-    """Parse a trace from an open binary stream."""
-    magic = stream.read(4)
+    """Parse a trace from an open binary stream.
+
+    Every defect (a cut anywhere, an unknown enum byte, an invalid
+    value) raises :class:`TraceFormatError` naming the record and the
+    byte offset where it starts.
+    """
+    reader = _Reader(stream.read())
+    magic = reader.data[:4]
     if magic != MAGIC:
         raise TraceFormatError(
             f"not a binary trace (magic {magic!r}, expected {MAGIC!r})"
         )
-    name = _read_str(stream)
-
-    _expect(stream, b"SHDR")
-    shaders: Dict[int, ShaderProgram] = {}
-    for _ in range(_read_u32(stream)):
-        shader_id = _read_u32(stream)
-        shader_name = _read_str(stream)
-        vertex = _read_stats(stream)
-        pixel = _read_stats(stream)
-        shaders[shader_id] = ShaderProgram(
-            shader_id=shader_id, name=shader_name, vertex=vertex, pixel=pixel
-        )
-
-    _expect(stream, b"TEXR")
-    textures: Dict[int, TextureDesc] = {}
-    for _ in range(_read_u32(stream)):
-        tid, w, h, fmt, mips = _TEXTURE.unpack(stream.read(_TEXTURE.size))
-        textures[tid] = TextureDesc(
-            texture_id=tid,
-            width=w,
-            height=h,
-            format=_DECODE[TextureFormat][fmt],
-            mip_levels=mips,
-        )
-
-    _expect(stream, b"RTGT")
-    render_targets: Dict[int, RenderTargetDesc] = {}
-    for _ in range(_read_u32(stream)):
-        rid, w, h, fmt, samples = _RENDER_TARGET.unpack(
-            stream.read(_RENDER_TARGET.size)
-        )
-        render_targets[rid] = RenderTargetDesc(
-            target_id=rid,
-            width=w,
-            height=h,
-            format=_DECODE[TextureFormat][fmt],
-            samples=samples,
-        )
-
-    _expect(stream, b"BUFR")
-    buffers: Dict[int, BufferDesc] = {}
-    for _ in range(_read_u32(stream)):
-        bid, size, stride = _BUFFER.unpack(stream.read(_BUFFER.size))
-        buffers[bid] = BufferDesc(buffer_id=bid, byte_size=size, stride=stride)
-
-    _expect(stream, b"FRMS")
-    frames: List[Frame] = []
-    for _ in range(_read_u32(stream)):
-        frame_index = _read_u32(stream)
-        passes: List[RenderPass] = []
-        for _ in range(_read_u32(stream)):
-            pass_code = stream.read(1)
-            if not pass_code:
-                raise TraceFormatError("unexpected end of binary trace in pass")
-            pass_type = _DECODE[PassType][pass_code[0]]
-            pass_name = _read_str(stream)
-            draws: List[DrawCall] = []
-            for _ in range(_read_u32(stream)):
-                row = stream.read(_DRAW_FIXED.size)
-                if len(row) != _DRAW_FIXED.size:
-                    raise TraceFormatError(
-                        "unexpected end of binary trace in draw"
-                    )
-                (
-                    shader_id,
-                    verts,
-                    instances,
-                    rast,
-                    shaded,
-                    stride,
-                    depth_plus_one,
-                    topo,
-                    depth_mode,
-                    blend,
-                    cull,
-                    draw_pass,
-                    n_tex,
-                    n_rts,
-                ) = _DRAW_FIXED.unpack(row)
-                texture_ids = tuple(_read_u32(stream) for _ in range(n_tex))
-                target_ids = tuple(_read_u32(stream) for _ in range(n_rts))
-                draws.append(
-                    DrawCall(
-                        shader_id=shader_id,
-                        state=PipelineState(
-                            depth=_DECODE[DepthMode][depth_mode],
-                            blend=_DECODE[BlendMode][blend],
-                            cull=_DECODE[CullMode][cull],
-                        ),
-                        topology=_DECODE[PrimitiveTopology][topo],
-                        vertex_count=verts,
-                        instance_count=instances,
-                        pixels_rasterized=rast,
-                        pixels_shaded=shaded,
-                        texture_ids=texture_ids,
-                        render_target_ids=target_ids,
-                        depth_target_id=(
-                            None if depth_plus_one == 0 else depth_plus_one - 1
-                        ),
-                        vertex_stride_bytes=stride,
-                        pass_type=_DECODE[PassType][draw_pass],
-                    )
-                )
-            passes.append(
-                RenderPass(pass_type=pass_type, draws=tuple(draws), name=pass_name)
-            )
-        frames.append(Frame(index=frame_index, passes=tuple(passes)))
-
-    if stream.read(4) != END_MAGIC:
+    reader.pos = len(MAGIC)
+    try:
+        name = reader.text()
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise TraceFormatError(f"bad trace name: {exc}") from exc
+    shaders = _read_section(reader, b"SHDR", "shader", _read_shader)
+    textures = _read_section(reader, b"TEXR", "texture", _read_texture)
+    targets = _read_section(reader, b"RTGT", "render target", _read_render_target)
+    buffers = _read_section(reader, b"BUFR", "buffer", _read_buffer)
+    frames = _read_section(reader, b"FRMS", "frame", _read_frame)
+    if reader.data[reader.pos : reader.pos + len(END_MAGIC)] != END_MAGIC:
         raise TraceFormatError("binary trace missing end marker (truncated?)")
-    return Trace(
-        name=name,
-        frames=tuple(frames),
-        shaders=shaders,
-        textures=textures,
-        render_targets=render_targets,
-        buffers=buffers,
-    )
+    try:
+        return Trace(
+            name=name,
+            frames=tuple(frames),
+            shaders={s.shader_id: s for s in shaders},
+            textures={t.texture_id: t for t in textures},
+            render_targets={rt.target_id: rt for rt in targets},
+            buffers={b.buffer_id: b for b in buffers},
+        )
+    except ValidationError as exc:
+        raise TraceFormatError(f"bad binary trace: {exc}") from exc
 
 
 def save_trace_binary(trace: Trace, path: Union[str, Path]) -> None:

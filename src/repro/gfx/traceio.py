@@ -10,11 +10,16 @@ from __future__ import annotations
 
 import io
 import json
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
-from typing import Dict, IO, List, Union
+from typing import Dict, IO, List, Sequence, Tuple, Union
 
-from repro.errors import TraceFormatError
+import numpy as np
+
+from repro.errors import TraceFormatError, ValidationError
 from repro.gfx.drawcall import DrawCall
+from repro.gfx.drawtable import ENCODE, DrawTable, offsets_from_lengths
 from repro.gfx.enums import (
     BlendMode,
     CullMode,
@@ -23,10 +28,9 @@ from repro.gfx.enums import (
     PrimitiveTopology,
     TextureFormat,
 )
-from repro.gfx.frame import Frame, RenderPass
+from repro.gfx.frame import Frame, PassSpan
 from repro.gfx.resources import BufferDesc, RenderTargetDesc, TextureDesc
 from repro.gfx.shader import ShaderProgram, ShaderStats
-from repro.gfx.state import PipelineState
 from repro.gfx.trace import Trace
 
 FORMAT_VERSION = 1
@@ -69,26 +73,112 @@ def _draw_to_dict(draw: DrawCall) -> dict:
     }
 
 
-def _draw_from_dict(data: dict) -> DrawCall:
-    depth_value, blend_value, cull_value = data["state"]
-    return DrawCall(
-        shader_id=data["shader"],
-        state=PipelineState(
-            depth=DepthMode(depth_value),
-            blend=BlendMode(blend_value),
-            cull=CullMode(cull_value),
-        ),
-        topology=PrimitiveTopology(data["topo"]),
-        vertex_count=data["verts"],
-        instance_count=data["inst"],
-        pixels_rasterized=data["rast"],
-        pixels_shaded=data["shaded"],
-        texture_ids=tuple(data["tex"]),
-        render_target_ids=tuple(data["rts"]),
-        depth_target_id=data["depth_rt"],
-        vertex_stride_bytes=data["stride"],
-        pass_type=PassType(data["pass"]),
+#: The draw fields of a JSON frame record: the int columns in
+#: ``INT_COLUMNS`` order (``depth_rt`` is ``depth_target``), the enum
+#: strings, then the id lists.
+_DRAW_FIELDS = itemgetter(
+    "shader", "verts", "inst", "rast", "shaded", "stride", "depth_rt",
+    "topo", "state", "pass", "tex", "rts",
+)
+#: Enum value string -> column code, per enum.
+_VALUE_CODES: Dict[type, Dict[str, int]] = {
+    enum_type: {member.value: code for member, code in table.items()}
+    for enum_type, table in ENCODE.items()
+}
+
+
+def _ints(field: str, values: Sequence[object]) -> np.ndarray:
+    """``values`` as an int64 column, accepting Python ints only.
+
+    numpy would silently take ``True`` as 1 and ``3.5`` as 3, so the
+    types are checked first, exactly as ``DrawCall`` checks them.
+    """
+    if not set(map(type, values)) <= {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise ValidationError(f"{field} must be int, got {type(bad).__name__} {bad!r}")
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ValidationError(f"{field} value outside the int64 range") from None
+
+
+def _codes(field: str, enum_type: type, values: Sequence[object]) -> np.ndarray:
+    """Enum value strings as a uint8 code column."""
+    table = _VALUE_CODES[enum_type]
+    try:
+        return np.array(list(map(table.__getitem__, values)), dtype=np.uint8)
+    except (KeyError, TypeError):
+        bad = next(v for v in values if not isinstance(v, str) or v not in table)
+        raise ValidationError(
+            f"{field} {bad!r} is not a {enum_type.__name__} value"
+        ) from None
+
+
+def _id_lists(field: str, lists: Sequence[object]) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-draw JSON id lists as (flat int64 ids, offsets)."""
+    if not set(map(type, lists)) <= {list}:
+        raise ValidationError(f"{field} must be a list of ids")
+    ids = _ints(f"{field}[*]", list(chain.from_iterable(lists)))  # type: ignore[arg-type]
+    return ids, offsets_from_lengths(list(map(len, lists)))  # type: ignore[arg-type]
+
+
+def _depth_targets(values: Sequence[object]) -> np.ndarray:
+    """The ``depth_rt`` column: an id, or ``None`` stored as -1."""
+    bound = np.array([v is not None for v in values], dtype=bool)
+    ids = _ints("depth_rt", [v for v in values if v is not None])
+    if (ids < 0).any():
+        raise ValidationError(f"depth_rt must be >= 0 or null, got {int(ids.min())}")
+    column = np.full(len(values), -1, dtype=np.int64)
+    column[bound] = ids
+    return column
+
+
+def _frame_from_record(record: dict) -> Frame:
+    """A frame record's draws gathered straight into columns."""
+    draws: list = []
+    spans: List[PassSpan] = []
+    for render_pass in record["passes"]:
+        pass_draws = render_pass["draws"]
+        if type(pass_draws) is not list:
+            raise ValidationError("a pass's draws must be a list")
+        spans.append(
+            PassSpan(
+                PassType(render_pass["pass_type"]),
+                render_pass.get("name", ""),
+                len(draws),
+                len(draws) + len(pass_draws),
+            )
+        )
+        draws.extend(pass_draws)
+    if not set(map(type, draws)) <= {dict}:
+        raise ValidationError("every draw must be a JSON object")
+    fields = list(zip(*map(_DRAW_FIELDS, draws))) or [()] * 12
+    shader, verts, inst, rast, shaded, stride, depth_rt, topo, state, pass_, tex, rts = fields
+    if not set(map(type, state)) <= {list} or not set(map(len, state)) <= {3}:
+        raise ValidationError("state must be a [depth, blend, cull] list")
+    depth_modes, blends, culls = list(zip(*state)) or [()] * 3
+    texture_ids, texture_offsets = _id_lists("tex", tex)
+    target_ids, target_offsets = _id_lists("rts", rts)
+    table = DrawTable(
+        shader_id=_ints("shader", shader),
+        vertex_count=_ints("verts", verts),
+        instance_count=_ints("inst", inst),
+        pixels_rasterized=_ints("rast", rast),
+        pixels_shaded=_ints("shaded", shaded),
+        vertex_stride=_ints("stride", stride),
+        depth_target=_depth_targets(depth_rt),
+        topology=_codes("topo", PrimitiveTopology, topo),
+        depth=_codes("state[0]", DepthMode, depth_modes),
+        blend=_codes("state[1]", BlendMode, blends),
+        cull=_codes("state[2]", CullMode, culls),
+        pass_type=_codes("pass", PassType, pass_),
+        texture_ids=texture_ids,
+        texture_offsets=texture_offsets,
+        render_target_ids=target_ids,
+        render_target_offsets=target_offsets,
     )
+    table.validate()
+    return Frame.from_table(record["index"], table, spans)
 
 
 def write_trace(trace: Trace, stream: IO[str]) -> None:
@@ -162,10 +252,8 @@ def read_trace(stream: IO[str]) -> Trace:
         header = json.loads(first)
     except json.JSONDecodeError as exc:
         raise TraceFormatError(f"malformed header line: {exc}") from exc
-    if header.get("type") != "header":
-        raise TraceFormatError(
-            f"first record must be a header, got type={header.get('type')!r}"
-        )
+    if not isinstance(header, dict) or header.get("type") != "header":
+        raise TraceFormatError("line 1: the first record must be a header object")
     version = header.get("version")
     if version != FORMAT_VERSION:
         raise TraceFormatError(
@@ -187,6 +275,11 @@ def read_trace(stream: IO[str]) -> Trace:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceFormatError(f"line {line_number}: bad JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise TraceFormatError(
+                f"line {line_number}: a record must be a JSON object, "
+                f"got {type(record).__name__}"
+            )
         kind = record.get("type")
         try:
             if kind == "shader":
@@ -219,20 +312,12 @@ def read_trace(stream: IO[str]) -> Trace:
                     stride=record["stride"],
                 )
             elif kind == "frame":
-                passes = tuple(
-                    RenderPass(
-                        pass_type=PassType(p["pass_type"]),
-                        name=p.get("name", ""),
-                        draws=tuple(_draw_from_dict(d) for d in p["draws"]),
-                    )
-                    for p in record["passes"]
-                )
-                frames.append(Frame(index=record["index"], passes=passes))
+                frames.append(_frame_from_record(record))
             else:
                 raise TraceFormatError(
                     f"line {line_number}: unknown record type {kind!r}"
                 )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, TypeError, AttributeError, ValidationError) as exc:
             raise TraceFormatError(
                 f"line {line_number}: bad {kind!r} record: {exc}"
             ) from exc

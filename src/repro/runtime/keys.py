@@ -3,9 +3,9 @@
 A cached result is only trustworthy if its key pins *everything* the
 computation depends on:
 
-- the **trace content** (a SHA-256 over the canonical binary
-  serialization, so two identically-generated traces share a digest and
-  any draw/shader/resource change produces a new one);
+- the **trace content** (a SHA-256 over the resource tables and every
+  frame's draw columns, so two identically-generated traces share a
+  digest and any draw/shader/resource change produces a new one);
 - the **GPU configuration** (every model field; the ``name`` label is
   deliberately excluded — two configs with identical parameters simulate
   identically, so e.g. DVFS points renamed between runs still hit);
@@ -21,13 +21,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import io
 import json
-import weakref
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 from repro.gfx.trace import Trace
-from repro.gfx.tracebin import write_trace_binary
 from repro.simgpu.config import GpuConfig
 
 #: Bump on any change to the simulator, feature extractor, task payloads,
@@ -37,7 +34,9 @@ from repro.simgpu.config import GpuConfig
 #: v3: feature extraction standardized on ``np.log1p`` (1 ULP shift vs
 #: ``math.log1p`` on some inputs) when the matrix path was vectorized.
 #: v4: BatchFrameOutput dropped the unread per-draw ``draw_core_cycles``.
-CACHE_FORMAT_VERSION = 4
+#: v5: the trace digest hashes the draw columns instead of the ``.rpb``
+#: serialization.
+CACHE_FORMAT_VERSION = 5
 
 #: Introspection hook for the ``repro.checks`` cache-key-completeness
 #: rules (KEY003): the exact fields the :func:`task_key` record carries.
@@ -77,32 +76,19 @@ TASK_FIELD_KEYING: Mapping[str, str] = {
     ),
 }
 
-# Digests are memoized per live Trace object: traces are immutable, and
-# paper-scale serialization is the expensive part of key construction.
-_TRACE_DIGEST_MEMO: Dict[int, Tuple["weakref.ReferenceType[Trace]", str]] = {}
-
-
 def _sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
 def trace_digest(trace: Trace) -> str:
-    """Content digest of a trace (canonical binary serialization).
+    """Content digest of a trace: :attr:`Trace.content_digest`.
 
-    Two traces constructed independently but with identical content
-    (same generator, same seed) share a digest; trace ``metadata`` is not
-    serialized and therefore does not participate.
+    SHA-256 over the name, the resource tables, and each frame's index,
+    pass spans and draw-column bytes, computed once per trace object.
+    Two traces with equal content share a digest however they were
+    built or loaded; trace and frame ``metadata`` do not participate.
     """
-    memo = _TRACE_DIGEST_MEMO.get(id(trace))
-    if memo is not None:
-        ref, digest = memo
-        if ref() is trace:
-            return digest
-    buffer = io.BytesIO()
-    write_trace_binary(trace, buffer)
-    digest = _sha256_hex(buffer.getvalue())
-    _TRACE_DIGEST_MEMO[id(trace)] = (weakref.ref(trace), digest)
-    return digest
+    return trace.content_digest
 
 
 def config_digest(config: GpuConfig) -> str:

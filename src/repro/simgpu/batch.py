@@ -31,7 +31,6 @@ resolution or reuse-distance analysis.
 
 from __future__ import annotations
 
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -39,10 +38,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.gfx.trace import Trace
+from repro.gfx.drawtable import DrawTable
+from repro.gfx.trace import SHADER_STAT_COLUMNS, Trace
 from repro.obs.context import current_obs
 from repro.simgpu import _kernels, precomp_store, raster, rop, shadercore, texture
-from repro.gfx.enums import PrimitiveTopology
 from repro.simgpu.config import GpuConfig
 from repro.simgpu.simulator import FrameResult, TraceResult
 
@@ -82,7 +81,7 @@ class FramePrecomp:
     depth_bpp: np.ndarray  # 0 when no depth target bound
     noise_units: np.ndarray
     pass_spans: List[Tuple[str, int, int]]
-    draws: list  # DrawCall refs (length/debugging)
+    num_draws: int
     # Switch-event flags: does draw i change shader / fixed-function
     # state / render-target binding relative to draw i-1?  (Draw 0 pays
     # all three, exactly like a fresh StateTracker.)
@@ -96,101 +95,6 @@ class FramePrecomp:
     tex_slot_reuse: np.ndarray = field(default=None)  # type: ignore[assignment]
     tex_slot_offsets: np.ndarray = field(default=None)  # type: ignore[assignment]
     tex_totals: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    @property
-    def num_draws(self) -> int:
-        return len(self.draws)
-
-
-@dataclass
-class _TraceTables:
-    """Per-trace resource lookup tables, built once and memoized.
-
-    ``byte_size`` and ``bytes_per_pixel`` are computed properties (mip
-    chains, format enums); evaluating them once per *trace* instead of
-    once per bound slot per frame is most of the precompute layer's
-    python-side cost at paper scale.
-    """
-
-    texture_sizes: Dict[int, int]
-    rt_bpp: Dict[int, float]
-    shader_rows: Dict[int, int]
-    #: (num_shaders, 8): vs alu/tex/branch/regs, ps alu/tex/branch/regs.
-    shader_table: np.ndarray
-    #: Dense id→byte_size / id→shader_table row arrays (sentinel -1 for
-    #: holes), or None when the id space is too sparse for direct
-    #: indexing; lets the per-frame gather use one fancy-index instead
-    #: of a python dict lookup per slot/draw.
-    texture_size_lookup: Optional[np.ndarray]
-    shader_row_lookup: Optional[np.ndarray]
-
-
-def _dense_lookup(table: Dict[int, int]) -> Optional[np.ndarray]:
-    """``table`` as a direct-index int64 array, or None if too sparse.
-
-    Resource ids in captured traces are small sequential ints, so a
-    flat array with a -1 hole sentinel is almost always viable; the 4x
-    density bound keeps pathological id spaces on the dict path.
-    """
-    if not table:
-        return None
-    ids = table.keys()
-    top = max(ids)
-    if min(ids) < 0 or top >= 4 * len(table) + 64:
-        return None
-    lookup = np.full(top + 1, -1, dtype=np.int64)
-    for key, value in table.items():
-        lookup[key] = value
-    return lookup
-
-
-# Keyed by id() with a liveness check, exactly like the trace-digest
-# memo in repro.runtime.keys — traces are immutable, so the tables can
-# never go stale while the object is alive.
-_TRACE_TABLES_MEMO: Dict[int, Tuple["weakref.ReferenceType[Trace]", _TraceTables]] = {}
-
-
-def trace_tables(trace: Trace) -> _TraceTables:
-    """The memoized resource tables of ``trace``."""
-    memo = _TRACE_TABLES_MEMO.get(id(trace))
-    if memo is not None:
-        ref, tables = memo
-        if ref() is trace:
-            return tables
-    shader_rows: Dict[int, int] = {}
-    rows = []
-    for shader_id, shader in trace.shaders.items():
-        shader_rows[shader_id] = len(rows)
-        rows.append(
-            (
-                shader.vertex.alu_ops,
-                shader.vertex.tex_ops,
-                shader.vertex.branch_ops,
-                shader.vertex.registers,
-                shader.pixel.alu_ops,
-                shader.pixel.tex_ops,
-                shader.pixel.branch_ops,
-                shader.pixel.registers,
-            )
-        )
-    texture_sizes = {
-        tid: tex.byte_size for tid, tex in trace.textures.items()
-    }
-    tables = _TraceTables(
-        texture_sizes=texture_sizes,
-        rt_bpp={
-            rid: rt.bytes_per_pixel
-            for rid, rt in trace.render_targets.items()
-        },
-        shader_rows=shader_rows,
-        shader_table=(
-            np.array(rows, dtype=np.float64) if rows else np.empty((0, 8))
-        ),
-        texture_size_lookup=_dense_lookup(texture_sizes),
-        shader_row_lookup=_dense_lookup(shader_rows),
-    )
-    _TRACE_TABLES_MEMO[id(trace)] = (weakref.ref(trace), tables)
-    return tables
 
 
 #: ``stable_unit("simgpu-noise", frame_index, position)`` per position —
@@ -206,83 +110,6 @@ def _noise_units(frame_index: int, n: int) -> np.ndarray:
         cached = _kernels.noise_units(frame_index, n)
         _NOISE_MEMO[frame_index] = cached
     return cached[:n]
-
-
-#: Primitives per instance = vertex_count // divisor, except the strip
-#: sentinel 0 meaning ``max(0, vertex_count - 2)`` — the vectorized
-#: form of :meth:`PrimitiveTopology.primitives_for_vertices`.  Keyed by
-#: member identity: enum members are singletons and ``Enum.__hash__``
-#: is a python-level call, measurable at one lookup per draw.
-_PRIM_DIVISOR = {
-    id(PrimitiveTopology.POINT_LIST): 1,
-    id(PrimitiveTopology.LINE_LIST): 2,
-    id(PrimitiveTopology.TRIANGLE_LIST): 3,
-    id(PrimitiveTopology.TRIANGLE_STRIP): 0,
-}
-
-
-def _texture_reuse_arrays(
-    trace: Trace, draws: Sequence
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(sizes, reuse, offsets, totals) for one frame's texture bindings.
-
-    ``reuse[s]`` is the size-weighted LRU stack distance of slot ``s``:
-    the slot's own byte size plus the total size of *distinct* textures
-    touched since that texture's previous touch (``np.inf`` on first
-    touch).  A texture is resident in the tracker's LRU of capacity C
-    exactly when ``reuse <= C`` — see DESIGN.md for the equivalence
-    argument — so per-config warmth reduces to one vector comparison.
-
-    The Fenwick-tree pass itself runs as a :mod:`repro.simgpu._kernels`
-    kernel over flat per-slot arrays (texture ids, byte sizes, draw
-    offsets) — the frame's bindings are flattened here once against the
-    per-trace size table, and either backend (compiled C or pure
-    python) produces bit-identical distances (DESIGN.md, "Flat-array
-    kernel form").
-    """
-    tables = trace_tables(trace)
-    num_draws = len(draws)
-    ids_list: List[int] = []
-    lens_list: List[int] = []
-    for draw in draws:
-        tids = draw.texture_ids
-        ids_list.extend(tids)
-        lens_list.append(len(tids))
-    offsets = np.zeros(num_draws + 1, dtype=np.int64)
-    if num_draws:
-        np.cumsum(np.array(lens_list, dtype=np.int64), out=offsets[1:])
-    tex_ids = (
-        np.array(ids_list, dtype=np.int64)
-        if ids_list
-        else np.zeros(0, dtype=np.int64)
-    )
-    lookup = tables.texture_size_lookup
-    if lookup is not None and tex_ids.size:
-        # One fancy-index against the dense per-trace size table; the
-        # two vector checks reproduce the dict path's unknown-id error.
-        bad = (tex_ids < 0) | (tex_ids >= lookup.shape[0])
-        if bad.any():
-            trace.texture(int(tex_ids[bad][0]))  # raises "unknown texture"
-        sizes_arr = lookup[tex_ids]
-        bad = sizes_arr < 0
-        if bad.any():
-            trace.texture(int(tex_ids[bad][0]))  # raises "unknown texture"
-    else:
-        size_table = tables.texture_sizes
-        try:
-            sizes_arr = (
-                np.array(
-                    [size_table[t] for t in ids_list], dtype=np.int64
-                )
-                if ids_list
-                else np.zeros(0, dtype=np.int64)
-            )
-        except KeyError as missing:
-            trace.texture(missing.args[0])  # raises "unknown texture"
-            raise
-    reuse = _kernels.reuse_distances(tex_ids, sizes_arr, offsets)
-    totals = _kernels.segment_sums_i64(sizes_arr, offsets)
-    return sizes_arr, reuse, offsets, totals
 
 
 def warm_fractions(fp: FramePrecomp, capacity_bytes: int) -> np.ndarray:
@@ -316,209 +143,108 @@ def switch_cycles(
     )
 
 
-def precompute_frame(trace: Trace, frame) -> FramePrecomp:
-    """Resolve tables and build the per-draw arrays for one frame.
+def _switch_events(table: DrawTable) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per draw: does it change shader / fixed-function state / binding?
 
-    Column-vectorized like :meth:`FeatureExtractor.draws_matrix`: scalar
-    draw attributes are gathered in bulk, shader columns come from the
-    per-trace table by fancy indexing, and the texture reuse pass plus
-    the noise stream run through :mod:`repro.simgpu._kernels`.  Every
-    column is bit-identical to the historical per-draw scalar loop —
-    render-target totals are the same sequential python sums (cached
-    per distinct binding), and the integer columns convert to float64
-    exactly once, like the old ``float(int)`` assignments.
+    Each flag compares draw ``i`` with draw ``i - 1``; draw 0 pays all
+    three, exactly like a fresh StateTracker.  State compares the three
+    code columns (the ``state_key``); the binding is the pair of the
+    render-target id list and the depth target.
     """
-    tables = trace_tables(trace)
-
-    # Flatten the pass structure once (tuple extends, no generator hop
-    # per draw) and record the span of each pass as we go.
-    draws: List = []
-    pass_spans: List[Tuple[str, int, int]] = []
-    position = 0
-    for render_pass in frame.passes:
-        pass_draws = render_pass.draws
-        draws.extend(pass_draws)
-        span = (render_pass.pass_type.value, position, position + len(pass_draws))
-        pass_spans.append(span)
-        position += len(pass_draws)
-    n = len(draws)
-
-    # Geometry columns from raw fields; primitive assembly vectorized
-    # (integer arithmetic, exactly primitives_for_vertices per draw).
-    if n:
-        raw = np.array(
-            [
-                (
-                    d.vertex_count,
-                    d.instance_count,
-                    d.pixels_rasterized,
-                    d.pixels_shaded,
-                    d.vertex_stride_bytes,
-                    _PRIM_DIVISOR[id(d.topology)],
-                )
-                for d in draws
-            ],
-            dtype=np.int64,
-        )
-    else:
-        raw = np.empty((0, 6), dtype=np.int64)
-    divisor = raw[:, 5]
-    per_instance = np.where(
-        divisor > 0,
-        raw[:, 0] // np.maximum(divisor, 1),
-        np.maximum(0, raw[:, 0] - 2),
+    n = len(table)
+    shader = np.ones(n, dtype=bool)
+    state = np.ones(n, dtype=bool)
+    binding = np.ones(n, dtype=bool)
+    if n < 2:
+        return shader, state, binding
+    shader[1:] = table.shader_id[1:] != table.shader_id[:-1]
+    state[1:] = (
+        (table.depth[1:] != table.depth[:-1])
+        | (table.blend[1:] != table.blend[:-1])
+        | (table.cull[1:] != table.cull[:-1])
     )
-    verts = (raw[:, 0] * raw[:, 1]).astype(np.float64)
-    prims = (per_instance * raw[:, 1]).astype(np.float64)
-
-    # One fused per-draw pass for everything state/binding-derived: each
-    # draw contributes a *row index* into two small per-frame tables
-    # (distinct pipeline states, distinct attachment bindings), and every
-    # per-draw column follows by fancy indexing.  Fixed-function flags
-    # and the state key are evaluated once per distinct live state;
-    # render-target totals are python sums identical to the historical
-    # per-draw loop, computed once per distinct binding tuple (engine
-    # traces reuse a handful of states and attachments across draws).
-    rt_table = tables.rt_bpp
-    state_rows: List[Tuple[bool, bool, bool, bool]] = []
-    state_canon: List[int] = []  # row of the first state with this key
-    state_key_row: Dict[tuple, int] = {}
-    state_row_of: Dict[int, int] = {}
-    state_index: List[int] = []
-    binding_rows: List[Tuple[float, float, float]] = []
-    binding_row_of: Dict[tuple, int] = {}
-    binding_index: List[int] = []
-    shader_list: List[int] = []
-    try:
-        for d in draws:
-            s = d.state
-            row = state_row_of.get(id(s))
-            if row is None:
-                row = len(state_rows)
-                state_row_of[id(s)] = row
-                state_rows.append(
-                    (
-                        s.cull.value == "none",
-                        s.blend.reads_destination,
-                        s.depth.reads_depth,
-                        s.depth.writes_depth,
-                    )
-                )
-                state_canon.append(state_key_row.setdefault(s.state_key, row))
-            state_index.append(row)
-            binding = (d.render_target_ids, d.depth_target_id)
-            brow = binding_row_of.get(binding)
-            if brow is None:
-                brow = len(binding_rows)
-                binding_row_of[binding] = brow
-                rids, did = binding
-                binding_rows.append(
-                    (
-                        sum(rt_table[r] for r in rids),
-                        float(max(1, len(rids))),
-                        rt_table[did] if did is not None else 0.0,
-                    )
-                )
-            binding_index.append(brow)
-            shader_list.append(d.shader_id)
-    except KeyError as missing:
-        trace.render_target(missing.args[0])  # raises "unknown RT"
-        raise
-    state_table = (
-        np.array(state_rows, dtype=bool)
-        if state_rows
-        else np.empty((0, 4), dtype=bool)
+    lengths = np.diff(table.render_target_offsets)
+    changed = (lengths[1:] != lengths[:-1]) | (
+        table.depth_target[1:] != table.depth_target[:-1]
     )
-    state_idx = np.array(state_index, dtype=np.intp)
-    flags = state_table[state_idx]
-    binding_table = (
-        np.array(binding_rows, dtype=np.float64)
-        if binding_rows
-        else np.empty((0, 3))
+    # Neighbours with equally many targets: compare slot k of draw d
+    # with slot k of draw d - 1, which sits lengths[d - 1] slots earlier.
+    slot_draw = np.repeat(np.arange(n), lengths)
+    slots = np.flatnonzero(slot_draw > 0)
+    draw = slot_draw[slots]
+    same_length = ~changed[draw - 1]
+    slots, draw = slots[same_length], draw[same_length]
+    ids = table.render_target_ids
+    differs = ids[slots] != ids[slots - lengths[draw - 1]]
+    changed[draw[differs] - 1] = True
+    binding[1:] = changed
+    return shader, state, binding
+
+
+def precompute_frame(trace: Trace, frame) -> FramePrecomp:
+    """The per-draw cost-model inputs of one frame, from its columns.
+
+    Every array is a column operation over the frame's
+    :class:`~repro.gfx.drawtable.DrawTable` and the trace's column
+    lookups (:attr:`Trace.lookup`); the texture reuse pass, the segment
+    sums and the noise stream run through :mod:`repro.simgpu._kernels`.
+    Every column is bit-identical to the per-draw scalar model: counts
+    convert to float64 once, and bytes-per-pixel totals are sums of
+    dyadic values, exact in any order.
+    """
+    table = frame.table
+    lookup = trace.lookup
+    n = len(table)
+    verts, prims = table.geometry()
+    depth_reads, depth_writes, blend_dest, cull_none = table.state_flags()
+    stat = dict(
+        zip(SHADER_STAT_COLUMNS, np.ascontiguousarray(lookup.shader_stats(table.shader_id).T))
     )
-    binding_idx = np.array(binding_index, dtype=np.intp)
-    binding_cols = binding_table[binding_idx]
-    color_bpp = np.ascontiguousarray(binding_cols[:, 0])
-    n_color = np.ascontiguousarray(binding_cols[:, 1])
-    depth_bpp = np.ascontiguousarray(binding_cols[:, 2])
-    shader_ids = np.array(shader_list, dtype=np.int64)
-
-    # Switch events: does draw i change shader / fixed-function state /
-    # render-target binding relative to draw i-1?  (Draw 0 pays all
-    # three, exactly like a fresh StateTracker.)  Binding rows are keyed
-    # by the exact (render_target_ids, depth_target_id) tuple, so a row
-    # change IS a binding change; state rows are first mapped through
-    # ``state_canon`` so distinct state objects with equal keys compare
-    # equal, exactly like the historical ``state_key`` comparison.
-    shader_switch = np.empty(n, dtype=bool)
-    state_switch = np.empty(n, dtype=bool)
-    rt_switch = np.empty(n, dtype=bool)
-    if n:
-        shader_switch[0] = True
-        shader_switch[1:] = shader_ids[1:] != shader_ids[:-1]
-        canon = np.array(state_canon, dtype=np.intp)[state_idx]
-        state_switch[0] = True
-        state_switch[1:] = canon[1:] != canon[:-1]
-        rt_switch[0] = True
-        rt_switch[1:] = binding_idx[1:] != binding_idx[:-1]
-
-    lookup = tables.shader_row_lookup
-    if lookup is not None and n:
-        bad = (shader_ids < 0) | (shader_ids >= lookup.shape[0])
-        if bad.any():
-            trace.shader(int(shader_ids[bad][0]))  # raises "unknown shader"
-        rows = lookup[shader_ids]
-        bad = rows < 0
-        if bad.any():
-            trace.shader(int(shader_ids[bad][0]))  # raises "unknown shader"
-    else:
-        try:
-            rows = np.array(
-                [tables.shader_rows[sid] for sid in shader_list],
-                dtype=np.intp,
-            )
-        except KeyError as missing:
-            trace.shader(missing.args[0])  # raises "unknown shader"
-            raise
-    shader_cols = tables.shader_table[rows]
-
-    sizes, reuse, tex_offsets, totals = _texture_reuse_arrays(trace, draws)
-
+    bytes_per_pixel = lookup.target_bytes_per_pixel
+    color_bpp = _kernels.segment_sums(
+        bytes_per_pixel(table.render_target_ids), table.render_target_offsets
+    )
+    depth_bound = table.depth_target >= 0
+    depth_bpp = np.zeros(n)
+    depth_bpp[depth_bound] = bytes_per_pixel(table.depth_target[depth_bound])
+    tex_ids, tex_offsets = table.texture_ids, table.texture_offsets
+    sizes = lookup.texture_bytes(tex_ids)
+    totals = _kernels.segment_sums_i64(sizes, tex_offsets)
+    shader_switch, state_switch, rt_switch = _switch_events(table)
     return FramePrecomp(
         frame_index=frame.index,
         verts=verts,
         prims=prims,
-        cull_none=np.ascontiguousarray(flags[:, 0]),
-        pix_rast=raw[:, 2].astype(np.float64),
-        pix_shaded=raw[:, 3].astype(np.float64),
-        stride=raw[:, 4].astype(np.float64),
-        vs_alu=np.ascontiguousarray(shader_cols[:, 0]),
-        vs_tex=np.ascontiguousarray(shader_cols[:, 1]),
-        vs_branch=np.ascontiguousarray(shader_cols[:, 2]),
-        vs_regs=np.ascontiguousarray(shader_cols[:, 3]),
-        ps_alu=np.ascontiguousarray(shader_cols[:, 4]),
-        ps_tex=np.ascontiguousarray(shader_cols[:, 5]),
-        ps_branch=np.ascontiguousarray(shader_cols[:, 6]),
-        ps_regs=np.ascontiguousarray(shader_cols[:, 7]),
-        # The per-draw texture footprint is exactly the per-draw total
-        # of bound-texture byte sizes, which the reuse pass already
-        # reduced; int64 -> float64 matches the historical per-draw
-        # ``float(int)`` assignment bit for bit.
+        cull_none=cull_none,
+        pix_rast=table.pixels_rasterized.astype(np.float64),
+        pix_shaded=table.pixels_shaded.astype(np.float64),
+        stride=table.vertex_stride.astype(np.float64),
+        vs_alu=stat["vs_alu_ops"],
+        vs_tex=stat["vs_tex_ops"],
+        vs_branch=stat["vs_branch_ops"],
+        vs_regs=stat["vs_registers"],
+        ps_alu=stat["ps_alu_ops"],
+        ps_tex=stat["ps_tex_ops"],
+        ps_branch=stat["ps_branch_ops"],
+        ps_regs=stat["ps_registers"],
+        # The per-draw texture footprint is the per-draw total of bound
+        # texture byte sizes; int64 -> float64 is the scalar model's
+        # ``float(int)`` bit for bit.
         footprint=totals.astype(np.float64),
         color_bpp=color_bpp,
-        n_color=n_color,
-        blend_dest=np.ascontiguousarray(flags[:, 1]),
-        depth_reads=np.ascontiguousarray(flags[:, 2]),
-        depth_writes=np.ascontiguousarray(flags[:, 3]),
+        n_color=np.maximum(1, np.diff(table.render_target_offsets)).astype(np.float64),
+        blend_dest=blend_dest,
+        depth_reads=depth_reads,
+        depth_writes=depth_writes,
         depth_bpp=depth_bpp,
         noise_units=_noise_units(frame.index, n),
-        pass_spans=pass_spans,
-        draws=draws,
+        pass_spans=[(span.pass_type.value, span.start, span.stop) for span in frame.spans],
+        num_draws=n,
         shader_switch=shader_switch,
         state_switch=state_switch,
         rt_switch=rt_switch,
         tex_slot_sizes=sizes,
-        tex_slot_reuse=reuse,
+        tex_slot_reuse=_kernels.reuse_distances(tex_ids, sizes, tex_offsets),
         tex_slot_offsets=tex_offsets,
         tex_totals=totals,
     )
@@ -633,7 +359,6 @@ def clear_precomp_cache() -> None:
     reference and stay valid).
     """
     _FRAME_PRECOMP_MEMO.clear()
-    _TRACE_TABLES_MEMO.clear()
     _NOISE_MEMO.clear()
     precomp_store.reset_active_store()
 

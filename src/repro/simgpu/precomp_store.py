@@ -300,7 +300,7 @@ class PrecompStore:
                 (str(span[0]), int(span[1]), int(span[2]))
                 for span in header["pass_spans"]
             ],
-            draws=[None] * num_draws,
+            num_draws=num_draws,
             **arrays,
         )
 

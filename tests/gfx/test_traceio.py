@@ -97,3 +97,69 @@ class TestStreamBehaviour:
         write_trace(simple_trace, buffer)
         for line in buffer.getvalue().splitlines():
             json.loads(line)  # every line independently parseable
+
+
+def first_frame_line(text):
+    """(1-based line number, parsed record) of the first frame record."""
+    for number, line in enumerate(text.splitlines(), start=1):
+        record = json.loads(line)
+        if record["type"] == "frame":
+            return number, record
+    raise AssertionError("no frame record")
+
+
+def with_first_draw(draw_changes):
+    """Apply ``draw_changes(draw)`` to the first draw of a small trace's text."""
+    text = trace_to_string(make_world([[make_draw(), make_draw()], [make_draw()]]))
+    lines = text.splitlines()
+    number, record = first_frame_line(text)
+    draw_changes(record["passes"][0]["draws"][0])
+    lines[number - 1] = json.dumps(record)
+    return number, "\n".join(lines) + "\n"
+
+
+BAD_DRAWS = {
+    "tex not a list": lambda d: d.update(tex=5),
+    "tex id a bool": lambda d: d.update(tex=[True]),
+    "verts a bool": lambda d: d.update(verts=True),
+    "verts a float": lambda d: d.update(verts=3.5),
+    "verts zero": lambda d: d.update(verts=0),
+    "rast beyond int64": lambda d: d.update(rast=2**64),
+    "shaded above rast": lambda d: d.update(shaded=d["rast"] + 1),
+    "negative depth target": lambda d: d.update(depth_rt=-1),
+    "no target at all": lambda d: d.update(rts=[], depth_rt=None),
+    "unknown topology": lambda d: d.update(topo="hexagons"),
+    "short state": lambda d: d.update(state=d["state"][:2]),
+    "missing field": lambda d: d.pop("stride"),
+}
+
+
+class TestMalformedRecords:
+    @pytest.mark.parametrize("case", sorted(BAD_DRAWS))
+    def test_bad_draw_names_its_line(self, case):
+        number, text = with_first_draw(BAD_DRAWS[case])
+        with pytest.raises(TraceFormatError, match=f"line {number}:"):
+            trace_from_string(text)
+
+    @pytest.mark.parametrize("record", [[1, 2], "frame", 7, None])
+    def test_non_object_record_names_its_line(self, simple_trace, record):
+        text = trace_to_string(simple_trace)
+        number = len(text.splitlines()) + 1
+        with pytest.raises(TraceFormatError, match=f"line {number}:"):
+            trace_from_string(text + json.dumps(record) + "\n")
+
+    def test_non_object_draw_names_its_line(self):
+        text = trace_to_string(make_world([[make_draw()]]))
+        lines = text.splitlines()
+        number, record = first_frame_line(text)
+        record["passes"][0]["draws"][0] = [1, 2]
+        lines[number - 1] = json.dumps(record)
+        with pytest.raises(TraceFormatError, match=f"line {number}:"):
+            trace_from_string("\n".join(lines) + "\n")
+
+    def test_bad_resource_record_names_its_line(self, simple_trace):
+        text = trace_to_string(simple_trace)
+        record = {"type": "texture", "id": 99, "w": 0, "h": 4, "fmt": "r8", "mips": 1}
+        number = len(text.splitlines()) + 1
+        with pytest.raises(TraceFormatError, match=f"line {number}:"):
+            trace_from_string(text + json.dumps(record) + "\n")

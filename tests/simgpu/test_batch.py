@@ -207,3 +207,45 @@ class TestFramePrecompMemo:
         for out, warm_out, fresh_out in zip(memoized[0], warmup[0], fresh[0]):
             assert out.time_ns == warm_out.time_ns
             assert out.time_ns == fresh_out.time_ns
+
+
+#: (render_target_ids, depth_target_id) bindings: equal and different
+#: lengths, reordered ids, depth-only and colour-only.
+BINDINGS = [((0,), 1), ((0,), None), ((2,), 1), ((0, 2), 1), ((2, 0), 1), ((), 1), ((0, 2), None)]
+
+
+class TestSwitchEvents:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        draws=st.lists(
+            st.tuples(draw_strategy, st.sampled_from(BINDINGS)), min_size=1, max_size=12
+        )
+    )
+    def test_flags_and_times_match_the_reference(self, draws):
+        import dataclasses
+
+        from repro.simgpu.batch import precompute_frame
+
+        rows = [
+            dataclasses.replace(d, render_target_ids=rts, depth_target_id=depth)
+            for d, (rts, depth) in draws
+        ]
+        trace = make_world([rows])
+        fp = precompute_frame(trace, trace.frames[0])
+        previous = [None] + rows[:-1]
+        assert fp.shader_switch.tolist() == [
+            p is None or p.shader_id != d.shader_id for p, d in zip(previous, rows)
+        ]
+        assert fp.state_switch.tolist() == [
+            p is None or p.state.state_key != d.state.state_key for p, d in zip(previous, rows)
+        ]
+        assert fp.rt_switch.tolist() == [
+            p is None
+            or (p.render_target_ids, p.depth_target_id) != (d.render_target_ids, d.depth_target_id)
+            for p, d in zip(previous, rows)
+        ]
+        seq = GpuSimulator(CFG).simulate_trace(trace, keep_draw_costs=True)
+        out = simulate_frame_range(trace, CFG, 0, 1)[0]
+        np.testing.assert_allclose(
+            out.draw_times_ns, np.array(seq.frame_results[0].draw_times_ns()), rtol=1e-12
+        )
