@@ -16,7 +16,7 @@ from repro.gfx.trace import Trace
 from repro.runtime.engine import Runtime
 from repro.simgpu.config import GpuConfig
 from repro.simgpu.dvfs import DEFAULT_CLOCKS_MHZ
-from repro.util.stats import pearson_correlation
+from repro.util.stats import pearson_correlation, sum_in_order
 
 
 @dataclass(frozen=True)
@@ -72,25 +72,21 @@ def subset_parent_correlation(
     The subset side simulates *only* the subset trace at each clock and
     scales by the subset weights — the exact reduced workflow a
     pathfinding team would run.  All clock points go through ``runtime``
-    as one batch, so workers share each frame's precompute and the
-    artifact cache skips clocks simulated by an earlier run.
+    as one batch of frame totals, so workers share each frame's
+    precompute and the artifact cache skips clocks simulated by an
+    earlier run.
     """
     if runtime is None:
         runtime = Runtime.serial()
     subset_trace = subset.materialize(trace)
     configs = [base_config.with_core_clock(clock) for clock in clocks_mhz]
-    parent_runs = runtime.simulate_frames_many(
-        trace, configs, label="correlation.parent"
-    )
-    subset_runs = runtime.simulate_frames_many(
+    parent_runs = runtime.frame_times_many(trace, configs, label="correlation.parent")
+    subset_runs = runtime.frame_times_many(
         subset_trace, configs, label="correlation.subset"
     )
-    parent_times = [
-        float(sum(out.time_ns for out in outputs)) for outputs in parent_runs
-    ]
+    parent_times = [sum_in_order(frame_times) for frame_times in parent_runs]
     subset_times = [
-        subset.estimate_total_time_ns([out.time_ns for out in outputs])
-        for outputs in subset_runs
+        subset.estimate_total_time_ns(frame_times) for frame_times in subset_runs
     ]
     return CorrelationResult(
         trace_name=trace.name,

@@ -35,6 +35,7 @@ from repro.simgpu.batch import simulate_frame_range, simulate_trace_multi
 from repro.simgpu.config import GpuConfig
 from repro.simgpu.dvfs import DEFAULT_CLOCKS_MHZ
 from repro.synth.generator import generate_trace
+from repro.util.stats import sum_in_order
 
 
 @dataclass(frozen=True)
@@ -558,7 +559,7 @@ def e8_baselines(
     stride = max(1, round(1.0 / max(phase_subset.frame_fraction, 1e-9)))
     nth = every_nth_frame_subset(trace, stride)
     simpoint = simpoint_frames_subset(trace, seed=seed)
-    actual_total = sum(out.time_ns for out in ground)
+    actual_total = sum_in_order([out.time_ns for out in ground])
     for label, subset in (
         ("phase subset (paper)", phase_subset),
         (f"every {stride}th frame", nth),

@@ -17,7 +17,7 @@ from repro.errors import ValidationError
 from repro.gfx.trace import Trace
 from repro.runtime.engine import Runtime
 from repro.simgpu.config import GpuConfig
-from repro.util.stats import pearson_correlation, spearman_correlation
+from repro.util.stats import pearson_correlation, spearman_correlation, sum_in_order
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,8 @@ def pathfinding_sweep(
 ) -> PathfindingResult:
     """Evaluate candidate architectures on parent and subset.
 
-    Every (trace, candidate) point is one cacheable artifact, so an
+    Only frame totals are simulated (:meth:`Runtime.frame_times_many`),
+    and every (trace, candidate) point is one cacheable artifact, so an
     interrupted or repeated sweep only simulates the missing candidates.
     """
     candidates = tuple(candidates) or default_candidates()
@@ -99,18 +100,13 @@ def pathfinding_sweep(
         "sweep", category="sweep", trace=trace.name, candidates=len(candidates)
     ):
         subset_trace = subset.materialize(trace)
-        parent_runs = runtime.simulate_frames_many(
-            trace, candidates, label="sweep.parent"
-        )
-        subset_runs = runtime.simulate_frames_many(
+        parent_runs = runtime.frame_times_many(trace, candidates, label="sweep.parent")
+        subset_runs = runtime.frame_times_many(
             subset_trace, candidates, label="sweep.subset"
         )
-    parent_times = [
-        float(sum(out.time_ns for out in outputs)) for outputs in parent_runs
-    ]
+    parent_times = [sum_in_order(frame_times) for frame_times in parent_runs]
     subset_times = [
-        subset.estimate_total_time_ns([out.time_ns for out in outputs])
-        for outputs in subset_runs
+        subset.estimate_total_time_ns(frame_times) for frame_times in subset_runs
     ]
     return PathfindingResult(
         trace_name=trace.name,

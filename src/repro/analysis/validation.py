@@ -26,6 +26,7 @@ from repro.gfx.trace import Trace
 from repro.runtime.engine import Runtime
 from repro.simgpu.config import GpuConfig
 from repro.simgpu.dvfs import DEFAULT_CLOCKS_MHZ
+from repro.util.stats import sum_in_order
 from repro.util.tables import format_table
 
 
@@ -115,21 +116,19 @@ def validate_subset(
         transfer_configs = [
             GpuConfig.preset(preset) for preset in transfer_presets
         ]
-        parent_runs = runtime.simulate_frames_many(
+        parent_runs = runtime.frame_times_many(
             trace, transfer_configs, label="validate.parent"
         )
-        subset_runs = runtime.simulate_frames_many(
+        subset_runs = runtime.frame_times_many(
             subset_trace, transfer_configs, label="validate.subset"
         )
         worst_error = 0.0
         worst_preset = ""
-        for preset, parent_outputs, subset_outputs in zip(
+        for preset, parent_frame_times, subset_frame_times in zip(
             transfer_presets, parent_runs, subset_runs
         ):
-            actual = float(sum(out.time_ns for out in parent_outputs))
-            estimate = subset.estimate_total_time_ns(
-                [out.time_ns for out in subset_outputs]
-            )
+            actual = sum_in_order(parent_frame_times)
+            estimate = subset.estimate_total_time_ns(subset_frame_times)
             error = abs(estimate - actual) / actual
             if error > worst_error:
                 worst_error = error

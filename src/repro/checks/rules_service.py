@@ -45,6 +45,7 @@ SIM_ENTRY_POINTS = frozenset(
         "simulate_trace_multi",
         "simulate_frames",
         "simulate_frames_many",
+        "frame_times_many",
         "cluster_frames",
         "run_pipeline",
         "pathfinding_sweep",

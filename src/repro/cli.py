@@ -895,12 +895,7 @@ def _cmd_estimate(args) -> int:
     runtime = session.runtime
     subset_trace = subset.materialize(trace)
     estimate_ns = subset.estimate_total_time_ns(
-        [
-            out.time_ns
-            for out in runtime.simulate_frames(
-                subset_trace, config, label="estimate.subset"
-            )
-        ]
+        runtime.frame_times_many(subset_trace, [config], label="estimate.subset")[0]
     )
     actual_ns = runtime.total_time_ns(trace, config, label="estimate.parent")
     error = abs(estimate_ns - actual_ns) / actual_ns

@@ -30,7 +30,7 @@ import pickle
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from repro.runtime.keys import task_key
 from repro.runtime.tasks import Task, TaskResult, resolve_task_function
 from repro.runtime.telemetry import Telemetry, TelemetrySnapshot
 from repro.util.rng import spawn_worker_seed
+from repro.util.stats import sum_in_order
 
 if TYPE_CHECKING:
     from repro.gfx.trace import Trace
@@ -485,47 +486,87 @@ class Runtime:
         switch-cost triple.  ``label`` names the stage timer, the trace
         span, and the ``frames_simulated{phase=...}`` label.
         """
+        per_config = self._simulate_per_config(
+            trace, configs, label, "simulate_frames", "simulate_frame_range",
+            lambda chunks: [out for chunk in chunks for out in chunk],
+        )
+        return [list(outputs) for outputs in per_config]
+
+    def frame_times_many(
+        self,
+        trace: Trace,
+        configs: Sequence[GpuConfig],
+        label: str = "simulate",
+    ) -> np.ndarray:
+        """Frame totals of ``trace`` on every config: ``(len(configs), num_frames)``.
+
+        Row ``i`` equals ``[out.time_ns for out in
+        simulate_frames(trace, configs[i])]`` bit for bit, but per-draw
+        detail is never shipped from workers or written to the cache:
+        the artifact is one ``(num_frames,)`` float64 array per (trace
+        content, config) pair, under its own ``frame_times`` key kind,
+        so an interrupted or extended sweep still simulates only the
+        missing candidates.
+        """
+        rows = self._simulate_per_config(
+            trace, configs, label, "frame_times", "simulate_frame_times",
+            lambda chunks: np.concatenate(chunks),
+        )
+        if not rows:
+            return np.empty((0, trace.num_frames))
+        return np.stack(rows)
+
+    def _simulate_per_config(
+        self,
+        trace: Trace,
+        configs: Sequence[GpuConfig],
+        label: str,
+        key_kind: str,
+        task_kind: str,
+        join: Callable[[List[Any]], Any],
+    ) -> List[Any]:
+        """One cached artifact per config: look up, dedupe, fan out, put.
+
+        Configs whose ``key_kind`` artifact is cached are read back;
+        the rest (each distinct key once) are simulated together by
+        ``task_kind`` tasks, one per frame range.  A task's value holds
+        one entry per simulated config, and ``join`` concatenates a
+        config's entries over the ranges into its artifact.
+        """
         configs = list(configs)
-        if not configs:
-            return []
-        keys = [
-            task_key("simulate_frames", trace=trace, config=config)
-            for config in configs
-        ]
+        keys = [task_key(key_kind, trace=trace, config=config) for config in configs]
         by_key: Dict[str, Any] = {}
-        need: List[Tuple[str, Any]] = []
+        need: Dict[str, GpuConfig] = {}
         for key, config in zip(keys, configs):
-            if key in by_key or any(key == k for k, _ in need):
+            if key in by_key or key in need:
                 continue
             hit = self.cache.get(key)
             if hit is not CACHE_MISS:
                 by_key[key] = hit
             else:
-                need.append((key, config))
+                need[key] = config
         if need:
-            need_configs = tuple(config for _, config in need)
+            need_configs = tuple(need.values())
             ranges = self._ranges(trace.num_frames)
             tasks = [
                 Task(
                     task_id=f"{label}:{start}:{stop}",
-                    kind="simulate_frame_range",
+                    kind=task_kind,
                     payload=(need_configs, start, stop, label),
-                    seed=spawn_worker_seed(
-                        self.seed, "simulate_frame_range", start, stop
-                    ),
+                    seed=spawn_worker_seed(self.seed, task_kind, start, stop),
                 )
                 for start, stop in ranges
             ]
             self._prepublish_precomp(trace, len(tasks))
             with self.telemetry.timer(label):
                 values = self.engine.run(tasks, context=trace)
-            for position, (key, _) in enumerate(need):
-                outputs: list = []
-                for start, stop in ranges:
-                    outputs.extend(values[f"{label}:{start}:{stop}"][position])
-                by_key[key] = outputs
-                self.cache.put(key, outputs)
-        return [list(by_key[key]) for key in keys]
+            for position, key in enumerate(need):
+                value = join(
+                    [values[f"{label}:{start}:{stop}"][position] for start, stop in ranges]
+                )
+                by_key[key] = value
+                self.cache.put(key, value)
+        return [by_key[key] for key in keys]
 
     def _prepublish_precomp(self, trace: "Trace", num_tasks: int) -> None:
         """Publish the trace's precompute to the shared store before fan-out.
@@ -574,10 +615,8 @@ class Runtime:
     def total_time_ns(
         self, trace: Trace, config: GpuConfig, label: str = "simulate"
     ) -> float:
-        """Whole-trace time on ``config`` (sum over per-frame outputs)."""
-        return float(
-            sum(out.time_ns for out in self.simulate_frames(trace, config, label))
-        )
+        """Whole-trace time on ``config``: its frame totals, summed in order."""
+        return sum_in_order(self.frame_times_many(trace, [config], label)[0])
 
     # -- clustering --------------------------------------------------------
 

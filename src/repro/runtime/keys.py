@@ -62,8 +62,9 @@ TASK_FIELD_KEYING: Mapping[str, str] = {
     "kind": "keyed directly via the 'kind' record field",
     "payload": (
         "keyed via the trace/config/params/extra digests at the key-"
-        "building call sites (Runtime.simulate_frames_many / "
-        "cluster_frames pass every payload component to task_key)"
+        "building call sites (Runtime._simulate_per_config, behind "
+        "simulate_frames_many and frame_times_many, and "
+        "Runtime.cluster_frames pass every payload component to task_key)"
     ),
     "deps": (
         "dependency values are keyed by their own task keys; the id "
@@ -126,9 +127,10 @@ def task_key(
 ) -> str:
     """The content-addressed key for one cacheable artifact.
 
-    ``kind`` names the computation (e.g. ``"simulate_frames"``); the
-    digests of its inputs and :data:`CACHE_FORMAT_VERSION` complete the
-    recipe documented in ``docs/RUNTIME.md``.
+    ``kind`` names the computation (e.g. ``"simulate_frames"`` or
+    ``"frame_times"``); the digests of its inputs and
+    :data:`CACHE_FORMAT_VERSION` complete the recipe documented in
+    ``docs/RUNTIME.md``.
     """
     record = {
         "kind": kind,

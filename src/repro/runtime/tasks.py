@@ -137,10 +137,33 @@ def _simulate_frame_range(
     trace = context
     configs, start, stop, phase = payload
     per_config = simulate_frame_range_multi(trace, configs, start, stop)
+    _count_frames(configs, start, stop, phase)
+    return TaskResult(tuple(tuple(outputs) for outputs in per_config))
+
+
+@task_function("simulate_frame_times")
+def _simulate_frame_times(
+    context: Any, payload: Any, deps: Dict[str, Any]
+) -> TaskResult:
+    """Frame totals of ``[start, stop)`` of the context trace on N configs.
+
+    The same payload and evaluation as ``simulate_frame_range``, but the
+    value is one ``(len(configs), stop - start)`` float64 array of frame
+    times: per-draw detail never leaves the worker.
+    """
+    from repro.simgpu.batch import simulate_frame_times_multi
+
+    trace = context
+    configs, start, stop, phase = payload
+    times = simulate_frame_times_multi(trace, configs, start, stop)
+    _count_frames(configs, start, stop, phase)
+    return TaskResult(times)
+
+
+def _count_frames(configs: Tuple[Any, ...], start: int, stop: int, phase: str) -> None:
     current_obs().metrics.inc(
         "frames_simulated", (stop - start) * len(configs), phase=phase
     )
-    return TaskResult(tuple(tuple(outputs) for outputs in per_config))
 
 
 @task_function("cluster_frame_range")

@@ -5,12 +5,16 @@ layers: per-frame *precompute* (:mod:`repro.simgpu.batch`: the
 Fenwick-tree LRU reuse-distance pass and the draw-noise stream), the
 per-draw texture/render-target reductions of :mod:`repro.core.features`,
 and leader clustering (:mod:`repro.core.leader`), where each draw is
-compared with every leader founded before it.  This module compiles
+compared with every leader founded before it.  A fourth layer, the cost
+model behind :func:`repro.simgpu.batch.simulate_frame_multi`, does
+vectorize in numpy, but as some thirty ``(configs, draws)`` temporaries
+per frame; compiled, it is one pass per element.  This module compiles
 them, keeping numpy as the only dependency.  There are two backends:
 
 - **cext** — the loops as a small C library compiled on demand with the
-  host toolchain (``cc -O2 -ffp-contract=off -shared``, source fed on
-  stdin) into a content-addressed cache under ``<cache-dir>/kernels/``
+  host toolchain (``cc -O3 -ffp-contract=off -fno-trapping-math
+  -shared``, source fed on stdin) into a content-addressed cache under
+  ``<cache-dir>/kernels/``
   and loaded via ``ctypes``; the build is attempted once per process
   and at most once per source digest per machine;
 - **python** — the pure-Python/numpy loops, always available: the
@@ -44,7 +48,23 @@ approx):
   built with ``-ffp-contract=off`` so no multiply-add is fused, and
   both backends round every step identically.  Rows must be finite:
   the caller validates, because numpy's NaN-propagating ``argmin`` and
-  C's ``<`` disagree on NaN.
+  C's ``<`` disagree on NaN;
+- :func:`cost_model` computes every ``(config, draw)`` element in the
+  python reference's operation order.  Python's ``a + b * c + d * e``
+  is left-associative, ``((a + b * c) + d * e)``, and the C code spells
+  each such expression with the same grouping (no fused multiply-add,
+  per ``-ffp-contract=off``).  The sum over the six stages adds left to
+  right in ``np.stack`` order (vertex, fetch, raster, pixel, texture,
+  rop), which is what ``stages.sum(axis=0)`` does over the leading
+  axis; the max over stages is order-free.  Inputs are finite
+  (``ShaderStats.registers >= 1`` and :class:`~repro.simgpu.config.
+  GpuConfig` positivity are validated), so C's ``<`` and ``>`` agree
+  with ``np.minimum`` and ``np.maximum``.  Every element is independent,
+  so loop order is free, and config-independent terms (``vs_ops``,
+  ``vertex_bytes``, ``samples``, ...) are hoisted out of the config
+  loop.  Every sum over draws stays in numpy, on the kernel's
+  ``(configs, draws)`` outputs, so pairwise-summation order never
+  enters the kernel.
 """
 
 from __future__ import annotations
@@ -56,11 +76,12 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.simgpu import raster, rop, shadercore, texture
 from repro.util.rng import stable_unit
 
 #: Environment override for the kernel backend.
@@ -73,7 +94,43 @@ KERNEL_BACKENDS = ("auto", "cext", "python")
 #: library's content address, so stale ``.so`` files are never reloaded.
 #: v2: added the ``repro_noise_units`` sha256-based draw-noise kernel.
 #: v3: added the ``repro_leader_cluster`` leader-clustering kernel.
-KERNEL_ABI_VERSION = 3
+#: v4: added the ``repro_cost_model`` cost-model kernel.
+KERNEL_ABI_VERSION = 4
+
+#: Per-draw float64 inputs of :func:`cost_model`, in kernel order: the
+#: like-named :class:`~repro.simgpu.batch.FramePrecomp` arrays.
+COST_MODEL_DRAW_FIELDS: Tuple[str, ...] = (
+    "verts", "prims", "pix_rast", "pix_shaded", "stride",
+    "vs_alu", "vs_tex", "vs_branch", "vs_regs",
+    "ps_alu", "ps_tex", "ps_branch", "ps_regs",
+    "footprint", "color_bpp", "n_color", "depth_bpp", "noise_units",
+)
+
+#: Per-draw boolean inputs of :func:`cost_model` (passed as uint8).
+COST_MODEL_FLAG_FIELDS: Tuple[str, ...] = (
+    "cull_none", "blend_dest", "depth_reads", "depth_writes",
+)
+
+#: Columns of the ``(configs, K)`` matrix :func:`cost_model` prices
+#: (:class:`~repro.simgpu.batch.ConfigTable` builds it), in kernel order.
+COST_MODEL_CONFIG_COLUMNS: Tuple[str, ...] = (
+    "alu_lanes", "max_occ_regs", "vertex_fetch_bpc", "raster_prims_pc",
+    "raster_pixels_pc", "tex_rate", "tex_capacity", "cacheline", "rop_rate",
+    "depth_compression", "serial_fraction", "draw_overhead", "noise_amplitude",
+    "l2_miss_vertex", "l2_miss_tex", "l2_miss_rt", "dram_bpc",
+    "core_clock", "memory_clock", "mem_overlap",
+)
+
+#: The per-stage buffers :func:`cost_model` fills when asked, in the
+#: order the stages are summed.
+COST_MODEL_STAGES: Tuple[str, ...] = (
+    "vertex", "fetch", "raster", "pixel", "texture", "rop",
+)
+
+#: Cost-model outputs: per-draw ``times`` (ns), ``core`` and ``dram``
+#: cycles, each ``(configs, draws)``, plus the ``(6, configs, draws)``
+#: stage cycles when collected.
+CostModelOutput = Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]
 
 
 class KernelBackend:
@@ -88,7 +145,9 @@ class KernelBackend:
     units (``stable_unit("simgpu-noise", frame_index, i)``).  ``leader``
     takes ``(matrix, radius)`` — a C-contiguous finite float64 matrix
     with at least one column — and returns ``(labels, leader_indices)``
-    as int64 arrays.
+    as int64 arrays.  ``cost_model`` takes ``(draws, flags, configs,
+    warm_rows, warm_index, switch_rows, switch_index, collect_stages)``,
+    validated by :func:`cost_model`, and returns a :data:`CostModelOutput`.
     """
 
     def __init__(
@@ -99,6 +158,7 @@ class KernelBackend:
         seg_i64: Callable[[np.ndarray, np.ndarray], np.ndarray],
         noise: Callable[[int, int], np.ndarray],
         leader: Callable[[np.ndarray, float], Tuple[np.ndarray, np.ndarray]],
+        cost_model: Callable[..., CostModelOutput],
     ) -> None:
         self.name = name
         self._reuse = reuse
@@ -106,6 +166,7 @@ class KernelBackend:
         self._seg_i64 = seg_i64
         self._noise = noise
         self._leader = leader
+        self._cost_model = cost_model
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +277,122 @@ def _leader_python(matrix: np.ndarray, radius: float) -> Tuple[np.ndarray, np.nd
     return labels, leader_indices[:count].copy()
 
 
+def _throughput(regs: np.ndarray, max_occ_regs: np.ndarray) -> np.ndarray:
+    occ = np.minimum(1.0, max_occ_regs / regs)
+    return shadercore.MIN_THROUGHPUT_FACTOR + (
+        1.0 - shadercore.MIN_THROUGHPUT_FACTOR
+    ) * occ
+
+
+def _cost_model_python(
+    draws: np.ndarray,
+    flags: np.ndarray,
+    configs: np.ndarray,
+    warm_rows: np.ndarray,
+    warm_index: np.ndarray,
+    switch_rows: np.ndarray,
+    switch_index: np.ndarray,
+    collect_stages: bool,
+) -> CostModelOutput:
+    """The reference cost model: one numpy expression per model term.
+
+    Every config parameter is a ``(configs, 1)`` column and every draw
+    input a ``(draws,)`` row (of ``draws`` / ``flags``, in field order),
+    so each term broadcasts to ``(configs, draws)``.  The C kernel
+    reproduces this block element by element.
+    """
+    (verts, prims, pix_rast, pix_shaded, stride,
+     vs_alu, vs_tex, vs_branch, vs_regs,
+     ps_alu, ps_tex, ps_branch, ps_regs,
+     footprint, color_bpp, n_color, depth_bpp, noise_units) = draws
+    cull_none, blend_dest, depth_reads, depth_writes = flags
+    (alu_lanes, max_occ_regs, vertex_fetch_bpc, raster_prims_pc,
+     raster_pixels_pc, tex_rate, tex_capacity, cacheline, rop_rate,
+     depth_compression, serial_fraction, draw_overhead, noise_amplitude,
+     l2_miss_vertex, l2_miss_tex, l2_miss_rt, dram_bpc,
+     core_clock, memory_clock, mem_overlap) = np.hsplit(configs, configs.shape[1])
+    warm = warm_rows[warm_index]
+    switch = switch_rows[switch_index]
+
+    vs_ops = (
+        vs_alu
+        + shadercore.TEX_OP_ALU_COST * vs_tex
+        + shadercore.BRANCH_OP_ALU_COST * vs_branch
+    )
+    ps_ops = (
+        ps_alu
+        + shadercore.TEX_OP_ALU_COST * ps_tex
+        + shadercore.BRANCH_OP_ALU_COST * ps_branch
+    )
+    vertex_cycles = (
+        verts * vs_ops
+        / (alu_lanes * _throughput(vs_regs, max_occ_regs))
+    )
+    pixel_cycles = (
+        pix_shaded * ps_ops
+        / (alu_lanes * _throughput(ps_regs, max_occ_regs))
+    )
+
+    vertex_bytes = verts * stride
+    fetch_cycles = vertex_bytes / vertex_fetch_bpc
+
+    setup_prims = np.where(cull_none, prims, prims * raster.CULL_SURVIVAL)
+    raster_cycles = (
+        setup_prims / raster_prims_pc + pix_rast / raster_pixels_pc
+    )
+
+    samples = pix_shaded * ps_tex + verts * vs_tex
+    tex_cycles = samples / tex_rate
+    pressure = footprint / tex_capacity
+    cold = np.minimum(
+        texture.MAX_MISS, texture.BASE_MISS + texture.CAPACITY_MISS_SCALE * pressure
+    )
+    miss = np.where(
+        footprint == 0,
+        0.0,
+        cold * (warm * texture.WARM_MISS_MULTIPLIER + (1.0 - warm)),
+    )
+    tex_bytes = np.minimum(
+        samples * miss * cacheline,
+        texture.FOOTPRINT_OVERFETCH_CAP * footprint,
+    )
+
+    writes = pix_shaded * n_color
+    rop_rate = rop_rate * np.where(
+        blend_dest, rop.BLEND_THROUGHPUT_FACTOR, 1.0
+    )
+    depth_tests = np.where(depth_reads, pix_rast, 0.0)
+    rop_cycles = (writes + 0.25 * depth_tests) / rop_rate
+
+    color_write = pix_shaded * color_bpp
+    rt_base = color_write + np.where(blend_dest, color_write, 0.0)
+    depth_pp = depth_bpp * depth_compression
+    rt_bytes = rt_base + np.where(depth_reads, pix_rast * depth_pp, 0.0)
+    rt_bytes = rt_bytes + np.where(depth_writes, pix_shaded * depth_pp, 0.0)
+
+    stages = np.stack(
+        [vertex_cycles, fetch_cycles, raster_cycles, pixel_cycles, tex_cycles, rop_cycles]
+    )
+    slowest = stages.max(axis=0)
+    residual = serial_fraction * (stages.sum(axis=0) - slowest)
+    core = slowest + residual + switch + draw_overhead
+    core = core * (1.0 + noise_amplitude * (2.0 * noise_units - 1.0))
+
+    dram_bytes = (
+        vertex_bytes * l2_miss_vertex
+        + tex_bytes * l2_miss_tex
+        + rt_bytes * l2_miss_rt
+    )
+    dram = dram_bytes / dram_bpc
+
+    core_ns = 1e3 * core / core_clock
+    mem_ns = 1e3 * dram / memory_clock
+    times = np.maximum(core_ns, mem_ns) + mem_overlap * np.minimum(
+        core_ns, mem_ns
+    )
+    return times, core, dram, stages if collect_stages else None
+
+
 _PYTHON_BACKEND = KernelBackend(
     "python",
     _reuse_python,
@@ -223,6 +400,7 @@ _PYTHON_BACKEND = KernelBackend(
     _seg_i64_python,
     _noise_python,
     _leader_python,
+    _cost_model_python,
 )
 
 
@@ -473,15 +651,197 @@ int64_t repro_leader_cluster(
     }
     return count;
 }
+
+/* The cost model of repro.simgpu.cost over c configs x n draws, element
+ * for element the numpy reference _cost_model_python: same operations,
+ * same grouping (a + b * c + d * e is ((a + b * c) + d * e)), no fused
+ * multiply-add.  Indices below follow COST_MODEL_DRAW_FIELDS,
+ * COST_MODEL_FLAG_FIELDS, COST_MODEL_CONFIG_COLUMNS and
+ * _COST_MODEL_CONSTANTS.  The config loop is branch-free (np.where's
+ * "compute both, select one" as ?:) so the compiler can vectorize it. */
+enum { D_VERTS, D_PRIMS, D_PIX_RAST, D_PIX_SHADED, D_STRIDE,
+       D_VS_ALU, D_VS_TEX, D_VS_BRANCH, D_VS_REGS,
+       D_PS_ALU, D_PS_TEX, D_PS_BRANCH, D_PS_REGS,
+       D_FOOTPRINT, D_COLOR_BPP, D_N_COLOR, D_DEPTH_BPP, D_NOISE };
+enum { F_CULL_NONE, F_BLEND_DEST, F_DEPTH_READS, F_DEPTH_WRITES };
+enum { K_ALU_LANES, K_MAX_OCC_REGS, K_VERTEX_FETCH_BPC, K_RASTER_PRIMS_PC,
+       K_RASTER_PIXELS_PC, K_TEX_RATE, K_TEX_CAPACITY, K_CACHELINE,
+       K_ROP_RATE, K_DEPTH_COMPRESSION, K_SERIAL_FRACTION, K_DRAW_OVERHEAD,
+       K_NOISE_AMPLITUDE, K_L2_MISS_VERTEX, K_L2_MISS_TEX, K_L2_MISS_RT,
+       K_DRAM_BPC, K_CORE_CLOCK, K_MEMORY_CLOCK, K_MEM_OVERLAP, K_COUNT };
+enum { M_TEX_OP_ALU_COST, M_BRANCH_OP_ALU_COST, M_MIN_THROUGHPUT,
+       M_CULL_SURVIVAL, M_MAX_MISS, M_BASE_MISS, M_CAPACITY_MISS_SCALE,
+       M_WARM_MISS_MULTIPLIER, M_FOOTPRINT_OVERFETCH_CAP,
+       M_BLEND_THROUGHPUT };
+/* Config-independent per-draw terms, computed once per frame. */
+enum { H_VS_WORK, H_PS_WORK, H_VERTEX_BYTES, H_SETUP_PRIMS, H_SAMPLES,
+       H_ROP_WORK, H_RT_BASE, H_NOISE, H_ROP_FACTOR, H_DEPTH_READS,
+       H_DEPTH_WRITES, H_COUNT };
+
+#define DRAW(f) (draws + (f) * n)
+#define HOIST(h) (hoisted + (h) * n)
+
+/* One config's row.  Always inlined with a constant `collect`, so the
+ * stage stores cost nothing when they are not asked for. */
+static inline __attribute__((always_inline)) void cost_row(
+    const int collect, int64_t n,
+    const double *restrict draws, const double *restrict hoisted,
+    const double *restrict k, const double *restrict consts,
+    const double *restrict warm, const double *restrict switch_cycles,
+    double *restrict times, double *restrict core, double *restrict dram,
+    double *restrict s_vertex, double *restrict s_fetch,
+    double *restrict s_raster, double *restrict s_pixel,
+    double *restrict s_texture, double *restrict s_rop)
+{
+    const double min_thr = consts[M_MIN_THROUGHPUT];
+    const double thr_span = 1.0 - min_thr;
+    for (int64_t i = 0; i < n; i++) {
+        double occ_vs = k[K_MAX_OCC_REGS] / DRAW(D_VS_REGS)[i];
+        occ_vs = occ_vs < 1.0 ? occ_vs : 1.0;
+        double occ_ps = k[K_MAX_OCC_REGS] / DRAW(D_PS_REGS)[i];
+        occ_ps = occ_ps < 1.0 ? occ_ps : 1.0;
+        double vertex = HOIST(H_VS_WORK)[i]
+            / (k[K_ALU_LANES] * (min_thr + thr_span * occ_vs));
+        double pixel = HOIST(H_PS_WORK)[i]
+            / (k[K_ALU_LANES] * (min_thr + thr_span * occ_ps));
+        double fetch = HOIST(H_VERTEX_BYTES)[i] / k[K_VERTEX_FETCH_BPC];
+        double rast = HOIST(H_SETUP_PRIMS)[i] / k[K_RASTER_PRIMS_PC]
+                      + DRAW(D_PIX_RAST)[i] / k[K_RASTER_PIXELS_PC];
+        double tex = HOIST(H_SAMPLES)[i] / k[K_TEX_RATE];
+        double footprint = DRAW(D_FOOTPRINT)[i];
+        double cold = consts[M_BASE_MISS]
+                      + consts[M_CAPACITY_MISS_SCALE] * (footprint / k[K_TEX_CAPACITY]);
+        cold = cold < consts[M_MAX_MISS] ? cold : consts[M_MAX_MISS];
+        double miss = cold * (warm[i] * consts[M_WARM_MISS_MULTIPLIER] + (1.0 - warm[i]));
+        miss = footprint == 0.0 ? 0.0 : miss;
+        double tex_bytes = (HOIST(H_SAMPLES)[i] * miss) * k[K_CACHELINE];
+        double tex_cap = consts[M_FOOTPRINT_OVERFETCH_CAP] * footprint;
+        tex_bytes = tex_bytes < tex_cap ? tex_bytes : tex_cap;
+        double rop_cycles = HOIST(H_ROP_WORK)[i] / (k[K_ROP_RATE] * HOIST(H_ROP_FACTOR)[i]);
+        double depth_pp = DRAW(D_DEPTH_BPP)[i] * k[K_DEPTH_COMPRESSION];
+        double read_bytes = DRAW(D_PIX_RAST)[i] * depth_pp;
+        double write_bytes = DRAW(D_PIX_SHADED)[i] * depth_pp;
+        double rt_bytes = HOIST(H_RT_BASE)[i]
+            + (HOIST(H_DEPTH_READS)[i] != 0.0 ? read_bytes : 0.0);
+        rt_bytes = rt_bytes + (HOIST(H_DEPTH_WRITES)[i] != 0.0 ? write_bytes : 0.0);
+
+        double slowest = vertex;
+        slowest = fetch > slowest ? fetch : slowest;
+        slowest = rast > slowest ? rast : slowest;
+        slowest = pixel > slowest ? pixel : slowest;
+        slowest = tex > slowest ? tex : slowest;
+        slowest = rop_cycles > slowest ? rop_cycles : slowest;
+        double stage_sum = ((((vertex + fetch) + rast) + pixel) + tex) + rop_cycles;
+        double residual = k[K_SERIAL_FRACTION] * (stage_sum - slowest);
+        double core_cycles = ((slowest + residual) + switch_cycles[i]) + k[K_DRAW_OVERHEAD];
+        core_cycles = core_cycles * (1.0 + k[K_NOISE_AMPLITUDE] * HOIST(H_NOISE)[i]);
+        double dram_cycles = ((HOIST(H_VERTEX_BYTES)[i] * k[K_L2_MISS_VERTEX]
+                               + tex_bytes * k[K_L2_MISS_TEX])
+                              + rt_bytes * k[K_L2_MISS_RT]) / k[K_DRAM_BPC];
+        double core_ns = (1e3 * core_cycles) / k[K_CORE_CLOCK];
+        double mem_ns = (1e3 * dram_cycles) / k[K_MEMORY_CLOCK];
+        double hi = core_ns > mem_ns ? core_ns : mem_ns;
+        double lo = core_ns < mem_ns ? core_ns : mem_ns;
+        times[i] = hi + k[K_MEM_OVERLAP] * lo;
+        core[i] = core_cycles;
+        dram[i] = dram_cycles;
+        if (collect) {
+            s_vertex[i] = vertex;
+            s_fetch[i] = fetch;
+            s_raster[i] = rast;
+            s_pixel[i] = pixel;
+            s_texture[i] = tex;
+            s_rop[i] = rop_cycles;
+        }
+    }
+}
+
+/* `draws` and `flags` hold one row of n per input field; `hoisted` is
+ * H_COUNT * n scratch; `core_dram` is two planes of c * n (core, then
+ * dram cycles); `stages` is NULL or 6 planes of c * n, one per stage
+ * in COST_MODEL_STAGES order. */
+void repro_cost_model(
+    int64_t n, int64_t c, const double *draws, const uint8_t *flags,
+    const double *configs, const double *consts,
+    const double *warm_rows, const int64_t *warm_index,
+    const double *switch_rows, const int64_t *switch_index,
+    double *hoisted, double *times, double *core_dram, double *stages)
+{
+    const uint8_t *cull_none = flags + F_CULL_NONE * n;
+    const uint8_t *blend_dest = flags + F_BLEND_DEST * n;
+    const uint8_t *depth_reads = flags + F_DEPTH_READS * n;
+    const uint8_t *depth_writes = flags + F_DEPTH_WRITES * n;
+    for (int64_t i = 0; i < n; i++) {
+        double vs_ops = (DRAW(D_VS_ALU)[i] + consts[M_TEX_OP_ALU_COST] * DRAW(D_VS_TEX)[i])
+                        + consts[M_BRANCH_OP_ALU_COST] * DRAW(D_VS_BRANCH)[i];
+        double ps_ops = (DRAW(D_PS_ALU)[i] + consts[M_TEX_OP_ALU_COST] * DRAW(D_PS_TEX)[i])
+                        + consts[M_BRANCH_OP_ALU_COST] * DRAW(D_PS_BRANCH)[i];
+        double verts = DRAW(D_VERTS)[i], prims = DRAW(D_PRIMS)[i];
+        double pix_rast = DRAW(D_PIX_RAST)[i], pix_shaded = DRAW(D_PIX_SHADED)[i];
+        HOIST(H_VS_WORK)[i] = verts * vs_ops;
+        HOIST(H_PS_WORK)[i] = pix_shaded * ps_ops;
+        HOIST(H_VERTEX_BYTES)[i] = verts * DRAW(D_STRIDE)[i];
+        HOIST(H_SETUP_PRIMS)[i] = cull_none[i] ? prims : prims * consts[M_CULL_SURVIVAL];
+        HOIST(H_SAMPLES)[i] = pix_shaded * DRAW(D_PS_TEX)[i] + verts * DRAW(D_VS_TEX)[i];
+        double writes = pix_shaded * DRAW(D_N_COLOR)[i];
+        double depth_tests = depth_reads[i] ? pix_rast : 0.0;
+        HOIST(H_ROP_WORK)[i] = writes + 0.25 * depth_tests;
+        double color_write = pix_shaded * DRAW(D_COLOR_BPP)[i];
+        HOIST(H_RT_BASE)[i] = color_write + (blend_dest[i] ? color_write : 0.0);
+        HOIST(H_NOISE)[i] = 2.0 * DRAW(D_NOISE)[i] - 1.0;
+        HOIST(H_ROP_FACTOR)[i] = blend_dest[i] ? consts[M_BLEND_THROUGHPUT] : 1.0;
+        HOIST(H_DEPTH_READS)[i] = depth_reads[i] ? 1.0 : 0.0;
+        HOIST(H_DEPTH_WRITES)[i] = depth_writes[i] ? 1.0 : 0.0;
+    }
+    const int64_t plane = c * n;
+    for (int64_t ci = 0; ci < c; ci++) {
+        const double *k = configs + ci * K_COUNT;
+        const double *warm = warm_rows + warm_index[ci] * n;
+        const double *switch_cycles = switch_rows + switch_index[ci] * n;
+        double *core = core_dram + ci * n;
+        double *s = stages ? stages + ci * n : NULL;
+        if (s)
+            cost_row(1, n, draws, hoisted, k, consts, warm, switch_cycles,
+                     times + ci * n, core, core + plane, s, s + plane,
+                     s + 2 * plane, s + 3 * plane, s + 4 * plane, s + 5 * plane);
+        else
+            cost_row(0, n, draws, hoisted, k, consts, warm, switch_cycles,
+                     times + ci * n, core, core + plane,
+                     NULL, NULL, NULL, NULL, NULL, NULL);
+    }
+}
+
+#undef DRAW
+#undef HOIST
 """
 
 _I64_P = ctypes.POINTER(ctypes.c_int64)
 _F64_P = ctypes.POINTER(ctypes.c_double)
 
+#: The model constants the C cost model reads, in its ``M_*`` order.
+_COST_MODEL_CONSTANTS: Tuple[float, ...] = (
+    shadercore.TEX_OP_ALU_COST,
+    shadercore.BRANCH_OP_ALU_COST,
+    shadercore.MIN_THROUGHPUT_FACTOR,
+    raster.CULL_SURVIVAL,
+    texture.MAX_MISS,
+    texture.BASE_MISS,
+    texture.CAPACITY_MISS_SCALE,
+    texture.WARM_MISS_MULTIPLIER,
+    texture.FOOTPRINT_OVERFETCH_CAP,
+    rop.BLEND_THROUGHPUT_FACTOR,
+)
 
-#: Compiler flags; ``-ffp-contract=off`` keeps the leader distance's
-#: multiply and add separately rounded, as numpy rounds them.
-_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+#: Rows of the C cost model's config-independent scratch (its ``H_COUNT``).
+_COST_MODEL_HOISTED_TERMS = 11
+
+
+#: Compiler flags; ``-ffp-contract=off`` keeps every multiply and add
+#: separately rounded, as numpy rounds them.  ``-O3`` and
+#: ``-fno-trapping-math`` let the cost model's loop vectorize (its
+#: selects become blends; about 1.6x faster on a 144-config sweep);
+#: neither allows reassociation.
+_CFLAGS = ("-O3", "-ffp-contract=off", "-fno-trapping-math", "-fPIC", "-shared")
 
 
 def _c_source_digest() -> str:
@@ -569,6 +929,11 @@ def _load_cext_backend() -> KernelBackend:
         _F64_P, ctypes.c_int64, ctypes.c_int64, ctypes.c_double,
         _F64_P, _I64_P, _I64_P,
     ]
+    # Addresses go in as plain integers: at C = 1 the frame is small and
+    # each ``data_as`` wrapper costs about as much as pricing a draw.
+    lib.repro_cost_model.restype = None
+    lib.repro_cost_model.argtypes = [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 12
+    constants = np.array(_COST_MODEL_CONSTANTS, dtype=np.float64)
 
     def i64p(array: np.ndarray) -> "ctypes._Pointer":
         return array.ctypes.data_as(_I64_P)
@@ -616,7 +981,32 @@ def _load_cext_backend() -> KernelBackend:
         )
         return labels, leader_indices[:count].copy()
 
-    return KernelBackend("cext", reuse, seg_f64, seg_i64, noise, leader)
+    def cost_model(
+        draws: np.ndarray,
+        flags: np.ndarray,
+        configs: np.ndarray,
+        warm_rows: np.ndarray,
+        warm_index: np.ndarray,
+        switch_rows: np.ndarray,
+        switch_index: np.ndarray,
+        collect_stages: bool,
+    ) -> CostModelOutput:
+        c, n = configs.shape[0], draws.shape[1]
+        times = np.empty((c, n))
+        core_dram = np.empty((2, c, n))
+        stages = np.empty((len(COST_MODEL_STAGES), c, n)) if collect_stages else None
+        hoisted = np.empty((_COST_MODEL_HOISTED_TERMS, n))
+        lib.repro_cost_model(
+            n, c, draws.ctypes.data, flags.ctypes.data,
+            configs.ctypes.data, constants.ctypes.data,
+            warm_rows.ctypes.data, warm_index.ctypes.data,
+            switch_rows.ctypes.data, switch_index.ctypes.data,
+            hoisted.ctypes.data, times.ctypes.data, core_dram.ctypes.data,
+            stages.ctypes.data if stages is not None else None,
+        )
+        return times, core_dram[0], core_dram[1], stages
+
+    return KernelBackend("cext", reuse, seg_f64, seg_i64, noise, leader, cost_model)
 
 
 # ---------------------------------------------------------------------------
@@ -800,11 +1190,69 @@ def leader_labels(matrix: np.ndarray, radius: float) -> Tuple[np.ndarray, np.nda
     return backend()._leader(matrix, float(radius))
 
 
+def cost_model(
+    frame: Any,
+    configs: np.ndarray,
+    warm_rows: np.ndarray,
+    warm_index: np.ndarray,
+    switch_rows: np.ndarray,
+    switch_index: np.ndarray,
+    collect_stages: bool = False,
+) -> CostModelOutput:
+    """Price every draw of one frame on every config: ``(times, core, dram, stages)``.
+
+    ``frame`` carries the per-draw arrays named by
+    :data:`COST_MODEL_DRAW_FIELDS` and :data:`COST_MODEL_FLAG_FIELDS`
+    (a :class:`~repro.simgpu.batch.FramePrecomp`); ``configs`` is the
+    ``(C, K)`` matrix of :data:`COST_MODEL_CONFIG_COLUMNS`.  Config
+    ``i`` reads texture warmth from ``warm_rows[warm_index[i]]`` and
+    switch penalties from ``switch_rows[switch_index[i]]``, so configs
+    that share a cache size or switch costs share one row.  Returns
+    per-draw times (ns), core and dram cycles as ``(C, N)`` float64,
+    plus the ``(6, C, N)`` stage cycles (:data:`COST_MODEL_STAGES`) when
+    ``collect_stages`` is set, else ``None``.
+    """
+    try:
+        draws = np.stack(
+            [getattr(frame, name) for name in COST_MODEL_DRAW_FIELDS], dtype=np.float64
+        )
+        flags = np.stack(
+            [getattr(frame, name) for name in COST_MODEL_FLAG_FIELDS], dtype=np.bool_
+        ).view(np.uint8)
+    except ValueError as exc:
+        raise ConfigError(f"cost model draw inputs must be equally long: {exc}") from None
+    if draws.ndim != 2:
+        raise ConfigError(f"cost model draw inputs must be 1-D, got {draws.shape[1:]}")
+    n = draws.shape[1]
+    configs = np.ascontiguousarray(configs, dtype=np.float64)
+    if configs.ndim != 2 or configs.shape[1] != len(COST_MODEL_CONFIG_COLUMNS):
+        raise ConfigError(
+            f"cost model configs must be (C, {len(COST_MODEL_CONFIG_COLUMNS)}), "
+            f"got {configs.shape}"
+        )
+    c = configs.shape[0]
+    context = []
+    for rows, index in ((warm_rows, warm_index), (switch_rows, switch_index)):
+        rows = np.ascontiguousarray(rows, dtype=np.float64)
+        index = np.ascontiguousarray(index, dtype=np.int64)
+        if rows.ndim != 2 or rows.shape[1] != n or index.shape != (c,):
+            raise ConfigError("cost model context rows must be (R, N), indexed per config")
+        if c and (index.min() < 0 or index.max() >= rows.shape[0]):
+            raise ConfigError("cost model context row index out of range")
+        context += [rows, index]
+    return backend()._cost_model(draws, flags, configs, *context, bool(collect_stages))
+
+
 __all__: Tuple[str, ...] = (
+    "COST_MODEL_CONFIG_COLUMNS",
+    "COST_MODEL_DRAW_FIELDS",
+    "COST_MODEL_FLAG_FIELDS",
+    "COST_MODEL_STAGES",
     "KERNELS_ENV",
     "KERNEL_BACKENDS",
     "KernelBackend",
     "backend",
+    "cost_model",
     "kernel_info",
     "leader_labels",
     "noise_units",

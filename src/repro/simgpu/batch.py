@@ -13,13 +13,17 @@ approximation.
 
 One evaluator runs on top of the shared precompute:
 :func:`simulate_frame_multi` prices **all** candidate configs at once as
-a ``(num_configs, num_draws)`` broadcast against a :class:`ConfigTable`,
-which is what makes architecture sweeps over 828K-draw corpora
-tractable: the per-config Python draw loop is gone entirely.  A single
-config is the ``C = 1`` case.  :func:`simulate_frame_range_multi` is the
-one per-frame driver loop; :func:`simulate_frame_range` (one config,
-per-frame outputs) and :func:`simulate_trace_multi` (whole-trace
-results) are thin views of it.  The sequential
+one ``(num_configs, num_draws)`` pass of the cost-model kernel
+(:func:`repro.simgpu._kernels.cost_model`) against a
+:class:`ConfigTable`, which is what makes architecture sweeps over
+828K-draw corpora tractable: the per-config Python draw loop is gone
+entirely.  A single config is the ``C = 1`` case.  One per-frame driver
+loop feeds two drivers: :func:`simulate_frame_range_multi` keeps every
+per-frame output (per-draw times included), and
+:func:`simulate_frame_times_multi` keeps only frame totals, for callers
+that rank or correlate candidates.  :func:`simulate_frame_range` (one
+config, per-frame outputs) and :func:`simulate_trace_multi` (whole-trace
+results) are thin views of the first.  The sequential
 :class:`~repro.simgpu.simulator.GpuSimulator` stays the reference
 oracle.
 
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -41,9 +45,11 @@ from repro.errors import SimulationError
 from repro.gfx.drawtable import DrawTable
 from repro.gfx.trace import SHADER_STAT_COLUMNS, Trace
 from repro.obs.context import current_obs
-from repro.simgpu import _kernels, precomp_store, raster, rop, shadercore, texture
+from repro.simgpu import _kernels, precomp_store
 from repro.simgpu.config import GpuConfig
 from repro.simgpu.simulator import FrameResult, TraceResult
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -386,14 +392,51 @@ class BatchFrameOutput:
     stage_cycles: Optional[Dict[str, float]] = field(default=None, compare=False)
 
 
-class ConfigTable:
-    """Struct-of-arrays view of N candidate configs for broadcasting.
+#: How each cost-model config column derives from a :class:`GpuConfig`,
+#: keyed by :data:`repro.simgpu._kernels.COST_MODEL_CONFIG_COLUMNS`.
+_CONFIG_COLUMNS: Dict[str, Callable[[GpuConfig], float]] = {
+    "alu_lanes": lambda c: c.alu_lanes,
+    "max_occ_regs": lambda c: c.max_full_occupancy_registers,
+    "vertex_fetch_bpc": lambda c: c.vertex_fetch_bytes_per_cycle,
+    "raster_prims_pc": lambda c: c.raster_prims_per_cycle,
+    "raster_pixels_pc": lambda c: c.raster_pixels_per_cycle,
+    "tex_rate": lambda c: c.tex_units_total * c.tex_rate_per_unit,
+    "tex_capacity": lambda c: c.tex_cache_kb * 1024,
+    "cacheline": lambda c: c.cacheline_bytes,
+    "rop_rate": lambda c: c.rop_pixels_total_per_cycle,
+    "depth_compression": lambda c: c.depth_compression,
+    "serial_fraction": lambda c: c.serial_fraction,
+    "draw_overhead": lambda c: c.draw_overhead_cycles,
+    "noise_amplitude": lambda c: c.noise_amplitude,
+    "l2_miss_vertex": lambda c: 1.0 - c.l2_hit_vertex,
+    "l2_miss_tex": lambda c: 1.0 - c.l2_hit_tex,
+    "l2_miss_rt": lambda c: 1.0 - c.l2_hit_rt,
+    "dram_bpc": lambda c: c.dram_bytes_per_mem_cycle,
+    "core_clock": lambda c: c.core_clock_mhz,
+    "memory_clock": lambda c: c.memory_clock_mhz,
+    "mem_overlap": lambda c: c.mem_overlap_residual,
+}
 
-    Every model parameter becomes a ``(N, 1)`` float column so the cost
-    model can evaluate ``(num_configs, num_draws)`` in one numpy pass.
-    Context inputs (warm capacities, switch costs) stay exact Python
-    scalars because warmth needs integer-exact capacity comparisons and
-    both are shared across configs that agree on them.
+
+def _distinct(values: Sequence[T]) -> Tuple[Tuple[T, ...], np.ndarray]:
+    """(distinct values in first-seen order, each value's int64 position)."""
+    positions: Dict[T, int] = {}
+    index = [positions.setdefault(value, len(positions)) for value in values]
+    return tuple(positions), np.array(index, dtype=np.int64)
+
+
+class ConfigTable:
+    """The candidate configs as the cost-model kernel's inputs.
+
+    ``matrix`` holds every model parameter as one C-contiguous ``(C, K)``
+    float64 row per config (columns in
+    :data:`~repro.simgpu._kernels.COST_MODEL_CONFIG_COLUMNS` order),
+    built once per table.  The context inputs (warm capacities, switch
+    costs) stay exact Python values because warmth needs integer-exact
+    capacity comparisons; they are kept once per *distinct* value, with
+    each config's position in ``warm_index`` / ``switch_index``, so a
+    DVFS sweep (identical caches and penalties at every clock) computes
+    one warmth row and one switch row per frame.
     """
 
     def __init__(self, configs: Sequence[GpuConfig]) -> None:
@@ -405,80 +448,34 @@ class ConfigTable:
                     f"config must be GpuConfig, got {type(config).__name__}"
                 )
         self.configs: Tuple[GpuConfig, ...] = tuple(configs)
-
-        def col(get) -> np.ndarray:
-            return np.array(
-                [float(get(c)) for c in self.configs]
-            ).reshape(-1, 1)
-
-        self.alu_lanes = col(lambda c: c.alu_lanes)
-        self.max_occ_regs = col(lambda c: c.max_full_occupancy_registers)
-        self.vertex_fetch_bpc = col(lambda c: c.vertex_fetch_bytes_per_cycle)
-        self.raster_prims_pc = col(lambda c: c.raster_prims_per_cycle)
-        self.raster_pixels_pc = col(lambda c: c.raster_pixels_per_cycle)
-        self.tex_rate = col(lambda c: c.tex_units_total * c.tex_rate_per_unit)
-        self.tex_capacity = col(lambda c: c.tex_cache_kb * 1024)
-        self.cacheline = col(lambda c: c.cacheline_bytes)
-        self.rop_rate = col(lambda c: c.rop_pixels_total_per_cycle)
-        self.depth_compression = col(lambda c: c.depth_compression)
-        self.serial_fraction = col(lambda c: c.serial_fraction)
-        self.draw_overhead = col(lambda c: c.draw_overhead_cycles)
-        self.noise_amplitude = col(lambda c: c.noise_amplitude)
-        self.l2_miss_vertex = col(lambda c: 1.0 - c.l2_hit_vertex)
-        self.l2_miss_tex = col(lambda c: 1.0 - c.l2_hit_tex)
-        self.l2_miss_rt = col(lambda c: 1.0 - c.l2_hit_rt)
-        self.dram_bpc = col(lambda c: c.dram_bytes_per_mem_cycle)
-        self.core_clock = col(lambda c: c.core_clock_mhz)
-        self.memory_clock = col(lambda c: c.memory_clock_mhz)
-        self.mem_overlap = col(lambda c: c.mem_overlap_residual)
-        self.warm_capacities: Tuple[int, ...] = tuple(
-            c.warm_capacity_bytes for c in self.configs
+        getters = [_CONFIG_COLUMNS[name] for name in _kernels.COST_MODEL_CONFIG_COLUMNS]
+        self.matrix = np.array(
+            [[float(get(c)) for get in getters] for c in self.configs],
+            dtype=np.float64,
         )
-        self.switch_costs: Tuple[Tuple[float, float, float], ...] = tuple(
-            (c.shader_switch_cycles, c.state_switch_cycles, c.rt_switch_cycles)
-            for c in self.configs
+        self.warm_capacities, self.warm_index = _distinct(
+            [c.warm_capacity_bytes for c in self.configs]
+        )
+        self.switch_costs, self.switch_index = _distinct(
+            [
+                (c.shader_switch_cycles, c.state_switch_cycles, c.rt_switch_cycles)
+                for c in self.configs
+            ]
         )
 
     def __len__(self) -> int:
         return len(self.configs)
 
 
-def _context_matrix(
-    fp: FramePrecomp, table: ConfigTable
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(warm, switch) as ``(num_configs, num_draws)``, shared per value.
-
-    Rows are computed once per *distinct* warm capacity / switch-cost
-    triple, so a DVFS sweep (identical caches and penalties at every
-    clock) pays for exactly one row each.
-    """
-    num_configs = len(table)
-    n = fp.num_draws
-    warm = np.empty((num_configs, n))
-    switch = np.empty((num_configs, n))
-    warm_rows: Dict[int, np.ndarray] = {}
-    switch_rows: Dict[Tuple[float, float, float], np.ndarray] = {}
-    for ci in range(num_configs):
-        capacity = table.warm_capacities[ci]
-        row = warm_rows.get(capacity)
-        if row is None:
-            row = warm_fractions(fp, capacity)
-            warm_rows[capacity] = row
-        warm[ci] = row
-        costs = table.switch_costs[ci]
-        srow = switch_rows.get(costs)
-        if srow is None:
-            srow = switch_cycles(fp, *costs)
-            switch_rows[costs] = srow
-        switch[ci] = srow
+def _context_rows(fp: FramePrecomp, table: ConfigTable) -> Tuple[np.ndarray, np.ndarray]:
+    """(warm, switch) rows, one per distinct capacity / switch-cost triple."""
+    warm = np.empty((len(table.warm_capacities), fp.num_draws))
+    for row, capacity in enumerate(table.warm_capacities):
+        warm[row] = warm_fractions(fp, capacity)
+    switch = np.empty((len(table.switch_costs), fp.num_draws))
+    for row, costs in enumerate(table.switch_costs):
+        switch[row] = switch_cycles(fp, *costs)
     return warm, switch
-
-
-def _throughput(regs: np.ndarray, max_occ_regs: np.ndarray) -> np.ndarray:
-    occ = np.minimum(1.0, max_occ_regs / regs)
-    return shadercore.MIN_THROUGHPUT_FACTOR + (
-        1.0 - shadercore.MIN_THROUGHPUT_FACTOR
-    ) * occ
 
 
 def simulate_frame_multi(
@@ -486,124 +483,57 @@ def simulate_frame_multi(
     table: ConfigTable,
     collect_stages: bool = False,
 ) -> List[BatchFrameOutput]:
-    """Evaluate one frame on every config as a ``(C, N)`` numpy pass.
+    """Evaluate one frame on every config in one cost-model kernel call.
 
     This is the one vectorized form of the cost model in
-    :mod:`repro.simgpu.cost`; a single config is the ``C = 1`` table.
-    Returns one :class:`BatchFrameOutput` per config, in table order —
-    every operation is elementwise along the config axis, so row ``i``
-    is bit-identical to evaluating ``table.configs[i]`` alone.
+    :mod:`repro.simgpu.cost` (:func:`repro.simgpu._kernels.cost_model`,
+    compiled or its numpy reference); a single config is the ``C = 1``
+    table.  Returns one :class:`BatchFrameOutput` per config, in table
+    order — every element is computed independently along the config
+    axis, so row ``i`` is bit-identical to evaluating
+    ``table.configs[i]`` alone.  Totals are numpy row sums of the
+    kernel's ``(C, N)`` outputs: one ``sum(axis=1)`` per quantity and
+    per pass span, each row reduced exactly as a 1-D ``.sum()`` would.
     """
-    warm, switch = _context_matrix(fp, table)
-
-    vs_ops = (
-        fp.vs_alu
-        + shadercore.TEX_OP_ALU_COST * fp.vs_tex
-        + shadercore.BRANCH_OP_ALU_COST * fp.vs_branch
+    warm, switch = _context_rows(fp, table)
+    times, core, dram, stages = _kernels.cost_model(
+        fp, table.matrix, warm, table.warm_index, switch, table.switch_index,
+        collect_stages,
     )
-    ps_ops = (
-        fp.ps_alu
-        + shadercore.TEX_OP_ALU_COST * fp.ps_tex
-        + shadercore.BRANCH_OP_ALU_COST * fp.ps_branch
-    )
-    vertex_cycles = (
-        fp.verts * vs_ops
-        / (table.alu_lanes * _throughput(fp.vs_regs, table.max_occ_regs))
-    )
-    pixel_cycles = (
-        fp.pix_shaded * ps_ops
-        / (table.alu_lanes * _throughput(fp.ps_regs, table.max_occ_regs))
-    )
-
-    vertex_bytes = fp.verts * fp.stride
-    fetch_cycles = vertex_bytes / table.vertex_fetch_bpc
-
-    setup_prims = np.where(fp.cull_none, fp.prims, fp.prims * raster.CULL_SURVIVAL)
-    raster_cycles = (
-        setup_prims / table.raster_prims_pc + fp.pix_rast / table.raster_pixels_pc
-    )
-
-    samples = fp.pix_shaded * fp.ps_tex + fp.verts * fp.vs_tex
-    tex_cycles = samples / table.tex_rate
-    pressure = fp.footprint / table.tex_capacity
-    cold = np.minimum(
-        texture.MAX_MISS, texture.BASE_MISS + texture.CAPACITY_MISS_SCALE * pressure
-    )
-    miss = np.where(
-        fp.footprint == 0,
-        0.0,
-        cold * (warm * texture.WARM_MISS_MULTIPLIER + (1.0 - warm)),
-    )
-    tex_bytes = np.minimum(
-        samples * miss * table.cacheline,
-        texture.FOOTPRINT_OVERFETCH_CAP * fp.footprint,
-    )
-
-    writes = fp.pix_shaded * fp.n_color
-    rop_rate = table.rop_rate * np.where(
-        fp.blend_dest, rop.BLEND_THROUGHPUT_FACTOR, 1.0
-    )
-    depth_tests = np.where(fp.depth_reads, fp.pix_rast, 0.0)
-    rop_cycles = (writes + 0.25 * depth_tests) / rop_rate
-
-    color_write = fp.pix_shaded * fp.color_bpp
-    rt_base = color_write + np.where(fp.blend_dest, color_write, 0.0)
-    depth_pp = fp.depth_bpp * table.depth_compression
-    rt_bytes = rt_base + np.where(fp.depth_reads, fp.pix_rast * depth_pp, 0.0)
-    rt_bytes = rt_bytes + np.where(fp.depth_writes, fp.pix_shaded * depth_pp, 0.0)
-
-    stages = np.stack(
-        [vertex_cycles, fetch_cycles, raster_cycles, pixel_cycles, tex_cycles, rop_cycles]
-    )
-    slowest = stages.max(axis=0)
-    residual = table.serial_fraction * (stages.sum(axis=0) - slowest)
-    core = slowest + residual + switch + table.draw_overhead
-    core = core * (1.0 + table.noise_amplitude * (2.0 * fp.noise_units - 1.0))
-
-    dram_bytes = (
-        vertex_bytes * table.l2_miss_vertex
-        + tex_bytes * table.l2_miss_tex
-        + rt_bytes * table.l2_miss_rt
-    )
-    dram = dram_bytes / table.dram_bpc
-
-    core_ns = 1e3 * core / table.core_clock
-    mem_ns = 1e3 * dram / table.memory_clock
-    times = np.maximum(core_ns, mem_ns) + table.mem_overlap * np.minimum(
-        core_ns, mem_ns
-    )
-
-    time_totals = times.sum(axis=1)
-    core_totals = core.sum(axis=1)
-    dram_totals = dram.sum(axis=1)
+    time_totals = times.sum(axis=1).tolist()
+    core_totals = core.sum(axis=1).tolist()
+    dram_totals = dram.sum(axis=1).tolist()
+    span_totals = [
+        (pass_name, times[:, start:end].sum(axis=1).tolist())
+        for pass_name, start, end in fp.pass_spans
+    ]
+    stage_totals: Optional[List[Dict[str, float]]] = None
+    if stages is not None:
+        per_stage = dict(zip(_kernels.COST_MODEL_STAGES, stages.sum(axis=2)))
+        columns = {
+            "shader": (per_stage["vertex"] + per_stage["pixel"]).tolist(),
+            "fetch": per_stage["fetch"].tolist(),
+            "raster": per_stage["raster"].tolist(),
+            "texture": per_stage["texture"].tolist(),
+            "rop": per_stage["rop"].tolist(),
+            "memory": dram_totals,
+        }
+        stage_totals = [dict(zip(columns, row)) for row in zip(*columns.values())]
 
     outputs: List[BatchFrameOutput] = []
     for ci in range(len(table)):
         pass_times: Dict[str, float] = {}
-        for pass_name, start, end in fp.pass_spans:
-            total = float(times[ci, start:end].sum())
-            pass_times[pass_name] = pass_times.get(pass_name, 0.0) + total
-        stage_cycles: Optional[Dict[str, float]] = None
-        if collect_stages:
-            stage_cycles = {
-                "shader": float(
-                    vertex_cycles[ci].sum() + pixel_cycles[ci].sum()
-                ),
-                "fetch": float(fetch_cycles[ci].sum()),
-                "raster": float(raster_cycles[ci].sum()),
-                "texture": float(tex_cycles[ci].sum()),
-                "rop": float(rop_cycles[ci].sum()),
-                "memory": float(dram[ci].sum()),
-            }
+        for pass_name, totals in span_totals:
+            pass_times[pass_name] = pass_times.get(pass_name, 0.0) + totals[ci]
         outputs.append(
             BatchFrameOutput(
                 frame_index=fp.frame_index,
-                time_ns=float(time_totals[ci]),
-                core_cycles=float(core_totals[ci]),
-                dram_cycles=float(dram_totals[ci]),
+                time_ns=time_totals[ci],
+                core_cycles=core_totals[ci],
+                dram_cycles=dram_totals[ci],
                 draw_times_ns=times[ci],
                 pass_times_ns=pass_times,
-                stage_cycles=stage_cycles,
+                stage_cycles=stage_totals[ci] if stage_totals is not None else None,
             )
         )
     return outputs
@@ -614,33 +544,20 @@ def simulate_frame_multi(
 # ---------------------------------------------------------------------------
 
 
-def simulate_frame_range_multi(
-    trace: Trace,
-    configs: Sequence[GpuConfig],
-    start: int,
-    stop: int,
-) -> List[List[BatchFrameOutput]]:
-    """Simulate frames ``[start, stop)`` on every config, config-vectorized.
+def _evaluate_frames(
+    trace: Trace, configs: Tuple[GpuConfig, ...], start: int, stop: int
+) -> Iterator[List[BatchFrameOutput]]:
+    """Each frame of ``[start, stop)`` on every config, one frame at a time.
 
-    One ``(num_configs, num_draws)`` numpy pass per frame; per-frame
-    precompute comes from the per-process digest-keyed memo, so repeated
-    sweep/validate tasks on the same trace skip it entirely.  Frames are
-    mutually independent, which makes this the unit of work the parallel
-    runtime distributes — any partition of ``[0, num_frames)``
-    concatenates to exactly the full-trace result.
+    The one per-frame driver loop: precompute from the per-process
+    digest-keyed memo, one :func:`simulate_frame_multi` call per frame
+    (looked up as a module global, so a wrapper installed on the module
+    sees every call), a ``simulate_frame`` span under an enabled tracer,
+    and the ``frame_core_cycles`` observations.
     """
-    if not 0 <= start <= stop <= trace.num_frames:
-        raise SimulationError(
-            f"frame range [{start}, {stop}) invalid for "
-            f"{trace.num_frames}-frame trace"
-        )
-    configs = tuple(configs)
-    if not configs:
-        return []
     obs = current_obs()
     tracer = obs.tracer
     table = ConfigTable(configs)
-    per_config: List[List[BatchFrameOutput]] = [[] for _ in configs]
     for frame in trace.frames[start:stop]:
         fp = frame_precomp_cached(trace, frame)
         if tracer.enabled:
@@ -668,10 +585,68 @@ def simulate_frame_range_multi(
                 )
         else:
             outputs = simulate_frame_multi(fp, table)
-        for slot, out in enumerate(outputs):
+        for out in outputs:
             obs.metrics.observe("frame_core_cycles", out.core_cycles)
+        yield outputs
+
+
+def _check_range(trace: Trace, start: int, stop: int) -> None:
+    if not 0 <= start <= stop <= trace.num_frames:
+        raise SimulationError(
+            f"frame range [{start}, {stop}) invalid for "
+            f"{trace.num_frames}-frame trace"
+        )
+
+
+def simulate_frame_range_multi(
+    trace: Trace,
+    configs: Sequence[GpuConfig],
+    start: int,
+    stop: int,
+) -> List[List[BatchFrameOutput]]:
+    """Simulate frames ``[start, stop)`` on every config, config-vectorized.
+
+    One cost-model pass per frame over all configs; per-frame
+    precompute comes from the per-process digest-keyed memo, so
+    repeated sweep/validate tasks on the same trace skip it entirely.
+    Frames are mutually independent, which makes this the unit of work
+    the parallel runtime distributes — any partition of
+    ``[0, num_frames)`` concatenates to exactly the full-trace result.
+    """
+    _check_range(trace, start, stop)
+    configs = tuple(configs)
+    if not configs:
+        return []
+    per_config: List[List[BatchFrameOutput]] = [[] for _ in configs]
+    for outputs in _evaluate_frames(trace, configs, start, stop):
+        for slot, out in enumerate(outputs):
             per_config[slot].append(out)
     return per_config
+
+
+def simulate_frame_times_multi(
+    trace: Trace,
+    configs: Sequence[GpuConfig],
+    start: int,
+    stop: int,
+) -> np.ndarray:
+    """Frame totals of ``[start, stop)`` on every config: ``(C, stop - start)``.
+
+    The same evaluation as :func:`simulate_frame_range_multi`, keeping
+    only each output's ``time_ns``: a frame's per-draw matrices are
+    released once its totals are read, so callers that need only
+    totals (pathfinding sweeps, frequency scaling) never hold or ship
+    per-draw detail.  Row ``i`` equals
+    ``[out.time_ns for out in simulate_frame_range_multi(...)[i]]``.
+    """
+    _check_range(trace, start, stop)
+    configs = tuple(configs)
+    times = np.empty((len(configs), stop - start))
+    if not configs:
+        return times
+    for column, outputs in enumerate(_evaluate_frames(trace, configs, start, stop)):
+        times[:, column] = [out.time_ns for out in outputs]
+    return times
 
 
 def simulate_frame_range(

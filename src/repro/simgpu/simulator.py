@@ -12,6 +12,7 @@ from repro.gfx.trace import Trace
 from repro.simgpu.config import GpuConfig
 from repro.simgpu.cost import DrawCost, draw_cost
 from repro.simgpu.state_tracker import StateTracker
+from repro.util.stats import sum_in_order
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ class TraceResult:
 
     @property
     def total_time_ns(self) -> float:
-        return sum(fr.time_ns for fr in self.frame_results)
+        return sum_in_order([fr.time_ns for fr in self.frame_results])
 
     @property
     def total_time_ms(self) -> float:

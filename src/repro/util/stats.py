@@ -26,6 +26,20 @@ def _as_1d(values: Sequence[float], name: str) -> np.ndarray:
     return arr
 
 
+def sum_in_order(values: Sequence[float]) -> float:
+    """The float64 sum of ``values`` added strictly left to right.
+
+    One running double, the order ``np.cumsum`` adds in; ``0.0`` when
+    empty.  Result-bearing totals use this instead of the builtin
+    ``sum()``, which Python 3.12 made compensated (Neumaier), so its
+    last bits depend on the interpreter version; this equals the
+    builtin ``sum()`` of Python 3.10/3.11 bit for bit (bar a leading
+    ``-0.0``).
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    return float(np.cumsum(arr)[-1]) if arr.size else 0.0
+
+
 def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Pearson product-moment correlation coefficient of two sequences.
 

@@ -26,6 +26,19 @@ def test_clean_twin_is_clean():
     assert observed(check(path)) == []
 
 
+def test_frame_totals_entry_point_is_flagged():
+    # Runtime.frame_times_many prices candidates as synchronously as
+    # simulate_frames_many does, so calling it from a handler bypasses
+    # the queue the same way.
+    path = SERVICE / "frame_times_bad.py"
+    assert_matches_markers(check(path), path)
+
+
+def test_frame_totals_clean_twin_is_clean():
+    path = SERVICE / "frame_times_clean.py"
+    assert observed(check(path)) == []
+
+
 def test_executor_module_is_allowlisted():
     # The identical simulate_trace call that fires in handlers_bad.py is
     # sanctioned in service/executor.py — that's where queued jobs run.

@@ -1,0 +1,143 @@
+"""Frame totals as their own task kind and artifact.
+
+``Runtime.frame_times_many`` must equal the per-draw path's frame times
+bit for bit under any worker count and cache state, keep one artifact
+per (trace, config) so an extended sweep simulates only new candidates,
+and never write per-draw artifacts.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.analysis.sweep import pathfinding_sweep
+from repro.core.subsetting import build_subset
+from repro.runtime.engine import Runtime
+from repro.runtime.keys import task_key
+from repro.simgpu.config import GpuConfig
+from repro.synth.generator import TraceGenerator
+from repro.synth.profiles import GameProfile
+from repro.util.stats import sum_in_order
+
+SMALL = GameProfile.preset("bioshock1_like").scaled(0.05)
+
+
+@pytest.fixture(scope="module")
+def trace():
+    return TraceGenerator(SMALL, seed=41).generate(num_frames=9)
+
+
+@pytest.fixture(scope="module")
+def candidates():
+    base = GpuConfig.preset("mainstream")
+    return [
+        base,
+        base.with_core_clock(1400.0),
+        base.scaled(name="small-tex", tex_cache_kb=16),
+        GpuConfig.preset("lowpower"),
+    ]
+
+
+def _per_draw_frame_times(trace, configs):
+    reference = Runtime.serial()
+    return [
+        [out.time_ns for out in reference.simulate_frames(trace, config)]
+        for config in configs
+    ]
+
+
+def _artifacts(cache_dir: Path):
+    return sorted(p.stem for p in cache_dir.rglob("*.pkl"))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_totals_equal_per_draw_frame_times_cold_and_warm(trace, candidates, jobs, tmp_path):
+    expected = _per_draw_frame_times(trace, candidates)
+    for state in ("cold", "warm"):
+        runtime = Runtime(jobs=jobs, cache_dir=tmp_path)
+        totals = runtime.frame_times_many(trace, candidates, label="totals")
+        assert totals.shape == (len(candidates), trace.num_frames)
+        assert totals.dtype == np.float64
+        assert totals.tolist() == expected, state
+        simulated = runtime.snapshot().counter("frames_simulated")
+        if state == "cold":
+            assert simulated == len(candidates) * trace.num_frames
+        else:
+            assert simulated == 0
+
+
+def test_duplicate_configs_simulate_once(trace, candidates):
+    runtime = Runtime(jobs=1)
+    configs = [candidates[0], candidates[1], candidates[0]]
+    totals = runtime.frame_times_many(trace, configs)
+    assert totals[0].tolist() == totals[2].tolist()
+    assert runtime.snapshot().counter("frames_simulated") == 2 * trace.num_frames
+
+
+def test_no_configs(trace):
+    assert Runtime.serial().frame_times_many(trace, []).shape == (0, trace.num_frames)
+
+
+def test_total_time_adds_frame_totals_left_to_right(trace, candidates):
+    runtime = Runtime.serial()
+    config = candidates[0]
+    frame_times = _per_draw_frame_times(trace, [config])[0]
+    assert runtime.total_time_ns(trace, config) == sum_in_order(frame_times)
+
+
+def test_extended_sweep_simulates_only_the_new_candidate(trace, candidates, tmp_path):
+    subset = build_subset(trace)
+    subset_frames = subset.num_frames
+    first = Runtime(jobs=2, cache_dir=tmp_path)
+    pathfinding_sweep(trace, subset, candidates[:3], runtime=first)
+    assert first.snapshot().counter("frames_simulated") == 3 * (
+        trace.num_frames + subset_frames
+    )
+
+    extended = Runtime(jobs=2, cache_dir=tmp_path)
+    result = pathfinding_sweep(trace, subset, candidates, runtime=extended)
+    assert extended.snapshot().counter("frames_simulated") == (
+        trace.num_frames + subset_frames
+    )
+    assert result == pathfinding_sweep(trace, subset, candidates)
+
+
+def test_sweep_writes_no_per_draw_artifact(trace, candidates, tmp_path):
+    subset = build_subset(trace)
+    pathfinding_sweep(trace, subset, candidates, runtime=Runtime(jobs=1, cache_dir=tmp_path))
+    subset_trace = subset.materialize(trace)
+    totals = sorted(
+        task_key("frame_times", trace=t, config=c)
+        for t in (trace, subset_trace)
+        for c in candidates
+    )
+    assert _artifacts(tmp_path) == totals
+    for config in candidates:
+        per_draw = task_key("simulate_frames", trace=trace, config=config)
+        assert per_draw not in totals
+
+
+def test_totals_do_not_read_per_draw_artifacts(trace, candidates, tmp_path):
+    Runtime(jobs=1, cache_dir=tmp_path).simulate_frames_many(trace, candidates)
+    runtime = Runtime(jobs=1, cache_dir=tmp_path)
+    runtime.frame_times_many(trace, candidates)
+    assert runtime.snapshot().counter("frames_simulated") == len(candidates) * trace.num_frames
+
+
+def test_corrupted_totals_artifact_is_evicted_and_recomputed(trace, candidates, tmp_path):
+    config = candidates[1]
+    reference = Runtime(jobs=1, cache_dir=tmp_path).frame_times_many(trace, [config])
+    key = task_key("frame_times", trace=trace, config=config)
+    path = tmp_path / key[:2] / f"{key}.pkl"
+    path.write_bytes(path.read_bytes()[:20])
+
+    healed = Runtime(jobs=1, cache_dir=tmp_path)
+    assert healed.frame_times_many(trace, [config]).tolist() == reference.tolist()
+    snapshot = healed.snapshot()
+    assert snapshot.counter("cache_corrupt_evicted") == 1
+    assert snapshot.counter("frames_simulated") == trace.num_frames
+
+    final = Runtime(jobs=1, cache_dir=tmp_path)
+    assert final.frame_times_many(trace, [config]).tolist() == reference.tolist()
+    assert final.snapshot().counter("frames_simulated") == 0

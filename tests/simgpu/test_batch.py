@@ -13,12 +13,18 @@ from repro.gfx.state import (
     OPAQUE_STATE,
     TRANSPARENT_STATE,
 )
+from repro import datasets
 from repro.errors import SimulationError
+from repro.simgpu import _kernels, batch
 from repro.simgpu.batch import (
+    ConfigTable,
+    _context_rows,
     clear_precomp_cache,
     frame_precomp_cached,
+    simulate_frame_multi,
     simulate_frame_range,
     simulate_frame_range_multi,
+    simulate_frame_times_multi,
     simulate_trace_multi,
 )
 from repro.simgpu.config import GpuConfig
@@ -171,6 +177,67 @@ class TestMultiConfigParity:
     def test_empty_configs(self, simple_trace):
         assert simulate_trace_multi(simple_trace, []) == []
         assert simulate_frame_range_multi(simple_trace, [], 0, 1) == []
+        assert simulate_frame_times_multi(simple_trace, [], 0, 2).shape == (0, 2)
+
+    def test_pass_and_stage_totals_are_per_config_row_sums(self):
+        # One sum(axis=1) per pass span (and per stage) over all configs
+        # must equal the per-(config, pass) 1-D sums it replaced.
+        trace = datasets.load("bioshock2_like", frames=3, seed=5, scale=0.05)
+        table = ConfigTable(self._candidates())
+        for frame in trace.frames:
+            fp = frame_precomp_cached(trace, frame)
+            assert len({name for name, _, _ in fp.pass_spans}) > 1
+            outputs = simulate_frame_multi(fp, table, collect_stages=True)
+            warm, switch = _context_rows(fp, table)
+            times, _, dram, stages = _kernels.cost_model(
+                fp, table.matrix, warm, table.warm_index, switch, table.switch_index, True
+            )
+            vertex, fetch, raster, pixel, tex, rop = stages
+            for ci, out in enumerate(outputs):
+                pass_times = {}
+                for name, start, end in fp.pass_spans:
+                    total = float(times[ci, start:end].sum())
+                    pass_times[name] = pass_times.get(name, 0.0) + total
+                assert out.pass_times_ns == pass_times
+                assert out.stage_cycles == {
+                    "shader": float(vertex[ci].sum() + pixel[ci].sum()),
+                    "fetch": float(fetch[ci].sum()),
+                    "raster": float(raster[ci].sum()),
+                    "texture": float(tex[ci].sum()),
+                    "rop": float(rop[ci].sum()),
+                    "memory": float(dram[ci].sum()),
+                }
+                assert np.array_equal(out.draw_times_ns, times[ci])
+
+    def test_frame_totals_equal_per_frame_outputs(self, simple_trace):
+        configs = self._candidates()
+        n = simple_trace.num_frames
+        for start, stop in ((0, n), (1, n), (1, 1)):
+            per_frame = simulate_frame_range_multi(simple_trace, configs, start, stop)
+            totals = simulate_frame_times_multi(simple_trace, configs, start, stop)
+            assert totals.shape == (len(configs), stop - start)
+            assert totals.dtype == np.float64
+            for row, outputs in zip(totals, per_frame):
+                assert row.tolist() == [out.time_ns for out in outputs]
+        with pytest.raises(SimulationError, match="frame range"):
+            simulate_frame_times_multi(simple_trace, configs, 0, n + 1)
+
+    def test_frame_totals_call_the_module_evaluator(self, simple_trace, monkeypatch):
+        # Wrappers installed on the module attribute (the e2e benchmark's
+        # evaluate hook) must see every frame the totals driver prices.
+        calls = []
+        original = batch.simulate_frame_multi
+
+        def counting(fp, table, collect_stages=False):
+            outputs = original(fp, table, collect_stages)
+            calls.append(fp.num_draws * len(outputs))
+            return outputs
+
+        monkeypatch.setattr(batch, "simulate_frame_multi", counting)
+        simulate_frame_times_multi(simple_trace, self._candidates(), 0, simple_trace.num_frames)
+        assert calls == [
+            frame.num_draws * len(self._candidates()) for frame in simple_trace.frames
+        ]
 
     def test_invalid_range_rejected(self, simple_trace):
         with pytest.raises(SimulationError, match="frame range"):

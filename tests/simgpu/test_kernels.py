@@ -8,6 +8,7 @@ compiler.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,11 +19,12 @@ from hypothesis.extra import numpy as hnp
 from repro.errors import ConfigError
 from repro.runtime.cache import CACHE_DIR_ENV
 from repro.simgpu import _kernels
-from repro.simgpu.batch import precompute_frame
+from repro.simgpu.batch import ConfigTable, precompute_frame
 from repro.simgpu.config import GpuConfig
 from repro.simgpu.simulator import GpuSimulator
 
 from tests.conftest import make_draw, make_world
+from tests.simgpu.test_batch import config_strategy
 
 
 def _available(name: str) -> bool:
@@ -208,6 +210,87 @@ class TestPurePythonKernels:
         assert leaders.tolist() == [0, 2]
 
 
+#: Zero or a magnitude from 1 to 1e12: zero footprints and zero counts
+#: take the ``np.where`` branches, large ones the ``np.minimum`` caps.
+_magnitudes = st.one_of(
+    st.just(0.0), st.floats(min_value=1.0, max_value=1e12, allow_subnormal=False)
+)
+
+
+@st.composite
+def cost_model_inputs(draw):
+    """One frame's cost-model inputs: draw arrays, configs and context rows."""
+    n = draw(st.integers(min_value=0, max_value=10))
+
+    def column(values):
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64)
+
+    frame = {name: column(_magnitudes) for name in _kernels.COST_MODEL_DRAW_FIELDS}
+    for regs in ("vs_regs", "ps_regs"):  # ShaderStats.registers >= 1
+        frame[regs] = column(st.floats(min_value=1.0, max_value=1e12))
+    frame["n_color"] = column(st.floats(min_value=1.0, max_value=8.0))
+    frame["noise_units"] = column(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    flags = draw(st.lists(st.integers(min_value=0, max_value=15), min_size=n, max_size=n))
+    for bit, name in enumerate(_kernels.COST_MODEL_FLAG_FIELDS):
+        frame[name] = np.array([bool(f >> bit & 1) for f in flags], dtype=bool)
+    table = ConfigTable(draw(st.lists(config_strategy, min_size=1, max_size=8)))
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    warm = np.array(
+        [column(unit) for _ in table.warm_capacities], dtype=np.float64
+    ).reshape(len(table.warm_capacities), n)
+    switch = np.array(
+        [column(st.floats(min_value=0.0, max_value=3000.0)) for _ in table.switch_costs],
+        dtype=np.float64,
+    ).reshape(len(table.switch_costs), n)
+    return (
+        SimpleNamespace(**frame), table.matrix,
+        warm, table.warm_index, switch, table.switch_index,
+    )
+
+
+def _every_flag_combination():
+    """Sixteen draws, one per combination of the four flags, two configs."""
+    n = 16
+    frame = {name: np.full(n, 3.0) for name in _kernels.COST_MODEL_DRAW_FIELDS}
+    frame["footprint"] = np.array([0.0, 5e5] * 8)
+    frame["noise_units"] = np.linspace(0.0, 0.9, n)
+    for bit, name in enumerate(_kernels.COST_MODEL_FLAG_FIELDS):
+        frame[name] = np.array([bool(i >> bit & 1) for i in range(n)])
+    table = ConfigTable([GpuConfig.preset("lowpower"), GpuConfig.preset("highend")])
+    warm = np.tile(np.linspace(0.0, 1.0, n), (len(table.warm_capacities), 1))
+    switch = np.full((len(table.switch_costs), n), 200.0)
+    return (
+        SimpleNamespace(**frame), table.matrix,
+        warm, table.warm_index, switch, table.switch_index,
+    )
+
+
+def _cost_model_with(name, monkeypatch, inputs):
+    monkeypatch.setenv(_kernels.KERNELS_ENV, name)
+    return _kernels.cost_model(*inputs, collect_stages=True)
+
+
+class TestCostModelInputs:
+    def test_mismatched_draw_lengths_rejected(self, force_backend):
+        force_backend("python")
+        frame, *rest = _every_flag_combination()
+        frame.verts = frame.verts[:-1]
+        with pytest.raises(ConfigError, match="equally long"):
+            _kernels.cost_model(frame, *rest)
+
+    def test_context_index_out_of_range_rejected(self, force_backend):
+        force_backend("python")
+        frame, configs, warm, warm_index, switch, switch_index = _every_flag_combination()
+        with pytest.raises(ConfigError, match="out of range"):
+            _kernels.cost_model(frame, configs, warm, warm_index + 5, switch, switch_index)
+
+    def test_stages_only_when_asked(self, force_backend):
+        force_backend("python")
+        *outputs, stages = _kernels.cost_model(*_every_flag_combination())
+        assert stages is None
+        assert all(out.shape == (2, 16) for out in outputs)
+
+
 def _reuse_with(backend, tex_ids, sizes, offsets):
     """The public reuse_distances wrapper, pinned to one backend object."""
     if tex_ids.shape[0] == 0:
@@ -263,6 +346,18 @@ class TestCompiledParity:
         assert labels.dtype == expected_labels.dtype == np.int64
         assert np.array_equal(labels, expected_labels)
         assert np.array_equal(leaders, expected_leaders)
+
+    @settings(max_examples=150, deadline=None)
+    @given(inputs=cost_model_inputs())
+    @example(inputs=_every_flag_combination())
+    def test_cost_model_bit_parity(self, backend_name, inputs):
+        """Per-draw times, core, dram and every stage buffer equal with ``==``."""
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            expected = _cost_model_with("python", monkeypatch, inputs)
+            actual = _cost_model_with(backend_name, monkeypatch, inputs)
+        for name, want, got in zip(("times", "core", "dram", "stages"), expected, actual):
+            assert got.shape == want.shape, name
+            assert np.array_equal(got, want), name
 
     def test_full_frame_precompute_parity(self, backend_name, monkeypatch):
         """End to end: precompute_frame arrays agree across backends."""

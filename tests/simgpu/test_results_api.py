@@ -4,7 +4,7 @@ import pytest
 
 from repro.simgpu.config import GpuConfig
 from repro.simgpu.cost import STAGE_NAMES
-from repro.simgpu.simulator import GpuSimulator
+from repro.simgpu.simulator import FrameResult, GpuSimulator, TraceResult
 
 from tests.conftest import make_draw, make_world
 
@@ -64,3 +64,14 @@ class TestResultObjects:
             + cost.traffic.texture_bytes
             + cost.traffic.rt_bytes
         )
+
+
+def test_total_adds_frame_times_left_to_right():
+    # Left to right, each 1e-16 is lost against 1.0; Python 3.12's
+    # compensated builtin sum() would return 1.0000000000000002.
+    frames = tuple(
+        FrameResult(frame_index=i, num_draws=1, time_ns=t, core_cycles=0.0, dram_cycles=0.0)
+        for i, t in enumerate([1.0, 1e-16, 1e-16])
+    )
+    result = TraceResult(trace_name="t", config_name="c", frame_results=frames)
+    assert result.total_time_ns == 1.0

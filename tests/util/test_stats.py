@@ -13,6 +13,7 @@ from repro.util.stats import (
     mean_absolute_percentage_error,
     pearson_correlation,
     spearman_correlation,
+    sum_in_order,
     summarize,
 )
 
@@ -137,3 +138,18 @@ class TestSummarize:
         assert s.minimum - tol <= s.mean <= s.maximum + tol
         assert s.std >= 0.0
         assert not math.isnan(s.mean)
+
+
+class TestSumInOrder:
+    def test_empty_is_zero(self):
+        assert sum_in_order([]) == 0.0
+
+    def test_not_compensated(self):
+        assert sum_in_order([1.0, 1e-16, 1e-16]) == 1.0
+
+    @given(st.lists(finite_floats, max_size=50))
+    def test_one_running_double(self, xs):
+        total = 0.0
+        for x in xs:
+            total += x
+        assert sum_in_order(xs) == total
