@@ -20,14 +20,12 @@ Layout: one directory per run next to its record::
         fidelity-9ab04c77d31e02f4.json
         subset-0d7f6cc8e91b3a55.json
 
-Write discipline mirrors the stores it sits between: section bodies are
-exclusive-create (``open(path, "x")``) and named by their content
-digest, so a body file can never be half-overwritten — an existing file
-with the same name already holds identical bytes.  The ``index.json``
-is the one mutable summary and lands via ``tempfile.mkstemp`` +
-``os.replace`` (the job-store update pattern), so readers only ever see
-a whole index.  The run record itself is never touched: the link is
-computed *before* :func:`~repro.obs.history.record_run` appends it.
+Every file lands through :func:`repro.util.atomicfile.write_atomic`, so
+readers only ever see whole files.  Section bodies are named by their
+content digest, so rewriting one replaces it with identical bytes; the
+``index.json`` is the one mutable summary and is written last.  The run
+record itself is never touched: the link is computed *before*
+:func:`~repro.obs.history.record_run` appends it.
 
 Section *builders* (which need the trace and simulation results) import
 the core/simgpu layers lazily; readers are pure stdlib+json, so the
@@ -38,12 +36,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.errors import ValidationError
+from repro.util.atomicfile import write_atomic
 
 #: Bump when the sidecar layout or section schemas change meaning.
 ARTIFACTS_VERSION = 1
@@ -73,12 +70,12 @@ def write_artifacts(
 ) -> Dict[str, Any]:
     """Write ``sections`` as ``run_id``'s sidecar; returns the link dict.
 
-    Each section body is serialized, digested, and exclusive-created as
+    Each section body is serialized, digested, and written as
     ``<name>-<sha256[:16]>.json``; a colliding filename means identical
-    bytes already on disk, so :class:`FileExistsError` is simply a
-    dedup hit.  The index is replaced atomically last, so a crash
-    mid-write leaves either the previous complete sidecar or orphaned
-    (harmless, content-addressed) body files — never a torn index.
+    bytes already on disk, so rewriting it is invisible to readers.
+    The index is replaced atomically last, so a crash mid-write leaves
+    either the previous complete sidecar or orphaned (harmless,
+    content-addressed) body files — never a torn body or index.
 
     The returned link is what :func:`~repro.obs.history.record_run`
     embeds in the record's ``extra["artifacts"]``; it carries the
@@ -92,12 +89,7 @@ def write_artifacts(
         body = _encode(sections[name])
         digest = hashlib.sha256(body).hexdigest()
         filename = f"{name}-{digest[:_DIGEST_CHARS]}.json"
-        path = directory / filename
-        try:
-            with open(path, "xb") as stream:
-                stream.write(body)
-        except FileExistsError:
-            pass  # same digest, same bytes: already written
+        write_atomic(directory / filename, body)
         index_files[name] = {
             "file": filename,
             "sha256": digest,
@@ -109,19 +101,7 @@ def write_artifacts(
         "sections": index_files,
     }
     index_bytes = _encode(index)
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=".index-", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "wb") as stream:
-            stream.write(index_bytes)
-        os.replace(tmp_name, directory / "index.json")
-    except OSError:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    write_atomic(directory / "index.json", index_bytes)
     return {
         "dir": directory.name,
         "sections": sorted(index_files),

@@ -10,10 +10,11 @@ git SHA, and an environment fingerprint.  The regression gates in
 whether the current run drifted.
 
 The store is **append-only by construction**: each record lands in its
-own file named by creation time plus a random run id, opened with
-``"x"`` (exclusive create), so two consecutive invocations can never
-overwrite each other — the failure mode the old ``BENCH_*.json``
-overwrite-in-place workflow made invisible.
+own file named by creation time plus a random run id, created whole by
+:func:`repro.util.atomicfile.create_unique`, so two consecutive
+invocations can never overwrite each other — the failure mode the old
+``BENCH_*.json`` overwrite-in-place workflow made invisible — and a
+killed writer never leaves a partial record.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.errors import ValidationError
+from repro.util.atomicfile import create_unique
 
 #: Bump when the record layout changes meaning.
 RUN_STORE_VERSION = 1
@@ -306,8 +308,8 @@ class RunStore:
     Thread-safety audit (CONC rules): worker threads append through
     :func:`record_run` while dashboard request threads read, with no
     lock — and none is needed.  The store keeps no mutable in-memory
-    state (``root`` is set once in ``__init__``), appends are exclusive
-    creates, and readers only ever see whole files.  Adding an id cache
+    state (``root`` is set once in ``__init__``), appends never
+    overwrite, and readers only ever see whole files.  Adding an id cache
     like :class:`~repro.service.jobs.JobStore` has would require its
     lock discipline; keep it stateless instead.
     """
@@ -326,18 +328,10 @@ class RunStore:
         """Write ``record`` as a brand-new file; never overwrites."""
         self.root.mkdir(parents=True, exist_ok=True)
         stamp = int(record.created_unix * 1e6)
-        base = f"{stamp:017d}-{record.run_id}"
-        path = self.root / f"{base}.json"
-        attempt = 0
-        while True:
-            try:
-                with open(path, "x", encoding="utf-8") as stream:
-                    json.dump(record.to_dict(), stream, indent=2, sort_keys=True)
-                    stream.write("\n")
-                return path
-            except FileExistsError:
-                attempt += 1
-                path = self.root / f"{base}-{attempt}.json"
+        data = json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n"
+        return create_unique(
+            self.root, f"{stamp:017d}-{record.run_id}", data.encode("utf-8")
+        )
 
     # -- reading -----------------------------------------------------------
 

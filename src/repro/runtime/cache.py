@@ -1,34 +1,31 @@
 """Content-addressed artifact cache.
 
 Simulation and clustering artifacts are keyed by
-:func:`repro.runtime.keys.task_key` and persisted under a cache
-directory, sharded by key prefix::
+:func:`repro.runtime.keys.task_key` and persisted as pickles under a
+cache directory, sharded by key prefix::
 
-    <cache_dir>/ab/abcdef....pkl     # arbitrary python objects (pickle)
-    <cache_dir>/ab/abcdef....npz     # dict-of-ndarray payloads (numpy)
+    <cache_dir>/ab/abcdef....pkl
 
 Keys already encode every input plus the format version, so entries are
 immutable: a key is either absent or holds the one true value, and
-invalidation is simply "the key changed".  Writes are atomic
-(temp file + ``os.replace``) so an interrupted sweep never leaves a
-truncated entry behind — and if one appears anyway (disk fault, manual
-tampering), :meth:`ArtifactCache.get` evicts it and reports a miss, so
-the caller transparently recomputes.
+invalidation is simply "the key changed".  Writes go through
+:func:`repro.util.atomicfile.write_atomic`, so an interrupted sweep
+never leaves a truncated entry behind — and if one appears anyway (disk
+fault, manual tampering), :meth:`ArtifactCache.get` evicts it and
+reports a miss, so the caller transparently recomputes.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import tempfile
 import time
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
-
-import numpy as np
+from typing import Any, Optional, Union
 
 from repro.errors import ConfigError
 from repro.runtime.telemetry import Telemetry
+from repro.util.atomicfile import write_atomic
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -92,28 +89,10 @@ class ArtifactCache:
         if self.telemetry is not None:
             self.telemetry.count(name)
 
-    def _paths(self, key: str) -> Dict[str, Path]:
+    def _path(self, key: str) -> Path:
         if not key or any(c not in "0123456789abcdef" for c in key):
             raise ConfigError(f"cache keys are lowercase hex digests, got {key!r}")
-        shard = self.cache_dir / key[:2]
-        return {"pkl": shard / f"{key}.pkl", "npz": shard / f"{key}.npz"}
-
-    @staticmethod
-    def _atomic_write(path: Path, data: bytes) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        handle, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(handle, "wb") as stream:
-                stream.write(data)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        return self.cache_dir / key[:2] / f"{key}.pkl"
 
     def _evict(self, path: Path) -> None:
         self._count("cache_corrupt_evicted")
@@ -127,7 +106,7 @@ class ArtifactCache:
     def get(self, key: str) -> Any:
         """The cached value for ``key``, or :data:`CACHE_MISS`.
 
-        A corrupted entry (truncated pickle, mangled npz) is deleted and
+        A corrupted entry (truncated or foreign pickle) is deleted and
         reported as a miss — recomputation heals the cache.  Lookup
         latency lands in the ``cache_lookup_s`` histogram.
         """
@@ -141,53 +120,27 @@ class ArtifactCache:
                 )
 
     def _get(self, key: str) -> Any:
-        paths = self._paths(key)
-        npz_path = paths["npz"]
-        if npz_path.exists():
-            try:
-                with np.load(npz_path) as archive:
-                    value = {name: archive[name] for name in archive.files}
-                self._count("cache_hits")
-                return value
-            except Exception:
-                self._evict(npz_path)
-        pkl_path = paths["pkl"]
+        path = self._path(key)
         try:
-            with open(pkl_path, "rb") as stream:
+            with open(path, "rb") as stream:
                 value = pickle.load(stream)
         except FileNotFoundError:
             self._count("cache_misses")
             return CACHE_MISS
         except Exception:
-            self._evict(pkl_path)
+            self._evict(path)
             self._count("cache_misses")
             return CACHE_MISS
         self._count("cache_hits")
         return value
 
     def put(self, key: str, value: Any) -> None:
-        """Persist ``value`` under ``key`` (atomic; last writer wins).
-
-        A ``dict`` whose values are all numpy arrays is stored as an NPZ
-        archive (compact, language-neutral); everything else is pickled.
-        """
-        paths = self._paths(key)
-        if (
-            isinstance(value, dict)
-            and value
-            and all(isinstance(k, str) for k in value)
-            and all(isinstance(v, np.ndarray) for v in value.values())
-        ):
-            import io
-
-            buffer = io.BytesIO()
-            np.savez_compressed(buffer, **value)
-            self._atomic_write(paths["npz"], buffer.getvalue())
-        else:
-            data = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-            self._atomic_write(paths["pkl"], data)
+        """Pickle ``value`` under ``key`` (atomic; last writer wins)."""
+        path = self._path(key)
+        data = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_atomic(path, data)
         self._count("cache_puts")
 
     def __contains__(self, key: str) -> bool:
-        paths = self._paths(key)
-        return paths["pkl"].exists() or paths["npz"].exists()
+        return self._path(key).exists()

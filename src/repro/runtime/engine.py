@@ -52,7 +52,7 @@ if TYPE_CHECKING:
     from repro.simgpu.config import GpuConfig
     from repro.simgpu.simulator import TraceResult
 
-#: Anything the engine can consult for artifacts: the real store or the
+#: Anything the runtime can consult for artifacts: the real store or the
 #: inert default.  (A Protocol would be overkill for two shapes.)
 CacheLike = Union[ArtifactCache, NullCache]
 
@@ -154,14 +154,12 @@ class TaskEngine:
     def __init__(
         self,
         jobs: int = 1,
-        cache: Optional[CacheLike] = None,
         telemetry: Optional[Telemetry] = None,
         progress: Optional[Union[ProgressReporter, NullProgress]] = None,
     ) -> None:
         if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
             raise ConfigError(f"jobs must be an int >= 1, got {jobs!r}")
         self.jobs = jobs
-        self.cache = cache if cache is not None else NullCache()
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.progress = progress if progress is not None else NULL_PROGRESS
 
@@ -172,22 +170,11 @@ class TaskEngine:
     ) -> Dict[str, Any]:
         """Execute ``tasks`` and return ``{task_id: value}``.
 
-        Cached tasks (``cache_key`` set, entry present) are resolved
-        without executing — or submitting — anything.  A task exception
-        propagates to the caller with its original type; remaining tasks
-        are cancelled.
+        A task exception propagates to the caller with its original
+        type; remaining tasks are cancelled.
         """
-        order = _topological_order(tasks)
+        pending = _topological_order(tasks)
         results: Dict[str, Any] = {}
-        pending: List[Task] = []
-        for task in order:
-            if task.cache_key is not None:
-                hit = self.cache.get(task.cache_key)
-                if hit is not CACHE_MISS:
-                    results[task.task_id] = hit
-                    self.telemetry.count("tasks_from_cache")
-                    continue
-            pending.append(task)
         if not pending:
             return results
         self.progress.begin(len(pending))
@@ -218,8 +205,6 @@ class TaskEngine:
             self.telemetry.metrics.merge(result.metrics)
         if result.spans:
             self.telemetry.tracer.merge(result.spans)
-        if task.cache_key is not None:
-            self.cache.put(task.cache_key, result.value)
 
     def _dep_values(self, task: Task, results: Dict[str, Any]) -> Dict[str, Any]:
         return {dep: results[dep] for dep in task.deps}
@@ -256,10 +241,8 @@ class TaskEngine:
         children: Dict[str, List[Task]] = {}
         blocked_by: Dict[str, int] = {}
         for task in pending:
-            # Deps already satisfied from cache don't block execution.
-            open_deps = [dep for dep in task.deps if dep not in results]
-            blocked_by[task.task_id] = len(open_deps)
-            for dep in open_deps:
+            blocked_by[task.task_id] = len(task.deps)
+            for dep in task.deps:
                 children.setdefault(dep, []).append(task)
         ready = [task for task in pending if blocked_by[task.task_id] == 0]
         pool = ProcessPoolExecutor(
@@ -424,8 +407,7 @@ class Runtime:
         self.chunks_per_job = chunks_per_job
         self.progress = progress if progress is not None else NULL_PROGRESS
         self.engine = TaskEngine(
-            jobs=jobs, cache=cache, telemetry=self.telemetry,
-            progress=self.progress,
+            jobs=jobs, telemetry=self.telemetry, progress=self.progress
         )
 
     @property

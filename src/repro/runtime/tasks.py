@@ -52,16 +52,14 @@ class Task:
     ``seed``, when set, seeds numpy's legacy global RNG in the worker
     before the task body runs (derive it with
     :func:`repro.util.rng.spawn_worker_seed` so it depends on the task's
-    identity, never on scheduling).  ``cache_key`` marks the task's
-    result as a content-addressed artifact: the engine consults the
-    cache before running it and persists the value afterwards.
+    identity, never on scheduling).  Tasks are not cached one by one:
+    :class:`~repro.runtime.engine.Runtime` caches whole artifacts.
     """
 
     task_id: str
     kind: str
     payload: Any = None
     deps: Tuple[str, ...] = ()
-    cache_key: Optional[str] = None
     seed: Optional[int] = None
 
 

@@ -1,12 +1,13 @@
 """Persistent job store under ``.repro/jobs/``.
 
 One JSON file per job, named ``{created_micros}-{job_id}.json`` and
-opened with ``"x"`` (exclusive create) — the run-store pattern — so two
-submissions can never overwrite each other.  Unlike run records, job
-records *transition*: ``queued → running → succeeded | failed |
-cancelled`` (plus ``interrupted`` for jobs that were mid-flight across
-too many crashes), so updates rewrite the job's own file atomically
-(temp file + ``os.replace``, the artifact-cache discipline).
+created by :func:`repro.util.atomicfile.create_unique` — as run records
+are — so two submissions can never overwrite each other.  Unlike run
+records, job records *transition*: ``queued → running → succeeded |
+failed | cancelled`` (plus ``interrupted`` for jobs that were
+mid-flight across too many crashes), so updates rewrite the job's own
+file with :func:`repro.util.atomicfile.write_atomic`.  Either way a
+crash never leaves a partial record under a job's name.
 
 The store is the service's restart story: on boot
 :meth:`JobStore.recover` requeues every ``running`` job that has only
@@ -17,8 +18,6 @@ server resumes its backlog without losing or duplicating records.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import threading
 import time
 import uuid
@@ -27,6 +26,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import ValidationError
+from repro.util.atomicfile import create_unique, write_atomic
 
 #: Bump when the record layout changes meaning.
 JOB_STORE_VERSION = 1
@@ -158,6 +158,10 @@ class JobRecord:
         }
 
 
+def _encode(record: JobRecord) -> bytes:
+    return (json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
 def new_job(job_key: str, kind: str, spec: Dict[str, Any]) -> JobRecord:
     """A fresh ``queued`` record with identity and timestamps stamped."""
     now = time.time()
@@ -179,7 +183,7 @@ class JobStore:
     and the HTTP request threads, so the in-memory id->path cache is
     guarded by ``_lock``.  Only the dict operations hold it — directory
     scans and record I/O stay outside (CONC003 discipline): the files
-    themselves are safe through exclusive create and atomic replace.
+    themselves are safe through :mod:`repro.util.atomicfile`.
     """
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
@@ -193,41 +197,18 @@ class JobStore:
         """Persist a brand-new job file; never overwrites."""
         self.root.mkdir(parents=True, exist_ok=True)
         stamp = int(record.created_unix * 1e6)
-        base = f"{stamp:017d}-{record.job_id}"
-        path = self.root / f"{base}.json"
-        attempt = 0
-        while True:
-            try:
-                with open(path, "x", encoding="utf-8") as stream:
-                    json.dump(
-                        record.to_dict(), stream, indent=2, sort_keys=True
-                    )
-                    stream.write("\n")
-                with self._lock:
-                    self._paths[record.job_id] = path
-                return path
-            except FileExistsError:
-                attempt += 1
-                path = self.root / f"{base}-{attempt}.json"
+        path = create_unique(
+            self.root, f"{stamp:017d}-{record.job_id}", _encode(record)
+        )
+        with self._lock:
+            self._paths[record.job_id] = path
+        return path
 
     def update(self, record: JobRecord) -> Path:
         """Atomically rewrite an existing job's file (state transition)."""
         path = self._path_for(record.job_id)
         record.updated_unix = time.time()
-        data = json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n"
-        handle, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                stream.write(data)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        write_atomic(path, _encode(record))
         return path
 
     def _path_for(self, job_id: str) -> Path:
@@ -282,10 +263,17 @@ class JobStore:
         return loaded
 
     def get(self, job_id: str) -> JobRecord:
-        """The record for ``job_id`` (exact id, not a prefix)."""
+        """The record for ``job_id`` (exact id, not a prefix).
+
+        An unreadable file raises :class:`ValidationError` naming it,
+        as an unknown id does, so the API answers 404 for both.
+        """
         path = self._path_for(job_id)
-        with open(path, "r", encoding="utf-8") as stream:
-            return JobRecord.from_dict(json.load(stream))
+        try:
+            with open(path, "r", encoding="utf-8") as stream:
+                return JobRecord.from_dict(json.load(stream))
+        except (OSError, ValueError, KeyError) as exc:
+            raise ValidationError(f"unreadable job record {path}: {exc}") from None
 
     def resolve(self, ref: str) -> JobRecord:
         """A record by job-id prefix (unique) or exact id."""

@@ -74,7 +74,6 @@ import hashlib
 import os
 import shutil
 import subprocess
-import tempfile
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -82,6 +81,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.simgpu import raster, rop, shadercore, texture
+from repro.util.atomicfile import atomic_path
 from repro.util.rng import stable_unit
 
 #: Environment override for the kernel backend.
@@ -872,8 +872,10 @@ def _compile_c_library() -> Path:
     machine compiles each kernel revision exactly once.  The source is
     piped to the compiler on stdin, so no shared source file exists that
     a crashed or concurrent builder could leave half-written; the
-    library itself lands via temp file + ``os.replace`` (concurrent
-    builders produce identical bytes, last writer wins).
+    compiler writes the library to a temp name from
+    :func:`~repro.util.atomicfile.atomic_path`, which replaces
+    ``so_path`` only on success (concurrent builders produce identical
+    bytes, last writer wins).
     """
     build_dir = _kernel_build_dir()
     so_path = build_dir / f"reprokern-{_c_source_digest()}.so"
@@ -883,11 +885,7 @@ def _compile_c_library() -> Path:
     if compiler is None:
         raise ConfigError("no C compiler (cc/gcc/clang) on PATH")
     build_dir.mkdir(parents=True, exist_ok=True)
-    handle, tmp_name = tempfile.mkstemp(
-        dir=build_dir, prefix=f".{so_path.name}.", suffix=".tmp"
-    )
-    os.close(handle)
-    try:
+    with atomic_path(so_path) as tmp_name:
         proc = subprocess.run(
             [compiler, *_CFLAGS, "-x", "c", "-", "-o", tmp_name, "-lm"],
             input=_C_SOURCE,
@@ -900,13 +898,6 @@ def _compile_c_library() -> Path:
             raise ConfigError(
                 f"kernel compile failed ({compiler}): {proc.stderr.strip()[:500]}"
             )
-        os.replace(tmp_name, so_path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
     return so_path
 
 

@@ -13,10 +13,10 @@ serializes each frame's arrays into one file under
   .trace_digest` — the same identity the artifact cache uses) plus both
   format versions, so any change to cache semantics or file layout
   starts a fresh namespace instead of corrupting readers;
-- published crash-safely (temp file in the destination directory +
-  ``os.replace``), the same pattern as the run/job stores; concurrent
-  publishers of the same frame race benignly — content-addressed means
-  both write identical bytes and the last rename wins atomically;
+- published crash-safely through
+  :func:`repro.util.atomicfile.write_atomic`; concurrent publishers of
+  the same frame race benignly — content-addressed means both write
+  identical bytes and the last rename wins atomically;
 - loaded **zero-copy** via ``np.memmap``: workers map the arrays
   read-only straight out of the page cache instead of recomputing or
   unpickling them, and frames of the same trace share one mapping per
@@ -38,12 +38,13 @@ from __future__ import annotations
 import json
 import os
 import struct
-import tempfile
 import threading
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+
+from repro.util.atomicfile import write_atomic
 
 #: Environment override for the store root ("" disables the store).
 PRECOMP_DIR_ENV = "REPRO_PRECOMP_DIR"
@@ -184,8 +185,9 @@ class PrecompStore:
     Thread-safe: the mmap-handle registry is guarded by ``self._lock``;
     all file I/O (publish writes, memmap opens) happens *outside* the
     lock, so a slow disk never serializes readers (CONC002 discipline).
-    Publishing needs no lock at all — ``os.replace`` is atomic and
-    content-addressing makes double-publish idempotent.
+    Publishing needs no lock at all — the atomic write replaces the
+    file in one step and content-addressing makes double-publish
+    idempotent.
     """
 
     def __init__(self, root: Path) -> None:
@@ -212,29 +214,17 @@ class PrecompStore:
     def publish(self, digest: str, fp: "FramePrecomp") -> bool:  # noqa: F821
         """Write one frame's arrays; returns False if already present.
 
-        Crash-safe and race-safe: the payload lands in a temp file in
-        the destination directory and is atomically renamed into place;
-        concurrent publishers write identical bytes, so whichever
-        rename lands last leaves the same content.
+        Crash-safe and race-safe through
+        :func:`~repro.util.atomicfile.write_atomic`: concurrent
+        publishers write identical bytes, so whichever rename lands
+        last leaves the same content.
         """
         path = self.frame_path(digest, fp.frame_index)
         if path.exists():
             return False
         payload = _serialize_frame(fp)
         path.parent.mkdir(parents=True, exist_ok=True)
-        handle, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(handle, "wb") as stream:
-                stream.write(payload)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        write_atomic(path, payload)
         return True
 
     # -- loading ----------------------------------------------------------

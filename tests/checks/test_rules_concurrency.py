@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import shutil
 from pathlib import Path
 
 from tests.checks.support import (
@@ -16,6 +17,8 @@ CONC = ["CONC001", "CONC002", "CONC003"]
 REPO_ROOT = Path(__file__).resolve().parents[2]
 EXECUTOR = REPO_ROOT / "src" / "repro" / "service" / "executor.py"
 PRECOMP_STORE = REPO_ROOT / "src" / "repro" / "simgpu" / "precomp_store.py"
+JOBS = REPO_ROOT / "src" / "repro" / "service" / "jobs.py"
+ATOMICFILE = REPO_ROOT / "src" / "repro" / "util" / "atomicfile.py"
 
 
 def test_conc_fixtures_match_markers() -> None:
@@ -41,14 +44,46 @@ def test_precomp_store_publisher_stays_conc_clean() -> None:
     # threads (via the sweep layers) as well as the request path, so
     # its publisher/loader class must keep the lock discipline: mmap
     # handles and index snapshots are taken under the lock, file I/O
-    # (exclusive-create publish, os.replace) happens outside it.
-    # Analyzing it together with the executor gives the call graph the
-    # thread entry points; any new CONC finding here is a real race.
-    report = check(EXECUTOR, PRECOMP_STORE, select=CONC)
+    # (the atomic-file helper's writes) happens outside it.  Analyzing
+    # it together with the executor gives the call graph the thread
+    # entry points, and with the helper the I/O behind its publish; any
+    # new CONC finding here is a real race.
+    report = check(EXECUTOR, PRECOMP_STORE, ATOMICFILE, select=CONC)
     findings = [
         triple for triple in observed(report) if "precomp_store" in triple[1]
     ]
     assert findings == []
+
+
+def _lock_the_job_update(source: str) -> str:
+    """Move ``JobStore.update``'s ``write_atomic`` call under its lock."""
+    call = "        write_atomic(path, _encode(record))\n"
+    assert call in source, "jobs.py update() lost its write_atomic call"
+    return source.replace(call, "        with self._lock:\n    " + call)
+
+
+def test_job_update_under_lock_fires_through_the_helper(tmp_path: Path) -> None:
+    # The store's file I/O lives in repro.util.atomicfile, so CONC003
+    # must follow the call into the helper to see a write under the lock.
+    package = tmp_path / "repro"
+    for sub in ("service", "util"):
+        (package / sub).mkdir(parents=True)
+        (package / sub / "__init__.py").write_text("", encoding="utf-8")
+    (package / "__init__.py").write_text("", encoding="utf-8")
+    shutil.copy(EXECUTOR, package / "service" / "executor.py")
+    shutil.copy(ATOMICFILE, package / "util" / "atomicfile.py")
+    jobs = package / "service" / "jobs.py"
+    source = JOBS.read_text(encoding="utf-8")
+    jobs.write_text(source, encoding="utf-8")
+    assert observed(check(package, select=CONC)) == []
+
+    jobs.write_text(_lock_the_job_update(source), encoding="utf-8")
+    messages = [f.message for f in check(package, select=["CONC003"]).findings]
+    assert any(
+        "write_atomic() performs file I/O while JobStore.update holds self._lock"
+        in message
+        for message in messages
+    ), messages
 
 
 def test_blocking_fixture_names_the_lock_holder() -> None:

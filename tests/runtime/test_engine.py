@@ -1,4 +1,4 @@
-"""Tests for the task engine: graphs, pools, caching, seeding, failures."""
+"""Tests for the task engine: graphs, pools, seeding, failures."""
 
 import os
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.runtime.cache import ArtifactCache
 from repro.runtime.engine import Runtime, TaskEngine, _chunk_ranges
 from repro.runtime.tasks import Task, TaskResult, task_function
 from repro.runtime.telemetry import Telemetry
@@ -173,40 +172,6 @@ class TestSeeding:
             + [Task("x", "test.draw", seed=42)]
         )
         assert buried["x"] == first["x"]
-
-
-class TestEngineCaching:
-    def test_cached_task_not_executed(self, tmp_path):
-        telemetry = Telemetry()
-        cache = ArtifactCache(tmp_path, telemetry=telemetry)
-        engine = TaskEngine(jobs=1, cache=cache, telemetry=telemetry)
-        key = "ab" * 32
-        task = Task("a", "test.counted", payload=5, cache_key=key)
-        first = engine.run([task])
-        assert first == {"a": 5}
-        snapshot = telemetry.snapshot()
-        assert snapshot.counter("tasks_run") == 1
-        assert snapshot.counter("widgets_made") == 5
-
-        second = engine.run([task])
-        assert second == {"a": 5}
-        snapshot = telemetry.snapshot()
-        # No new execution, no new worker counters — just a cache read.
-        assert snapshot.counter("tasks_run") == 1
-        assert snapshot.counter("widgets_made") == 5
-        assert snapshot.counter("tasks_from_cache") == 1
-
-    def test_cached_dep_unblocks_parallel_children(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        key = "cd" * 32
-        dep = Task("dep", "test.double", 21, cache_key=key)
-        child = Task("child", "test.sum_deps", 0, deps=("dep",))
-        warm = TaskEngine(jobs=1, cache=cache)
-        assert warm.run([dep, child])["child"] == 42
-        # Second run resolves "dep" from cache; the pool must still run
-        # the child with the cached value injected.
-        cold = TaskEngine(jobs=2, cache=cache)
-        assert cold.run([dep, child])["child"] == 42
 
 
 class TestWorkerCounters:

@@ -7,7 +7,6 @@ import sys
 import textwrap
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import repro
@@ -120,17 +119,6 @@ class TestArtifactCache:
         cache.put(key, {"nested": (1, 2.5, "x")})
         assert cache.get(key) == {"nested": (1, 2.5, "x")}
         assert key in cache
-
-    def test_ndarray_dict_stored_as_npz(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        key = "cd" * 32
-        value = {"a": np.arange(5), "b": np.linspace(0.0, 1.0, 3)}
-        cache.put(key, value)
-        assert (tmp_path / key[:2] / f"{key}.npz").exists()
-        back = cache.get(key)
-        assert set(back) == {"a", "b"}
-        assert np.array_equal(back["a"], value["a"])
-        assert np.array_equal(back["b"], value["b"])
 
     def test_cached_none_is_not_a_miss(self, tmp_path):
         cache = ArtifactCache(tmp_path)

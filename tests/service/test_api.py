@@ -152,6 +152,16 @@ def test_unknown_job_and_unknown_route_are_404(app):
     assert app.handle("GET", "/v1/jobs/a/b/c").status == 404
 
 
+def test_unreadable_job_record_is_404_not_a_crash(app, store):
+    job_id = _post(app, job_payload()).body["job_id"]
+    (path,) = store.paths()
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+    for ref in (job_id, job_id[:6]):
+        assert app.handle("GET", f"/v1/jobs/{ref}").status == 404
+        assert app.handle("GET", f"/v1/jobs/{ref}/result").status == 404
+
+
 def test_wrong_method_is_405_with_allow_header(app):
     response = app.handle("POST", "/v1/healthz")
     assert response.status == 405

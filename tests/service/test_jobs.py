@@ -84,6 +84,14 @@ def test_records_skips_foreign_and_partial_files(store: JobStore):
     (store.root / "zz-partial.json").write_text("{\"trunc", encoding="utf-8")
     (store.root / "zz-foreign.json").write_text("{}", encoding="utf-8")
     assert [r.job_id for r in store.records()] == [record.job_id]
+    # A truncated record of a known id is unreadable, not a crash.
+    truncated = _job()
+    path = store.create(truncated)
+    path.write_text("{\"trunc", encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"unreadable job record .*{path.name}"):
+        store.get(truncated.job_id)
+    with pytest.raises(ValidationError, match="no job matches"):
+        store.resolve(truncated.job_id)
 
 
 def test_from_dict_rejects_future_versions(store: JobStore):
