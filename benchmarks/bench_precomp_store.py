@@ -61,7 +61,7 @@ from repro.simgpu.precomp_store import PRECOMP_DIR_ENV  # noqa: E402
 OUTPUT_PATH = REPO_ROOT / "BENCH_precomp.json"
 
 #: Store hit/miss/publish counters surfaced per sweep mode (worker-side
-#: counts merge back into the runtime's telemetry with the task results).
+#: counts merge back into ``runtime.metrics`` with the task results).
 STORE_COUNTERS = (
     "precomp_store_hits",
     "precomp_store_misses",

@@ -39,7 +39,7 @@ def _timed_run(trace, config, runtime):
     start = time.perf_counter()
     result = SubsettingPipeline().run(trace, config, runtime=runtime)
     elapsed = time.perf_counter() - start
-    return result, elapsed, runtime.snapshot()
+    return result, elapsed, runtime.metrics.snapshot()
 
 
 def run_benchmark(frames: int, scale: float, jobs: int) -> dict:
@@ -73,7 +73,7 @@ def run_benchmark(frames: int, scale: float, jobs: int) -> dict:
             trace, config, Runtime(jobs=jobs, cache_dir=cache_dir)
         )
         assert warm == reference, "warm-cache run diverged from serial"
-        assert warm_snap.counter("frames_simulated") == 0, (
+        assert warm_snap.counter_total("frames_simulated") == 0, (
             "warm cache still simulated frames"
         )
 
@@ -95,12 +95,12 @@ def run_benchmark(frames: int, scale: float, jobs: int) -> dict:
             "warm_vs_cold": round(cold_s / warm_s, 3),
         },
         "cold_counters": {
-            "frames_simulated": cold_snap.counter("frames_simulated"),
-            "cache_misses": cold_snap.counter("cache_misses"),
+            "frames_simulated": cold_snap.counter_total("frames_simulated"),
+            "cache_misses": cold_snap.counter_total("cache_misses"),
         },
         "warm_counters": {
-            "frames_simulated": warm_snap.counter("frames_simulated"),
-            "cache_hits": warm_snap.counter("cache_hits"),
+            "frames_simulated": warm_snap.counter_total("frames_simulated"),
+            "cache_hits": warm_snap.counter_total("cache_hits"),
         },
     }
 

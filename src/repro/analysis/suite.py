@@ -15,8 +15,8 @@ from repro.analysis.validation import SubsetValidation, validate_subset
 from repro.core.pipeline import PipelineResult, SubsettingPipeline
 from repro.errors import ValidationError
 from repro.gfx.trace import Trace
-from repro.runtime.engine import Runtime
-from repro.runtime.telemetry import TelemetrySnapshot
+from repro.obs.metrics import MetricsSnapshot
+from repro.runtime.engine import Runtime, summary_line
 from repro.simgpu.config import GpuConfig
 from repro.util.tables import format_table
 
@@ -28,7 +28,7 @@ class SuiteResult:
     config_name: str
     game_results: Dict[str, PipelineResult]
     validations: Dict[str, SubsetValidation]
-    telemetry: Optional[TelemetrySnapshot] = field(default=None, compare=False)
+    telemetry: Optional[MetricsSnapshot] = field(default=None, compare=False)
 
     @property
     def total_parent_draws(self) -> int:
@@ -88,7 +88,7 @@ class SuiteResult:
             f"{'yes' if self.all_validations_passed else 'NO'}"
         )
         if self.telemetry is not None:
-            summary = f"{summary}\n{self.telemetry.summary_line()}"
+            summary = f"{summary}\n{summary_line(self.telemetry)}"
         return f"{table}\n{summary}"
 
 
@@ -101,7 +101,7 @@ def subset_suite(
 ) -> SuiteResult:
     """Run the methodology and validation across a corpus.
 
-    One ``runtime`` spans every game: its telemetry aggregates the whole
+    One ``runtime`` spans every game: its metrics aggregate the whole
     suite, and with a cache attached a re-run (or a second suite sharing
     games) skips every already-simulated (trace, config) artifact.
     """
@@ -129,5 +129,5 @@ def subset_suite(
         config_name=config.name,
         game_results=game_results,
         validations=validations,
-        telemetry=runtime.snapshot(),
+        telemetry=runtime.metrics.snapshot(),
     )

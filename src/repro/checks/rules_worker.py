@@ -90,8 +90,9 @@ def task_fn_not_module_level(ctx: "ModuleContext") -> Iterator[Finding]:
     "WRK002",
     name="task-fn-mutates-global-state",
     hint=(
-        "return the data in the TaskResult instead; worker-side global "
-        "writes never reach the parent process"
+        "return the data as the task's value or record it on the ambient "
+        "metrics instead; worker-side global writes never reach the "
+        "parent process"
     ),
 )
 def task_fn_mutates_global_state(ctx: "ModuleContext") -> Iterator[Finding]:
@@ -99,10 +100,11 @@ def task_fn_mutates_global_state(ctx: "ModuleContext") -> Iterator[Finding]:
 
     Inline (``jobs=1``) the write lands in the parent's module and
     persists; in a worker it lands in a forked copy and evaporates.
-    Results must flow through the :class:`TaskResult` — values,
-    counters, metrics, spans — which the engine merges
-    deterministically.  Flagged: ``global`` declarations, and stores
-    through a module-level name (``CACHE[k] = v``, ``STATE.field = v``).
+    Results must flow back as the task's return value and through the
+    ambient metrics and spans (``current_obs()``), which the engine
+    merges deterministically.  Flagged: ``global`` declarations, and
+    stores through a module-level name (``CACHE[k] = v``,
+    ``STATE.field = v``).
     """
     this = get_rule("WRK002")
     module = ctx.module

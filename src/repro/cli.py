@@ -34,8 +34,10 @@ from repro.errors import CheckError, ReproError
 from repro.gfx.traceio import load_trace_auto as load_trace
 from repro.gfx.traceio import save_trace_auto as save_trace
 from repro.obs import (
+    NULL_TRACER,
     JsonLogger,
     NullLogger,
+    ObsContext,
     ProgressReporter,
     RunManifest,
     Tracer,
@@ -43,8 +45,7 @@ from repro.obs import (
     write_spans_jsonl,
 )
 from repro.obs.history import record_run
-from repro.runtime.engine import Runtime
-from repro.runtime.telemetry import Telemetry
+from repro.runtime.engine import Runtime, stage_time_s, summary_line
 from repro.simgpu._kernels import KERNEL_BACKENDS, set_backend
 from repro.simgpu.config import GpuConfig
 from repro.simgpu.precomp_store import set_precomp_dir
@@ -203,17 +204,15 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _runtime_from_args(
-    args, telemetry: Optional[Telemetry] = None, progress=None
-) -> Runtime:
-    if args.no_cache:
-        return Runtime(jobs=args.jobs, telemetry=telemetry, progress=progress)
-    from repro.runtime.cache import default_cache_dir
+def _runtime_from_args(args, obs: ObsContext, progress=None) -> Runtime:
+    cache_dir = None
+    if not args.no_cache:
+        from repro.runtime.cache import default_cache_dir
 
-    cache_dir = args.cache_dir if args.cache_dir else default_cache_dir()
+        cache_dir = args.cache_dir if args.cache_dir else default_cache_dir()
     return Runtime(
-        jobs=args.jobs, cache_dir=cache_dir, telemetry=telemetry,
-        progress=progress,
+        jobs=args.jobs, cache_dir=cache_dir, metrics=obs.metrics,
+        tracer=obs.tracer, progress=progress,
     )
 
 
@@ -243,16 +242,15 @@ class _ObsSession:
             set_precomp_dir("")
         elif getattr(args, "precomp_dir", None):
             set_precomp_dir(args.precomp_dir)
-        tracer = Tracer() if getattr(args, "trace_out", None) else None
-        self.telemetry = Telemetry(tracer=tracer)
+        self.obs = ObsContext(
+            tracer=Tracer() if getattr(args, "trace_out", None) else NULL_TRACER
+        )
         progress = (
-            ProgressReporter(metrics=self.telemetry.metrics)
+            ProgressReporter(metrics=self.obs.metrics)
             if getattr(args, "progress", False)
             else None
         )
-        self.runtime = _runtime_from_args(
-            args, telemetry=self.telemetry, progress=progress
-        )
+        self.runtime = _runtime_from_args(args, self.obs, progress=progress)
         self.seeds: dict = {}
         self.configs: dict = {}
         self.traces: dict = {}
@@ -260,7 +258,7 @@ class _ObsSession:
         # command body; record_run writes them next to the run record.
         self.artifacts: dict = {}
         self._started = time.perf_counter()
-        self._root_span = self.telemetry.tracer.span(
+        self._root_span = self.obs.tracer.span(
             f"cli:{command}", category="cli"
         )
         self._root_span.__enter__()
@@ -271,6 +269,7 @@ class _ObsSession:
         duration_s = time.perf_counter() - self._started
         args = self.args
         runtime = self.runtime
+        snapshot = runtime.metrics.snapshot()
         trace_out = getattr(args, "trace_out", None)
         if trace_out:
             spans = runtime.tracer.spans()
@@ -284,7 +283,7 @@ class _ObsSession:
             import json
 
             with open(metrics_out, "w", encoding="utf-8") as stream:
-                json.dump(runtime.metrics.snapshot().as_dict(), stream, indent=2)
+                json.dump(snapshot.as_dict(), stream, indent=2)
                 stream.write("\n")
             print(f"metrics written to {metrics_out}")
         manifest_out = getattr(args, "manifest_out", None)
@@ -298,7 +297,7 @@ class _ObsSession:
                 jobs=runtime.jobs,
                 cache_dir=getattr(args, "cache_dir", None),
                 duration_s=duration_s,
-                metrics=runtime.metrics.snapshot(),
+                metrics=snapshot,
             )
             manifest.write(manifest_out)
             print(f"run manifest written to {manifest_out}")
@@ -309,7 +308,7 @@ class _ObsSession:
                 self.command,
                 store=getattr(args, "run_store", None),
                 argv=sys.argv[1:],
-                telemetry=self.telemetry,
+                snapshot=snapshot,
                 seeds=self.seeds,
                 config_digests={
                     name: config_digest(config)
@@ -325,16 +324,15 @@ class _ObsSession:
             )
             if record_path is not None:
                 self.logger.log("run_recorded", path=str(record_path))
-        snapshot = runtime.snapshot()
         self.logger.log(
             "run_end",
             command=self.command,
             duration_s=round(duration_s, 6),
-            tasks_run=snapshot.counter("tasks_run"),
-            frames_simulated=snapshot.counter("frames_simulated"),
-            cache_hits=snapshot.counter("cache_hits"),
-            cache_misses=snapshot.counter("cache_misses"),
-            stage_time_s=round(snapshot.stage_time_s, 6),
+            tasks_run=snapshot.counter_total("tasks_run"),
+            frames_simulated=snapshot.counter_total("frames_simulated"),
+            cache_hits=snapshot.counter_total("cache_hits"),
+            cache_misses=snapshot.counter_total("cache_misses"),
+            stage_time_s=round(stage_time_s(snapshot), 6),
         )
 
 
@@ -845,7 +843,7 @@ def _cmd_simulate(args) -> int:
         f"{trace.name} on {config.name}: total {result.total_time_ms:.2f} ms, "
         f"mean {result.mean_fps:.1f} fps over {trace.num_frames} frames"
     )
-    print(runtime.snapshot().summary_line())
+    print(summary_line(runtime.metrics.snapshot()))
     session.finish()
     return 0
 
@@ -905,7 +903,7 @@ def _cmd_estimate(args) -> int:
         f"({100 * error:.2f}% error, {subset.num_frames}/{trace.num_frames} "
         "frames simulated)"
     )
-    print(runtime.snapshot().summary_line())
+    print(summary_line(runtime.metrics.snapshot()))
     session.finish()
     return 0
 
@@ -933,7 +931,7 @@ def _cmd_validate(args) -> int:
     runtime = session.runtime
     validation = validate_subset(trace, subset, config, runtime=runtime)
     print(validation.report())
-    print(runtime.snapshot().summary_line())
+    print(summary_line(runtime.metrics.snapshot()))
     session.finish()
     return 0 if validation.passed else 2
 
@@ -964,7 +962,7 @@ def _cmd_sweep(args) -> int:
     )
     print(f"ranking agreement (spearman): {result.ranking_agreement:.4f}")
     print(f"winner agrees: {result.winner_agrees()}")
-    print(runtime.snapshot().summary_line())
+    print(summary_line(runtime.metrics.snapshot()))
     from repro.obs.artifacts import sweep_artifact_sections
 
     session.artifacts = sweep_artifact_sections(result)
@@ -997,7 +995,7 @@ def _cmd_experiment(args) -> int:
             "e10": lambda: experiments.e10_phase_signal_stability(traces),
         }[experiment_id]
         print(runner().render())
-        print(runtime.snapshot().summary_line())
+        print(summary_line(runtime.metrics.snapshot()))
         session.finish()
         return 0
     if experiment_id == "e5":

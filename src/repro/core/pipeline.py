@@ -37,9 +37,10 @@ from repro.core.predict import (
 from repro.core.subsetting import WorkloadSubset, build_subset
 from repro.errors import SubsetError
 from repro.gfx.trace import Trace
-from repro.runtime.engine import Runtime
-from repro.runtime.telemetry import TelemetrySnapshot
+from repro.obs.metrics import MetricsSnapshot
+from repro.runtime.engine import Runtime, summary_line
 from repro.simgpu.config import GpuConfig
+from repro.util.stats import sum_in_order
 from repro.util.tables import format_table
 
 
@@ -59,7 +60,7 @@ class PipelineResult:
     clusterings: Optional[Tuple[FrameClustering, ...]] = field(
         default=None, compare=False
     )
-    telemetry: Optional[TelemetrySnapshot] = field(default=None, compare=False)
+    telemetry: Optional[MetricsSnapshot] = field(default=None, compare=False)
 
     # -- E1 ------------------------------------------------------------------
 
@@ -114,7 +115,7 @@ class PipelineResult:
             title=f"Subsetting report: {self.trace_name} on {self.config_name}",
         )
         if self.telemetry is not None:
-            table = f"{table}\n{self.telemetry.summary_line()}"
+            table = f"{table}\n{summary_line(self.telemetry)}"
         return table
 
 
@@ -282,7 +283,7 @@ class SubsettingPipeline:
 
             predictions: List[FramePrediction] = []
             outlier_rates: List[float] = []
-            with runtime.telemetry.timer("predict"):
+            with runtime.stage("predict"):
                 for frame, clustering, truth, rep_out in zip(
                     trace.frames, clusterings, ground, rep_outputs
                 ):
@@ -317,7 +318,7 @@ class SubsettingPipeline:
                         ).outlier_rate
                     )
 
-            with runtime.telemetry.timer("phase_detect"):
+            with runtime.stage("phase_detect"):
                 detection = detect_phases(
                     trace,
                     interval_length=self.interval_length,
@@ -327,7 +328,7 @@ class SubsettingPipeline:
                 subset = build_subset(trace, detection)
             frame_times = [ground[p].time_ns for p in subset.frame_positions]
             subset_estimate = subset.estimate_total_time_ns(frame_times)
-            actual_total = float(sum(out.time_ns for out in ground))
+            actual_total = sum_in_order([out.time_ns for out in ground])
 
             kept_clusters = sum(
                 clusterings[p].num_clusters for p in subset.frame_positions
@@ -345,5 +346,5 @@ class SubsettingPipeline:
             subset_estimated_total_time_ns=subset_estimate,
             combined_draw_fraction=combined_fraction,
             clusterings=tuple(clusterings) if keep_clusterings else None,
-            telemetry=runtime.snapshot(),
+            telemetry=runtime.metrics.snapshot(),
         )

@@ -7,14 +7,15 @@ pool; this subsystem makes those runs explainable:
   (pipeline -> stage -> task -> frame), with worker-recorded spans
   merged back into the parent's timeline;
 - :mod:`repro.obs.metrics` — labeled counters, gauges, and fixed-bucket
-  histograms (``frames_simulated{phase=...}``, per-worker task wall
-  time, cache lookup latency, cluster sizes);
+  histograms (``frames_simulated{phase=...}``, stage and per-kind task
+  wall time, cache lookup latency, cluster sizes);
 - :mod:`repro.obs.export` — Chrome trace-event JSON (loadable in
   Perfetto / ``chrome://tracing``) and span JSONL;
 - :mod:`repro.obs.manifest` — ``run.json`` reproducibility manifests
   (config/trace digests, seeds, CLI args, package version, host);
-- :mod:`repro.obs.context` — ambient (tracer, metrics) propagation so
-  deep call sites (simgpu kernels, task functions) need no plumbing;
+- :mod:`repro.obs.context` — the (tracer, metrics) bundle one run
+  records through, held ambient so deep call sites (simgpu kernels,
+  task functions) need no plumbing;
 - :mod:`repro.obs.logjson` — structured JSON-lines logging for the CLI;
 - :mod:`repro.obs.history` — the append-only run store under
   ``.repro/runs/`` every CLI run and benchmark appends to;
@@ -25,8 +26,9 @@ pool; this subsystem makes those runs explainable:
 
 The disabled path is the default and costs essentially nothing: the
 :data:`~repro.obs.spans.NULL_TRACER` turns every span into a shared
-no-op context manager.  ``repro.runtime.telemetry.Telemetry`` remains as
-a back-compat shim over :class:`~repro.obs.metrics.Metrics`.
+no-op context manager.  The runtime records through one
+:class:`~repro.obs.context.ObsContext` (``runtime.tracer`` and
+``runtime.metrics``); there is no second bundle.
 
 See ``docs/OBSERVABILITY.md`` for the span model, metric naming
 conventions, and how to open a trace in Perfetto.

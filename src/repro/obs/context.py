@@ -17,7 +17,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from repro.obs.metrics import Metrics
 from repro.obs.spans import NULL_TRACER
@@ -25,9 +25,13 @@ from repro.obs.spans import NULL_TRACER
 
 @dataclass
 class ObsContext:
-    """The observability handles one run threads through its layers."""
+    """The observability handles one run threads through its layers.
 
-    tracer: object = NULL_TRACER
+    ``tracer`` is a :class:`~repro.obs.spans.Tracer` or the inert
+    :data:`~repro.obs.spans.NULL_TRACER` (same methods, no base class).
+    """
+
+    tracer: Any = NULL_TRACER
     metrics: Metrics = field(default_factory=Metrics)
 
 

@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.errors import ValidationError
+from repro.obs.metrics import MetricsSnapshot
 from repro.util.atomicfile import create_unique
 
 #: Bump when the record layout changes meaning.
@@ -237,7 +238,7 @@ def collect_record(
     command: str,
     *,
     argv: Optional[Sequence[str]] = None,
-    telemetry: Optional[Any] = None,
+    snapshot: Optional[MetricsSnapshot] = None,
     metrics: Optional[Mapping[str, float]] = None,
     stages: Optional[Mapping[str, float]] = None,
     seeds: Optional[Mapping[str, int]] = None,
@@ -250,23 +251,24 @@ def collect_record(
 ) -> RunRecord:
     """Build a :class:`RunRecord` from live objects.
 
-    ``telemetry`` is a :class:`~repro.runtime.telemetry.Telemetry`; its
-    metrics snapshot is flattened and its stage timers become the
-    per-stage rollups.  ``metrics``/``stages`` accept pre-flattened
-    mappings for callers (benchmarks) without a telemetry object; when
-    both are given the explicit mappings win key-by-key.
+    ``snapshot`` is the run's :class:`~repro.obs.metrics.MetricsSnapshot`.
+    It is flattened into ``metrics``, and its histograms become the
+    rollups: ``top_stages`` holds each stage's ``stage_s`` total, and
+    ``stages`` holds those plus each task kind's ``task_wall_s`` total
+    as ``worker.<kind>`` (worker time elapses inside a stage, so it is
+    never top-level).  ``metrics``/``stages`` accept pre-flattened
+    mappings for callers (benchmarks) without a snapshot; when both are
+    given the explicit mappings win key-by-key.
     """
     flat: Dict[str, float] = {}
     stage_rollup: Dict[str, float] = {}
     top_rollup: Dict[str, float] = {}
-    if telemetry is not None:
-        snap = telemetry.snapshot()
-        flat.update(flatten_metrics(telemetry.metrics.snapshot()))
-        stage_rollup.update({k: float(v) for k, v in snap.timers_s.items()})
-        if snap.top_timers_s is not None:
-            top_rollup.update(
-                {k: float(v) for k, v in snap.top_timers_s.items()}
-            )
+    if snapshot is not None:
+        flat.update(flatten_metrics(snapshot))
+        top_rollup.update(snapshot.histogram_totals("stage_s", "stage"))
+        stage_rollup.update(top_rollup)
+        for kind, seconds in snapshot.histogram_totals("task_wall_s", "kind").items():
+            stage_rollup[f"worker.{kind}"] = seconds
     if metrics:
         flat.update({k: float(v) for k, v in metrics.items()})
     if stages:
@@ -437,7 +439,7 @@ def record_run(
     *,
     store: Optional[Union[str, Path, RunStore]] = None,
     argv: Optional[Sequence[str]] = None,
-    telemetry: Optional[Any] = None,
+    snapshot: Optional[MetricsSnapshot] = None,
     metrics: Optional[Mapping[str, float]] = None,
     stages: Optional[Mapping[str, float]] = None,
     seeds: Optional[Mapping[str, int]] = None,
@@ -486,7 +488,7 @@ def record_run(
     record = collect_record(
         command,
         argv=argv,
-        telemetry=telemetry,
+        snapshot=snapshot,
         metrics=metrics,
         stages=stages,
         seeds=seeds,

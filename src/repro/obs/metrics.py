@@ -1,10 +1,10 @@
 """Labeled metrics registry: counters, gauges, fixed-bucket histograms.
 
-One :class:`Metrics` object per run (the runtime's telemetry owns it).
-Every instrument is identified by a name plus a label set, e.g.::
+One :class:`Metrics` object per run (the runtime's ``ObsContext`` owns
+it).  Every instrument is identified by a name plus a label set, e.g.::
 
     metrics.inc("frames_simulated", 64, phase="ground_truth")
-    metrics.observe("task_wall_s", 0.31, worker="12345")
+    metrics.observe("task_wall_s", 0.31, kind="simulate_frame_range")
     metrics.gauge("workers", 8)
 
 Histograms use *fixed* buckets chosen at first observation (default: one
@@ -13,8 +13,7 @@ worker's report back in — is a plain element-wise add, never a re-bin.
 
 Worker processes cannot share the parent's registry, so they record into
 a local :class:`Metrics`, ship :meth:`Metrics.dump` with their results,
-and the engine folds it back with :meth:`Metrics.merge` — mirroring the
-existing counter-merge pattern.
+and the engine folds it back with :meth:`Metrics.merge`.
 """
 
 from __future__ import annotations
@@ -139,6 +138,19 @@ class MetricsSnapshot:
 
     def histogram(self, name: str, **labels: Any) -> Optional[HistogramSnapshot]:
         return self.histograms.get((name, label_key(labels)))
+
+    def histogram_totals(self, name: str, label: str) -> Dict[str, float]:
+        """Histogram ``name``'s summed values, by the value of ``label``.
+
+        ``histogram_totals("stage_s", "stage")`` maps each stage to its
+        total seconds; series without ``label`` fall under ``""``.
+        """
+        totals: Dict[str, float] = {}
+        for (series, labels), hist in self.histograms.items():
+            if series == name:
+                value = dict(labels).get(label, "")
+                totals[value] = totals.get(value, 0.0) + hist.total
+        return totals
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-safe representation (``--metrics-out``, manifests)."""

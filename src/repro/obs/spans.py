@@ -10,8 +10,7 @@ their parents within a process.
 Workers cannot share a tracer with the parent process, so they record
 into a local :class:`Tracer` rooted at a shipped parent span id and
 return the finished spans with their results; the engine folds them back
-with :meth:`Tracer.merge` — the same pattern the runtime already uses
-for telemetry counters.
+with :meth:`Tracer.merge`, next to the worker's metrics dump.
 
 The default tracer is :data:`NULL_TRACER`, whose ``span()`` is a single
 attribute lookup returning a shared no-op context manager — the

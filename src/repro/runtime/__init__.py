@@ -12,13 +12,13 @@ library runs on:
   stable digest of (trace content, GPU config, algorithm parameters,
   format version), persisted on disk so re-runs and interrupted sweeps
   skip completed work;
-- :class:`~repro.runtime.telemetry.Telemetry` — counters and stage
-  timers (tasks run, cache hits/misses, frames simulated) surfaced in
-  pipeline and suite reports; now a back-compat shim over the
-  :mod:`repro.obs` metrics registry and span tracer, so labeled metrics
-  and hierarchical traces come from the same object;
 - :class:`~repro.runtime.engine.Runtime` — the facade the pipeline,
-  suite, sweep, and CLI layers accept as ``runtime=``.
+  suite, sweep, and CLI layers accept as ``runtime=``.  It records
+  through one :class:`~repro.obs.context.ObsContext`: counters (tasks
+  run, cache hits/misses, frames simulated) and stage times land on
+  ``runtime.metrics``, spans on ``runtime.tracer``, and
+  :func:`~repro.runtime.engine.summary_line` prints the digest under
+  pipeline and suite reports.
 
 See ``docs/RUNTIME.md`` for the architecture, the cache-key recipe, and
 the invalidation rules, and ``docs/OBSERVABILITY.md`` for the span
@@ -32,7 +32,7 @@ from repro.runtime.cache import (
     NullCache,
     default_cache_dir,
 )
-from repro.runtime.engine import Runtime, TaskEngine
+from repro.runtime.engine import Runtime, TaskEngine, summary_line
 from repro.runtime.keys import (
     CACHE_FORMAT_VERSION,
     config_digest,
@@ -41,7 +41,6 @@ from repro.runtime.keys import (
     trace_digest,
 )
 from repro.runtime.tasks import TASK_FUNCTIONS, Task, TaskResult, task_function
-from repro.runtime.telemetry import Telemetry, TelemetrySnapshot
 
 __all__ = [
     "ArtifactCache",
@@ -54,11 +53,10 @@ __all__ = [
     "Task",
     "TaskEngine",
     "TaskResult",
-    "Telemetry",
-    "TelemetrySnapshot",
     "config_digest",
     "default_cache_dir",
     "params_digest",
+    "summary_line",
     "task_function",
     "task_key",
     "trace_digest",

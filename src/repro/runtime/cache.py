@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Any, Optional, Union
 
 from repro.errors import ConfigError
-from repro.runtime.telemetry import Telemetry
+from repro.obs.metrics import Metrics
 from repro.util.atomicfile import write_atomic
 
 #: Environment variable overriding the default cache location.
@@ -69,25 +69,22 @@ class NullCache:
 class ArtifactCache:
     """Durable content-addressed store for runtime artifacts.
 
-    ``telemetry`` (bound by the runtime that owns the cache) receives
+    ``metrics`` (the owning runtime's registry, or a fresh one) receives
     ``cache_hits`` / ``cache_misses`` / ``cache_puts`` /
-    ``cache_corrupt_evicted`` counts.
+    ``cache_corrupt_evicted`` counts and the ``cache_lookup_s``
+    histogram.
     """
 
     def __init__(
         self,
         cache_dir: Union[str, Path, None] = None,
-        telemetry: Optional[Telemetry] = None,
+        metrics: Optional[Metrics] = None,
     ) -> None:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-        self.telemetry = telemetry
+        self.metrics = metrics if metrics is not None else Metrics()
         self.cache_dir.mkdir(parents=True, exist_ok=True)
 
     # -- internals ---------------------------------------------------------
-
-    def _count(self, name: str) -> None:
-        if self.telemetry is not None:
-            self.telemetry.count(name)
 
     def _path(self, key: str) -> Path:
         if not key or any(c not in "0123456789abcdef" for c in key):
@@ -95,7 +92,7 @@ class ArtifactCache:
         return self.cache_dir / key[:2] / f"{key}.pkl"
 
     def _evict(self, path: Path) -> None:
-        self._count("cache_corrupt_evicted")
+        self.metrics.inc("cache_corrupt_evicted")
         try:
             path.unlink()
         except OSError:
@@ -114,10 +111,7 @@ class ArtifactCache:
         try:
             return self._get(key)
         finally:
-            if self.telemetry is not None:
-                self.telemetry.observe(
-                    "cache_lookup_s", time.perf_counter() - start
-                )
+            self.metrics.observe("cache_lookup_s", time.perf_counter() - start)
 
     def _get(self, key: str) -> Any:
         path = self._path(key)
@@ -125,13 +119,13 @@ class ArtifactCache:
             with open(path, "rb") as stream:
                 value = pickle.load(stream)
         except FileNotFoundError:
-            self._count("cache_misses")
+            self.metrics.inc("cache_misses")
             return CACHE_MISS
         except Exception:
             self._evict(path)
-            self._count("cache_misses")
+            self.metrics.inc("cache_misses")
             return CACHE_MISS
-        self._count("cache_hits")
+        self.metrics.inc("cache_hits")
         return value
 
     def put(self, key: str, value: Any) -> None:
@@ -140,7 +134,7 @@ class ArtifactCache:
         data = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         path.parent.mkdir(parents=True, exist_ok=True)
         write_atomic(path, data)
-        self._count("cache_puts")
+        self.metrics.inc("cache_puts")
 
     def __contains__(self, key: str) -> bool:
         return self._path(key).exists()

@@ -9,18 +9,20 @@ once per task; per-task child seeds come from
 worker count or completion order.
 
 Observability rides the same rails: each task runs under an ambient
-:class:`~repro.obs.context.ObsContext` and inside a ``task:<kind>``
-span.  Inline tasks record straight into the parent's tracer/metrics;
-pool tasks record into a worker-local pair — rooted at the span id the
-parent captured at submit time — and ship spans, timers, and metric
-dumps back inside the :class:`~repro.runtime.tasks.TaskResult`, where
-:meth:`TaskEngine._finish` folds them in (the counter-merge pattern,
-generalized).
+:class:`~repro.obs.context.ObsContext`, inside a ``task:<kind>`` span,
+and observes its wall time as ``task_wall_s{kind=<kind>}``.  Inline
+tasks record straight into the parent's tracer and metrics; pool tasks
+record into a worker-local pair — rooted at the span id the parent
+captured at submit time — and ship the metrics dump and spans back
+inside a :class:`~repro.runtime.tasks.TaskResult`, which the parent
+folds into its own pair.
 
 :class:`Runtime` bundles an engine, a content-addressed
-:class:`~repro.runtime.cache.ArtifactCache`, and a
-:class:`~repro.runtime.telemetry.Telemetry` into the object the
-pipeline, suite, sweep, and CLI layers thread through.
+:class:`~repro.runtime.cache.ArtifactCache`, and one ``ObsContext``
+into the object the pipeline, suite, sweep, and CLI layers thread
+through.  :meth:`Runtime.stage` times a named stage as a ``stage``
+span plus a ``stage_s{stage=<name>}`` observation; run records and
+:func:`summary_line` roll those up.
 """
 
 from __future__ import annotations
@@ -29,20 +31,22 @@ import os
 import pickle
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.obs.context import ObsContext, activate_obs
-from repro.obs.metrics import Metrics
+from repro.obs.metrics import Metrics, MetricsSnapshot
 from repro.obs.progress import NULL_PROGRESS, NullProgress, ProgressReporter
 from repro.obs.spans import NULL_TRACER, Tracer
 from repro.runtime.cache import CACHE_MISS, ArtifactCache, NullCache
 from repro.runtime.keys import task_key
 from repro.runtime.tasks import Task, TaskResult, resolve_task_function
-from repro.runtime.telemetry import Telemetry, TelemetrySnapshot
 from repro.util.rng import spawn_worker_seed
 from repro.util.stats import sum_in_order
 
@@ -65,22 +69,26 @@ def _init_worker(context: Any) -> None:
 
 
 def _run_task(
-    context: Any,
-    kind: str,
-    payload: Any,
-    dep_values: Dict[str, Any],
-    seed: Optional[int],
-) -> TaskResult:
-    """Execute one task body (same code inline and in workers)."""
-    if seed is not None:
+    obs: ObsContext, context: Any, task: Task, dep_values: Dict[str, Any]
+) -> Any:
+    """Execute one task body under ``obs`` (same code inline and in workers).
+
+    The body runs inside a ``task:<kind>`` span, and its wall time lands
+    in the ``task_wall_s{kind=<kind>}`` histogram once it returns.
+    """
+    if task.seed is not None:
         # Seed the legacy global stream so any np.random fallback inside a
         # task is reproducible per task identity, not per worker schedule.
-        np.random.seed(seed % 2**32)
-    fn = resolve_task_function(kind)
-    result = fn(context, payload, dep_values)
-    if not isinstance(result, TaskResult):
-        result = TaskResult(result)
-    return result
+        np.random.seed(task.seed % 2**32)
+    fn = resolve_task_function(task.kind)
+    start = time.perf_counter()
+    with activate_obs(obs):
+        with obs.tracer.span(
+            f"task:{task.kind}", category="task", task_id=task.task_id
+        ):
+            value = fn(context, task.payload, dep_values)
+    obs.metrics.observe("task_wall_s", time.perf_counter() - start, kind=task.kind)
+    return value
 
 
 def _execute_in_worker(blob: bytes) -> TaskResult:
@@ -88,24 +96,11 @@ def _execute_in_worker(blob: bytes) -> TaskResult:
     # submit so an unpicklable payload raises there, synchronously, instead
     # of poisoning the executor's feeder thread (which deadlocks
     # ``shutdown(wait=True)`` on CPython 3.11).
-    kind, payload, dep_values, seed, task_id, parent_span_id, trace_on = (
-        pickle.loads(blob)
-    )
+    task, dep_values, parent_span_id, trace_on = pickle.loads(blob)
     tracer = Tracer(root_parent_id=parent_span_id) if trace_on else NULL_TRACER
-    metrics = Metrics()
-    start = time.perf_counter()
-    with activate_obs(ObsContext(tracer=tracer, metrics=metrics)):
-        with tracer.span(f"task:{kind}", category="task", task_id=task_id):
-            result = _run_task(_WORKER_CONTEXT, kind, payload, dep_values, seed)
-    elapsed = time.perf_counter() - start
-    metrics.observe("task_wall_s", elapsed, worker=str(os.getpid()))
-    return TaskResult(
-        value=result.value,
-        counters=result.counters,
-        timers={**result.timers, f"worker.{kind}": elapsed},
-        metrics=metrics.dump(),
-        spans=tuple(tracer.drain()),
-    )
+    obs = ObsContext(tracer=tracer)
+    value = _run_task(obs, _WORKER_CONTEXT, task, dep_values)
+    return TaskResult(value, obs.metrics.dump(), tuple(tracer.drain()))
 
 
 def _topological_order(tasks: Sequence[Task]) -> List[Task]:
@@ -148,19 +143,19 @@ class TaskEngine:
     ``jobs=1`` runs every task inline in topological submission order —
     no subprocesses, no pickling — and is the reference behavior the
     parallel path must reproduce exactly (results, counters, and span
-    counts alike).
+    counts alike).  Counters, histograms and spans land in ``obs``.
     """
 
     def __init__(
         self,
         jobs: int = 1,
-        telemetry: Optional[Telemetry] = None,
+        obs: Optional[ObsContext] = None,
         progress: Optional[Union[ProgressReporter, NullProgress]] = None,
     ) -> None:
         if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
             raise ConfigError(f"jobs must be an int >= 1, got {jobs!r}")
         self.jobs = jobs
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
+        self.obs = obs if obs is not None else ObsContext()
         self.progress = progress if progress is not None else NULL_PROGRESS
 
     # -- execution ---------------------------------------------------------
@@ -192,19 +187,11 @@ class TaskEngine:
         return results
 
     def _frames_simulated(self) -> int:
-        return self.telemetry.counter("frames_simulated")
+        return self.obs.metrics.counter_total("frames_simulated")
 
-    def _finish(self, task: Task, result: TaskResult, results: Dict[str, Any]) -> None:
-        results[task.task_id] = result.value
-        self.telemetry.count("tasks_run")
-        if result.counters:
-            self.telemetry.merge_counters(result.counters)
-        if result.timers:
-            self.telemetry.merge_timers(result.timers)
-        if result.metrics:
-            self.telemetry.metrics.merge(result.metrics)
-        if result.spans:
-            self.telemetry.tracer.merge(result.spans)
+    def _finish(self, task: Task, value: Any, results: Dict[str, Any]) -> None:
+        results[task.task_id] = value
+        self.obs.metrics.inc("tasks_run")
 
     def _dep_values(self, task: Task, results: Dict[str, Any]) -> Dict[str, Any]:
         return {dep: results[dep] for dep in task.deps}
@@ -212,28 +199,17 @@ class TaskEngine:
     def _run_serial(
         self, pending: List[Task], context: Any, results: Dict[str, Any]
     ) -> None:
-        telemetry = self.telemetry
-        obs = ObsContext(tracer=telemetry.tracer, metrics=telemetry.metrics)
         total = len(pending)
-        with activate_obs(obs):
-            for done, task in enumerate(pending, start=1):
-                start = time.perf_counter()
-                try:
-                    with telemetry.tracer.span(
-                        f"task:{task.kind}", category="task", task_id=task.task_id
-                    ):
-                        result = _run_task(
-                            context, task.kind, task.payload,
-                            self._dep_values(task, results), task.seed,
-                        )
-                except Exception:
-                    telemetry.count("tasks_failed")
-                    raise
-                elapsed = time.perf_counter() - start
-                telemetry.observe("task_wall_s", elapsed, worker="main")
-                telemetry.merge_timers({f"worker.{task.kind}": elapsed})
-                self._finish(task, result, results)
-                self.progress.task_done(done, total, self._frames_simulated())
+        for done, task in enumerate(pending, start=1):
+            try:
+                value = _run_task(
+                    self.obs, context, task, self._dep_values(task, results)
+                )
+            except Exception:
+                self.obs.metrics.inc("tasks_failed")
+                raise
+            self._finish(task, value, results)
+            self.progress.task_done(done, total, self._frames_simulated())
 
     def _run_pool(
         self, pending: List[Task], context: Any, results: Dict[str, Any]
@@ -251,14 +227,13 @@ class TaskEngine:
             initargs=(context,),
         )
         futures: Dict[Future[TaskResult], Task] = {}
-        tracer = self.telemetry.tracer
+        tracer, metrics = self.obs.tracer, self.obs.metrics
 
         def submit(task: Task) -> None:
             try:
                 blob = pickle.dumps(
-                    (task.kind, task.payload,
-                     self._dep_values(task, results), task.seed,
-                     task.task_id, tracer.current_span_id(), tracer.enabled)
+                    (task, self._dep_values(task, results),
+                     tracer.current_span_id(), tracer.enabled)
                 )
             except Exception as exc:
                 raise ConfigError(
@@ -291,9 +266,11 @@ class TaskEngine:
                     try:
                         result = future.result()
                     except Exception:
-                        self.telemetry.count("tasks_failed")
+                        metrics.inc("tasks_failed")
                         raise
-                    self._finish(task, result, results)
+                    metrics.merge(result.metrics)
+                    tracer.merge(result.spans)
+                    self._finish(task, result.value, results)
                     finished += 1
                     self.progress.task_done(
                         finished, total, self._frames_simulated()
@@ -344,9 +321,11 @@ class Runtime:
     repeated experiments and interrupted sweeps skip every
     already-computed simulation.
 
-    ``tracer=Tracer()`` (or a prebuilt ``telemetry`` bound to one)
-    enables hierarchical span tracing; the default
+    ``tracer=Tracer()`` enables hierarchical span tracing; the default
     :data:`~repro.obs.spans.NULL_TRACER` makes every span a no-op.
+    ``metrics`` is the registry every counter and histogram of the run
+    lands in (a fresh one by default; a prebuilt ``ArtifactCache``
+    lends its own, so its hit and miss counts stay in the run's totals).
     """
 
     #: Below this many work items, ``jobs="auto"`` runs inline: on traces
@@ -359,7 +338,7 @@ class Runtime:
         jobs: Union[int, str] = 1,
         cache: Optional[CacheLike] = None,
         cache_dir: Optional[Union[str, Path]] = None,
-        telemetry: Optional[Telemetry] = None,
+        metrics: Optional[Metrics] = None,
         tracer: Optional[object] = None,
         seed: int = 0,
         chunks_per_job: int = 2,
@@ -368,10 +347,6 @@ class Runtime:
     ) -> None:
         if cache is not None and cache_dir is not None:
             raise ConfigError("pass either cache or cache_dir, not both")
-        if telemetry is not None and tracer is not None:
-            raise ConfigError(
-                "pass either telemetry (bound to a tracer) or tracer, not both"
-            )
         if not isinstance(chunks_per_job, int) or chunks_per_job < 1:
             raise ConfigError(
                 f"chunks_per_job must be an int >= 1, got {chunks_per_job!r}"
@@ -391,24 +366,22 @@ class Runtime:
             serial_cutoff if serial_cutoff is not None
             else self.DEFAULT_SERIAL_CUTOFF
         )
-        if telemetry is None:
-            telemetry = Telemetry(tracer=tracer)
-        self.telemetry = telemetry
+        if metrics is None:
+            metrics = cache.metrics if isinstance(cache, ArtifactCache) else Metrics()
+        self.obs = ObsContext(
+            tracer=tracer if tracer is not None else NULL_TRACER, metrics=metrics
+        )
         if cache is None:
             cache = (
-                ArtifactCache(cache_dir, telemetry=self.telemetry)
+                ArtifactCache(cache_dir, metrics=metrics)
                 if cache_dir is not None
                 else NullCache()
             )
-        if isinstance(cache, ArtifactCache) and cache.telemetry is None:
-            cache.telemetry = self.telemetry
         self.cache = cache
         self.seed = seed
         self.chunks_per_job = chunks_per_job
         self.progress = progress if progress is not None else NULL_PROGRESS
-        self.engine = TaskEngine(
-            jobs=jobs, telemetry=self.telemetry, progress=self.progress
-        )
+        self.engine = TaskEngine(jobs=jobs, obs=self.obs, progress=self.progress)
 
     @property
     def jobs(self) -> int:
@@ -417,12 +390,27 @@ class Runtime:
     @property
     def tracer(self) -> Any:
         """The span tracer observability layers record into."""
-        return self.telemetry.tracer
+        return self.obs.tracer
 
     @property
     def metrics(self) -> Metrics:
-        """The labeled metrics registry behind the telemetry shim."""
-        return self.telemetry.metrics
+        """The labeled metrics registry every layer of the run records into."""
+        return self.obs.metrics
+
+    @contextmanager
+    def stage(self, name: str) -> Iterator[None]:
+        """Time ``name`` as a stage: a ``stage`` span and one ``stage_s`` value.
+
+        The elapsed wall time is observed into ``stage_s{stage=<name>}``
+        even when the body raises.  Stages do not nest; worker time is
+        the separate ``task_wall_s`` histogram.
+        """
+        start = time.perf_counter()
+        try:
+            with self.tracer.span(name, category="stage"):
+                yield
+        finally:
+            self.metrics.observe("stage_s", time.perf_counter() - start, stage=name)
 
     @classmethod
     def serial(cls) -> "Runtime":
@@ -465,7 +453,7 @@ class Runtime:
         from the cache are simulated together in one task graph, so each
         chunk evaluates them as one config-vectorized pass that computes
         the order-dependent context rows once per distinct capacity and
-        switch-cost triple.  ``label`` names the stage timer, the trace
+        switch-cost triple.  ``label`` names the stage, its trace
         span, and the ``frames_simulated{phase=...}`` label.
         """
         per_config = self._simulate_per_config(
@@ -540,7 +528,7 @@ class Runtime:
                 for start, stop in ranges
             ]
             self._prepublish_precomp(trace, len(tasks))
-            with self.telemetry.timer(label):
+            with self.stage(label):
                 values = self.engine.run(tasks, context=trace)
             for position, key in enumerate(need):
                 value = join(
@@ -574,10 +562,10 @@ class Runtime:
                 return
         except Exception:
             return
-        with self.telemetry.timer("precomp_publish"):
+        with self.stage("precomp_publish"):
             published = prepublish_precomp(trace)
         if published:
-            self.telemetry.count("precomp_prepublished_frames", published)
+            self.metrics.inc("precomp_prepublished_frames", published)
 
     def simulate_frames(
         self, trace: Trace, config: GpuConfig, label: str = "simulate"
@@ -629,7 +617,7 @@ class Runtime:
             )
             for start, stop in ranges
         ]
-        with self.telemetry.timer("cluster"):
+        with self.stage("cluster"):
             values = self.engine.run(tasks, context=trace)
         clusterings: list = []
         for start, stop in ranges:
@@ -637,10 +625,28 @@ class Runtime:
         self.cache.put(key, clusterings)
         return clusterings
 
-    # -- reporting ---------------------------------------------------------
 
-    def snapshot(self) -> TelemetrySnapshot:
-        return self.telemetry.snapshot()
+def stage_time_s(snapshot: MetricsSnapshot) -> float:
+    """Wall time spent in stages: the ``stage_s`` totals, summed."""
+    return sum(snapshot.histogram_totals("stage_s", "stage").values())
 
-    def report(self) -> str:
-        return self.telemetry.report()
+
+def summary_line(snapshot: MetricsSnapshot) -> str:
+    """The one-line ``[runtime]`` digest printed under CLI and report output.
+
+    Counts are totals over every label set; ``stage_time`` is
+    :func:`stage_time_s`, so task time (inside a stage) never counts
+    twice.  A run with no stage at all (every artifact a cache hit
+    before any stage opened, or bare engine use) says so explicitly.
+    """
+    parts = [
+        f"tasks={snapshot.counter_total('tasks_run')}",
+        f"frames_simulated={snapshot.counter_total('frames_simulated')}",
+        f"cache_hits={snapshot.counter_total('cache_hits')}",
+        f"cache_misses={snapshot.counter_total('cache_misses')}",
+    ]
+    if snapshot.histogram_totals("stage_s", "stage"):
+        parts.append(f"stage_time={stage_time_s(snapshot):.2f}s")
+    else:
+        parts.append("no stages recorded")
+    return "[runtime] " + " ".join(parts)

@@ -6,19 +6,18 @@ frames, cluster a range of frames, or call an arbitrary function.  Task
 kind name after a fork/spawn) and registered in :data:`TASK_FUNCTIONS`;
 they receive the run's shared ``context`` (shipped once per worker, not
 once per task — the trace is the heavy part), their payload, and the
-results of their dependencies, and return a :class:`TaskResult` whose
-counters the engine folds into telemetry in the parent process.
+results of their dependencies, and return their value.
 
-Task bodies also run under an ambient :class:`repro.obs.ObsContext`:
-labeled metrics and nested spans they record land in the parent's
+Task bodies run under an ambient :class:`repro.obs.ObsContext`: the
+counters, histograms and nested spans they record land in the parent's
 registry directly when executing inline, or in a worker-local registry
-that ships back inside the :class:`TaskResult` (``timers``, ``metrics``,
-``spans``) when executing in a pool worker.
+that ships back inside a :class:`TaskResult` when executing in a pool
+worker.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.errors import ConfigError
@@ -27,20 +26,14 @@ from repro.obs.context import current_obs
 
 @dataclass(frozen=True)
 class TaskResult:
-    """A task function's return value plus its observability payload.
+    """A pool worker's reply: the task's value and what the worker observed.
 
-    ``counters`` is the legacy unlabeled counter report; ``timers``
-    carries worker-side stage timers (merged via
-    :meth:`~repro.runtime.telemetry.Telemetry.merge_timers`),
-    ``metrics`` a worker registry dump (labeled counters/histograms),
-    and ``spans`` the spans recorded inside the worker.  Task functions
-    only ever fill ``value`` and ``counters``; the engine's worker
-    wrapper attaches the rest.
+    ``metrics`` is the worker-local registry's dump and ``spans`` the
+    spans recorded in the worker; the engine folds both into the
+    parent's ``ObsContext``.  Task functions never build one.
     """
 
     value: Any
-    counters: Mapping[str, int] = field(default_factory=dict)
-    timers: Mapping[str, float] = field(default_factory=dict)
     metrics: Optional[Mapping[str, Any]] = None
     spans: Tuple[Any, ...] = ()
 
@@ -63,7 +56,7 @@ class Task:
     seed: Optional[int] = None
 
 
-TaskFunction = Callable[[Any, Any, Dict[str, Any]], TaskResult]
+TaskFunction = Callable[[Any, Any, Dict[str, Any]], Any]
 
 TASK_FUNCTIONS: Dict[str, TaskFunction] = {}
 
@@ -102,23 +95,23 @@ def resolve_task_function(kind: str) -> TaskFunction:
 
 
 @task_function("call")
-def _call(context: Any, payload: Any, deps: Dict[str, Any]) -> TaskResult:
+def _call(context: Any, payload: Any, deps: Dict[str, Any]) -> Any:
     """Generic escape hatch: ``payload = (fn, args)``, returns ``fn(*args)``."""
     fn, args = payload
-    return TaskResult(fn(*args))
+    return fn(*args)
 
 
 @task_function("call_with_deps")
-def _call_with_deps(context: Any, payload: Any, deps: Dict[str, Any]) -> TaskResult:
+def _call_with_deps(context: Any, payload: Any, deps: Dict[str, Any]) -> Any:
     """Like ``call`` but passes the dependency results as ``fn(deps, *args)``."""
     fn, args = payload
-    return TaskResult(fn(deps, *args))
+    return fn(deps, *args)
 
 
 @task_function("simulate_frame_range")
 def _simulate_frame_range(
     context: Any, payload: Any, deps: Dict[str, Any]
-) -> TaskResult:
+) -> Tuple[Tuple[Any, ...], ...]:
     """Simulate frames ``[start, stop)`` of the context trace on N configs.
 
     All configs are evaluated in one task so the order-dependent context
@@ -136,13 +129,13 @@ def _simulate_frame_range(
     configs, start, stop, phase = payload
     per_config = simulate_frame_range_multi(trace, configs, start, stop)
     _count_frames(configs, start, stop, phase)
-    return TaskResult(tuple(tuple(outputs) for outputs in per_config))
+    return tuple(tuple(outputs) for outputs in per_config)
 
 
 @task_function("simulate_frame_times")
 def _simulate_frame_times(
     context: Any, payload: Any, deps: Dict[str, Any]
-) -> TaskResult:
+) -> Any:
     """Frame totals of ``[start, stop)`` of the context trace on N configs.
 
     The same payload and evaluation as ``simulate_frame_range``, but the
@@ -155,7 +148,7 @@ def _simulate_frame_times(
     configs, start, stop, phase = payload
     times = simulate_frame_times_multi(trace, configs, start, stop)
     _count_frames(configs, start, stop, phase)
-    return TaskResult(times)
+    return times
 
 
 def _count_frames(configs: Tuple[Any, ...], start: int, stop: int, phase: str) -> None:
@@ -167,12 +160,12 @@ def _count_frames(configs: Tuple[Any, ...], start: int, stop: int, phase: str) -
 @task_function("cluster_frame_range")
 def _cluster_frame_range(
     context: Any, payload: Any, deps: Dict[str, Any]
-) -> TaskResult:
+) -> Tuple[Any, ...]:
     """Cluster frames ``[start, stop)`` of the context trace.
 
     Records the cluster-count and cluster-size distributions
-    (``frame_cluster_count``, ``cluster_size`` histograms) on the
-    ambient metrics registry.
+    (``frame_cluster_count``, ``cluster_size`` histograms) and the
+    ``frames_clustered`` count on the ambient metrics registry.
     """
     from repro.core.cluster_frame import cluster_frame
     from repro.core.features import FeatureExtractor
@@ -190,4 +183,5 @@ def _cluster_frame_range(
         for weight in clustering.weights:
             metrics.observe("cluster_size", float(weight))
         clusterings.append(clustering)
-    return TaskResult(tuple(clusterings), {"frames_clustered": stop - start})
+    metrics.inc("frames_clustered", stop - start)
+    return tuple(clusterings)

@@ -35,12 +35,11 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ReproError, ValidationError
+from repro.obs.context import ObsContext
 from repro.obs.history import flatten_metrics, record_run
 from repro.obs.metrics import Metrics
 from repro.obs.spans import NULL_TRACER
-from repro.runtime.cache import ArtifactCache, NullCache
 from repro.runtime.engine import Runtime
-from repro.runtime.telemetry import Telemetry
 from repro.service.events import EventBus
 from repro.service.jobs import JobRecord, JobStore, new_job
 from repro.service.specs import JobSpec
@@ -415,7 +414,8 @@ class JobExecutor:
             params=record.spec["params"],
         )
         started = time.perf_counter()
-        telemetry = Telemetry(tracer=self.tracer)
+        # Job metrics are per-run; the tracer is the executor's own.
+        obs = ObsContext(tracer=self.tracer)
         try:
             with self.tracer.span(
                 "service:job",
@@ -423,53 +423,54 @@ class JobExecutor:
                 job_id=record.job_id,
                 kind=record.kind,
             ):
-                result = self._execute(spec, record, telemetry)
+                result = self._execute(spec, record, obs)
         except ReproError as exc:
-            self._finish(record, "failed", telemetry, started, error=str(exc))
+            self._finish(record, "failed", obs.metrics, started, error=str(exc))
         except Exception as exc:
             self._finish(
                 record,
                 "failed",
-                telemetry,
+                obs.metrics,
                 started,
                 error=f"{type(exc).__name__}: {exc}",
             )
         else:
             record.result = result
-            self._finish(record, "succeeded", telemetry, started)
+            self._finish(record, "succeeded", obs.metrics, started)
 
     def _finish(
         self,
         record: JobRecord,
         state: str,
-        telemetry: Telemetry,
+        job_metrics: Metrics,
         started: float,
         error: Optional[str] = None,
     ) -> None:
         elapsed = time.perf_counter() - started
+        snapshot = job_metrics.snapshot()
         record.state = state
         record.error = error
         record.finished_unix = time.time()
-        record.metrics = flatten_metrics(telemetry.metrics.snapshot())
+        record.metrics = flatten_metrics(snapshot)
         self.store.update(record)
         self.metrics.inc("service_jobs_completed", state=state)
         self.metrics.observe("service_job_wall_s", elapsed, kind=record.kind)
         # Surface the precompute-store economics of job traffic on
-        # /v1/metrics: job telemetry is per-run, so the shared-store
+        # /v1/metrics: job metrics are per-run, so the shared-store
         # counters are folded into the service registry here.
         for counter in (
             "precomp_store_hits",
             "precomp_store_misses",
             "precomp_store_publishes",
         ):
-            total = telemetry.metrics.counter_total(counter)
+            total = snapshot.counter_total(counter)
             if total:
-                self.metrics.inc(counter, int(total))
+                self.metrics.inc(counter, total)
         record_path = record_run(
             f"service:{record.kind}",
             store=self.run_store,
             argv=[record.job_id],
-            telemetry=telemetry,
+            snapshot=snapshot,
             jobs=self.sim_jobs if isinstance(self.sim_jobs, int) else None,
             duration_s=elapsed,
             extra={
@@ -530,27 +531,19 @@ class JobExecutor:
 
     # -- execution bodies --------------------------------------------------
 
-    def _runtime(self, telemetry: Telemetry, progress: Any) -> Runtime:
-        # A fresh cache object per job (same directory) keeps the
-        # cache's telemetry binding job-local while still sharing every
-        # artifact across jobs and with the CLI.
-        cache: Union[ArtifactCache, NullCache]
-        if self.cache_dir is not None:
-            cache = ArtifactCache(self.cache_dir, telemetry=telemetry)
-        else:
-            cache = NullCache()
-        return Runtime(
-            jobs=self.sim_jobs,
-            cache=cache,
-            telemetry=telemetry,
-            progress=progress,
-        )
-
     def _execute(
-        self, spec: JobSpec, record: JobRecord, telemetry: Telemetry
+        self, spec: JobSpec, record: JobRecord, obs: ObsContext
     ) -> Dict[str, Any]:
-        progress = _JobProgress(self.store, record, self.metrics, self.events)
-        runtime = self._runtime(telemetry, progress)
+        # A fresh runtime (and cache object over the same directory) per
+        # job keeps cache counts job-local while still sharing every
+        # artifact across jobs and with the CLI.
+        runtime = Runtime(
+            jobs=self.sim_jobs,
+            cache_dir=self.cache_dir,
+            metrics=obs.metrics,
+            tracer=obs.tracer,
+            progress=_JobProgress(self.store, record, self.metrics, self.events),
+        )
         trace = self._load_trace(spec)
         config = spec.gpu_config()
         if spec.kind == "simulate":

@@ -858,7 +858,7 @@ def _find_compiler() -> Optional[str]:
 
 
 def _kernel_build_dir() -> Path:
-    # Imported lazily: runtime.cache pulls in telemetry/obs, which the
+    # Imported lazily: runtime.cache pulls in repro.obs, which the
     # kernels themselves never need at import time.
     from repro.runtime.cache import default_cache_dir
 

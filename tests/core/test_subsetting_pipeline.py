@@ -1,8 +1,12 @@
 """Tests for subset construction, prediction, and the full pipeline."""
 
+import builtins
+
 import numpy as np
 import pytest
 
+import repro.core.pipeline as pipeline_module
+from repro import datasets
 from repro.core.pipeline import SubsettingPipeline
 from repro.core.predict import (
     predict_frame,
@@ -19,6 +23,7 @@ from repro.simgpu.simulator import GpuSimulator
 from repro.synth.generator import TraceGenerator
 from repro.synth.phasescript import PhaseScript, Segment, SegmentKind
 from repro.synth.profiles import GameProfile
+from repro.util.stats import sum_in_order
 
 CFG = GpuConfig.preset("mainstream")
 SMALL = GameProfile.preset("bioshock1_like").scaled(0.06)
@@ -180,3 +185,32 @@ class TestPipeline:
         pipeline = SubsettingPipeline()
         with pytest.raises(SubsetError):
             pipeline.representative_trace(game_trace, [])
+
+
+def _compensated_sum(values, start=0):
+    """Builtin ``sum`` as CPython 3.12 computes it over floats (Neumaier)."""
+    items = list(values)
+    if not all(isinstance(x, float) for x in items):
+        return builtins.sum(items, start)
+    total, compensation = float(start), 0.0
+    for x in items:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation
+
+
+def test_actual_total_does_not_depend_on_builtin_sum(monkeypatch):
+    # On this trace the compensated sum of the frame times differs from
+    # the left-to-right sum in the last bit, so a pipeline that totals
+    # with builtin sum() would report another ground truth on Python 3.12.
+    trace = datasets.load("bioshock1_like", frames=8, seed=0, scale=0.1)
+    reference = SubsettingPipeline().run(trace, CFG)
+    monkeypatch.setattr(pipeline_module, "sum", _compensated_sum, raising=False)
+    result = SubsettingPipeline().run(trace, CFG)
+    frame_times = [p.actual_time_ns for p in result.frame_predictions]
+    assert result.actual_total_time_ns == sum_in_order(frame_times)
+    assert result == reference

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from repro.cli import main
 from repro.obs.history import RunStore
+from repro.simgpu.precomp_store import PRECOMP_DIR_ENV
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +78,73 @@ class TestRecordingHook:
         captured = capsys.readouterr()
         assert "[progress]" in captured.err
         assert "[progress]" not in captured.out
+
+
+SUBSET_STAGES = ["cluster", "ground_truth", "phase_detect", "predict", "representatives"]
+SUBSET_COUNTERS = [
+    "cache_misses",
+    "cache_puts",
+    "frames_clustered",
+    "frames_simulated",
+    "frames_simulated{phase=ground_truth}",
+    "frames_simulated{phase=representatives}",
+    "tasks_run",
+]
+RUNTIME_LINE = re.compile(
+    r"\[runtime\] tasks=\d+ frames_simulated=\d+ cache_hits=\d+ "
+    r"cache_misses=\d+ stage_time=\d+\.\d\ds"
+)
+
+
+class TestRecordShape:
+    """Run records keep one shape, rebuilt from the run's metrics."""
+
+    @pytest.fixture(autouse=True)
+    def _no_precomp_store(self, monkeypatch):
+        # Under compiled kernels the shared store adds a precomp_publish
+        # stage; without it the shape does not depend on the backend.
+        monkeypatch.setenv(PRECOMP_DIR_ENV, "")
+
+    def _run(self, command, trace_file, tmp_path, capsys, jobs):
+        store, metrics_out = tmp_path / "runs", tmp_path / "metrics.json"
+        argv = [
+            command, str(trace_file), "--jobs", jobs,
+            "--cache-dir", str(tmp_path / "cache"), "--run-store", str(store),
+            "--metrics-out", str(metrics_out),
+        ]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        [runtime_line] = [line for line in lines if line.startswith("[runtime]")]
+        assert RUNTIME_LINE.fullmatch(runtime_line)
+        [record] = RunStore(store).records()
+        task_wall = {
+            series["labels"]["kind"]: series["sum"]
+            for series in json.loads(metrics_out.read_text())["histograms"]
+            if series["name"] == "task_wall_s"
+        }
+        return record, task_wall
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_subset_record(self, trace_file, tmp_path, capsys, jobs):
+        record, task_wall = self._run("subset", trace_file, tmp_path, capsys, jobs)
+        workers = ["worker.cluster_frame_range", "worker.simulate_frame_range"]
+        assert sorted(record.stages) == SUBSET_STAGES + workers
+        assert sorted(record.top_stages) == SUBSET_STAGES
+        for name in workers:
+            assert record.stages[name] == task_wall[name[len("worker."):]]
+        counters = sorted(
+            key[len("counter:"):] for key in record.metrics if key.startswith("counter:")
+        )
+        assert counters == SUBSET_COUNTERS
+        assert not [key for key in record.metrics if key.startswith("hist:task_wall_s{worker=")]
+
+    def test_sweep_record(self, trace_file, tmp_path, capsys):
+        record, task_wall = self._run("sweep", trace_file, tmp_path, capsys, "2")
+        assert sorted(record.stages) == [
+            "sweep.parent", "sweep.subset", "worker.simulate_frame_times"
+        ]
+        assert sorted(record.top_stages) == ["sweep.parent", "sweep.subset"]
+        assert record.stages["worker.simulate_frame_times"] == task_wall["simulate_frame_times"]
 
 
 class TestRunsCommands:

@@ -17,7 +17,6 @@ from repro.obs.history import (
     record_run,
 )
 from repro.obs.metrics import Metrics
-from repro.runtime.telemetry import Telemetry
 
 
 def make_record(run_id="abc123def456", created=1000.0, command="simulate",
@@ -197,32 +196,34 @@ class TestCollection:
         assert flat[f"{key}:count"] == 3.0
 
     def test_collect_record_derives_rates(self):
-        telemetry = Telemetry()
-        telemetry.count("cache_hits", 3)
-        telemetry.count("cache_misses", 1)
-        telemetry.count("frames_simulated", 100)
+        metrics = Metrics()
+        metrics.inc("cache_hits", 3)
+        metrics.inc("cache_misses", 1)
+        metrics.inc("frames_simulated", 100, phase="ground_truth")
         record = collect_record(
-            "simulate", telemetry=telemetry, duration_s=2.0
+            "simulate", snapshot=metrics.snapshot(), duration_s=2.0
         )
         assert record.metrics["derived:cache_hit_rate"] == 0.75
         assert record.metrics["derived:frames_per_s"] == 50.0
         assert record.metrics["derived:duration_s"] == 2.0
 
     def test_collect_record_stage_rollups(self):
-        telemetry = Telemetry()
-        with telemetry.timer("outer"):
-            with telemetry.timer("inner"):
-                pass
-        record = collect_record("simulate", telemetry=telemetry)
-        assert set(record.stages) == {"outer", "inner"}
-        assert set(record.top_stages) == {"outer"}
+        metrics = Metrics()
+        metrics.observe("stage_s", 0.5, stage="outer")
+        metrics.observe("stage_s", 0.25, stage="outer")
+        metrics.observe("task_wall_s", 0.125, kind="sim")
+        metrics.observe("task_wall_s", 0.375, kind="sim")
+        record = collect_record("simulate", snapshot=metrics.snapshot())
+        # Worker time elapses inside a stage: rolled up, never top-level.
+        assert record.stages == {"outer": 0.75, "worker.sim": 0.5}
+        assert record.top_stages == {"outer": 0.75}
         assert record.all_series()["stage:outer"] == record.stages["outer"]
 
     def test_explicit_metrics_win_over_telemetry(self):
-        telemetry = Telemetry()
-        telemetry.count("frames_simulated", 5)
+        metrics = Metrics()
+        metrics.inc("frames_simulated", 5)
         record = collect_record(
-            "bench", telemetry=telemetry,
+            "bench", snapshot=metrics.snapshot(),
             metrics={"counter:frames_simulated": 99.0},
         )
         assert record.metrics["counter:frames_simulated"] == 99.0

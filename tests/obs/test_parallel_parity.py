@@ -43,8 +43,8 @@ class TestParallelObservabilityParity:
         serial = _run(trace, config, jobs=1)
         parallel = _run(trace, config, jobs=4)
 
-        serial_counts = serial.snapshot().counters
-        parallel_counts = parallel.snapshot().counters
+        serial_counts = serial.metrics.snapshot().counter_totals()
+        parallel_counts = parallel.metrics.snapshot().counter_totals()
         for name in WORKLOAD_COUNTERS:
             assert parallel_counts[name] == serial_counts[name], name
 

@@ -4,18 +4,16 @@ from __future__ import annotations
 
 import io
 
+from repro.obs.context import ObsContext
 from repro.obs.metrics import Metrics
 from repro.obs.progress import NULL_PROGRESS, NullProgress, ProgressReporter
 from repro.runtime.engine import Runtime, TaskEngine
-from repro.runtime.tasks import Task, TaskResult, task_function
-from repro.runtime.telemetry import Telemetry
+from repro.runtime.tasks import Task, task_function
 
 
 @task_function("progress.noop")
 def _noop(context, payload, deps):
-    if context is not None:
-        context.telemetry.count("frames_simulated", int(payload))
-    return TaskResult(payload)
+    return payload
 
 
 class TestNullProgress:
@@ -105,27 +103,27 @@ class TestEngineIntegration:
 
     def test_serial_engine_reports_each_task(self):
         stream = io.StringIO()
-        telemetry = Telemetry()
+        obs = ObsContext()
         reporter = ProgressReporter(
-            stream=stream, metrics=telemetry.metrics, interval_s=0.0
+            stream=stream, metrics=obs.metrics, interval_s=0.0
         )
-        engine = TaskEngine(jobs=1, telemetry=telemetry, progress=reporter)
+        engine = TaskEngine(jobs=1, obs=obs, progress=reporter)
         engine.run(self._tasks(3))
         lines = stream.getvalue().splitlines()
         assert any("tasks 3/3 (100%)" in line for line in lines)
         gauges = {
             name: value
-            for (name, _l), value in telemetry.metrics.snapshot().gauges.items()
+            for (name, _l), value in obs.metrics.snapshot().gauges.items()
         }
         assert gauges["progress_tasks_done"] == 3.0
 
     def test_pool_engine_reports_completion(self):
         stream = io.StringIO()
-        telemetry = Telemetry()
+        obs = ObsContext()
         reporter = ProgressReporter(
-            stream=stream, metrics=telemetry.metrics, interval_s=0.0
+            stream=stream, metrics=obs.metrics, interval_s=0.0
         )
-        engine = TaskEngine(jobs=2, telemetry=telemetry, progress=reporter)
+        engine = TaskEngine(jobs=2, obs=obs, progress=reporter)
         engine.run(self._tasks(4))
         assert any(
             "tasks 4/4 (100%)" in line
@@ -133,7 +131,7 @@ class TestEngineIntegration:
         )
 
     def test_engine_without_progress_stays_silent(self, capsys):
-        engine = TaskEngine(jobs=1, telemetry=Telemetry())
+        engine = TaskEngine(jobs=1, obs=ObsContext())
         engine.run(self._tasks(2))
         captured = capsys.readouterr()
         assert "[progress]" not in captured.err

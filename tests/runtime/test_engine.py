@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
+from repro.obs.context import current_obs
 from repro.runtime.engine import Runtime, TaskEngine, _chunk_ranges
-from repro.runtime.tasks import Task, TaskResult, task_function
-from repro.runtime.telemetry import Telemetry
+from repro.runtime.tasks import Task, task_function
 
 # Test task kinds register at import time; worker processes inherit them
 # through the fork start method.
@@ -16,17 +16,17 @@ from repro.runtime.telemetry import Telemetry
 
 @task_function("test.double")
 def _double(context, payload, deps):
-    return TaskResult(payload * 2)
+    return payload * 2
 
 
 @task_function("test.sum_deps")
 def _sum_deps(context, payload, deps):
-    return TaskResult(sum(deps.values()) + payload)
+    return sum(deps.values()) + payload
 
 
 @task_function("test.with_context")
 def _with_context(context, payload, deps):
-    return TaskResult(context + payload)
+    return context + payload
 
 
 @task_function("test.boom")
@@ -36,17 +36,18 @@ def _boom(context, payload, deps):
 
 @task_function("test.draw")
 def _draw(context, payload, deps):
-    return TaskResult(float(np.random.random()))
+    return float(np.random.random())
 
 
 @task_function("test.counted")
 def _counted(context, payload, deps):
-    return TaskResult(payload, {"widgets_made": payload})
+    current_obs().metrics.inc("widgets_made", payload)
+    return payload
 
 
 @task_function("test.pid")
 def _pid(context, payload, deps):
-    return TaskResult(os.getpid())
+    return os.getpid()
 
 
 def _fan_out(n):
@@ -133,11 +134,10 @@ class TestExecution:
 class TestFailures:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_exception_type_propagates(self, jobs):
-        telemetry = Telemetry()
-        engine = TaskEngine(jobs=jobs, telemetry=telemetry)
+        engine = TaskEngine(jobs=jobs)
         with pytest.raises(ValueError, match="boom from task body"):
             engine.run([Task("a", "test.boom")])
-        assert telemetry.snapshot().counter("tasks_failed") == 1
+        assert engine.obs.metrics.counter_total("tasks_failed") == 1
 
     def test_failure_does_not_poison_engine(self):
         engine = TaskEngine(jobs=2)
@@ -177,12 +177,11 @@ class TestSeeding:
 class TestWorkerCounters:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_counters_merge_into_parent(self, jobs):
-        telemetry = Telemetry()
-        engine = TaskEngine(jobs=jobs, telemetry=telemetry)
+        engine = TaskEngine(jobs=jobs)
         engine.run([Task(f"c{i}", "test.counted", payload=i) for i in range(4)])
-        snapshot = telemetry.snapshot()
-        assert snapshot.counter("widgets_made") == 0 + 1 + 2 + 3
-        assert snapshot.counter("tasks_run") == 4
+        snapshot = engine.obs.metrics.snapshot()
+        assert snapshot.counter_total("widgets_made") == 0 + 1 + 2 + 3
+        assert snapshot.counter_total("tasks_run") == 4
 
 
 class TestChunkRanges:

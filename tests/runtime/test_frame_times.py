@@ -60,7 +60,7 @@ def test_totals_equal_per_draw_frame_times_cold_and_warm(trace, candidates, jobs
         assert totals.shape == (len(candidates), trace.num_frames)
         assert totals.dtype == np.float64
         assert totals.tolist() == expected, state
-        simulated = runtime.snapshot().counter("frames_simulated")
+        simulated = runtime.metrics.snapshot().counter_total("frames_simulated")
         if state == "cold":
             assert simulated == len(candidates) * trace.num_frames
         else:
@@ -72,7 +72,7 @@ def test_duplicate_configs_simulate_once(trace, candidates):
     configs = [candidates[0], candidates[1], candidates[0]]
     totals = runtime.frame_times_many(trace, configs)
     assert totals[0].tolist() == totals[2].tolist()
-    assert runtime.snapshot().counter("frames_simulated") == 2 * trace.num_frames
+    assert runtime.metrics.snapshot().counter_total("frames_simulated") == 2 * trace.num_frames
 
 
 def test_no_configs(trace):
@@ -91,13 +91,13 @@ def test_extended_sweep_simulates_only_the_new_candidate(trace, candidates, tmp_
     subset_frames = subset.num_frames
     first = Runtime(jobs=2, cache_dir=tmp_path)
     pathfinding_sweep(trace, subset, candidates[:3], runtime=first)
-    assert first.snapshot().counter("frames_simulated") == 3 * (
+    assert first.metrics.snapshot().counter_total("frames_simulated") == 3 * (
         trace.num_frames + subset_frames
     )
 
     extended = Runtime(jobs=2, cache_dir=tmp_path)
     result = pathfinding_sweep(trace, subset, candidates, runtime=extended)
-    assert extended.snapshot().counter("frames_simulated") == (
+    assert extended.metrics.snapshot().counter_total("frames_simulated") == (
         trace.num_frames + subset_frames
     )
     assert result == pathfinding_sweep(trace, subset, candidates)
@@ -122,7 +122,7 @@ def test_totals_do_not_read_per_draw_artifacts(trace, candidates, tmp_path):
     Runtime(jobs=1, cache_dir=tmp_path).simulate_frames_many(trace, candidates)
     runtime = Runtime(jobs=1, cache_dir=tmp_path)
     runtime.frame_times_many(trace, candidates)
-    assert runtime.snapshot().counter("frames_simulated") == len(candidates) * trace.num_frames
+    assert runtime.metrics.snapshot().counter_total("frames_simulated") == len(candidates) * trace.num_frames
 
 
 def test_corrupted_totals_artifact_is_evicted_and_recomputed(trace, candidates, tmp_path):
@@ -134,10 +134,10 @@ def test_corrupted_totals_artifact_is_evicted_and_recomputed(trace, candidates, 
 
     healed = Runtime(jobs=1, cache_dir=tmp_path)
     assert healed.frame_times_many(trace, [config]).tolist() == reference.tolist()
-    snapshot = healed.snapshot()
-    assert snapshot.counter("cache_corrupt_evicted") == 1
-    assert snapshot.counter("frames_simulated") == trace.num_frames
+    snapshot = healed.metrics.snapshot()
+    assert snapshot.counter_total("cache_corrupt_evicted") == 1
+    assert snapshot.counter_total("frames_simulated") == trace.num_frames
 
     final = Runtime(jobs=1, cache_dir=tmp_path)
     assert final.frame_times_many(trace, [config]).tolist() == reference.tolist()
-    assert final.snapshot().counter("frames_simulated") == 0
+    assert final.metrics.snapshot().counter_total("frames_simulated") == 0

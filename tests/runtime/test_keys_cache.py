@@ -11,6 +11,7 @@ import pytest
 
 import repro
 from repro.errors import ConfigError
+from repro.obs.metrics import Metrics
 from repro.runtime.cache import CACHE_DIR_ENV, CACHE_MISS, ArtifactCache, NullCache
 from repro.runtime.keys import (
     config_digest,
@@ -18,7 +19,6 @@ from repro.runtime.keys import (
     task_key,
     trace_digest,
 )
-from repro.runtime.telemetry import Telemetry
 from repro.simgpu.config import GpuConfig
 from repro.synth.generator import TraceGenerator
 from repro.synth.profiles import GameProfile
@@ -127,16 +127,16 @@ class TestArtifactCache:
         assert cache.get(key) is None
 
     def test_corrupted_entry_evicted_and_missed(self, tmp_path):
-        telemetry = Telemetry()
-        cache = ArtifactCache(tmp_path, telemetry=telemetry)
+        metrics = Metrics()
+        cache = ArtifactCache(tmp_path, metrics=metrics)
         key = "12" * 32
         cache.put(key, [1, 2, 3])
         path = tmp_path / key[:2] / f"{key}.pkl"
         path.write_bytes(b"this is not a pickle")
         assert cache.get(key) is CACHE_MISS
         assert not path.exists()
-        snapshot = telemetry.snapshot()
-        assert snapshot.counter("cache_corrupt_evicted") == 1
+        snapshot = metrics.snapshot()
+        assert snapshot.counter_total("cache_corrupt_evicted") == 1
         # Recompute-and-put heals the entry.
         cache.put(key, [1, 2, 3])
         assert cache.get(key) == [1, 2, 3]
@@ -158,16 +158,17 @@ class TestArtifactCache:
             cache.put("UPPER", 1)
 
     def test_counters(self, tmp_path):
-        telemetry = Telemetry()
-        cache = ArtifactCache(tmp_path, telemetry=telemetry)
+        metrics = Metrics()
+        cache = ArtifactCache(tmp_path, metrics=metrics)
         key = "56" * 32
         cache.get(key)
         cache.put(key, 7)
         cache.get(key)
-        snapshot = telemetry.snapshot()
-        assert snapshot.counter("cache_misses") == 1
-        assert snapshot.counter("cache_puts") == 1
-        assert snapshot.counter("cache_hits") == 1
+        snapshot = metrics.snapshot()
+        assert snapshot.counter_total("cache_misses") == 1
+        assert snapshot.counter_total("cache_puts") == 1
+        assert snapshot.counter_total("cache_hits") == 1
+        assert snapshot.histogram("cache_lookup_s").count == 2
 
     def test_env_var_default_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "envcache"))

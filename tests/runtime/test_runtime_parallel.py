@@ -78,16 +78,16 @@ class TestWarmCacheSkipsSimulation:
     def test_pipeline_rerun_simulates_nothing(self, trace, config, tmp_path):
         cold_runtime = Runtime(jobs=1, cache_dir=tmp_path)
         SubsettingPipeline().run(trace, config, runtime=cold_runtime)
-        assert cold_runtime.snapshot().counter("frames_simulated") > 0
+        assert cold_runtime.metrics.snapshot().counter_total("frames_simulated") > 0
 
         warm_runtime = Runtime(jobs=1, cache_dir=tmp_path)
         result = SubsettingPipeline().run(trace, config, runtime=warm_runtime)
-        snapshot = warm_runtime.snapshot()
-        assert snapshot.counter("frames_simulated") == 0
-        assert snapshot.counter("frames_clustered") == 0
-        assert snapshot.counter("cache_hits") > 0
+        snapshot = warm_runtime.metrics.snapshot()
+        assert snapshot.counter_total("frames_simulated") == 0
+        assert snapshot.counter_total("frames_clustered") == 0
+        assert snapshot.counter_total("cache_hits") > 0
         assert result.telemetry is not None
-        assert result.telemetry.counter("frames_simulated") == 0
+        assert result.telemetry.counter_total("frames_simulated") == 0
 
     def test_suite_rerun_simulates_nothing(self, trace, config, tmp_path):
         traces = {"game": trace}
@@ -99,14 +99,14 @@ class TestWarmCacheSkipsSimulation:
             runtime=Runtime(jobs=1, cache_dir=tmp_path),
         )
         assert cold.telemetry is not None
-        assert cold.telemetry.counter("frames_simulated") > 0
+        assert cold.telemetry.counter_total("frames_simulated") > 0
 
         warm_runtime = Runtime(jobs=1, cache_dir=tmp_path)
         warm = subset_suite(
             traces, config, validation_clocks=clocks, runtime=warm_runtime
         )
-        assert warm_runtime.snapshot().counter("frames_simulated") == 0
-        assert warm.telemetry.counter("frames_simulated") == 0
+        assert warm_runtime.metrics.snapshot().counter_total("frames_simulated") == 0
+        assert warm.telemetry.counter_total("frames_simulated") == 0
         # Cached artifacts reproduce the cold-run numbers exactly.
         assert (
             warm.game_results["game"] == cold.game_results["game"]
@@ -122,7 +122,7 @@ class TestWarmCacheSkipsSimulation:
         validate_subset(
             trace, subset, config, (600.0, 1000.0, 1400.0), runtime=runtime
         )
-        assert runtime.snapshot().counter("cache_hits") > 0
+        assert runtime.metrics.snapshot().counter_total("cache_hits") > 0
 
 
 class TestCorruptionRecovery:
@@ -138,10 +138,10 @@ class TestCorruptionRecovery:
         healed_runtime = Runtime(jobs=1, cache_dir=tmp_path)
         healed = healed_runtime.simulate_trace(trace, config)
         assert healed == reference
-        snapshot = healed_runtime.snapshot()
-        assert snapshot.counter("cache_corrupt_evicted") == 1
-        assert snapshot.counter("frames_simulated") == trace.num_frames
+        snapshot = healed_runtime.metrics.snapshot()
+        assert snapshot.counter_total("cache_corrupt_evicted") == 1
+        assert snapshot.counter_total("frames_simulated") == trace.num_frames
         # And the healed entry serves the next run.
         final_runtime = Runtime(jobs=1, cache_dir=tmp_path)
         assert final_runtime.simulate_trace(trace, config) == reference
-        assert final_runtime.snapshot().counter("frames_simulated") == 0
+        assert final_runtime.metrics.snapshot().counter_total("frames_simulated") == 0

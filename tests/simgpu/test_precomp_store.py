@@ -285,11 +285,12 @@ class TestPrepublish:
         clear_precomp_cache()
         runtime = Runtime(jobs=2)
         runtime.simulate_frames_many(trace, [GpuConfig()])
-        published = runtime.telemetry.metrics.counter_total(
+        published = runtime.metrics.counter_total(
             "precomp_prepublished_frames"
         )
         assert published == trace.num_frames
-        assert "precomp_publish" in runtime.telemetry.snapshot().timers_s
+        stages = runtime.metrics.snapshot().histogram_totals("stage_s", "stage")
+        assert "precomp_publish" in stages
 
     def test_runtime_skips_prepublish_on_python_backend(
         self, tmp_path, monkeypatch, trace
@@ -306,7 +307,7 @@ class TestPrepublish:
         clear_precomp_cache()
         runtime = Runtime(jobs=2)
         runtime.simulate_frames_many(trace, [GpuConfig()])
-        published = runtime.telemetry.metrics.counter_total(
+        published = runtime.metrics.counter_total(
             "precomp_prepublished_frames"
         )
         assert published == 0

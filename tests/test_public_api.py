@@ -29,7 +29,6 @@ PUBLIC_MODULES = [
     "repro.runtime.engine",
     "repro.runtime.keys",
     "repro.runtime.tasks",
-    "repro.runtime.telemetry",
     "repro.baselines",
     "repro.analysis",
     "repro.analysis.experiments",

@@ -28,7 +28,6 @@ from repro.errors import ConfigError, ValidationError
 from repro.obs.artifacts import artifacts_dir_for, load_artifacts, write_artifacts
 from repro.obs.history import RunRecord, RunStore, new_run_id, record_run
 from repro.runtime.cache import CACHE_DIR_ENV, CACHE_MISS, ArtifactCache
-from repro.runtime.telemetry import Telemetry
 from repro.service.jobs import JobStore, new_job
 from repro.simgpu import _kernels
 from repro.simgpu.batch import FramePrecomp
@@ -309,8 +308,7 @@ def test_racing_cache_writers_expose_only_whole_values(tmp_path):
             cache.put(key, value)
 
     pids = [_fork(lambda value=value: writer(value)) for value in values]
-    telemetry = Telemetry()
-    reader = ArtifactCache(tmp_path, telemetry=telemetry)
+    reader = ArtifactCache(tmp_path)
     codes: Dict[int, int] = {}
     deadline = time.monotonic() + 20.0
     try:
@@ -323,7 +321,7 @@ def test_racing_cache_writers_expose_only_whole_values(tmp_path):
             codes[pid] = _wait(pid)
     assert sorted(codes.values()) == [0, 0]
     assert reader.get(key) in values
-    assert telemetry.snapshot().counter("cache_corrupt_evicted") == 0
+    assert reader.metrics.counter_total("cache_corrupt_evicted") == 0
 
 
 def test_threads_appending_one_record_get_distinct_whole_files(tmp_path):
