@@ -9,6 +9,10 @@ speedups to ``BENCH_runtime.json`` at the repository root:
 
 Every configuration must produce an identical ``PipelineResult`` — the
 benchmark asserts it, so it doubles as an end-to-end determinism check.
+Every timed run starts from the same state: the kernel backend is
+resolved (and on a cold kernel cache, compiled) before the first one,
+the shared precompute store is off, and the in-process precompute memo
+is cleared before each, so no run inherits another's warm precompute.
 (Function names deliberately avoid the ``bench_*`` pattern that pytest
 collects from this directory; this script is standalone.)
 """
@@ -30,12 +34,16 @@ from repro import datasets  # noqa: E402
 from repro.core.pipeline import SubsettingPipeline  # noqa: E402
 from repro.obs.history import record_run  # noqa: E402
 from repro.runtime import Runtime  # noqa: E402
+from repro.simgpu import _kernels  # noqa: E402
+from repro.simgpu.batch import clear_precomp_cache  # noqa: E402
 from repro.simgpu.config import GpuConfig  # noqa: E402
+from repro.simgpu.precomp_store import set_precomp_dir  # noqa: E402
 
 OUTPUT_PATH = REPO_ROOT / "BENCH_runtime.json"
 
 
 def _timed_run(trace, config, runtime):
+    clear_precomp_cache()
     start = time.perf_counter()
     result = SubsettingPipeline().run(trace, config, runtime=runtime)
     elapsed = time.perf_counter() - start
@@ -45,6 +53,11 @@ def _timed_run(trace, config, runtime):
 def run_benchmark(frames: int, scale: float, jobs: int) -> dict:
     trace = datasets.load("bioshock1_like", frames=frames, scale=scale)
     config = GpuConfig.preset("mainstream")
+    # The serial reference runs first in this process: build the kernels
+    # before any run is timed, and keep its precompute out of the shared
+    # store, where the parallel run's workers would find it warm.
+    _kernels.backend()
+    set_precomp_dir("")
 
     # A pool wider than the host is pure overhead, and on a single-CPU
     # host "parallel vs serial" measures nothing but that overhead — so

@@ -60,14 +60,14 @@ def clustering_metrics(
 ) -> List[FrameMetrics]:
     """Cluster every frame and score it against the detailed simulation.
 
-    With a ``runtime``, the ground-truth simulation runs on its workers
-    and is served from its artifact cache on repeat calls — radius and
-    feature ablations re-cluster against the same cached ground truth.
+    The ground-truth simulation runs on ``runtime`` (serial and uncached
+    by default).  With a cached runtime it is served from the artifact
+    cache on repeat calls — radius and feature ablations re-cluster
+    against the same cached ground truth.
     """
-    if runtime is not None:
-        ground = runtime.simulate_frames(trace, config, label="ground_truth")
-    else:
-        ground = simulate_frame_range(trace, config, 0, trace.num_frames)
+    if runtime is None:
+        runtime = Runtime.serial()
+    ground = runtime.simulate_frames(trace, config, label="ground_truth")
     extractor = FeatureExtractor(trace)
     out = []
     for frame, truth in zip(trace.frames, ground):

@@ -182,9 +182,9 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
         "--progress",
         action="store_true",
         help=(
-            "emit live progress lines on stderr while task graphs run "
-            "(tasks done, frames/sec, ETA; heartbeats while workers are "
-            "busy) and record the throughput as progress_* gauges"
+            "emit live progress lines on stderr while each stage's tasks "
+            "run (tasks done, frames/sec, ETA; heartbeats while workers "
+            "are busy) and record the throughput as progress_* gauges"
         ),
     )
     obs.add_argument(

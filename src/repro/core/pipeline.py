@@ -20,8 +20,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.cluster_frame import DEFAULT_RADIUS, FrameClustering, cluster_frame
-from repro.core.features import FeatureExtractor
+from repro.core.cluster_frame import DEFAULT_RADIUS, FrameClustering
 from repro.core.metrics import cluster_quality
 from repro.core.phasedetect import (
     DEFAULT_INTERVAL_LENGTH,
@@ -195,29 +194,16 @@ class SubsettingPipeline:
         self, trace: Trace, runtime: Optional[Runtime] = None
     ) -> List[FrameClustering]:
         """Cluster every frame of ``trace`` on its feature matrix."""
-        if runtime is not None:
-            return list(
-                runtime.cluster_frames(
-                    trace,
-                    method=self.cluster_method,
-                    radius=self.radius,
-                    k=self.k,
-                    normalize=self.normalize,
-                    seed=self.seed,
-                )
-            )
-        extractor = FeatureExtractor(trace)
-        return [
-            cluster_frame(
-                extractor.frame_matrix(frame),
-                method=self.cluster_method,
-                radius=self.radius,
-                k=self.k,
-                normalize=self.normalize,
-                seed=self.seed,
-            )
-            for frame in trace.frames
-        ]
+        if runtime is None:
+            runtime = Runtime.serial()
+        return runtime.cluster_frames(
+            trace,
+            method=self.cluster_method,
+            radius=self.radius,
+            k=self.k,
+            normalize=self.normalize,
+            seed=self.seed,
+        )
 
     @staticmethod
     def representative_trace(

@@ -22,7 +22,7 @@ pool; this subsystem makes those runs explainable:
 - :mod:`repro.obs.analyze` — statistical perf-regression gates over
   run-store windows and span-rollup hotspot profiling;
 - :mod:`repro.obs.progress` — live progress/heartbeat telemetry for
-  long-running task graphs (``--progress``).
+  long-running task fan-outs (``--progress``).
 
 The disabled path is the default and costs essentially nothing: the
 :data:`~repro.obs.spans.NULL_TRACER` turns every span into a shared

@@ -1,12 +1,13 @@
-"""Live progress telemetry for long-running task graphs.
+"""Live progress telemetry for long-running task fan-outs.
 
 A :class:`ProgressReporter` receives completion and heartbeat callbacks
 from the task engine and turns them into two things at once:
 
 - human-readable progress lines on stderr (``--progress``): tasks done,
-  frames simulated, frames/sec over the run so far, elapsed time, and a
-  frames-rate-based ETA — so a long sweep is observable *while running*,
-  not just post-mortem;
+  frames simulated, frames/sec, elapsed time, and an ETA, all counted
+  since the current engine run began (:meth:`ProgressReporter.begin`)
+  — so a long sweep is observable *while running*, not just
+  post-mortem;
 - ``progress_*`` gauges on the run's metrics registry, so the final
   snapshot (and the appended run record) carries the last observed
   throughput.

@@ -5,9 +5,10 @@ times dozens of candidate architectures — whose artifacts are reused for
 months.  This subsystem supplies the execution layer the rest of the
 library runs on:
 
-- :class:`~repro.runtime.engine.TaskEngine` — dependency-aware task
-  graphs on a process pool, with a serial ``jobs=1`` fallback that is
-  bit-identical to the historical code paths;
+- :class:`~repro.runtime.engine.TaskEngine` — a flat fan-out of
+  independent tasks on a process pool, values back in submission
+  order, with a serial ``jobs=1`` fallback that is bit-identical to the
+  historical code paths;
 - :class:`~repro.runtime.cache.ArtifactCache` — results keyed by a
   stable digest of (trace content, GPU config, algorithm parameters,
   format version), persisted on disk so re-runs and interrupted sweeps

@@ -1,12 +1,12 @@
-"""Dependency-aware task engine and the user-facing :class:`Runtime`.
+"""Flat fan-out task engine and the user-facing :class:`Runtime`.
 
-The engine executes a task graph either inline (``jobs=1`` — the serial
-fallback, bit-identical to the pre-runtime code paths) or on a
-``ProcessPoolExecutor``.  The run's shared ``context`` (typically the
-trace) ships to each worker once via the pool initializer instead of
-once per task; per-task child seeds come from
-:func:`repro.util.rng.spawn_worker_seed`, so results never depend on
-worker count or completion order.
+The engine runs a list of independent tasks either inline (``jobs=1`` —
+the serial fallback, bit-identical to the pre-runtime code paths) or on
+a ``ProcessPoolExecutor``, and returns their values in submission
+order.  The run's shared ``context`` (typically the trace) ships to
+each worker once via the pool initializer instead of once per task;
+per-task child seeds come from :func:`repro.util.rng.spawn_worker_seed`,
+so results never depend on worker count or completion order.
 
 Observability rides the same rails: each task runs under an ambient
 :class:`~repro.obs.context.ObsContext`, inside a ``task:<kind>`` span,
@@ -56,10 +56,6 @@ if TYPE_CHECKING:
     from repro.simgpu.config import GpuConfig
     from repro.simgpu.simulator import TraceResult
 
-#: Anything the runtime can consult for artifacts: the real store or the
-#: inert default.  (A Protocol would be overkill for two shapes.)
-CacheLike = Union[ArtifactCache, NullCache]
-
 _WORKER_CONTEXT: Any = None
 
 
@@ -68,9 +64,7 @@ def _init_worker(context: Any) -> None:
     _WORKER_CONTEXT = context
 
 
-def _run_task(
-    obs: ObsContext, context: Any, task: Task, dep_values: Dict[str, Any]
-) -> Any:
+def _run_task(obs: ObsContext, context: Any, task: Task) -> Any:
     """Execute one task body under ``obs`` (same code inline and in workers).
 
     The body runs inside a ``task:<kind>`` span, and its wall time lands
@@ -86,7 +80,7 @@ def _run_task(
         with obs.tracer.span(
             f"task:{task.kind}", category="task", task_id=task.task_id
         ):
-            value = fn(context, task.payload, dep_values)
+            value = fn(context, task.payload)
     obs.metrics.observe("task_wall_s", time.perf_counter() - start, kind=task.kind)
     return value
 
@@ -96,52 +90,18 @@ def _execute_in_worker(blob: bytes) -> TaskResult:
     # submit so an unpicklable payload raises there, synchronously, instead
     # of poisoning the executor's feeder thread (which deadlocks
     # ``shutdown(wait=True)`` on CPython 3.11).
-    task, dep_values, parent_span_id, trace_on = pickle.loads(blob)
+    task, parent_span_id, trace_on = pickle.loads(blob)
     tracer = Tracer(root_parent_id=parent_span_id) if trace_on else NULL_TRACER
     obs = ObsContext(tracer=tracer)
-    value = _run_task(obs, _WORKER_CONTEXT, task, dep_values)
+    value = _run_task(obs, _WORKER_CONTEXT, task)
     return TaskResult(value, obs.metrics.dump(), tuple(tracer.drain()))
 
 
-def _topological_order(tasks: Sequence[Task]) -> List[Task]:
-    """Kahn's algorithm, stable with respect to submission order."""
-    by_id: Dict[str, Task] = {}
-    for task in tasks:
-        if task.task_id in by_id:
-            raise ConfigError(f"duplicate task id {task.task_id!r}")
-        by_id[task.task_id] = task
-    children: Dict[str, List[str]] = {task.task_id: [] for task in tasks}
-    blocked_by: Dict[str, int] = {}
-    for task in tasks:
-        for dep in task.deps:
-            if dep not in by_id:
-                raise ConfigError(
-                    f"task {task.task_id!r} depends on unknown task {dep!r}"
-                )
-            children[dep].append(task.task_id)
-        blocked_by[task.task_id] = len(task.deps)
-    ready = [task for task in tasks if blocked_by[task.task_id] == 0]
-    order: List[Task] = []
-    cursor = 0
-    while cursor < len(ready):
-        task = ready[cursor]
-        cursor += 1
-        order.append(task)
-        for child_id in children[task.task_id]:
-            blocked_by[child_id] -= 1
-            if blocked_by[child_id] == 0:
-                ready.append(by_id[child_id])
-    if len(order) != len(tasks):
-        stuck = sorted(tid for tid, n in blocked_by.items() if n > 0)
-        raise ConfigError(f"task graph has a dependency cycle involving {stuck}")
-    return order
-
-
 class TaskEngine:
-    """Executes task graphs serially or on a process pool.
+    """Runs a list of independent tasks serially or on a process pool.
 
-    ``jobs=1`` runs every task inline in topological submission order —
-    no subprocesses, no pickling — and is the reference behavior the
+    ``jobs=1`` runs every task inline in submission order — no
+    subprocesses, no pickling — and is the reference behavior the
     parallel path must reproduce exactly (results, counters, and span
     counts alike).  Counters, histograms and spans land in ``obs``.
     """
@@ -160,94 +120,75 @@ class TaskEngine:
 
     # -- execution ---------------------------------------------------------
 
-    def run(
-        self, tasks: Sequence[Task], context: Any = None
-    ) -> Dict[str, Any]:
-        """Execute ``tasks`` and return ``{task_id: value}``.
+    def run(self, tasks: Sequence[Task], context: Any = None) -> List[Any]:
+        """Execute ``tasks`` and return their values in submission order.
 
         A task exception propagates to the caller with its original
-        type; remaining tasks are cancelled.
+        type; remaining tasks are cancelled.  Progress reports count the
+        tasks and the frames simulated since this call began.
         """
-        pending = _topological_order(tasks)
-        results: Dict[str, Any] = {}
-        if not pending:
-            return results
-        self.progress.begin(len(pending))
-        if self.jobs == 1 or len(pending) == 1:
-            # A one-task graph gains nothing from a pool: spinning up a
-            # worker process costs orders of magnitude more than the
-            # inline dispatch, and the inline path is the reference
-            # behavior anyway.
-            self._run_serial(pending, context, results)
+        if not tasks:
+            return []
+        frames_before = self._frames_total()
+        self.progress.begin(len(tasks))
+        if self.jobs == 1 or len(tasks) == 1:
+            # One task gains nothing from a pool: spinning up a worker
+            # process costs orders of magnitude more than the inline
+            # dispatch, and the inline path is the reference behavior
+            # anyway.
+            values = self._run_serial(tasks, context, frames_before)
         else:
-            self._run_pool(pending, context, results)
+            values = self._run_pool(tasks, context, frames_before)
         self.progress.finish(
-            len(pending), len(pending), self._frames_simulated()
+            len(tasks), len(tasks), self._frames_total() - frames_before
         )
-        return results
+        return values
 
-    def _frames_simulated(self) -> int:
+    def _frames_total(self) -> int:
         return self.obs.metrics.counter_total("frames_simulated")
 
-    def _finish(self, task: Task, value: Any, results: Dict[str, Any]) -> None:
-        results[task.task_id] = value
-        self.obs.metrics.inc("tasks_run")
-
-    def _dep_values(self, task: Task, results: Dict[str, Any]) -> Dict[str, Any]:
-        return {dep: results[dep] for dep in task.deps}
-
     def _run_serial(
-        self, pending: List[Task], context: Any, results: Dict[str, Any]
-    ) -> None:
-        total = len(pending)
-        for done, task in enumerate(pending, start=1):
+        self, tasks: Sequence[Task], context: Any, frames_before: int
+    ) -> List[Any]:
+        values: List[Any] = []
+        for done, task in enumerate(tasks, start=1):
             try:
-                value = _run_task(
-                    self.obs, context, task, self._dep_values(task, results)
-                )
+                values.append(_run_task(self.obs, context, task))
             except Exception:
                 self.obs.metrics.inc("tasks_failed")
                 raise
-            self._finish(task, value, results)
-            self.progress.task_done(done, total, self._frames_simulated())
+            self.obs.metrics.inc("tasks_run")
+            self.progress.task_done(
+                done, len(tasks), self._frames_total() - frames_before
+            )
+        return values
 
     def _run_pool(
-        self, pending: List[Task], context: Any, results: Dict[str, Any]
-    ) -> None:
-        children: Dict[str, List[Task]] = {}
-        blocked_by: Dict[str, int] = {}
-        for task in pending:
-            blocked_by[task.task_id] = len(task.deps)
-            for dep in task.deps:
-                children.setdefault(dep, []).append(task)
-        ready = [task for task in pending if blocked_by[task.task_id] == 0]
+        self, tasks: Sequence[Task], context: Any, frames_before: int
+    ) -> List[Any]:
         pool = ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(pending)),
+            max_workers=min(self.jobs, len(tasks)),
             initializer=_init_worker,
             initargs=(context,),
         )
-        futures: Dict[Future[TaskResult], Task] = {}
+        futures: Dict[Future[TaskResult], int] = {}
+        values: List[Any] = [None] * len(tasks)
         tracer, metrics = self.obs.tracer, self.obs.metrics
-
-        def submit(task: Task) -> None:
-            try:
-                blob = pickle.dumps(
-                    (task, self._dep_values(task, results),
-                     tracer.current_span_id(), tracer.enabled)
-                )
-            except Exception as exc:
-                raise ConfigError(
-                    f"task {task.task_id!r} payload cannot be sent to a "
-                    f"worker process: {exc}"
-                ) from exc
-            futures[pool.submit(_execute_in_worker, blob)] = task
-
-        total = len(pending)
+        total = len(tasks)
         finished = 0
         heartbeat_s = self.progress.heartbeat_interval_s
         try:
-            for task in ready:
-                submit(task)
+            for index, task in enumerate(tasks):
+                try:
+                    blob = pickle.dumps(
+                        (task, tracer.current_span_id(), tracer.enabled)
+                    )
+                except Exception as exc:
+                    raise ConfigError(
+                        f"task {task.task_id!r} payload cannot be sent to a "
+                        f"worker process: {exc}"
+                    ) from exc
+                futures[pool.submit(_execute_in_worker, blob)] = index
             while futures:
                 done, _ = wait(
                     set(futures),
@@ -258,11 +199,11 @@ class TaskEngine:
                     # Workers are still heads-down past the heartbeat
                     # interval: surface liveness rather than going dark.
                     self.progress.heartbeat(
-                        finished, total, self._frames_simulated()
+                        finished, total, self._frames_total() - frames_before
                     )
                     continue
                 for future in done:
-                    task = futures.pop(future)
+                    index = futures.pop(future)
                     try:
                         result = future.result()
                     except Exception:
@@ -270,17 +211,15 @@ class TaskEngine:
                         raise
                     metrics.merge(result.metrics)
                     tracer.merge(result.spans)
-                    self._finish(task, result.value, results)
+                    values[index] = result.value
+                    metrics.inc("tasks_run")
                     finished += 1
                     self.progress.task_done(
-                        finished, total, self._frames_simulated()
+                        finished, total, self._frames_total() - frames_before
                     )
-                    for child in children.get(task.task_id, ()):
-                        blocked_by[child.task_id] -= 1
-                        if blocked_by[child.task_id] == 0:
-                            submit(child)
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
+        return values
 
 
 def _chunk_ranges(
@@ -312,74 +251,51 @@ class Runtime:
     The default construction (``Runtime()`` / :meth:`Runtime.serial`) is
     the zero-surprise configuration: one process, no cache, results
     bit-identical to the historical serial code paths.  ``jobs=N`` adds
-    process-pool parallelism; ``jobs="auto"`` sizes the pool to the host
-    CPU count *and* falls back to inline execution for workloads smaller
-    than ``serial_cutoff`` frames, where pool startup and pickling cost
-    more than the simulation itself (results are identical either way —
-    only the execution strategy adapts).  ``cache_dir=...`` (or a
-    prebuilt ``cache``) adds the content-addressed artifact store, so
+    process-pool parallelism over ``jobs * CHUNKS_PER_JOB`` frame ranges;
+    ``jobs="auto"`` sizes the pool to the host CPU count *and* runs
+    workloads smaller than ``SERIAL_CUTOFF`` frames inline, where pool
+    startup and pickling cost more than the simulation itself (results
+    are identical either way — only the execution strategy adapts).
+    ``cache_dir=...`` adds the content-addressed artifact store, so
     repeated experiments and interrupted sweeps skip every
     already-computed simulation.
 
     ``tracer=Tracer()`` enables hierarchical span tracing; the default
     :data:`~repro.obs.spans.NULL_TRACER` makes every span a no-op.
     ``metrics`` is the registry every counter and histogram of the run
-    lands in (a fresh one by default; a prebuilt ``ArtifactCache``
-    lends its own, so its hit and miss counts stay in the run's totals).
+    lands in, the artifact cache's hit and miss counts included (a fresh
+    one by default).
     """
 
-    #: Below this many work items, ``jobs="auto"`` runs inline: on traces
-    #: this small the process pool's startup + serialization overhead
-    #: exceeds the simulation work (measured in BENCH_runtime.json).
-    DEFAULT_SERIAL_CUTOFF = 32
+    #: Frame ranges per worker under ``jobs=N``.
+    CHUNKS_PER_JOB = 2
+
+    #: Below this many frames, ``jobs="auto"`` runs inline.  Not tuned:
+    #: in BENCH_runtime.json the pool still loses at 40 frames (a
+    #: 0.85-0.96x speedup at ``jobs=2`` on a 2-vCPU host, four runs), so
+    #: on that host the break-even lies above this cutoff.
+    SERIAL_CUTOFF = 32
 
     def __init__(
         self,
         jobs: Union[int, str] = 1,
-        cache: Optional[CacheLike] = None,
         cache_dir: Optional[Union[str, Path]] = None,
         metrics: Optional[Metrics] = None,
         tracer: Optional[object] = None,
-        seed: int = 0,
-        chunks_per_job: int = 2,
-        serial_cutoff: Optional[int] = None,
         progress: Optional[Union[ProgressReporter, NullProgress]] = None,
     ) -> None:
-        if cache is not None and cache_dir is not None:
-            raise ConfigError("pass either cache or cache_dir, not both")
-        if not isinstance(chunks_per_job, int) or chunks_per_job < 1:
-            raise ConfigError(
-                f"chunks_per_job must be an int >= 1, got {chunks_per_job!r}"
-            )
-        if serial_cutoff is not None and (
-            not isinstance(serial_cutoff, int)
-            or isinstance(serial_cutoff, bool)
-            or serial_cutoff < 0
-        ):
-            raise ConfigError(
-                f"serial_cutoff must be an int >= 0, got {serial_cutoff!r}"
-            )
         self.adaptive = jobs == "auto"
         if self.adaptive:
             jobs = os.cpu_count() or 1
-        self.serial_cutoff = (
-            serial_cutoff if serial_cutoff is not None
-            else self.DEFAULT_SERIAL_CUTOFF
-        )
-        if metrics is None:
-            metrics = cache.metrics if isinstance(cache, ArtifactCache) else Metrics()
         self.obs = ObsContext(
-            tracer=tracer if tracer is not None else NULL_TRACER, metrics=metrics
+            tracer=tracer if tracer is not None else NULL_TRACER,
+            metrics=metrics if metrics is not None else Metrics(),
         )
-        if cache is None:
-            cache = (
-                ArtifactCache(cache_dir, metrics=metrics)
-                if cache_dir is not None
-                else NullCache()
-            )
-        self.cache = cache
-        self.seed = seed
-        self.chunks_per_job = chunks_per_job
+        self.cache: Union[ArtifactCache, NullCache] = (
+            ArtifactCache(cache_dir, metrics=self.obs.metrics)
+            if cache_dir is not None
+            else NullCache()
+        )
         self.progress = progress if progress is not None else NULL_PROGRESS
         self.engine = TaskEngine(jobs=jobs, obs=self.obs, progress=self.progress)
 
@@ -423,21 +339,21 @@ class Runtime:
         """Work partition for ``num_items`` frames under this runtime.
 
         ``jobs="auto"`` runtimes return a single range for workloads
-        under ``serial_cutoff`` (the engine runs one-task graphs inline,
-        so small traces never touch the pool) and floor the chunk size
-        for everything else; explicit ``jobs=N`` keeps the historical
-        fixed partition.
+        under ``SERIAL_CUTOFF`` (the engine runs one task inline, so
+        small traces never touch the pool) and floor the chunk size at
+        a quarter of it for everything else; explicit ``jobs=N`` keeps
+        the historical fixed partition.
         """
         if self.jobs == 1:
             return [(0, num_items)]
+        num_chunks = self.jobs * self.CHUNKS_PER_JOB
         if self.adaptive:
-            if num_items < self.serial_cutoff:
+            if num_items < self.SERIAL_CUTOFF:
                 return [(0, num_items)]
-            min_items = max(1, self.serial_cutoff // 4)
             return _chunk_ranges(
-                num_items, self.jobs * self.chunks_per_job, min_items=min_items
+                num_items, num_chunks, min_items=self.SERIAL_CUTOFF // 4
             )
-        return _chunk_ranges(num_items, self.jobs * self.chunks_per_job)
+        return _chunk_ranges(num_items, num_chunks)
 
     # -- simulation --------------------------------------------------------
 
@@ -450,7 +366,7 @@ class Runtime:
         """Per-frame outputs of ``trace`` on every config, cache-first.
 
         One artifact per (trace content, config) pair; configs missing
-        from the cache are simulated together in one task graph, so each
+        from the cache are simulated together in one fan-out, so each
         chunk evaluates them as one config-vectorized pass that computes
         the order-dependent context rows once per distinct capacity and
         switch-cost triple.  ``label`` names the stage, its trace
@@ -523,7 +439,7 @@ class Runtime:
                     task_id=f"{label}:{start}:{stop}",
                     kind=task_kind,
                     payload=(need_configs, start, stop, label),
-                    seed=spawn_worker_seed(self.seed, task_kind, start, stop),
+                    seed=spawn_worker_seed(0, task_kind, start, stop),
                 )
                 for start, stop in ranges
             ]
@@ -531,9 +447,7 @@ class Runtime:
             with self.stage(label):
                 values = self.engine.run(tasks, context=trace)
             for position, key in enumerate(need):
-                value = join(
-                    [values[f"{label}:{start}:{stop}"][position] for start, stop in ranges]
-                )
+                value = join([chunk[position] for chunk in values])
                 by_key[key] = value
                 self.cache.put(key, value)
         return [by_key[key] for key in keys]
@@ -603,7 +517,7 @@ class Runtime:
             return list(hit)
         base_seed = params.get("seed")
         if not isinstance(base_seed, int) or isinstance(base_seed, bool):
-            base_seed = self.seed
+            base_seed = 0
         payload_params = tuple(sorted(params.items()))
         ranges = self._ranges(trace.num_frames)
         tasks = [
@@ -619,9 +533,7 @@ class Runtime:
         ]
         with self.stage("cluster"):
             values = self.engine.run(tasks, context=trace)
-        clusterings: list = []
-        for start, stop in ranges:
-            clusterings.extend(values[f"cluster:{start}:{stop}"])
+        clusterings = [clustering for chunk in values for clustering in chunk]
         self.cache.put(key, clusterings)
         return clusterings
 

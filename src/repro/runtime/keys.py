@@ -58,7 +58,7 @@ KEY_RECORD_FIELDS: Tuple[str, ...] = (
 #: without a row here is a CI failure: every new task input must state
 #: how the cache sees it.
 TASK_FIELD_KEYING: Mapping[str, str] = {
-    "task_id": "label only: names the result slot, never changes the value",
+    "task_id": "label only: names the task's span and errors, never the value",
     "kind": "keyed directly via the 'kind' record field",
     "payload": (
         "keyed via the trace/config/params/extra digests at the key-"
@@ -66,13 +66,9 @@ TASK_FIELD_KEYING: Mapping[str, str] = {
         "simulate_frames_many and frame_times_many, and "
         "Runtime.cluster_frames pass every payload component to task_key)"
     ),
-    "deps": (
-        "dependency values are keyed by their own task keys; the id "
-        "list itself is graph wiring, not an input"
-    ),
     "seed": (
-        "derived from (run seed, kind, frame range) by spawn_worker_seed; "
-        "the run seed participates via params at the call sites"
+        "derived from (clustering seed param or 0, kind, frame range) by "
+        "spawn_worker_seed; the seed param is keyed via params at the call site"
     ),
 }
 

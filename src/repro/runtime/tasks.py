@@ -1,12 +1,12 @@
 """Task vocabulary for the runtime engine.
 
 A :class:`Task` is one unit of pipeline work: simulate a range of
-frames, cluster a range of frames, or call an arbitrary function.  Task
-*functions* are module-level (so worker processes can resolve them by
-kind name after a fork/spawn) and registered in :data:`TASK_FUNCTIONS`;
-they receive the run's shared ``context`` (shipped once per worker, not
-once per task — the trace is the heavy part), their payload, and the
-results of their dependencies, and return their value.
+frames (per-draw outputs or frame totals) or cluster a range of frames.
+Task *functions* are module-level (so worker processes can resolve them
+by kind name after a fork/spawn) and registered in
+:data:`TASK_FUNCTIONS`; they receive the run's shared ``context``
+(shipped once per worker, not once per task — the trace is the heavy
+part) and their payload, and return their value.
 
 Task bodies run under an ambient :class:`repro.obs.ObsContext`: the
 counters, histograms and nested spans they record land in the parent's
@@ -40,23 +40,24 @@ class TaskResult:
 
 @dataclass(frozen=True)
 class Task:
-    """One node of a dependency-aware task graph.
+    """One independent unit of a fan-out.
 
-    ``seed``, when set, seeds numpy's legacy global RNG in the worker
-    before the task body runs (derive it with
-    :func:`repro.util.rng.spawn_worker_seed` so it depends on the task's
-    identity, never on scheduling).  Tasks are not cached one by one:
-    :class:`~repro.runtime.engine.Runtime` caches whole artifacts.
+    ``task_id`` labels the task's ``task:<kind>`` span and names it in
+    errors; values come back by position.  ``seed``, when set, seeds
+    numpy's legacy global RNG in the worker before the task body runs
+    (derive it with :func:`repro.util.rng.spawn_worker_seed` so it
+    depends on the task's identity, never on scheduling).  Tasks are
+    not cached one by one: :class:`~repro.runtime.engine.Runtime`
+    caches whole artifacts.
     """
 
     task_id: str
     kind: str
     payload: Any = None
-    deps: Tuple[str, ...] = ()
     seed: Optional[int] = None
 
 
-TaskFunction = Callable[[Any, Any, Dict[str, Any]], Any]
+TaskFunction = Callable[[Any, Any], Any]
 
 TASK_FUNCTIONS: Dict[str, TaskFunction] = {}
 
@@ -94,24 +95,8 @@ def resolve_task_function(kind: str) -> TaskFunction:
 # ---------------------------------------------------------------------------
 
 
-@task_function("call")
-def _call(context: Any, payload: Any, deps: Dict[str, Any]) -> Any:
-    """Generic escape hatch: ``payload = (fn, args)``, returns ``fn(*args)``."""
-    fn, args = payload
-    return fn(*args)
-
-
-@task_function("call_with_deps")
-def _call_with_deps(context: Any, payload: Any, deps: Dict[str, Any]) -> Any:
-    """Like ``call`` but passes the dependency results as ``fn(deps, *args)``."""
-    fn, args = payload
-    return fn(deps, *args)
-
-
 @task_function("simulate_frame_range")
-def _simulate_frame_range(
-    context: Any, payload: Any, deps: Dict[str, Any]
-) -> Tuple[Tuple[Any, ...], ...]:
+def _simulate_frame_range(context: Any, payload: Any) -> Tuple[Tuple[Any, ...], ...]:
     """Simulate frames ``[start, stop)`` of the context trace on N configs.
 
     All configs are evaluated in one task so the order-dependent context
@@ -133,9 +118,7 @@ def _simulate_frame_range(
 
 
 @task_function("simulate_frame_times")
-def _simulate_frame_times(
-    context: Any, payload: Any, deps: Dict[str, Any]
-) -> Any:
+def _simulate_frame_times(context: Any, payload: Any) -> Any:
     """Frame totals of ``[start, stop)`` of the context trace on N configs.
 
     The same payload and evaluation as ``simulate_frame_range``, but the
@@ -158,9 +141,7 @@ def _count_frames(configs: Tuple[Any, ...], start: int, stop: int, phase: str) -
 
 
 @task_function("cluster_frame_range")
-def _cluster_frame_range(
-    context: Any, payload: Any, deps: Dict[str, Any]
-) -> Tuple[Any, ...]:
+def _cluster_frame_range(context: Any, payload: Any) -> Tuple[Any, ...]:
     """Cluster frames ``[start, stop)`` of the context trace.
 
     Records the cluster-count and cluster-size distributions

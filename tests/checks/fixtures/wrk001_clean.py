@@ -4,5 +4,5 @@ from repro.runtime.tasks import task_function
 
 
 @task_function("fixture_module_kind")
-def run_module_level(context, payload, deps):
+def run_module_level(context, payload):
     return payload

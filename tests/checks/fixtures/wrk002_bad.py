@@ -7,8 +7,8 @@ CALL_COUNT = 0
 
 
 @task_function("fixture_mutating_kind")
-def accumulate(context, payload, deps):
+def accumulate(context, payload):
     global CALL_COUNT  # expect: WRK002
     CALL_COUNT = CALL_COUNT + 1
-    RESULT_CACHE[payload] = deps  # expect: WRK002
+    RESULT_CACHE[payload] = context  # expect: WRK002
     return CALL_COUNT

@@ -4,6 +4,6 @@ from repro.runtime.tasks import task_function
 
 
 @task_function("fixture_pure_kind")
-def accumulate(context, payload, deps):
-    local_cache = {payload: deps}
+def accumulate(context, payload):
+    local_cache = {payload: context}
     return {"cache": local_cache, "calls": 1}

@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import io
 
+from repro import datasets
 from repro.obs.context import ObsContext
 from repro.obs.metrics import Metrics
 from repro.obs.progress import NULL_PROGRESS, NullProgress, ProgressReporter
 from repro.runtime.engine import Runtime, TaskEngine
 from repro.runtime.tasks import Task, task_function
+from repro.simgpu.config import GpuConfig
 
 
 @task_function("progress.noop")
-def _noop(context, payload, deps):
+def _noop(context, payload):
     return payload
 
 
@@ -136,6 +138,19 @@ class TestEngineIntegration:
         captured = capsys.readouterr()
         assert "[progress]" not in captured.err
         assert "[progress]" not in captured.out
+
+    def test_frames_count_since_the_current_run_began(self):
+        # The task counts restart at every engine run; the frame count
+        # printed beside them must cover the same run, not the runtime.
+        stream = io.StringIO()
+        reporter = ProgressReporter(stream=stream, interval_s=0.0)
+        runtime = Runtime(jobs=1, progress=reporter)
+        trace = datasets.load("bioshock1_like", frames=6, seed=0, scale=0.1)
+        for preset in ("mainstream", "highend"):
+            runtime.simulate_trace(trace, GpuConfig.preset(preset))
+        assert runtime.metrics.counter_total("frames_simulated") == 12
+        last = stream.getvalue().splitlines()[-1]
+        assert last.startswith("[progress] tasks 1/1 (100%) | frames 6 ")
 
     def test_runtime_threads_progress_through(self):
         stream = io.StringIO()

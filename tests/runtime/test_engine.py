@@ -1,6 +1,7 @@
-"""Tests for the task engine: graphs, pools, seeding, failures."""
+"""Tests for the task engine: fan-out, pools, seeding, failures."""
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -15,39 +16,40 @@ from repro.runtime.tasks import Task, task_function
 
 
 @task_function("test.double")
-def _double(context, payload, deps):
+def _double(context, payload):
     return payload * 2
 
 
-@task_function("test.sum_deps")
-def _sum_deps(context, payload, deps):
-    return sum(deps.values()) + payload
-
-
 @task_function("test.with_context")
-def _with_context(context, payload, deps):
+def _with_context(context, payload):
     return context + payload
 
 
 @task_function("test.boom")
-def _boom(context, payload, deps):
+def _boom(context, payload):
     raise ValueError("boom from task body")
 
 
 @task_function("test.draw")
-def _draw(context, payload, deps):
+def _draw(context, payload):
     return float(np.random.random())
 
 
 @task_function("test.counted")
-def _counted(context, payload, deps):
+def _counted(context, payload):
     current_obs().metrics.inc("widgets_made", payload)
     return payload
 
 
 @task_function("test.pid")
-def _pid(context, payload, deps):
+def _pid(context, payload):
     return os.getpid()
+
+
+@task_function("test.sleep")
+def _sleep(context, payload):
+    time.sleep(payload)
+    return payload
 
 
 def _fan_out(n):
@@ -55,24 +57,6 @@ def _fan_out(n):
 
 
 class TestGraphValidation:
-    def test_duplicate_id_rejected(self):
-        tasks = [Task("a", "test.double", 1), Task("a", "test.double", 2)]
-        with pytest.raises(ConfigError, match="duplicate task id"):
-            TaskEngine().run(tasks)
-
-    def test_unknown_dep_rejected(self):
-        tasks = [Task("a", "test.double", 1, deps=("ghost",))]
-        with pytest.raises(ConfigError, match="unknown task"):
-            TaskEngine().run(tasks)
-
-    def test_cycle_rejected(self):
-        tasks = [
-            Task("a", "test.double", 1, deps=("b",)),
-            Task("b", "test.double", 1, deps=("a",)),
-        ]
-        with pytest.raises(ConfigError, match="cycle"):
-            TaskEngine().run(tasks)
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError, match="unknown task kind"):
             TaskEngine().run([Task("a", "no.such.kind")])
@@ -89,46 +73,30 @@ class TestGraphValidation:
 class TestExecution:
     def test_serial_fan_out(self):
         results = TaskEngine(jobs=1).run(_fan_out(7))
-        assert results == {f"t{i}": 2 * i for i in range(7)}
+        assert results == [2 * i for i in range(7)]
 
     def test_parallel_matches_serial(self):
         serial = TaskEngine(jobs=1).run(_fan_out(9))
         parallel = TaskEngine(jobs=3).run(_fan_out(9))
         assert parallel == serial
 
-    def test_dependencies_feed_values(self):
-        tasks = [
-            Task("a", "test.double", 3),
-            Task("b", "test.double", 4),
-            Task("total", "test.sum_deps", 100, deps=("a", "b")),
-        ]
-        for jobs in (1, 2):
-            results = TaskEngine(jobs=jobs).run(tasks)
-            assert results["total"] == 6 + 8 + 100
-
-    def test_diamond_graph(self):
-        tasks = [
-            Task("src", "test.double", 1),
-            Task("left", "test.sum_deps", 0, deps=("src",)),
-            Task("right", "test.sum_deps", 10, deps=("src",)),
-            Task("sink", "test.sum_deps", 0, deps=("left", "right")),
-        ]
-        for jobs in (1, 2):
-            results = TaskEngine(jobs=jobs).run(tasks)
-            assert results["sink"] == 2 + 12
-
     def test_context_ships_to_workers(self):
         tasks = [Task(f"t{i}", "test.with_context", i) for i in range(4)]
         for jobs in (1, 2):
             results = TaskEngine(jobs=jobs).run(tasks, context=100)
-            assert results == {f"t{i}": 100 + i for i in range(4)}
+            assert results == [100 + i for i in range(4)]
 
-    def test_submission_order_irrelevant_serially(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_values_in_submission_order_when_first_finishes_last(self, jobs):
+        # The first task sleeps while the other three complete, so the
+        # pool sees completions out of submission order.
+        engine = TaskEngine(jobs=jobs)
         tasks = [
-            Task("late", "test.sum_deps", 0, deps=("early",)),
-            Task("early", "test.double", 5),
+            Task(f"s{i}", "test.sleep", payload=seconds)
+            for i, seconds in enumerate([0.3, 0, 0, 0])
         ]
-        assert TaskEngine(jobs=1).run(tasks)["late"] == 10
+        assert engine.run(tasks) == [0.3, 0, 0, 0]
+        assert engine.obs.metrics.counter_total("tasks_run") == 4
 
 
 class TestFailures:
@@ -143,13 +111,13 @@ class TestFailures:
         engine = TaskEngine(jobs=2)
         with pytest.raises(ValueError):
             engine.run([Task("a", "test.boom")])
-        assert engine.run(_fan_out(3)) == {"t0": 0, "t1": 2, "t2": 4}
+        assert engine.run(_fan_out(3)) == [0, 2, 4]
 
     def test_unpicklable_payload_raises_cleanly(self):
         # Must raise in the parent, not deadlock the executor's feeder
         # thread (CPython 3.11 hangs shutdown() on feeder pickling errors).
         tasks = [Task(f"t{i}", "test.double", 1) for i in range(4)]
-        tasks.append(Task("bad", "call", ((lambda: 1), ())))
+        tasks.append(Task("bad", "test.double", lambda: 1))
         with pytest.raises(ConfigError, match="bad.*cannot be sent"):
             TaskEngine(jobs=2).run(tasks, context={"shared": True})
 
@@ -163,7 +131,7 @@ class TestSeeding:
         parallel = TaskEngine(jobs=3).run(tasks)
         assert parallel == serial
         # Distinct seeds give distinct draws.
-        assert len(set(serial.values())) == len(serial)
+        assert len(set(serial)) == len(serial)
 
     def test_same_seed_same_value_regardless_of_position(self):
         first = TaskEngine(jobs=1).run([Task("x", "test.draw", seed=42)])
@@ -171,7 +139,7 @@ class TestSeeding:
             [Task(f"pad{i}", "test.draw", seed=i) for i in range(5)]
             + [Task("x", "test.draw", seed=42)]
         )
-        assert buried["x"] == first["x"]
+        assert buried[-1] == first[0]
 
 
 class TestWorkerCounters:
@@ -221,15 +189,15 @@ class TestChunkRanges:
 
 class TestSingleTaskInline:
     def test_one_pending_task_runs_in_parent(self):
-        # A one-task graph must not pay pool startup: it runs inline
-        # even on a parallel engine.
+        # One task must not pay pool startup: it runs inline even on a
+        # parallel engine.
         results = TaskEngine(jobs=4).run([Task("only", "test.pid")])
-        assert results["only"] == os.getpid()
+        assert results == [os.getpid()]
 
     def test_multi_task_graph_still_uses_workers(self):
         tasks = [Task(f"p{i}", "test.pid") for i in range(4)]
         results = TaskEngine(jobs=2).run(tasks)
-        assert any(pid != os.getpid() for pid in results.values())
+        assert any(pid != os.getpid() for pid in results)
 
 
 class TestAdaptiveRuntime:
@@ -243,24 +211,19 @@ class TestAdaptiveRuntime:
         assert not Runtime().adaptive
 
     def test_small_workload_gets_single_range(self):
-        runtime = Runtime(jobs="auto", serial_cutoff=32)
+        runtime = Runtime(jobs="auto")
+        assert Runtime.SERIAL_CUTOFF == 32
         assert runtime._ranges(8) == [(0, 8)]
         assert runtime._ranges(31) == [(0, 31)]
 
     def test_large_workload_chunks_with_floor(self):
-        runtime = Runtime(jobs="auto", serial_cutoff=32)
+        runtime = Runtime(jobs="auto")
         ranges = runtime._ranges(64)
         flat = [i for start, stop in ranges for i in range(start, stop)]
         assert flat == list(range(64))
         if runtime.jobs > 1:
             for start, stop in ranges:
-                assert stop - start >= 8
-
-    def test_cutoff_zero_disables_fallback(self):
-        runtime = Runtime(jobs="auto", serial_cutoff=0)
-        ranges = runtime._ranges(4)
-        flat = [i for start, stop in ranges for i in range(start, stop)]
-        assert flat == list(range(4))
+                assert stop - start >= Runtime.SERIAL_CUTOFF // 4
 
     def test_explicit_jobs_partition_unchanged(self):
         runtime = Runtime(jobs=4)
@@ -268,12 +231,6 @@ class TestAdaptiveRuntime:
             (0, 1), (1, 2), (2, 3), (3, 4),
             (4, 5), (5, 6), (6, 7), (7, 8),
         ]
-
-    def test_bad_serial_cutoff_rejected(self):
-        with pytest.raises(ConfigError, match="serial_cutoff"):
-            Runtime(jobs="auto", serial_cutoff=-1)
-        with pytest.raises(ConfigError, match="serial_cutoff"):
-            Runtime(jobs="auto", serial_cutoff=True)
 
     def test_bad_jobs_string_rejected(self):
         with pytest.raises(ConfigError, match="jobs"):

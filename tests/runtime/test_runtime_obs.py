@@ -7,7 +7,6 @@ import pytest
 
 from repro.obs.metrics import Metrics
 from repro.obs.spans import Tracer
-from repro.runtime.cache import ArtifactCache
 from repro.runtime.engine import Runtime, TaskEngine, stage_time_s, summary_line
 from repro.runtime.tasks import Task, task_function
 
@@ -18,7 +17,7 @@ SUMMARY = re.compile(
 
 
 @task_function("runtime_obs.sleepy")
-def _sleepy(context, payload, deps):
+def _sleepy(context, payload):
     time.sleep(payload)
     return payload
 
@@ -115,11 +114,6 @@ class TestRuntimeWiring:
         assert runtime.tracer is tracer
         assert runtime.engine.obs is runtime.obs
         assert runtime.cache.metrics is metrics
-
-    def test_prebuilt_cache_lends_its_registry(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        runtime = Runtime(cache=cache)
-        assert runtime.metrics is cache.metrics
 
     def test_labeled_counts_aggregate(self):
         runtime = Runtime()
