@@ -12,8 +12,8 @@ unparseable files, and import cycles.  What ruff already checks
 Entry points:
 
 - ``repro check [paths]`` — the CLI gate (text/JSON/GitHub/SARIF
-  output, inline ``# repro: noqa[RULE]`` suppressions, committed
-  baseline).
+  output; any finding fails it, and an inline ``# repro: noqa[RULE]``
+  comment is the one way to suppress one).
 - :func:`repro.checks.engine.run_checks` — the library API the CLI and
   tests share.
 - :func:`repro.checks.registry.rule` — the decorator the built-in rule
@@ -22,7 +22,6 @@ Entry points:
 The rule catalog with per-rule rationale lives in ``docs/CHECKS.md``.
 """
 
-from repro.checks.baseline import DEFAULT_BASELINE_NAME
 from repro.checks.engine import (
     CheckReport,
     ModuleContext,
@@ -34,7 +33,6 @@ from repro.checks.registry import Rule, all_rules, get_rule, rule
 
 __all__ = [
     "CheckReport",
-    "DEFAULT_BASELINE_NAME",
     "Finding",
     "ModuleContext",
     "ProjectContext",

@@ -4,10 +4,8 @@
 It parses every ``.py`` file under the given paths once, hands each
 module to the module-scoped rules and the whole set to the
 project-scoped rules, filters findings through inline
-``# repro: noqa[RULE]`` comments, and returns a :class:`CheckReport`.
-Baseline subtraction is deliberately *not* done here — the committed
-baseline is a CLI/CI concern (see :mod:`repro.checks.baseline`), while
-the report is the ground truth of what the rules see.
+``# repro: noqa[RULE]`` comments, and returns a :class:`CheckReport`:
+every finding that survives is one the gate fails on.
 """
 
 from __future__ import annotations
@@ -59,7 +57,7 @@ class ModuleContext:
 
 @dataclass
 class CheckReport:
-    """The outcome of one analysis run (pre-baseline)."""
+    """The outcome of one analysis run."""
 
     findings: List[Finding]
     files_scanned: int

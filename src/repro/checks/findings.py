@@ -2,14 +2,9 @@
 
 A :class:`Finding` is one rule violation at one source location.  Rules
 yield them; the engine filters them through inline ``# repro: noqa``
-suppressions and the committed baseline; reporters render whatever
-survives.  Findings are plain frozen dataclasses so they sort stably
-(by path, then line, then rule) and serialize losslessly to JSON.
-
-The *fingerprint* deliberately excludes the line number: baselines must
-survive unrelated edits above a grandfathered violation, so identity is
-``(rule_id, path, message)`` — messages name the offending symbol, which
-keeps two different violations in one file distinguishable.
+suppressions; reporters render whatever survives.  Findings are plain
+frozen dataclasses so they sort stably (by path, then line, then rule)
+and serialize losslessly to JSON.
 """
 
 from __future__ import annotations
@@ -49,11 +44,6 @@ class Finding:
     def location(self) -> str:
         """Clickable ``path:line`` form."""
         return f"{self.path}:{self.line}"
-
-    @property
-    def fingerprint(self) -> str:
-        """Line-independent identity used for baseline matching."""
-        return f"{self.rule_id}::{self.path}::{self.message}"
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-ready representation (stable key order)."""

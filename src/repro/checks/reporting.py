@@ -33,7 +33,6 @@ def summarize(
     *,
     files_scanned: int = 0,
     noqa_suppressed: int = 0,
-    baselined: int = 0,
 ) -> Dict[str, int]:
     """The summary block shared by the text footer and the JSON output."""
     return {
@@ -42,7 +41,6 @@ def summarize(
         "warnings": sum(1 for f in findings if f.severity == "warning"),
         "files_scanned": files_scanned,
         "noqa_suppressed": noqa_suppressed,
-        "baselined": baselined,
     }
 
 
@@ -65,7 +63,6 @@ def render_text(
             f"{summary['findings']} finding(s) "
             f"({summary['errors']} error(s), {summary['warnings']} warning(s)) "
             f"in {summary['files_scanned']} file(s); "
-            f"{summary['baselined']} baselined, "
             f"{summary['noqa_suppressed']} suppressed inline"
         )
     elif not lines:

@@ -93,7 +93,7 @@ def unseeded_global_random(ctx: "ModuleContext") -> Iterator[Finding]:
     so any reordering — a new worker schedule, an extra draw added three
     modules away — changes every number downstream.  Task code must
     derive a generator from an explicit seed
-    (:func:`repro.util.rng.spawn_worker_seed` exists for exactly this).
+    (:func:`repro.util.rng.make_rng` exists for exactly this).
     """
     this = get_rule("DET001")
     module = ctx.module
@@ -131,7 +131,7 @@ def wall_clock_read(ctx: "ModuleContext") -> Iterator[Finding]:
     ``time.time()`` differs between the run that populated the cache
     and the run that reads it; any value derived from it breaks the
     serial == parallel == cached contract.  Only the observability
-    layer (span anchors, manifests, log records) may read the clock —
+    layer (span anchors, run records, log records) may read the clock —
     those paths are allowlisted.  ``time.perf_counter`` is fine
     anywhere: it measures durations for telemetry and never feeds
     results.

@@ -29,7 +29,7 @@ def syntax_error(ctx: "ModuleContext") -> Iterator[Finding]:
 
     This rule never runs as a checker: the engine emits IMP000 directly
     when ``ast.parse`` raises, so the failure is a structured finding
-    (baseline-able, renderable as a GitHub annotation) instead of a
+    (suppressible, renderable as a GitHub annotation) instead of a
     crash.  It is registered so it appears in the catalog and can be
     selected or suppressed like any other rule.
     """

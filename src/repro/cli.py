@@ -30,7 +30,7 @@ from repro.core.cluster_frame import DEFAULT_RADIUS
 from repro.core.phasedetect import DEFAULT_INTERVAL_LENGTH, DEFAULT_TOLERANCE
 from repro.core.pipeline import SubsettingPipeline
 from repro.core.subsetting import build_subset
-from repro.errors import CheckError, ReproError
+from repro.errors import ReproError
 from repro.gfx.traceio import load_trace_auto as load_trace
 from repro.gfx.traceio import save_trace_auto as save_trace
 from repro.obs import (
@@ -39,12 +39,11 @@ from repro.obs import (
     NullLogger,
     ObsContext,
     ProgressReporter,
-    RunManifest,
     Tracer,
     write_chrome_trace,
     write_spans_jsonl,
 )
-from repro.obs.history import record_run
+from repro.obs.history import append_run, collect_record, open_store
 from repro.runtime.engine import Runtime, stage_time_s, summary_line
 from repro.simgpu._kernels import KERNEL_BACKENDS, set_backend
 from repro.simgpu.config import GpuConfig
@@ -169,8 +168,9 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="FILE",
         help=(
-            "write a run manifest (config/trace digests, seeds, CLI args, "
-            "package version, host, final metrics) as JSON"
+            "write this run's record (seeds, config/trace digests, CLI args, "
+            "environment, flattened metrics) as JSON: the same bytes the "
+            "run store keeps"
         ),
     )
     obs.add_argument(
@@ -219,9 +219,11 @@ def _runtime_from_args(args, obs: ObsContext, progress=None) -> Runtime:
 class _ObsSession:
     """Per-command observability bundle: runtime, root span, outputs.
 
-    Construct it where the command used to build its runtime, record the
-    run's seeds/configs/traces on it as they become known, and call
-    :meth:`finish` after the command's work — it closes the root span
+    Construct it first thing in the command, so the run's clock and
+    root span cover trace ingest too, record the run's seeds/configs/
+    traces on it as they become known, and call :meth:`finish` after the
+    command's work — it closes the root span, builds the run's one
+    :class:`~repro.obs.history.RunRecord`, appends it to the run store
     and writes whichever of ``--trace-out`` / ``--metrics-out`` /
     ``--manifest-out`` were requested.
     """
@@ -255,14 +257,14 @@ class _ObsSession:
         self.configs: dict = {}
         self.traces: dict = {}
         # Sidecar sections (see repro.obs.artifacts) attached by the
-        # command body; record_run writes them next to the run record.
+        # command body; append_run writes them next to the run record.
         self.artifacts: dict = {}
         self._started = time.perf_counter()
         self._root_span = self.obs.tracer.span(
             f"cli:{command}", category="cli"
         )
         self._root_span.__enter__()
-        self.logger.log("run_start", command=command, argv=sys.argv[1:])
+        self.logger.log("run_start", command=command, argv=args.argv)
 
     def finish(self) -> None:
         self._root_span.__exit__(None, None, None)
@@ -286,44 +288,34 @@ class _ObsSession:
                 json.dump(snapshot.as_dict(), stream, indent=2)
                 stream.write("\n")
             print(f"metrics written to {metrics_out}")
-        manifest_out = getattr(args, "manifest_out", None)
-        if manifest_out:
-            manifest = RunManifest.collect(
-                command=self.command,
-                argv=sys.argv[1:],
-                seeds=self.seeds,
-                configs=self.configs,
-                traces=self.traces,
-                jobs=runtime.jobs,
-                cache_dir=getattr(args, "cache_dir", None),
-                duration_s=duration_s,
-                metrics=snapshot,
-            )
-            manifest.write(manifest_out)
-            print(f"run manifest written to {manifest_out}")
-        if not getattr(args, "no_run_store", False):
-            from repro.runtime.keys import config_digest, trace_digest
+        from repro.runtime.keys import config_digest, trace_digest
 
-            record_path = record_run(
-                self.command,
-                store=getattr(args, "run_store", None),
-                argv=sys.argv[1:],
-                snapshot=snapshot,
-                seeds=self.seeds,
-                config_digests={
-                    name: config_digest(config)
-                    for name, config in self.configs.items()
-                },
-                trace_digests={
-                    name: trace_digest(trace)
-                    for name, trace in self.traces.items()
-                },
-                jobs=runtime.jobs,
-                duration_s=duration_s,
-                artifacts=self.artifacts or None,
-            )
+        record = collect_record(
+            self.command,
+            argv=args.argv,
+            snapshot=snapshot,
+            seeds=self.seeds,
+            config_digests={
+                name: config_digest(config)
+                for name, config in self.configs.items()
+            },
+            trace_digests={
+                name: trace_digest(trace) for name, trace in self.traces.items()
+            },
+            jobs=runtime.jobs,
+            duration_s=duration_s,
+        )
+        store = None
+        if not getattr(args, "no_run_store", False):
+            store = open_store(getattr(args, "run_store", None))
+        if store is not None:
+            record, record_path = append_run(store, record, self.artifacts)
             if record_path is not None:
                 self.logger.log("run_recorded", path=str(record_path))
+        manifest_out = getattr(args, "manifest_out", None)
+        if manifest_out:
+            Path(manifest_out).write_text(record.to_json(), encoding="utf-8")
+            print(f"run record written to {manifest_out}")
         self.logger.log(
             "run_end",
             command=self.command,
@@ -469,25 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the rendered findings to FILE instead of stdout",
     )
     check.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help=(
-            "baseline file of accepted findings (default: nearest "
-            ".repro-baseline.json walking up from the cwd)"
-        ),
-    )
-    check.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; report every finding",
-    )
-    check.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="accept all current findings into the baseline file and exit 0",
-    )
-    check.add_argument(
         "--select",
         default=None,
         metavar="RULES",
@@ -497,14 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules",
         action="store_true",
         help="print the rule catalog and exit",
-    )
-    check.add_argument(
-        "--prune-baseline",
-        action="store_true",
-        help=(
-            "rewrite the baseline file without entries that no longer "
-            "match any finding"
-        ),
     )
 
     runs = sub.add_parser(
@@ -832,9 +797,9 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    session = _ObsSession(args, "simulate")
     trace = load_trace(args.trace)
     config = GpuConfig.preset(args.preset)
-    session = _ObsSession(args, "simulate")
     session.configs[config.name] = config
     session.traces[trace.name] = trace
     runtime = session.runtime
@@ -849,6 +814,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_subset(args) -> int:
+    session = _ObsSession(args, "subset")
     trace = load_trace(args.trace)
     config = GpuConfig.preset(args.preset)
     pipeline = SubsettingPipeline(
@@ -856,7 +822,6 @@ def _cmd_subset(args) -> int:
         interval_length=args.interval_length,
         phase_tolerance=args.tolerance,
     )
-    session = _ObsSession(args, "subset")
     session.configs[config.name] = config
     session.traces[trace.name] = trace
     session.seeds["pipeline"] = pipeline.seed
@@ -883,11 +848,11 @@ def _cmd_subset(args) -> int:
 def _cmd_estimate(args) -> int:
     from repro.core.subsetio import check_subset_against, load_subset
 
+    session = _ObsSession(args, "estimate")
     trace = load_trace(args.trace)
     subset = load_subset(args.subset)
     check_subset_against(subset, trace)
     config = GpuConfig.preset(args.preset)
-    session = _ObsSession(args, "estimate")
     session.configs[config.name] = config
     session.traces[trace.name] = trace
     runtime = session.runtime
@@ -921,11 +886,11 @@ def _cmd_validate(args) -> int:
     from repro.analysis.validation import validate_subset
     from repro.core.subsetio import check_subset_against, load_subset
 
+    session = _ObsSession(args, "validate")
     trace = load_trace(args.trace)
     subset = load_subset(args.subset)
     check_subset_against(subset, trace)
     config = GpuConfig.preset(args.preset)
-    session = _ObsSession(args, "validate")
     session.configs[config.name] = config
     session.traces[trace.name] = trace
     runtime = session.runtime
@@ -939,9 +904,9 @@ def _cmd_validate(args) -> int:
 def _cmd_sweep(args) -> int:
     from repro.analysis.sweep import pathfinding_sweep
 
+    session = _ObsSession(args, "sweep")
     trace = load_trace(args.trace)
     subset = build_subset(trace)
-    session = _ObsSession(args, "sweep")
     session.traces[trace.name] = trace
     runtime = session.runtime
     result = pathfinding_sweep(trace, subset, runtime=runtime)
@@ -1024,7 +989,6 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from repro.checks import baseline as baseline_mod
     from repro.checks import reporting
     from repro.checks.engine import run_checks
     from repro.checks.registry import all_rules
@@ -1042,60 +1006,19 @@ def _cmd_check(args) -> int:
     select = args.select.split(",") if args.select else None
     report = run_checks(paths, select=select)
 
-    baseline_path = Path(args.baseline) if args.baseline else None
-    if baseline_path is None and not args.no_baseline:
-        baseline_path = baseline_mod.find_default()
-    if args.write_baseline:
-        target = baseline_path or Path(baseline_mod.DEFAULT_BASELINE_NAME)
-        baseline_mod.write(report.findings, target)
-        print(
-            f"baseline written to {target} "
-            f"({len(report.findings)} accepted finding(s))"
-        )
-        return 0
-
-    entries = []
-    if baseline_path is not None and not args.no_baseline:
-        entries = baseline_mod.load(baseline_path)
-    applied = baseline_mod.apply(report.findings, entries)
-
-    if args.prune_baseline:
-        if baseline_path is None:
-            raise CheckError(
-                "--prune-baseline needs a baseline file "
-                "(none given and none found walking up from the cwd)"
-            )
-        kept = baseline_mod.prune(entries, applied.stale_entries)
-        baseline_mod.write_entries(kept, baseline_path)
-        pruned = len(applied.stale_entries)
-        print(
-            f"pruned {pruned} stale entr{'y' if pruned == 1 else 'ies'} "
-            f"from {baseline_path} ({len(kept)} kept)"
-        )
-
     fmt = "json" if args.json else args.format
     summary = reporting.summarize(
-        applied.new_findings,
+        report.findings,
         files_scanned=report.files_scanned,
         noqa_suppressed=report.noqa_suppressed,
-        baselined=len(applied.baselined),
     )
-    output = reporting.render(fmt, applied.new_findings, summary)
+    output = reporting.render(fmt, report.findings, summary)
     if args.output:
         Path(args.output).write_text(output + "\n", encoding="utf-8")
         print(f"wrote {fmt} findings to {args.output}")
     elif output:
         print(output)
-    if fmt == "text" and applied.stale_entries and not args.prune_baseline:
-        print(
-            f"note: {len(applied.stale_entries)} stale baseline entr"
-            f"{'y' if len(applied.stale_entries) == 1 else 'ies'} no longer "
-            f"match anything — prune with --prune-baseline:"
-        )
-        for entry in applied.stale_entries:
-            print(f"  stale: {entry['rule']} {entry['path']}: "
-                  f"{entry['message']}")
-    return 1 if applied.new_findings else 0
+    return 1 if report.findings else 0
 
 
 def _cmd_runs(args) -> int:
@@ -1465,6 +1388,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    # What the run record states was run, also when called as a library.
+    args.argv = list(sys.argv[1:] if argv is None else argv)
     from repro.util.validation import FieldValidationError
 
     try:

@@ -11,14 +11,15 @@ pool; this subsystem makes those runs explainable:
   wall time, cache lookup latency, cluster sizes);
 - :mod:`repro.obs.export` — Chrome trace-event JSON (loadable in
   Perfetto / ``chrome://tracing``) and span JSONL;
-- :mod:`repro.obs.manifest` — ``run.json`` reproducibility manifests
-  (config/trace digests, seeds, CLI args, package version, host);
 - :mod:`repro.obs.context` — the (tracer, metrics) bundle one run
   records through, held ambient so deep call sites (simgpu kernels,
   task functions) need no plumbing;
 - :mod:`repro.obs.logjson` — structured JSON-lines logging for the CLI;
 - :mod:`repro.obs.history` — the append-only run store under
-  ``.repro/runs/`` every CLI run and benchmark appends to;
+  ``.repro/runs/`` every CLI run and benchmark appends to: one
+  :class:`~repro.obs.history.RunRecord` per run (seeds, config/trace
+  digests, argv, environment, flattened metrics, stage rollups), which
+  is also the file ``--manifest-out`` writes;
 - :mod:`repro.obs.analyze` — statistical perf-regression gates over
   run-store windows and span-rollup hotspot profiling;
 - :mod:`repro.obs.progress` — live progress/heartbeat telemetry for
@@ -67,7 +68,6 @@ from repro.obs.history import (
     record_run,
 )
 from repro.obs.logjson import JsonLogger, NullLogger
-from repro.obs.manifest import MANIFEST_VERSION, RunManifest, load_manifest
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     HistogramSnapshot,
@@ -83,7 +83,6 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "HistogramSnapshot",
     "JsonLogger",
-    "MANIFEST_VERSION",
     "Metrics",
     "MetricsSnapshot",
     "NULL_PROGRESS",
@@ -95,7 +94,6 @@ __all__ = [
     "ProgressReporter",
     "RUN_STORE_VERSION",
     "RegressionReport",
-    "RunManifest",
     "RunRecord",
     "RunStore",
     "Span",
@@ -111,7 +109,6 @@ __all__ = [
     "current_tracer",
     "label_key",
     "load_artifacts",
-    "load_manifest",
     "new_run_id",
     "pipeline_artifact_sections",
     "read_index",

@@ -1,11 +1,13 @@
 """Append-only run-history store under ``.repro/runs/``.
 
-Every simulating CLI subcommand and every benchmark appends one
-:class:`RunRecord` per invocation through the shared :func:`record_run`
-hook, so the repository accumulates a longitudinal, queryable record of
-execution telemetry instead of a single overwritten snapshot: manifest
-digests, a flattened metrics snapshot, per-stage wall-time rollups, the
-git SHA, and an environment fingerprint.  The regression gates in
+Every simulating CLI subcommand, service job and benchmark appends one
+:class:`RunRecord` per invocation (:func:`record_run`, or
+:func:`collect_record` plus :func:`append_run` when the caller keeps
+the record, as ``--manifest-out`` does), so the repository accumulates
+a longitudinal, queryable record of execution telemetry instead of a
+single overwritten snapshot: seeds, config and trace digests, a
+flattened metrics snapshot, per-stage wall-time rollups, the git SHA,
+and an environment fingerprint.  The regression gates in
 :mod:`repro.obs.analyze` read windows of these records back to decide
 whether the current run drifted.
 
@@ -26,9 +28,9 @@ import subprocess
 import sys
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import ValidationError
 from repro.obs.metrics import MetricsSnapshot
@@ -188,6 +190,10 @@ class RunRecord:
             "extra": dict(self.extra),
         }
 
+    def to_json(self) -> str:
+        """The record's file body: what the store and ``--manifest-out`` write."""
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunRecord":
         version = data.get("run_store_version")
@@ -224,13 +230,7 @@ class RunRecord:
 
 
 def new_run_id() -> str:
-    """A fresh run id (12 hex chars), mintable ahead of record collection.
-
-    Callers that write an artifact sidecar need the id *before* the
-    record exists — the sidecar directory is named by it and the link
-    goes inside the record — so the id is mintable separately and passed
-    back in through ``collect_record(run_id=...)``.
-    """
+    """A fresh run id (12 hex chars)."""
     return uuid.uuid4().hex[:12]
 
 
@@ -247,7 +247,6 @@ def collect_record(
     jobs: Optional[int] = None,
     duration_s: Optional[float] = None,
     extra: Optional[Mapping[str, Any]] = None,
-    run_id: Optional[str] = None,
 ) -> RunRecord:
     """Build a :class:`RunRecord` from live objects.
 
@@ -287,7 +286,7 @@ def collect_record(
         flat["derived:duration_s"] = float(duration_s)
 
     return RunRecord(
-        run_id=run_id if run_id is not None else new_run_id(),
+        run_id=new_run_id(),
         created_unix=time.time(),
         command=command,
         argv=tuple(str(a) for a in (argv if argv is not None else [])),
@@ -330,9 +329,10 @@ class RunStore:
         """Write ``record`` as a brand-new file; never overwrites."""
         self.root.mkdir(parents=True, exist_ok=True)
         stamp = int(record.created_unix * 1e6)
-        data = json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n"
         return create_unique(
-            self.root, f"{stamp:017d}-{record.run_id}", data.encode("utf-8")
+            self.root,
+            f"{stamp:017d}-{record.run_id}",
+            record.to_json().encode("utf-8"),
         )
 
     # -- reading -----------------------------------------------------------
@@ -434,6 +434,50 @@ class RunStore:
             ) from None
 
 
+def open_store(
+    store: Optional[Union[str, Path, RunStore]] = None,
+) -> Optional[RunStore]:
+    """``store`` as a :class:`RunStore`, defaulting to :func:`default_store_dir`.
+
+    Returns ``None`` when no ``store`` is given and recording is disabled
+    (``$REPRO_RUN_STORE`` set but empty).
+    """
+    if isinstance(store, RunStore):
+        return store
+    root = Path(store) if store is not None else default_store_dir()
+    return RunStore(root) if root is not None else None
+
+
+def append_run(
+    store: RunStore,
+    record: RunRecord,
+    artifacts: Optional[Mapping[str, Any]] = None,
+) -> Tuple[RunRecord, Optional[Path]]:
+    """Append ``record`` to ``store``; returns the record as stored and its path.
+
+    ``artifacts`` is an optional mapping of sidecar section names to
+    JSON-safe bodies (see :mod:`repro.obs.artifacts`); when non-empty,
+    the sidecar is written *first* and its link embedded in the stored
+    record's ``extra["artifacts"]`` — existing records are never mutated
+    to attach artifacts after the fact.  Store I/O problems never raise:
+    a failed sidecar write stores the record without a link, and a
+    failed append returns ``None`` for the path.
+    """
+    if artifacts:
+        from repro.obs.artifacts import write_artifacts
+
+        try:
+            link = write_artifacts(store.root, record.run_id, artifacts)
+        except OSError:
+            pass
+        else:
+            record = replace(record, extra={**record.extra, "artifacts": link})
+    try:
+        return record, store.append(record)
+    except OSError:
+        return record, None
+
+
 def record_run(
     command: str,
     *,
@@ -452,39 +496,16 @@ def record_run(
 ) -> Optional[Path]:
     """The shared append hook: collect a record and append it to the store.
 
-    ``artifacts`` is an optional mapping of sidecar section names to
-    JSON-safe bodies (see :mod:`repro.obs.artifacts`); when given and
-    non-empty, the sidecar is written *first* and its link embedded in
-    the record's ``extra["artifacts"]`` — existing records are never
-    mutated to attach artifacts after the fact.
-
-    Returns the written path, or ``None`` when recording is disabled
-    (``$REPRO_RUN_STORE`` set but empty and no explicit ``store``).
-    Never raises on store I/O problems — a telemetry write must not take
-    the run down — but record *collection* errors (programming bugs)
-    propagate.
+    ``artifacts`` are the record's sidecar sections (see
+    :func:`append_run`).  Returns the written path, or ``None`` when
+    recording is disabled (``$REPRO_RUN_STORE`` set but empty and no
+    explicit ``store``) or the write failed.  Never raises on store I/O
+    problems — a telemetry write must not take the run down — but
+    record *collection* errors (programming bugs) propagate.
     """
-    if isinstance(store, RunStore):
-        run_store = store
-    else:
-        root = Path(store) if store is not None else default_store_dir()
-        if root is None:
-            return None
-        run_store = RunStore(root)
-    run_id = new_run_id()
-    merged_extra: Dict[str, Any] = dict(extra or {})
-    if artifacts:
-        from repro.obs.artifacts import write_artifacts
-
-        try:
-            run_store.root.mkdir(parents=True, exist_ok=True)
-            merged_extra["artifacts"] = write_artifacts(
-                run_store.root, run_id, artifacts
-            )
-        except OSError:
-            # A sidecar write failure degrades to a link-less record;
-            # the run itself (and its record) must survive.
-            merged_extra.pop("artifacts", None)
+    run_store = open_store(store)
+    if run_store is None:
+        return None
     record = collect_record(
         command,
         argv=argv,
@@ -496,10 +517,6 @@ def record_run(
         trace_digests=trace_digests,
         jobs=jobs,
         duration_s=duration_s,
-        extra=merged_extra,
-        run_id=run_id,
+        extra=extra,
     )
-    try:
-        return run_store.append(record)
-    except OSError:
-        return None
+    return append_run(run_store, record, artifacts)[1]

@@ -153,7 +153,7 @@ class MetricsSnapshot:
         return totals
 
     def as_dict(self) -> Dict[str, Any]:
-        """JSON-safe representation (``--metrics-out``, manifests)."""
+        """JSON-safe representation (``--metrics-out``)."""
 
         def series(key: MetricKey) -> Dict[str, Any]:
             name, labels = key

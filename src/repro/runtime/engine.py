@@ -4,9 +4,11 @@ The engine runs a list of independent tasks either inline (``jobs=1`` —
 the serial fallback, bit-identical to the pre-runtime code paths) or on
 a ``ProcessPoolExecutor``, and returns their values in submission
 order.  The run's shared ``context`` (typically the trace) ships to
-each worker once via the pool initializer instead of once per task;
-per-task child seeds come from :func:`repro.util.rng.spawn_worker_seed`,
-so results never depend on worker count or completion order.
+each worker once via the pool initializer instead of once per task.
+Tasks carry no seed and the engine touches no global RNG: task bodies
+draw only from generators built from explicit seeds in their payload
+(``repro.util.rng.make_rng``; DET001 gates the global stream), so
+results never depend on worker count or completion order.
 
 Observability rides the same rails: each task runs under an ambient
 :class:`~repro.obs.context.ObsContext`, inside a ``task:<kind>`` span,
@@ -47,7 +49,6 @@ from repro.obs.spans import NULL_TRACER, Tracer
 from repro.runtime.cache import CACHE_MISS, ArtifactCache, NullCache
 from repro.runtime.keys import task_key
 from repro.runtime.tasks import Task, TaskResult, resolve_task_function
-from repro.util.rng import spawn_worker_seed
 from repro.util.stats import sum_in_order
 
 if TYPE_CHECKING:
@@ -70,10 +71,6 @@ def _run_task(obs: ObsContext, context: Any, task: Task) -> Any:
     The body runs inside a ``task:<kind>`` span, and its wall time lands
     in the ``task_wall_s{kind=<kind>}`` histogram once it returns.
     """
-    if task.seed is not None:
-        # Seed the legacy global stream so any np.random fallback inside a
-        # task is reproducible per task identity, not per worker schedule.
-        np.random.seed(task.seed % 2**32)
     fn = resolve_task_function(task.kind)
     start = time.perf_counter()
     with activate_obs(obs):
@@ -439,7 +436,6 @@ class Runtime:
                     task_id=f"{label}:{start}:{stop}",
                     kind=task_kind,
                     payload=(need_configs, start, stop, label),
-                    seed=spawn_worker_seed(0, task_kind, start, stop),
                 )
                 for start, stop in ranges
             ]
@@ -515,9 +511,6 @@ class Runtime:
         hit = self.cache.get(key)
         if hit is not CACHE_MISS:
             return list(hit)
-        base_seed = params.get("seed")
-        if not isinstance(base_seed, int) or isinstance(base_seed, bool):
-            base_seed = 0
         payload_params = tuple(sorted(params.items()))
         ranges = self._ranges(trace.num_frames)
         tasks = [
@@ -525,9 +518,6 @@ class Runtime:
                 task_id=f"cluster:{start}:{stop}",
                 kind="cluster_frame_range",
                 payload=(payload_params, start, stop),
-                seed=spawn_worker_seed(
-                    base_seed, "cluster_frame_range", start, stop
-                ),
             )
             for start, stop in ranges
         ]

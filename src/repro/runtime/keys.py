@@ -66,10 +66,6 @@ TASK_FIELD_KEYING: Mapping[str, str] = {
         "simulate_frames_many and frame_times_many, and "
         "Runtime.cluster_frames pass every payload component to task_key)"
     ),
-    "seed": (
-        "derived from (clustering seed param or 0, kind, frame range) by "
-        "spawn_worker_seed; the seed param is keyed via params at the call site"
-    ),
 }
 
 def _sha256_hex(data: bytes) -> str:

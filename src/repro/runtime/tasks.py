@@ -43,18 +43,15 @@ class Task:
     """One independent unit of a fan-out.
 
     ``task_id`` labels the task's ``task:<kind>`` span and names it in
-    errors; values come back by position.  ``seed``, when set, seeds
-    numpy's legacy global RNG in the worker before the task body runs
-    (derive it with :func:`repro.util.rng.spawn_worker_seed` so it
-    depends on the task's identity, never on scheduling).  Tasks are
-    not cached one by one: :class:`~repro.runtime.engine.Runtime`
-    caches whole artifacts.
+    errors; values come back by position.  A task that needs randomness
+    carries its seed in ``payload`` (the clustering ``seed`` parameter
+    does).  Tasks are not cached one by one:
+    :class:`~repro.runtime.engine.Runtime` caches whole artifacts.
     """
 
     task_id: str
     kind: str
     payload: Any = None
-    seed: Optional[int] = None
 
 
 TaskFunction = Callable[[Any, Any], Any]

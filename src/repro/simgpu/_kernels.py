@@ -24,8 +24,8 @@ Backend selection is ``$REPRO_KERNELS`` (or the CLI ``--kernels``
 flag): ``auto`` (default; cext, then python), or one of the explicit
 names — requesting an unavailable backend is a
 :class:`~repro.errors.ConfigError`, never a silent fallback.  The
-resolved backend is reported in run manifests and the environment
-fingerprint (:func:`kernel_info`) so run records stay comparable.
+resolved backend is reported in the environment fingerprint
+(:func:`kernel_info`) so run records stay comparable.
 
 **Exactness contract.** Every kernel is defined so both backends
 produce *bit-identical* outputs (the property tests assert ``==``, not
@@ -1089,7 +1089,7 @@ def set_backend(name: str) -> str:
 def resolved_backend_name() -> Optional[str]:
     """The active backend's name if already resolved, else ``None``.
 
-    Reporting surfaces (manifest, environment fingerprint) use this so
+    Reporting surfaces (the environment fingerprint) use this so
     that *recording* a run never forces a compile/import as a side
     effect: simulating commands resolve the backend while simulating,
     and non-simulating commands honestly report ``None``.
@@ -1100,7 +1100,7 @@ def resolved_backend_name() -> Optional[str]:
 
 
 def kernel_info(resolve: bool = False) -> Dict[str, Optional[str]]:
-    """Requested + resolved backend names, for manifests and benches."""
+    """Requested + resolved backend names, for run records and benches."""
     if resolve:
         backend()
     return {"requested": requested_backend(), "backend": resolved_backend_name()}

@@ -38,22 +38,6 @@ def make_rng(base_seed: int, *components: object) -> np.random.Generator:
     return np.random.default_rng(derive_seed(base_seed, *components))
 
 
-def spawn_worker_seed(base_seed: int, *components: object) -> int:
-    """Child seed for one unit of parallel work.
-
-    Parallel execution (``repro.runtime``) must produce the same numbers
-    as a serial run regardless of worker count or completion order, so a
-    task's seed is derived from its *identity* (kind, indices) — never
-    from the worker id or the order tasks happen to finish in.
-
-    >>> spawn_worker_seed(0, "simulate", 3) == spawn_worker_seed(0, "simulate", 3)
-    True
-    >>> spawn_worker_seed(0, "simulate", 3) != spawn_worker_seed(0, "simulate", 4)
-    True
-    """
-    return derive_seed(base_seed, "worker", *components)
-
-
 def stable_hash(*components: object) -> int:
     """A process-stable 63-bit hash of the given components.
 

@@ -39,7 +39,7 @@ WARNING = Finding(
 
 def test_text_format_is_exact():
     summary = summarize(
-        [ERROR, WARNING], files_scanned=2, noqa_suppressed=1, baselined=4
+        [ERROR, WARNING], files_scanned=2, noqa_suppressed=1
     )
     text = render_text([ERROR, WARNING], summary)
     assert text.splitlines() == [
@@ -51,7 +51,7 @@ def test_text_format_is_exact():
         "    hint: log it instead",
         "",
         "2 finding(s) (1 error(s), 1 warning(s)) in 2 file(s); "
-        "4 baselined, 1 suppressed inline",
+        "1 suppressed inline",
     ]
 
 
@@ -59,7 +59,7 @@ def test_text_format_empty_run_is_just_the_footer():
     summary = summarize([], files_scanned=7)
     assert render_text([], summary).splitlines() == [
         "0 finding(s) (0 error(s), 0 warning(s)) in 7 file(s); "
-        "0 baselined, 0 suppressed inline"
+        "0 suppressed inline"
     ]
 
 

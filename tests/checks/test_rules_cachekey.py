@@ -99,8 +99,8 @@ def test_adding_a_task_field_without_policy_fails_key001(tmp_path):
     runtime = _scratch_runtime(tmp_path)
     tasks = runtime / "tasks.py"
     text = tasks.read_text(encoding="utf-8")
-    marker = "    seed: Optional[int] = None\n"
-    assert marker in text, "tasks.py no longer contains the seed field"
+    marker = "    payload: Any = None\n"
+    assert marker in text, "tasks.py no longer contains the payload field"
     tasks.write_text(
         text.replace(marker, marker + "    shiny_new_input: int = 0\n"),
         encoding="utf-8",

@@ -98,7 +98,8 @@ class TestMetricsAndManifestOut:
         assert manifest["jobs"] == 2
         assert list(manifest["config_digests"]) == ["mainstream"]
         assert len(manifest["trace_digests"]) == 1
-        assert manifest["metrics"]["counters"]  # final snapshot embedded
+        # The record carries the snapshot flattened; --metrics-out has it whole.
+        assert manifest["metrics"]["counter:frames_simulated"] == 10
 
     def test_manifest_digest_matches_cache_key_digest(self, trace_file, tmp_path):
         from repro.gfx.traceio import load_trace_auto
@@ -117,6 +118,27 @@ class TestMetricsAndManifestOut:
         manifest = json.loads(manifest_out.read_text())
         trace = load_trace_auto(str(trace_file))
         assert manifest["trace_digests"][trace.name] == trace_digest(trace)
+
+
+class TestRunRecordTiming:
+    def test_duration_covers_trace_load(self, trace_file, tmp_path, monkeypatch):
+        import time
+
+        from repro import cli
+        from repro.obs.history import RunStore
+
+        load_trace = cli.load_trace
+
+        def slow_load(path):
+            time.sleep(0.5)
+            return load_trace(path)
+
+        monkeypatch.setattr(cli, "load_trace", slow_load)
+        store_dir = tmp_path / "runs"
+        argv = ["simulate", str(trace_file), "--no-cache", "--run-store", str(store_dir)]
+        assert main(argv) == 0
+        (record,) = RunStore(store_dir).records()
+        assert record.metrics["derived:duration_s"] >= 0.5
 
 
 class TestLogJson:

@@ -1,68 +1,74 @@
-"""Run manifests: digests match the cache's, seeds survive round trips."""
+"""``--manifest-out``: the run's one record, byte for byte what the store keeps."""
 
 import json
 
+import pytest
+
 from repro import __version__
-from repro.obs.manifest import MANIFEST_VERSION, RunManifest, load_manifest
-from repro.obs.metrics import Metrics
+from repro.cli import main
+from repro.gfx.traceio import load_trace_auto
+from repro.obs.history import RunRecord, RunStore
 from repro.runtime.keys import config_digest, trace_digest
 from repro.simgpu.config import GpuConfig
 
 
+@pytest.fixture(scope="module")
+def trace_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("manifest") / "t.json"
+    argv = ["generate", "--game", "bioshock1_like", "--frames", "5",
+            "--scale", "0.05", "-o", str(path)]
+    assert main(argv) == 0
+    return path
+
+
+def _subset(trace_file, manifest, *flags):
+    argv = ["subset", str(trace_file), "--no-cache",
+            "--manifest-out", str(manifest), *flags]
+    assert main(argv) == 0
+    return argv, RunRecord.from_dict(json.loads(manifest.read_text()))
+
+
 class TestCollect:
-    def test_reproduces_cache_digests(self, simple_trace):
+    def test_reproduces_cache_digests(self, trace_file, tmp_path):
+        _, record = _subset(trace_file, tmp_path / "run.json", "--no-run-store")
         config = GpuConfig.preset("mainstream")
-        manifest = RunManifest.collect(
-            "subset",
-            configs={config.name: config},
-            traces={simple_trace.name: simple_trace},
-        )
-        assert manifest.config_digests[config.name] == config_digest(config)
-        assert manifest.trace_digests[simple_trace.name] == trace_digest(
-            simple_trace
-        )
+        trace = load_trace_auto(str(trace_file))
+        assert record.config_digests == {config.name: config_digest(config)}
+        assert record.trace_digests == {trace.name: trace_digest(trace)}
 
-    def test_records_seeds_and_environment(self):
-        manifest = RunManifest.collect(
-            "subset",
-            argv=["subset", "t.json"],
-            seeds={"pipeline": 7, "corpus": 42},
-            jobs=4,
-            duration_s=1.5,
+    def test_records_seeds_and_environment(self, trace_file, tmp_path):
+        argv, record = _subset(
+            trace_file, tmp_path / "run.json", "--jobs", "2", "--no-run-store"
         )
-        assert manifest.seeds == {"pipeline": 7, "corpus": 42}
-        assert manifest.argv == ("subset", "t.json")
-        assert manifest.jobs == 4
-        assert manifest.package_version == __version__
-        assert manifest.host_cpu_count >= 1
+        assert record.command == "subset"
+        assert record.argv == tuple(argv)
+        assert record.seeds == {"pipeline": 0}
+        assert record.jobs == 2
+        assert record.environment["package_version"] == __version__
+        assert record.environment["host_cpu_count"] >= 1
 
-    def test_metrics_snapshot_flattens(self):
-        metrics = Metrics()
-        metrics.inc("frames_simulated", 9, phase="ground")
-        manifest = RunManifest.collect("simulate", metrics=metrics.snapshot())
-        assert manifest.metrics["counters"][0]["value"] == 9
+    def test_metrics_snapshot_flattens(self, trace_file, tmp_path):
+        _, record = _subset(trace_file, tmp_path / "run.json", "--no-run-store")
+        assert record.metrics["counter:frames_simulated{phase=ground_truth}"] == 5
+        assert record.metrics["derived:duration_s"] > 0
+        assert set(record.top_stages) >= {"cluster", "ground_truth"}
 
 
 class TestRoundTrip:
-    def test_write_and_load(self, tmp_path, simple_trace):
-        config = GpuConfig.preset("lowpower")
-        path = tmp_path / "run.json"
-        RunManifest.collect(
-            "validate",
-            argv=["validate", "t.json", "s.json"],
-            seeds={"pipeline": 0},
-            configs={config.name: config},
-            traces={simple_trace.name: simple_trace},
-            cache_dir=tmp_path / "cache",
-        ).write(path)
-
-        loaded = load_manifest(path)
-        assert loaded["manifest_version"] == MANIFEST_VERSION
-        assert loaded["command"] == "validate"
-        assert loaded["seeds"] == {"pipeline": 0}
-        assert loaded["config_digests"][config.name] == config_digest(config)
-        assert loaded["trace_digests"][simple_trace.name] == trace_digest(
-            simple_trace
+    def test_write_and_load(self, trace_file, tmp_path):
+        store = RunStore(tmp_path / "runs")
+        manifest = tmp_path / "run.json"
+        _, record = _subset(trace_file, manifest, "--run-store", str(store.root))
+        (stored,) = store.paths()
+        assert manifest.read_bytes() == stored.read_bytes()
+        assert stored.name.endswith(f"-{record.run_id}.json")
+        # The sidecar link is the stored record's, not a second copy.
+        assert set(store.load_artifacts(record)) == set(
+            record.extra["artifacts"]["sections"]
         )
-        # The file is plain JSON, stable under re-serialization.
-        assert json.loads(path.read_text()) == loaded
+
+        # Without a store the file is still written, with no sidecar link.
+        _, alone = _subset(trace_file, tmp_path / "alone.json", "--no-run-store")
+        assert alone.command == "subset"
+        assert "artifacts" not in alone.extra
+        assert len(store.paths()) == 1

@@ -1,4 +1,4 @@
-"""Tests for the task engine: fan-out, pools, seeding, failures."""
+"""Tests for the task engine: fan-out, pools, global RNG, failures."""
 
 import os
 import time
@@ -28,11 +28,6 @@ def _with_context(context, payload):
 @task_function("test.boom")
 def _boom(context, payload):
     raise ValueError("boom from task body")
-
-
-@task_function("test.draw")
-def _draw(context, payload):
-    return float(np.random.random())
 
 
 @task_function("test.counted")
@@ -122,24 +117,15 @@ class TestFailures:
             TaskEngine(jobs=2).run(tasks, context={"shared": True})
 
 
-class TestSeeding:
-    def test_per_task_seed_decides_stream(self):
-        tasks = [
-            Task(f"d{i}", "test.draw", seed=1000 + i) for i in range(6)
-        ]
-        serial = TaskEngine(jobs=1).run(tasks)
-        parallel = TaskEngine(jobs=3).run(tasks)
-        assert parallel == serial
-        # Distinct seeds give distinct draws.
-        assert len(set(serial)) == len(serial)
+class TestGlobalRng:
+    def test_inline_clustering_leaves_the_callers_stream_alone(self):
+        from repro import datasets
+        from repro.core.pipeline import SubsettingPipeline
 
-    def test_same_seed_same_value_regardless_of_position(self):
-        first = TaskEngine(jobs=1).run([Task("x", "test.draw", seed=42)])
-        buried = TaskEngine(jobs=2).run(
-            [Task(f"pad{i}", "test.draw", seed=i) for i in range(5)]
-            + [Task("x", "test.draw", seed=42)]
-        )
-        assert buried[-1] == first[0]
+        trace = datasets.load("bioshock1_like", frames=4, seed=0, scale=0.1)
+        np.random.seed(123)
+        SubsettingPipeline().cluster_all_frames(trace)
+        assert np.random.random() == 0.6964691855978616
 
 
 class TestWorkerCounters:

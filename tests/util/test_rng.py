@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.util.rng import (
     derive_seed,
     make_rng,
-    spawn_worker_seed,
     stable_hash,
     stable_unit,
 )
@@ -68,32 +67,3 @@ class TestStableHash:
     @given(st.lists(st.integers(), min_size=1, max_size=5))
     def test_unit_deterministic(self, parts):
         assert stable_unit(*parts) == stable_unit(*parts)
-
-
-class TestSpawnWorkerSeed:
-    def test_deterministic(self):
-        assert spawn_worker_seed(0, "simulate", 0, 8) == spawn_worker_seed(
-            0, "simulate", 0, 8
-        )
-
-    def test_depends_on_task_identity(self):
-        assert spawn_worker_seed(0, "simulate", 0, 8) != spawn_worker_seed(
-            0, "simulate", 8, 16
-        )
-        assert spawn_worker_seed(0, "simulate", 0, 8) != spawn_worker_seed(
-            0, "cluster", 0, 8
-        )
-        assert spawn_worker_seed(0, "simulate", 0, 8) != spawn_worker_seed(
-            1, "simulate", 0, 8
-        )
-
-    def test_distinct_from_plain_derivation(self):
-        # Worker seeds live in their own namespace, so a task component
-        # can't collide with an application-level derive_seed path.
-        assert spawn_worker_seed(7, "gen") != derive_seed(7, "gen")
-
-    def test_in_numpy_seedable_range(self):
-        for start in range(0, 100, 7):
-            seed = spawn_worker_seed(3, "simulate_frame_range", start, start + 7)
-            assert 0 <= seed < 2**63 - 1
-            np.random.seed(seed % 2**32)
