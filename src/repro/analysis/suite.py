@@ -103,7 +103,7 @@ def subset_suite(
 
     One ``runtime`` spans every game: its metrics aggregate the whole
     suite, and with a cache attached a re-run (or a second suite sharing
-    games) skips every already-simulated (trace, config) artifact.
+    games) skips every already-simulated (trace, config) row.
     """
     if not traces:
         raise ValidationError("traces must be non-empty")

@@ -87,8 +87,9 @@ def pathfinding_sweep(
     """Evaluate candidate architectures on parent and subset.
 
     Only frame totals are simulated (:meth:`Runtime.frame_times_many`),
-    and every (trace, candidate) point is one cacheable artifact, so an
-    interrupted or repeated sweep only simulates the missing candidates.
+    and every (trace, candidate) point is one row of its trace's cached
+    table, so an interrupted or repeated sweep only simulates the
+    missing candidates.
     """
     candidates = tuple(candidates) or default_candidates()
     names = [c.name for c in candidates]

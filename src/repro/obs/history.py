@@ -61,11 +61,21 @@ def default_store_dir() -> Optional[Path]:
     return Path(value)
 
 
+#: Where the imported ``repro`` package lives: :func:`git_sha` asks git
+#: about this directory, not about the working directory.
+_PACKAGE_DIR = Path(__file__).resolve().parent.parent
+
+
 def git_sha() -> Optional[str]:
-    """The current git commit SHA, or ``None`` outside a checkout."""
+    """The commit of the checkout the running ``repro`` source came from.
+
+    ``None`` when the imported package is not inside a git work tree (an
+    installed or exported copy), wherever the command runs from.
+    """
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "HEAD"],
+            cwd=_PACKAGE_DIR,
             capture_output=True,
             text=True,
             timeout=5,

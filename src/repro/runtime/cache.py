@@ -6,9 +6,14 @@ cache directory, sharded by key prefix::
 
     <cache_dir>/ab/abcdef....pkl
 
-Keys already encode every input plus the format version, so entries are
-immutable: a key is either absent or holds the one true value, and
-invalidation is simply "the key changed".  Writes go through
+A clustering key encodes every input plus the format version, so its
+entry is either absent or holds the one true value, and invalidation is
+simply "the key changed".  A simulation entry is one table per (trace
+content, kind): a dict from :func:`~repro.runtime.keys.config_digest`
+to that config's value, which only ever gains rows.  The runtime
+re-reads a table and merges its new rows right before each put, so a
+concurrent writer loses rows only when two puts land at once, and a
+lost row is recomputed later, never wrong.  Writes go through
 :func:`repro.util.atomicfile.write_atomic`, so an interrupted sweep
 never leaves a truncated entry behind — and if one appears anyway (disk
 fault, manual tampering), :meth:`ArtifactCache.get` evicts it and

@@ -47,7 +47,7 @@ from repro.obs.metrics import Metrics, MetricsSnapshot
 from repro.obs.progress import NULL_PROGRESS, NullProgress, ProgressReporter
 from repro.obs.spans import NULL_TRACER, Tracer
 from repro.runtime.cache import CACHE_MISS, ArtifactCache, NullCache
-from repro.runtime.keys import task_key
+from repro.runtime.keys import config_digest, task_key
 from repro.runtime.tasks import Task, TaskResult, resolve_task_function
 from repro.util.stats import sum_in_order
 
@@ -362,12 +362,13 @@ class Runtime:
     ) -> List[List[BatchFrameOutput]]:
         """Per-frame outputs of ``trace`` on every config, cache-first.
 
-        One artifact per (trace content, config) pair; configs missing
-        from the cache are simulated together in one fan-out, so each
-        chunk evaluates them as one config-vectorized pass that computes
-        the order-dependent context rows once per distinct capacity and
-        switch-cost triple.  ``label`` names the stage, its trace
-        span, and the ``frames_simulated{phase=...}`` label.
+        The artifact is one ``simulate_frames`` table per trace content,
+        one row per config; configs missing from it are simulated
+        together in one fan-out, so each chunk evaluates them as one
+        config-vectorized pass that computes the order-dependent context
+        rows once per distinct capacity and switch-cost triple.
+        ``label`` names the stage, its trace span, and the
+        ``frames_simulated{phase=...}`` label.
         """
         per_config = self._simulate_per_config(
             trace, configs, label, "simulate_frames", "simulate_frame_range",
@@ -386,8 +387,8 @@ class Runtime:
         Row ``i`` equals ``[out.time_ns for out in
         simulate_frames(trace, configs[i])]`` bit for bit, but per-draw
         detail is never shipped from workers or written to the cache:
-        the artifact is one ``(num_frames,)`` float64 array per (trace
-        content, config) pair, under its own ``frame_times`` key kind,
+        the artifact is one ``frame_times`` table per trace content
+        whose rows are ``(num_frames,)`` float64 arrays, one per config,
         so an interrupted or extended sweep still simulates only the
         missing candidates.
         """
@@ -408,26 +409,22 @@ class Runtime:
         task_kind: str,
         join: Callable[[List[Any]], Any],
     ) -> List[Any]:
-        """One cached artifact per config: look up, dedupe, fan out, put.
+        """One cached table per (trace, kind): look up, dedupe, fan out, put.
 
-        Configs whose ``key_kind`` artifact is cached are read back;
-        the rest (each distinct key once) are simulated together by
-        ``task_kind`` tasks, one per frame range.  A task's value holds
-        one entry per simulated config, and ``join`` concatenates a
-        config's entries over the ranges into its artifact.
+        The ``key_kind`` table maps :func:`config_digest` to a config's
+        value.  Rows it holds are read back; the rest (each distinct
+        digest once) are simulated together by ``task_kind`` tasks, one
+        per frame range.  A task's value holds one entry per simulated
+        config, and ``join`` concatenates a config's entries over the
+        ranges into its row.
         """
-        configs = list(configs)
-        keys = [task_key(key_kind, trace=trace, config=config) for config in configs]
-        by_key: Dict[str, Any] = {}
+        key = task_key(key_kind, trace=trace)
+        rows = [config_digest(config) for config in configs]
+        table = self._table(key)
         need: Dict[str, GpuConfig] = {}
-        for key, config in zip(keys, configs):
-            if key in by_key or key in need:
-                continue
-            hit = self.cache.get(key)
-            if hit is not CACHE_MISS:
-                by_key[key] = hit
-            else:
-                need[key] = config
+        for row, config in zip(rows, configs):
+            if row not in table:
+                need.setdefault(row, config)
         if need:
             need_configs = tuple(need.values())
             ranges = self._ranges(trace.num_frames)
@@ -442,11 +439,20 @@ class Runtime:
             self._prepublish_precomp(trace, len(tasks))
             with self.stage(label):
                 values = self.engine.run(tasks, context=trace)
-            for position, key in enumerate(need):
-                value = join([chunk[position] for chunk in values])
-                by_key[key] = value
-                self.cache.put(key, value)
-        return [by_key[key] for key in keys]
+            fresh = {
+                row: join([chunk[position] for chunk in values])
+                for position, row in enumerate(need)
+            }
+            # Re-read and merge right before the put, so rows another
+            # writer added during the fan-out survive it.
+            table = {**table, **self._table(key), **fresh}
+            self.cache.put(key, table)
+        return [table[row] for row in rows]
+
+    def _table(self, key: str) -> Dict[str, Any]:
+        """The cached table under ``key``; missing or not a dict reads empty."""
+        table = self.cache.get(key)
+        return table if isinstance(table, dict) else {}
 
     def _prepublish_precomp(self, trace: "Trace", num_tasks: int) -> None:
         """Publish the trace's precompute to the shared store before fan-out.

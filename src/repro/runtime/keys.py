@@ -9,6 +9,8 @@ computation depends on:
 - the **GPU configuration** (every model field; the ``name`` label is
   deliberately excluded — two configs with identical parameters simulate
   identically, so e.g. DVFS points renamed between runs still hit);
+  simulation artifacts carry it as the row key inside their
+  (trace, kind) table rather than in the file key;
 - the **algorithm parameters** (clustering method, radius, seed, ...);
 - the **format version** (:data:`CACHE_FORMAT_VERSION`), bumped whenever
   the simulator, feature extractor, or artifact layout changes meaning.
@@ -36,7 +38,9 @@ from repro.simgpu.config import GpuConfig
 #: v4: BatchFrameOutput dropped the unread per-draw ``draw_core_cycles``.
 #: v5: the trace digest hashes the draw columns instead of the ``.rpb``
 #: serialization.
-CACHE_FORMAT_VERSION = 5
+#: v6: simulation artifacts are one table per (trace, kind), a dict from
+#: :func:`config_digest` to that config's value.
+CACHE_FORMAT_VERSION = 6
 
 #: Introspection hook for the ``repro.checks`` cache-key-completeness
 #: rules (KEY003): the exact fields the :func:`task_key` record carries.
@@ -61,10 +65,10 @@ TASK_FIELD_KEYING: Mapping[str, str] = {
     "task_id": "label only: names the task's span and errors, never the value",
     "kind": "keyed directly via the 'kind' record field",
     "payload": (
-        "keyed via the trace/config/params/extra digests at the key-"
-        "building call sites (Runtime._simulate_per_config, behind "
-        "simulate_frames_many and frame_times_many, and "
-        "Runtime.cluster_frames pass every payload component to task_key)"
+        "keyed at the key-building call sites: Runtime._simulate_per_config "
+        "(behind simulate_frames_many and frame_times_many) keys a trace's "
+        "table via task_key and its rows via config_digest, and "
+        "Runtime.cluster_frames passes the trace and params to task_key"
     ),
 }
 
@@ -90,7 +94,7 @@ def config_digest(config: GpuConfig) -> str:
     numbers, and including it would defeat caching across renamed but
     numerically identical configs (DVFS points, preset copies).
     """
-    fields = dataclasses.asdict(config)
+    fields = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
     fields.pop("name", None)
     canonical = json.dumps(fields, sort_keys=True)
     return _sha256_hex(canonical.encode("utf-8"))

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import shutil
+import subprocess
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import ValidationError
+from repro.obs import history
 from repro.obs.history import (
     RUN_STORE_VERSION,
     RunRecord,
@@ -14,6 +19,7 @@ from repro.obs.history import (
     collect_record,
     default_store_dir,
     flatten_metrics,
+    git_sha,
     record_run,
 )
 from repro.obs.metrics import Metrics
@@ -254,3 +260,36 @@ class TestEnvOverride:
         assert data["run_store_version"] == RUN_STORE_VERSION
         assert data["command"] == "simulate"
         assert "python_version" in data["environment"]
+
+
+def _git(*args):
+    return subprocess.run(["git", *args], capture_output=True, text=True, check=False)
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="git is not installed")
+class TestGitSha:
+    """The SHA names the source that was imported, not the working directory."""
+
+    def test_names_the_package_checkout_from_elsewhere(self, tmp_path, monkeypatch):
+        src = Path(repro.__file__).resolve().parent.parent
+        expected = _git("-C", str(src), "rev-parse", "HEAD")
+        if expected.returncode != 0:
+            pytest.skip("the package under test is not in a git checkout")
+        monkeypatch.chdir(tmp_path)
+        assert git_sha() == expected.stdout.strip()
+
+    def test_exported_package_has_no_sha_inside_a_checkout(self, tmp_path, monkeypatch):
+        checkout = tmp_path / "checkout"
+        checkout.mkdir()
+        for args in (
+            ("init", "-q"),
+            ("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q",
+             "--allow-empty", "-m", "init"),
+        ):
+            assert _git("-C", str(checkout), *args).returncode == 0
+        export = tmp_path / "export"
+        export.mkdir()
+        monkeypatch.setattr(history, "_PACKAGE_DIR", export)
+        monkeypatch.chdir(checkout)
+        assert _git("rev-parse", "HEAD").returncode == 0
+        assert git_sha() is None

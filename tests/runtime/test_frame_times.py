@@ -1,9 +1,9 @@
 """Frame totals as their own task kind and artifact.
 
 ``Runtime.frame_times_many`` must equal the per-draw path's frame times
-bit for bit under any worker count and cache state, keep one artifact
-per (trace, config) so an extended sweep simulates only new candidates,
-and never write per-draw artifacts.
+bit for bit under any worker count and cache state, keep one row per
+config in its trace's table so an extended sweep simulates only new
+candidates, and never write per-draw artifacts.
 """
 
 from pathlib import Path
@@ -13,8 +13,9 @@ import pytest
 
 from repro.analysis.sweep import pathfinding_sweep
 from repro.core.subsetting import build_subset
+from repro.runtime.cache import ArtifactCache
 from repro.runtime.engine import Runtime
-from repro.runtime.keys import task_key
+from repro.runtime.keys import config_digest, task_key
 from repro.simgpu.config import GpuConfig
 from repro.synth.generator import TraceGenerator
 from repro.synth.profiles import GameProfile
@@ -106,16 +107,14 @@ def test_extended_sweep_simulates_only_the_new_candidate(trace, candidates, tmp_
 def test_sweep_writes_no_per_draw_artifact(trace, candidates, tmp_path):
     subset = build_subset(trace)
     pathfinding_sweep(trace, subset, candidates, runtime=Runtime(jobs=1, cache_dir=tmp_path))
-    subset_trace = subset.materialize(trace)
-    totals = sorted(
-        task_key("frame_times", trace=t, config=c)
-        for t in (trace, subset_trace)
-        for c in candidates
-    )
-    assert _artifacts(tmp_path) == totals
-    for config in candidates:
-        per_draw = task_key("simulate_frames", trace=trace, config=config)
-        assert per_draw not in totals
+    traces = (trace, subset.materialize(trace))
+    tables = sorted(task_key("frame_times", trace=t) for t in traces)
+    assert _artifacts(tmp_path) == tables
+    cache = ArtifactCache(tmp_path)
+    for t in traces:
+        assert task_key("simulate_frames", trace=t) not in tables
+        rows = cache.get(task_key("frame_times", trace=t))
+        assert set(rows) == {config_digest(c) for c in candidates}
 
 
 def test_totals_do_not_read_per_draw_artifacts(trace, candidates, tmp_path):
@@ -128,7 +127,7 @@ def test_totals_do_not_read_per_draw_artifacts(trace, candidates, tmp_path):
 def test_corrupted_totals_artifact_is_evicted_and_recomputed(trace, candidates, tmp_path):
     config = candidates[1]
     reference = Runtime(jobs=1, cache_dir=tmp_path).frame_times_many(trace, [config])
-    key = task_key("frame_times", trace=trace, config=config)
+    key = task_key("frame_times", trace=trace)
     path = tmp_path / key[:2] / f"{key}.pkl"
     path.write_bytes(path.read_bytes()[:20])
 
@@ -141,3 +140,23 @@ def test_corrupted_totals_artifact_is_evicted_and_recomputed(trace, candidates, 
     final = Runtime(jobs=1, cache_dir=tmp_path)
     assert final.frame_times_many(trace, [config]).tolist() == reference.tolist()
     assert final.metrics.snapshot().counter_total("frames_simulated") == 0
+
+
+def test_concurrent_extension_keeps_both_rows(trace, candidates, tmp_path, monkeypatch):
+    first, second = candidates[0], candidates[1]
+    writer = Runtime(jobs=1, cache_dir=tmp_path)
+    other = Runtime(jobs=1, cache_dir=tmp_path)
+    run = writer.engine.run
+
+    def run_while_another_writer_puts(tasks, context=None):
+        values = run(tasks, context)
+        other.frame_times_many(trace, [second])
+        return values
+
+    monkeypatch.setattr(writer.engine, "run", run_while_another_writer_puts)
+    writer.frame_times_many(trace, [first])
+
+    reader = Runtime(jobs=1, cache_dir=tmp_path)
+    totals = reader.frame_times_many(trace, [first, second])
+    assert reader.metrics.snapshot().counter_total("frames_simulated") == 0
+    assert totals.tolist() == _per_draw_frame_times(trace, [first, second])

@@ -1,5 +1,8 @@
 """Tests for cache keys (stability, sensitivity) and the artifact cache."""
 
+import dataclasses
+import hashlib
+import json
 import os
 import pickle
 import subprocess
@@ -8,6 +11,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import repro
 from repro.errors import ConfigError
@@ -22,6 +26,7 @@ from repro.runtime.keys import (
 from repro.simgpu.config import GpuConfig
 from repro.synth.generator import TraceGenerator
 from repro.synth.profiles import GameProfile
+from tests.simgpu.test_batch import config_strategy
 
 SMALL = GameProfile.preset("bioshock1_like").scaled(0.05)
 
@@ -66,6 +71,46 @@ class TestDigests:
     def test_task_key_is_hex(self, trace):
         key = task_key("simulate_frames", trace=trace)
         assert set(key) <= set("0123456789abcdef")
+
+
+def _asdict_config_digest(config):
+    """The ``dataclasses.asdict`` recipe ``config_digest`` used to follow."""
+    fields = dataclasses.asdict(config)
+    fields.pop("name", None)
+    canonical = json.dumps(fields, sort_keys=True)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+class TestConfigDigestRecipe:
+    """The field-wise record digests exactly as the ``asdict`` one did."""
+
+    @pytest.mark.parametrize("name", GpuConfig.preset_names())
+    def test_presets(self, name):
+        config = GpuConfig.preset(name)
+        assert config_digest(config) == _asdict_config_digest(config)
+
+    def test_sweep_grid(self):
+        base = GpuConfig.preset("mainstream")
+        grid = [
+            base.scaled(
+                name=f"c{cores}-tex{tex_kb}-bw{bandwidth}-{clock}MHz",
+                num_shader_cores=cores,
+                tex_cache_kb=tex_kb,
+                dram_bytes_per_mem_cycle=float(bandwidth),
+                core_clock_mhz=float(clock),
+            )
+            for cores in (4, 8, 12, 16)
+            for tex_kb in (64, 128, 256, 512)
+            for bandwidth in (32, 64, 96)
+            for clock in (800, 1200, 1600)
+        ]
+        assert len({config_digest(config) for config in grid}) == 144
+        assert [config_digest(c) for c in grid] == [_asdict_config_digest(c) for c in grid]
+
+    @settings(max_examples=100, deadline=None)
+    @given(config=config_strategy)
+    def test_random_configs(self, config):
+        assert config_digest(config) == _asdict_config_digest(config)
 
 
 class TestKeyStabilityAcrossProcesses:

@@ -130,7 +130,7 @@ class TestCorruptionRecovery:
         runtime = Runtime(jobs=1, cache_dir=tmp_path)
         reference = runtime.simulate_trace(trace, config)
 
-        key = task_key("simulate_frames", trace=trace, config=config)
+        key = task_key("simulate_frames", trace=trace)
         path = tmp_path / key[:2] / f"{key}.pkl"
         assert path.exists()
         path.write_bytes(b"garbage")
