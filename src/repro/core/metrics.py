@@ -69,6 +69,11 @@ def cluster_quality(
     A cluster's intra-cluster prediction error is
     ``|population x t_rep - sum(t_members)| / sum(t_members)`` — how far
     scaling the representative misses the cluster's true total.
+
+    One stable sort groups the draws by cluster, members in draw order,
+    so each cluster's members are one contiguous slice holding the same
+    values in the same order as ``times[labels == cluster]``: the same
+    sums, in O(N) slicing instead of one mask per cluster.
     """
     times = np.asarray(draw_times_ns, dtype=float)
     if times.shape[0] != clustering.num_draws:
@@ -78,12 +83,17 @@ def cluster_quality(
         )
     if np.any(times <= 0):
         raise ValidationError("draw times must be strictly positive")
+    labels = np.asarray(clustering.labels)
+    grouped = times[np.argsort(labels, kind="stable")]
+    bounds = np.concatenate(
+        ([0], np.cumsum(np.bincount(labels, minlength=clustering.num_clusters)))
+    ).tolist()
+    rep_times = times[np.asarray(clustering.representatives, dtype=np.int64)].tolist()
     errors = []
     for cluster in range(clustering.num_clusters):
-        member_times = times[clustering.labels == cluster]
-        true_total = float(member_times.sum())
-        rep_time = float(times[int(clustering.representatives[cluster])])
-        estimated = rep_time * member_times.shape[0]
+        lo, hi = bounds[cluster], bounds[cluster + 1]
+        true_total = float(grouped[lo:hi].sum())
+        estimated = rep_times[cluster] * (hi - lo)
         errors.append(abs(estimated - true_total) / true_total)
     return ClusterQuality(
         intra_cluster_errors=tuple(errors), outlier_threshold=outlier_threshold

@@ -66,15 +66,11 @@ def default_store_dir() -> Optional[Path]:
 _PACKAGE_DIR = Path(__file__).resolve().parent.parent
 
 
-def git_sha() -> Optional[str]:
-    """The commit of the checkout the running ``repro`` source came from.
-
-    ``None`` when the imported package is not inside a git work tree (an
-    installed or exported copy), wherever the command runs from.
-    """
+def _git_output(*args: str) -> Optional[str]:
+    """``git <args>``'s stripped stdout, run in the package directory; ``None`` on failure."""
     try:
         proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", *args],
             cwd=_PACKAGE_DIR,
             capture_output=True,
             text=True,
@@ -83,8 +79,27 @@ def git_sha() -> Optional[str]:
         )
     except (OSError, subprocess.SubprocessError):
         return None
-    sha = proc.stdout.strip()
-    return sha if proc.returncode == 0 and sha else None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def git_sha() -> Optional[str]:
+    """The commit of the running ``repro`` source, or ``None`` if none names it.
+
+    The sha of the checkout holding the imported package, wherever the
+    command runs from, when git tracks the package directory and its
+    tracked files are unmodified; ``<sha>-dirty`` when some are
+    modified.  ``None`` when no commit holds this source: the package is
+    not inside a git work tree (an installed or exported copy), or git
+    tracks none of its files (an untracked copy inside another
+    checkout).
+    """
+    if not _git_output("ls-files", "--", "."):
+        return None
+    sha = _git_output("rev-parse", "HEAD")
+    changes = _git_output("status", "--porcelain", "--untracked-files=no", "--", ".")
+    if not sha or changes is None:
+        return None
+    return f"{sha}-dirty" if changes else sha
 
 
 def environment_fingerprint() -> Dict[str, Any]:
@@ -110,9 +125,9 @@ def build_info() -> Dict[str, Any]:
     """Package version plus source provenance, for version surfaces.
 
     Backs ``repro --version`` and the service's ``GET /v1/healthz``:
-    the environment fingerprint's package/python facts joined with the
-    git SHA (``None`` outside a checkout), so every deployment can say
-    exactly which build is answering.
+    the environment fingerprint's package/python facts joined with
+    :func:`git_sha` (``None`` when no commit holds the source), so every
+    deployment can say exactly which build is answering.
     """
     info = environment_fingerprint()
     info["git_sha"] = git_sha()
@@ -123,7 +138,8 @@ def version_line() -> str:
     """One human-readable line: ``repro <version> (<sha>, python <ver>)``."""
     info = build_info()
     sha = info["git_sha"]
-    provenance = f"git {sha[:12]}" if sha else "no git checkout"
+    dirty = "-dirty" if sha and sha.endswith("-dirty") else ""
+    provenance = f"git {sha[:12]}{dirty}" if sha else "no git commit"
     return (
         f"repro {info['package_version']} "
         f"({provenance}, python {info['python_version']})"

@@ -21,7 +21,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 #: Default histogram buckets: one per decade, covering everything from
 #: sub-microsecond latencies to billions of cycles.  Values above the
@@ -217,6 +217,27 @@ class Metrics:
         ``buckets`` fixes the bucket bounds when the series is first
         observed; later calls reuse the registered bounds.
         """
+        self._observe(name, (float(value),), buckets, labels)
+
+    def observe_many(self, name: str, values: Iterable[float], **labels: Any) -> None:
+        """Record each of ``values``, in order, into ``name{labels}``.
+
+        The same as one :meth:`observe` per value — the same buckets,
+        ``total``, ``min`` and ``max`` updates in the same order — but
+        with one label key and one lock for the whole batch.  An empty
+        batch records nothing.
+        """
+        self._observe(name, [float(value) for value in values], None, labels)
+
+    def _observe(
+        self,
+        name: str,
+        values: Sequence[float],
+        buckets: Optional[Tuple[float, ...]],
+        labels: Mapping[str, Any],
+    ) -> None:
+        if not values:
+            return
         key = (name, label_key(labels))
         with self._lock:
             hist = self._histograms.get(key)
@@ -225,7 +246,8 @@ class Metrics:
                     tuple(buckets) if buckets is not None else DEFAULT_BUCKETS
                 )
                 self._histograms[key] = hist
-            hist.observe(float(value))
+            for value in values:
+                hist.observe(value)
 
     # -- reading -----------------------------------------------------------
 

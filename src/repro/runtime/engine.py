@@ -455,15 +455,18 @@ class Runtime:
         return table if isinstance(table, dict) else {}
 
     def _prepublish_precomp(self, trace: "Trace", num_tasks: int) -> None:
-        """Publish the trace's precompute to the shared store before fan-out.
+        """Hold the trace's precompute in this process before fan-out.
 
-        Only worth doing when the run will actually fan out (multiple
-        tasks on a multi-job engine) *and* a compiled kernel backend is
-        active: publishing from the parent is serial, so with the
-        pure-python kernels it would cost more than letting each worker
-        compute-and-publish its own chunk.  With compiled kernels the
-        parent precomputes each frame once machine-wide and workers
-        mmap the arrays instead of recomputing (ROADMAP item 2).
+        Fills the digest-keyed precompute memo for every frame (memo,
+        then the shared store, then compute-and-publish), so forked
+        workers inherit it copy-on-write and load nothing: each frame is
+        loaded or computed once per process that runs the fan-outs, not
+        once per fan-out.  Only worth doing when the run will actually
+        fan out (multiple tasks on a multi-job engine), the store is on,
+        *and* a compiled kernel backend is active: the parent's pass is
+        serial, so with the pure-python kernels it would cost more than
+        letting each worker compute its own chunk.  Under a non-``fork``
+        start method workers inherit nothing and read the store.
         """
         if num_tasks <= 1 or self.engine.jobs <= 1:
             return
@@ -478,7 +481,7 @@ class Runtime:
                 return
         except Exception:
             return
-        with self.stage("precomp_publish"):
+        with self.stage("precomp_publish"), activate_obs(self.obs):
             published = prepublish_precomp(trace)
         if published:
             self.metrics.inc("precomp_prepublished_frames", published)

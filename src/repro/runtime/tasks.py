@@ -158,8 +158,7 @@ def _cluster_frame_range(context: Any, payload: Any) -> Tuple[Any, ...]:
             extractor.frame_matrix(trace.frames[i]), **dict(params)
         )
         metrics.observe("frame_cluster_count", clustering.num_clusters)
-        for weight in clustering.weights:
-            metrics.observe("cluster_size", float(weight))
+        metrics.observe_many("cluster_size", clustering.weights.tolist())
         clusterings.append(clustering)
     metrics.inc("frames_clustered", stop - start)
     return tuple(clusterings)

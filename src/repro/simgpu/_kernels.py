@@ -62,9 +62,18 @@ approx):
   with ``np.minimum`` and ``np.maximum``.  Every element is independent,
   so loop order is free, and config-independent terms (``vs_ops``,
   ``vertex_bytes``, ``samples``, ...) are hoisted out of the config
-  loop.  Every sum over draws stays in numpy, on the kernel's
-  ``(configs, draws)`` outputs, so pairwise-summation order never
-  enters the kernel.
+  loop.  The C kernel prices each term once per *group* of configs that
+  agree, bit for bit, on every input the term reads
+  (:data:`COST_MODEL_CORE_COLUMNS` plus the switch row for core and
+  stage cycles, :data:`COST_MODEL_DRAM_COLUMNS` plus the warm row for
+  DRAM cycles); only the clock divisions and the max/overlap combine run
+  once per config.  Equal inputs through the same operations give equal
+  bits, so a group's shared row is each member's own row.  The python
+  reference prices every config and returns the rows at each group's
+  first member, so the parity test also checks the grouping: a config
+  put in the wrong group changes its ``times``.  Every sum over draws
+  stays in numpy, on the kernel's row outputs, so pairwise-summation
+  order never enters the kernel.
 """
 
 from __future__ import annotations
@@ -74,6 +83,7 @@ import hashlib
 import os
 import shutil
 import subprocess
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -95,7 +105,8 @@ KERNEL_BACKENDS = ("auto", "cext", "python")
 #: v2: added the ``repro_noise_units`` sha256-based draw-noise kernel.
 #: v3: added the ``repro_leader_cluster`` leader-clustering kernel.
 #: v4: added the ``repro_cost_model`` cost-model kernel.
-KERNEL_ABI_VERSION = 4
+#: v5: ``repro_cost_model`` prices core and DRAM terms once per group.
+KERNEL_ABI_VERSION = 5
 
 #: Per-draw float64 inputs of :func:`cost_model`, in kernel order: the
 #: like-named :class:`~repro.simgpu.batch.FramePrecomp` arrays.
@@ -121,16 +132,54 @@ COST_MODEL_CONFIG_COLUMNS: Tuple[str, ...] = (
     "core_clock", "memory_clock", "mem_overlap",
 )
 
+#: The config columns the core and stage cycles read (with the config's
+#: switch row); configs equal on all of them share one core row.
+COST_MODEL_CORE_COLUMNS: Tuple[str, ...] = (
+    "alu_lanes", "max_occ_regs", "vertex_fetch_bpc", "raster_prims_pc",
+    "raster_pixels_pc", "tex_rate", "rop_rate", "serial_fraction",
+    "draw_overhead", "noise_amplitude",
+)
+
+#: The config columns the DRAM cycles read (with the config's warm row);
+#: configs equal on all of them share one DRAM row.
+COST_MODEL_DRAM_COLUMNS: Tuple[str, ...] = (
+    "tex_capacity", "cacheline", "depth_compression",
+    "l2_miss_vertex", "l2_miss_tex", "l2_miss_rt", "dram_bpc",
+)
+
 #: The per-stage buffers :func:`cost_model` fills when asked, in the
 #: order the stages are summed.
 COST_MODEL_STAGES: Tuple[str, ...] = (
     "vertex", "fetch", "raster", "pixel", "texture", "rop",
 )
 
-#: Cost-model outputs: per-draw ``times`` (ns), ``core`` and ``dram``
-#: cycles, each ``(configs, draws)``, plus the ``(6, configs, draws)``
-#: stage cycles when collected.
-CostModelOutput = Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]
+#: Configs grouped by equal term inputs: ``(first, index)``, where
+#: group ``g``'s first member is config ``first[g]`` and config ``i`` is
+#: in group ``index[i]`` (both int64).
+Groups = Tuple[np.ndarray, np.ndarray]
+
+
+@dataclass(frozen=True, eq=False)
+class CostModelOutput:
+    """One frame priced on every config, each term kept once per group.
+
+    ``times`` holds per-draw times (ns), ``(C, N)``.  ``core`` holds the
+    core cycles once per core group, ``(Rc, N)``, and config ``i``'s row
+    is ``core[core_index[i]]``; ``dram`` and ``dram_index`` are the same
+    for DRAM cycles, ``(Rd, N)``.  ``stages`` holds the ``(6, Rc, N)``
+    stage cycles (:data:`COST_MODEL_STAGES`) when collected, else
+    ``None``.  ``len()`` is the number of configs.
+    """
+
+    times: np.ndarray
+    core: np.ndarray
+    core_index: np.ndarray
+    dram: np.ndarray
+    dram_index: np.ndarray
+    stages: Optional[np.ndarray]
+
+    def __len__(self) -> int:
+        return int(self.times.shape[0])
 
 
 class KernelBackend:
@@ -146,8 +195,9 @@ class KernelBackend:
     takes ``(matrix, radius)`` — a C-contiguous finite float64 matrix
     with at least one column — and returns ``(labels, leader_indices)``
     as int64 arrays.  ``cost_model`` takes ``(draws, flags, configs,
-    warm_rows, warm_index, switch_rows, switch_index, collect_stages)``,
-    validated by :func:`cost_model`, and returns a :data:`CostModelOutput`.
+    warm_rows, warm_index, switch_rows, switch_index, core_groups,
+    dram_groups, collect_stages)``, validated by :func:`cost_model`, and
+    returns a :class:`CostModelOutput`.
     """
 
     def __init__(
@@ -292,14 +342,18 @@ def _cost_model_python(
     warm_index: np.ndarray,
     switch_rows: np.ndarray,
     switch_index: np.ndarray,
+    core_groups: Groups,
+    dram_groups: Groups,
     collect_stages: bool,
 ) -> CostModelOutput:
     """The reference cost model: one numpy expression per model term.
 
     Every config parameter is a ``(configs, 1)`` column and every draw
     input a ``(draws,)`` row (of ``draws`` / ``flags``, in field order),
-    so each term broadcasts to ``(configs, draws)``.  The C kernel
-    reproduces this block element by element.
+    so each term broadcasts to ``(configs, draws)``.  Every config is
+    priced on its own; the core, DRAM and stage rows returned are those
+    of each group's first member.  The C kernel reproduces this block
+    element by element, pricing each group's row once.
     """
     (verts, prims, pix_rast, pix_shaded, stride,
      vs_alu, vs_tex, vs_branch, vs_regs,
@@ -390,7 +444,15 @@ def _cost_model_python(
     times = np.maximum(core_ns, mem_ns) + mem_overlap * np.minimum(
         core_ns, mem_ns
     )
-    return times, core, dram, stages if collect_stages else None
+    (core_first, core_index), (dram_first, dram_index) = core_groups, dram_groups
+    return CostModelOutput(
+        times=times,
+        core=core[core_first],
+        core_index=core_index,
+        dram=dram[dram_first],
+        dram_index=dram_index,
+        stages=stages[:, core_first] if collect_stages else None,
+    )
 
 
 _PYTHON_BACKEND = KernelBackend(
@@ -657,8 +719,12 @@ int64_t repro_leader_cluster(
  * same grouping (a + b * c + d * e is ((a + b * c) + d * e)), no fused
  * multiply-add.  Indices below follow COST_MODEL_DRAW_FIELDS,
  * COST_MODEL_FLAG_FIELDS, COST_MODEL_CONFIG_COLUMNS and
- * _COST_MODEL_CONSTANTS.  The config loop is branch-free (np.where's
- * "compute both, select one" as ?:) so the compiler can vectorize it. */
+ * _COST_MODEL_CONSTANTS.  Each term is priced once per group of configs
+ * with equal bits in every input it reads: core and stage cycles once
+ * per core group, DRAM cycles once per DRAM group, and only the clock
+ * divisions and the max/overlap combine once per config.  The loops are
+ * branch-free (np.where's "compute both, select one" as ?:) so the
+ * compiler can vectorize them. */
 enum { D_VERTS, D_PRIMS, D_PIX_RAST, D_PIX_SHADED, D_STRIDE,
        D_VS_ALU, D_VS_TEX, D_VS_BRANCH, D_VS_REGS,
        D_PS_ALU, D_PS_TEX, D_PS_BRANCH, D_PS_REGS,
@@ -681,14 +747,14 @@ enum { H_VS_WORK, H_PS_WORK, H_VERTEX_BYTES, H_SETUP_PRIMS, H_SAMPLES,
 #define DRAW(f) (draws + (f) * n)
 #define HOIST(h) (hoisted + (h) * n)
 
-/* One config's row.  Always inlined with a constant `collect`, so the
- * stage stores cost nothing when they are not asked for. */
-static inline __attribute__((always_inline)) void cost_row(
+/* One core group's row: the six stage cycles and the core cycles.
+ * Always inlined with a constant `collect`, so the stage stores cost
+ * nothing when they are not asked for. */
+static inline __attribute__((always_inline)) void core_row(
     const int collect, int64_t n,
     const double *restrict draws, const double *restrict hoisted,
     const double *restrict k, const double *restrict consts,
-    const double *restrict warm, const double *restrict switch_cycles,
-    double *restrict times, double *restrict core, double *restrict dram,
+    const double *restrict switch_cycles, double *restrict core,
     double *restrict s_vertex, double *restrict s_fetch,
     double *restrict s_raster, double *restrict s_pixel,
     double *restrict s_texture, double *restrict s_rop)
@@ -708,22 +774,7 @@ static inline __attribute__((always_inline)) void cost_row(
         double rast = HOIST(H_SETUP_PRIMS)[i] / k[K_RASTER_PRIMS_PC]
                       + DRAW(D_PIX_RAST)[i] / k[K_RASTER_PIXELS_PC];
         double tex = HOIST(H_SAMPLES)[i] / k[K_TEX_RATE];
-        double footprint = DRAW(D_FOOTPRINT)[i];
-        double cold = consts[M_BASE_MISS]
-                      + consts[M_CAPACITY_MISS_SCALE] * (footprint / k[K_TEX_CAPACITY]);
-        cold = cold < consts[M_MAX_MISS] ? cold : consts[M_MAX_MISS];
-        double miss = cold * (warm[i] * consts[M_WARM_MISS_MULTIPLIER] + (1.0 - warm[i]));
-        miss = footprint == 0.0 ? 0.0 : miss;
-        double tex_bytes = (HOIST(H_SAMPLES)[i] * miss) * k[K_CACHELINE];
-        double tex_cap = consts[M_FOOTPRINT_OVERFETCH_CAP] * footprint;
-        tex_bytes = tex_bytes < tex_cap ? tex_bytes : tex_cap;
         double rop_cycles = HOIST(H_ROP_WORK)[i] / (k[K_ROP_RATE] * HOIST(H_ROP_FACTOR)[i]);
-        double depth_pp = DRAW(D_DEPTH_BPP)[i] * k[K_DEPTH_COMPRESSION];
-        double read_bytes = DRAW(D_PIX_RAST)[i] * depth_pp;
-        double write_bytes = DRAW(D_PIX_SHADED)[i] * depth_pp;
-        double rt_bytes = HOIST(H_RT_BASE)[i]
-            + (HOIST(H_DEPTH_READS)[i] != 0.0 ? read_bytes : 0.0);
-        rt_bytes = rt_bytes + (HOIST(H_DEPTH_WRITES)[i] != 0.0 ? write_bytes : 0.0);
 
         double slowest = vertex;
         slowest = fetch > slowest ? fetch : slowest;
@@ -734,17 +785,7 @@ static inline __attribute__((always_inline)) void cost_row(
         double stage_sum = ((((vertex + fetch) + rast) + pixel) + tex) + rop_cycles;
         double residual = k[K_SERIAL_FRACTION] * (stage_sum - slowest);
         double core_cycles = ((slowest + residual) + switch_cycles[i]) + k[K_DRAW_OVERHEAD];
-        core_cycles = core_cycles * (1.0 + k[K_NOISE_AMPLITUDE] * HOIST(H_NOISE)[i]);
-        double dram_cycles = ((HOIST(H_VERTEX_BYTES)[i] * k[K_L2_MISS_VERTEX]
-                               + tex_bytes * k[K_L2_MISS_TEX])
-                              + rt_bytes * k[K_L2_MISS_RT]) / k[K_DRAM_BPC];
-        double core_ns = (1e3 * core_cycles) / k[K_CORE_CLOCK];
-        double mem_ns = (1e3 * dram_cycles) / k[K_MEMORY_CLOCK];
-        double hi = core_ns > mem_ns ? core_ns : mem_ns;
-        double lo = core_ns < mem_ns ? core_ns : mem_ns;
-        times[i] = hi + k[K_MEM_OVERLAP] * lo;
-        core[i] = core_cycles;
-        dram[i] = dram_cycles;
+        core[i] = core_cycles * (1.0 + k[K_NOISE_AMPLITUDE] * HOIST(H_NOISE)[i]);
         if (collect) {
             s_vertex[i] = vertex;
             s_fetch[i] = fetch;
@@ -756,16 +797,64 @@ static inline __attribute__((always_inline)) void cost_row(
     }
 }
 
+/* One DRAM group's row: texture, vertex and render-target traffic over
+ * the DRAM bytes per cycle. */
+static void dram_row(
+    int64_t n, const double *restrict draws, const double *restrict hoisted,
+    const double *restrict k, const double *restrict consts,
+    const double *restrict warm, double *restrict dram)
+{
+    for (int64_t i = 0; i < n; i++) {
+        double footprint = DRAW(D_FOOTPRINT)[i];
+        double cold = consts[M_BASE_MISS]
+                      + consts[M_CAPACITY_MISS_SCALE] * (footprint / k[K_TEX_CAPACITY]);
+        cold = cold < consts[M_MAX_MISS] ? cold : consts[M_MAX_MISS];
+        double miss = cold * (warm[i] * consts[M_WARM_MISS_MULTIPLIER] + (1.0 - warm[i]));
+        miss = footprint == 0.0 ? 0.0 : miss;
+        double tex_bytes = (HOIST(H_SAMPLES)[i] * miss) * k[K_CACHELINE];
+        double tex_cap = consts[M_FOOTPRINT_OVERFETCH_CAP] * footprint;
+        tex_bytes = tex_bytes < tex_cap ? tex_bytes : tex_cap;
+        double depth_pp = DRAW(D_DEPTH_BPP)[i] * k[K_DEPTH_COMPRESSION];
+        double read_bytes = DRAW(D_PIX_RAST)[i] * depth_pp;
+        double write_bytes = DRAW(D_PIX_SHADED)[i] * depth_pp;
+        double rt_bytes = HOIST(H_RT_BASE)[i]
+            + (HOIST(H_DEPTH_READS)[i] != 0.0 ? read_bytes : 0.0);
+        rt_bytes = rt_bytes + (HOIST(H_DEPTH_WRITES)[i] != 0.0 ? write_bytes : 0.0);
+        dram[i] = ((HOIST(H_VERTEX_BYTES)[i] * k[K_L2_MISS_VERTEX]
+                    + tex_bytes * k[K_L2_MISS_TEX])
+                   + rt_bytes * k[K_L2_MISS_RT]) / k[K_DRAM_BPC];
+    }
+}
+
+/* One config's times from its core and DRAM rows. */
+static void times_row(
+    int64_t n, const double *restrict k, const double *restrict core,
+    const double *restrict dram, double *restrict times)
+{
+    for (int64_t i = 0; i < n; i++) {
+        double core_ns = (1e3 * core[i]) / k[K_CORE_CLOCK];
+        double mem_ns = (1e3 * dram[i]) / k[K_MEMORY_CLOCK];
+        double hi = core_ns > mem_ns ? core_ns : mem_ns;
+        double lo = core_ns < mem_ns ? core_ns : mem_ns;
+        times[i] = hi + k[K_MEM_OVERLAP] * lo;
+    }
+}
+
 /* `draws` and `flags` hold one row of n per input field; `hoisted` is
- * H_COUNT * n scratch; `core_dram` is two planes of c * n (core, then
- * dram cycles); `stages` is NULL or 6 planes of c * n, one per stage
- * in COST_MODEL_STAGES order. */
+ * H_COUNT * n scratch.  Core group g is priced with the parameters of
+ * config core_first[g] and DRAM group g with those of dram_first[g];
+ * config ci reads its rows core_index[ci] and dram_index[ci].  `core`
+ * is rc * n, `dram` rd * n and `times` c * n; `stages` is NULL or 6
+ * planes of rc * n, one per stage in COST_MODEL_STAGES order. */
 void repro_cost_model(
-    int64_t n, int64_t c, const double *draws, const uint8_t *flags,
+    int64_t n, int64_t c, int64_t rc, int64_t rd,
+    const double *draws, const uint8_t *flags,
     const double *configs, const double *consts,
     const double *warm_rows, const int64_t *warm_index,
     const double *switch_rows, const int64_t *switch_index,
-    double *hoisted, double *times, double *core_dram, double *stages)
+    const int64_t *core_first, const int64_t *core_index,
+    const int64_t *dram_first, const int64_t *dram_index,
+    double *hoisted, double *times, double *core, double *dram, double *stages)
 {
     const uint8_t *cull_none = flags + F_CULL_NONE * n;
     const uint8_t *blend_dest = flags + F_BLEND_DEST * n;
@@ -793,22 +882,28 @@ void repro_cost_model(
         HOIST(H_DEPTH_READS)[i] = depth_reads[i] ? 1.0 : 0.0;
         HOIST(H_DEPTH_WRITES)[i] = depth_writes[i] ? 1.0 : 0.0;
     }
-    const int64_t plane = c * n;
-    for (int64_t ci = 0; ci < c; ci++) {
+    const int64_t plane = rc * n;
+    for (int64_t g = 0; g < rc; g++) {
+        const int64_t ci = core_first[g];
         const double *k = configs + ci * K_COUNT;
-        const double *warm = warm_rows + warm_index[ci] * n;
         const double *switch_cycles = switch_rows + switch_index[ci] * n;
-        double *core = core_dram + ci * n;
-        double *s = stages ? stages + ci * n : NULL;
+        double *s = stages ? stages + g * n : NULL;
         if (s)
-            cost_row(1, n, draws, hoisted, k, consts, warm, switch_cycles,
-                     times + ci * n, core, core + plane, s, s + plane,
-                     s + 2 * plane, s + 3 * plane, s + 4 * plane, s + 5 * plane);
+            core_row(1, n, draws, hoisted, k, consts, switch_cycles, core + g * n,
+                     s, s + plane, s + 2 * plane, s + 3 * plane, s + 4 * plane,
+                     s + 5 * plane);
         else
-            cost_row(0, n, draws, hoisted, k, consts, warm, switch_cycles,
-                     times + ci * n, core, core + plane,
+            core_row(0, n, draws, hoisted, k, consts, switch_cycles, core + g * n,
                      NULL, NULL, NULL, NULL, NULL, NULL);
     }
+    for (int64_t g = 0; g < rd; g++) {
+        const int64_t ci = dram_first[g];
+        dram_row(n, draws, hoisted, configs + ci * K_COUNT, consts,
+                 warm_rows + warm_index[ci] * n, dram + g * n);
+    }
+    for (int64_t ci = 0; ci < c; ci++)
+        times_row(n, configs + ci * K_COUNT, core + core_index[ci] * n,
+                  dram + dram_index[ci] * n, times + ci * n);
 }
 
 #undef DRAW
@@ -923,7 +1018,7 @@ def _load_cext_backend() -> KernelBackend:
     # Addresses go in as plain integers: at C = 1 the frame is small and
     # each ``data_as`` wrapper costs about as much as pricing a draw.
     lib.repro_cost_model.restype = None
-    lib.repro_cost_model.argtypes = [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 12
+    lib.repro_cost_model.argtypes = [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 17
     constants = np.array(_COST_MODEL_CONSTANTS, dtype=np.float64)
 
     def i64p(array: np.ndarray) -> "ctypes._Pointer":
@@ -980,22 +1075,29 @@ def _load_cext_backend() -> KernelBackend:
         warm_index: np.ndarray,
         switch_rows: np.ndarray,
         switch_index: np.ndarray,
+        core_groups: Groups,
+        dram_groups: Groups,
         collect_stages: bool,
     ) -> CostModelOutput:
         c, n = configs.shape[0], draws.shape[1]
+        (core_first, core_index), (dram_first, dram_index) = core_groups, dram_groups
+        rc, rd = core_first.shape[0], dram_first.shape[0]
         times = np.empty((c, n))
-        core_dram = np.empty((2, c, n))
-        stages = np.empty((len(COST_MODEL_STAGES), c, n)) if collect_stages else None
+        core = np.empty((rc, n))
+        dram = np.empty((rd, n))
+        stages = np.empty((len(COST_MODEL_STAGES), rc, n)) if collect_stages else None
         hoisted = np.empty((_COST_MODEL_HOISTED_TERMS, n))
         lib.repro_cost_model(
-            n, c, draws.ctypes.data, flags.ctypes.data,
+            n, c, rc, rd, draws.ctypes.data, flags.ctypes.data,
             configs.ctypes.data, constants.ctypes.data,
             warm_rows.ctypes.data, warm_index.ctypes.data,
             switch_rows.ctypes.data, switch_index.ctypes.data,
-            hoisted.ctypes.data, times.ctypes.data, core_dram.ctypes.data,
-            stages.ctypes.data if stages is not None else None,
+            core_first.ctypes.data, core_index.ctypes.data,
+            dram_first.ctypes.data, dram_index.ctypes.data,
+            hoisted.ctypes.data, times.ctypes.data, core.ctypes.data,
+            dram.ctypes.data, stages.ctypes.data if stages is not None else None,
         )
-        return times, core_dram[0], core_dram[1], stages
+        return CostModelOutput(times, core, core_index, dram, dram_index, stages)
 
     return KernelBackend("cext", reuse, seg_f64, seg_i64, noise, leader, cost_model)
 
@@ -1181,6 +1283,23 @@ def leader_labels(matrix: np.ndarray, radius: float) -> Tuple[np.ndarray, np.nda
     return backend()._leader(matrix, float(radius))
 
 
+def _check_groups(groups: Optional[Groups], c: int, name: str) -> Groups:
+    """Validate a ``(first, index)`` grouping of ``c`` configs (``None``: one per config)."""
+    if groups is None:
+        identity = np.arange(c, dtype=np.int64)
+        return identity, identity
+    first, index = (np.ascontiguousarray(a, dtype=np.int64) for a in groups)
+    if first.ndim != 1 or index.shape != (c,):
+        raise ConfigError(f"cost model {name} groups must be (R,) firsts and (C,) indices")
+    r = first.shape[0]
+    if c and (
+        index.min() < 0 or index.max() >= r or first.min() < 0 or first.max() >= c
+        or not np.array_equal(index[first], np.arange(r))
+    ):
+        raise ConfigError(f"cost model {name} groups are inconsistent")
+    return first, index
+
+
 def cost_model(
     frame: Any,
     configs: np.ndarray,
@@ -1188,9 +1307,11 @@ def cost_model(
     warm_index: np.ndarray,
     switch_rows: np.ndarray,
     switch_index: np.ndarray,
+    core_groups: Optional[Groups] = None,
+    dram_groups: Optional[Groups] = None,
     collect_stages: bool = False,
 ) -> CostModelOutput:
-    """Price every draw of one frame on every config: ``(times, core, dram, stages)``.
+    """Price every draw of one frame on every config, as a :class:`CostModelOutput`.
 
     ``frame`` carries the per-draw arrays named by
     :data:`COST_MODEL_DRAW_FIELDS` and :data:`COST_MODEL_FLAG_FIELDS`
@@ -1198,10 +1319,15 @@ def cost_model(
     ``(C, K)`` matrix of :data:`COST_MODEL_CONFIG_COLUMNS`.  Config
     ``i`` reads texture warmth from ``warm_rows[warm_index[i]]`` and
     switch penalties from ``switch_rows[switch_index[i]]``, so configs
-    that share a cache size or switch costs share one row.  Returns
-    per-draw times (ns), core and dram cycles as ``(C, N)`` float64,
-    plus the ``(6, C, N)`` stage cycles (:data:`COST_MODEL_STAGES`) when
-    ``collect_stages`` is set, else ``None``.
+    that share a cache size or switch costs share one row.
+    ``core_groups`` and ``dram_groups`` (:data:`Groups`; ``None`` puts
+    each config in its own group) name the configs whose core and DRAM
+    rows are priced once: the members of a core group must be equal, bit
+    for bit, in :data:`COST_MODEL_CORE_COLUMNS` and the switch row, and
+    those of a DRAM group in :data:`COST_MODEL_DRAM_COLUMNS` and the
+    warm row (:class:`~repro.simgpu.batch.ConfigTable` builds such
+    groups).  The ``(6, Rc, N)`` stage cycles are returned when
+    ``collect_stages`` is set.
     """
     try:
         draws = np.stack(
@@ -1231,16 +1357,24 @@ def cost_model(
         if c and (index.min() < 0 or index.max() >= rows.shape[0]):
             raise ConfigError("cost model context row index out of range")
         context += [rows, index]
-    return backend()._cost_model(draws, flags, configs, *context, bool(collect_stages))
+    return backend()._cost_model(
+        draws, flags, configs, *context,
+        _check_groups(core_groups, c, "core"), _check_groups(dram_groups, c, "DRAM"),
+        bool(collect_stages),
+    )
 
 
 __all__: Tuple[str, ...] = (
     "COST_MODEL_CONFIG_COLUMNS",
+    "COST_MODEL_CORE_COLUMNS",
+    "COST_MODEL_DRAM_COLUMNS",
     "COST_MODEL_DRAW_FIELDS",
     "COST_MODEL_FLAG_FIELDS",
     "COST_MODEL_STAGES",
     "KERNELS_ENV",
     "KERNEL_BACKENDS",
+    "CostModelOutput",
+    "Groups",
     "KernelBackend",
     "backend",
     "cost_model",

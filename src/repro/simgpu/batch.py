@@ -12,16 +12,18 @@ this reformulation is exact for the tracker's size-weighted LRU, not an
 approximation.
 
 One evaluator runs on top of the shared precompute:
-:func:`simulate_frame_multi` prices **all** candidate configs at once as
-one ``(num_configs, num_draws)`` pass of the cost-model kernel
-(:func:`repro.simgpu._kernels.cost_model`) against a
-:class:`ConfigTable`, which is what makes architecture sweeps over
-828K-draw corpora tractable: the per-config Python draw loop is gone
-entirely.  A single config is the ``C = 1`` case.  One per-frame driver
-loop feeds two drivers: :func:`simulate_frame_range_multi` keeps every
-per-frame output (per-draw times included), and
-:func:`simulate_frame_times_multi` keeps only frame totals, for callers
-that rank or correlate candidates.  :func:`simulate_frame_range` (one
+:func:`simulate_frame_multi` prices **all** candidate configs at once in
+one call of the cost-model kernel (:func:`repro.simgpu._kernels.
+cost_model`) against a :class:`ConfigTable`, which is what makes
+architecture sweeps over 828K-draw corpora tractable: the per-config
+Python draw loop is gone entirely, and each model term is priced once
+per group of configs that share its inputs (a grid that varies clocks
+prices its core cycles once).  A single config is the ``C = 1`` case.
+One per-frame driver loop feeds two drivers:
+:func:`simulate_frame_range_multi` builds every per-frame output
+(per-draw times included), and :func:`simulate_frame_times_multi` keeps
+only frame totals and builds no per-config output, for callers that
+rank or correlate candidates.  :func:`simulate_frame_range` (one
 config, per-frame outputs) and :func:`simulate_trace_multi` (whole-trace
 results) are thin views of the first.  The sequential
 :class:`~repro.simgpu.simulator.GpuSimulator` stays the reference
@@ -30,7 +32,9 @@ oracle.
 Every caller, in-process or in a worker, gets per-frame precompute from
 a memo keyed by the trace's content digest (:func:`frame_precomp_cached`),
 so consecutive sweep / validate tasks on the same trace never redo table
-resolution or reuse-distance analysis.
+resolution or reuse-distance analysis.  Before a fan-out the runtime
+fills its own process's memo (:func:`prepublish_precomp`), so forked
+workers inherit every frame instead of loading it again.
 """
 
 from __future__ import annotations
@@ -291,16 +295,20 @@ def frame_precomp_cached(trace: Trace, frame) -> FramePrecomp:
     of which task (or object) asks.  On a memo miss, the machine-wide
     precompute store (:mod:`repro.simgpu.precomp_store`) is mapped
     read-only (``precomp_store_hits``); only if that also misses is the
-    frame computed, and the result is published for every other worker
+    frame computed, and the result is published for every other process
     on the machine (``precomp_store_misses`` / ``_publishes``).
     """
     from repro.runtime.keys import trace_digest
 
-    digest = trace_digest(trace)
+    return _frame_precomp(trace, frame, trace_digest(trace))[0]
+
+
+def _frame_precomp(trace: Trace, frame, digest: str) -> Tuple[FramePrecomp, bool]:
+    """:func:`frame_precomp_cached`, plus whether this call published the frame."""
     frames = _memo_frames(digest)
     fp = frames.get(frame.index)
     if fp is not None:
-        return fp
+        return fp, False
     metrics = current_obs().metrics
     store = precomp_store.active_store()
     if store is not None:
@@ -308,52 +316,37 @@ def frame_precomp_cached(trace: Trace, frame) -> FramePrecomp:
         if fp is not None:
             metrics.inc("precomp_store_hits")
             frames[frame.index] = fp
-            return fp
+            return fp, False
         metrics.inc("precomp_store_misses")
     fp = precompute_frame(trace, frame)
+    published = False
     if store is not None:
         try:
-            if store.publish(digest, fp):
-                metrics.inc("precomp_store_publishes")
+            published = store.publish(digest, fp)
         except OSError:
             # A read-only or full store directory must never fail the
             # simulation — the computed frame is still returned.
             pass
+        if published:
+            metrics.inc("precomp_store_publishes")
     frames[frame.index] = fp
-    return fp
+    return fp, published
 
 
 def prepublish_precomp(trace: Trace) -> int:
-    """Publish every frame of ``trace`` to the shared store; returns count.
+    """Hold every frame of ``trace`` in this process's memo; returns frames published.
 
-    Called by the runtime before fanning a sweep out to worker
-    processes, so each frame is precomputed exactly once machine-wide
-    and workers mmap it instead of recomputing.  No-op (0) when the
-    store is disabled.
+    :func:`frame_precomp_cached` per frame: a frame is taken from the
+    memo, else mapped from the shared store, else computed and published
+    to it.  The runtime calls this before fanning a sweep out to forked
+    worker processes, which inherit the memo instead of each loading
+    their frames again; the e2e set-up calls it to publish the store.
+    With the store disabled it only fills the memo and returns 0.
     """
-    store = precomp_store.active_store()
-    if store is None:
-        return 0
     from repro.runtime.keys import trace_digest
 
     digest = trace_digest(trace)
-    published = 0
-    metrics = current_obs().metrics
-    frames = _memo_frames(digest)
-    for frame in trace.frames:
-        if store.has(digest, frame.index):
-            continue
-        fp = frames.get(frame.index)
-        if fp is None:
-            fp = precompute_frame(trace, frame)
-            frames[frame.index] = fp
-        try:
-            if store.publish(digest, fp):
-                published += 1
-                metrics.inc("precomp_store_publishes")
-        except OSError:
-            break
-    return published
+    return sum(_frame_precomp(trace, frame, digest)[1] for frame in trace.frames)
 
 
 def clear_precomp_cache() -> None:
@@ -437,6 +430,14 @@ class ConfigTable:
     each config's position in ``warm_index`` / ``switch_index``, so a
     DVFS sweep (identical caches and penalties at every clock) computes
     one warmth row and one switch row per frame.
+
+    ``core_groups`` and ``dram_groups`` (:data:`~repro.simgpu._kernels.
+    Groups`) gather the configs whose core and DRAM cycles are the same
+    computation: equal bit patterns in every column that term reads
+    (:data:`~repro.simgpu._kernels.COST_MODEL_CORE_COLUMNS` and the
+    switch row; :data:`~repro.simgpu._kernels.COST_MODEL_DRAM_COLUMNS`
+    and the warm row).  The kernel prices each group once, so a grid
+    that varies only clocks or bandwidth prices its core cycles once.
     """
 
     def __init__(self, configs: Sequence[GpuConfig]) -> None:
@@ -462,6 +463,18 @@ class ConfigTable:
                 for c in self.configs
             ]
         )
+        self.core_groups = self._groups(_kernels.COST_MODEL_CORE_COLUMNS, self.switch_index)
+        self.dram_groups = self._groups(_kernels.COST_MODEL_DRAM_COLUMNS, self.warm_index)
+
+    def _groups(self, columns: Sequence[str], context_index: np.ndarray) -> _kernels.Groups:
+        """Configs keyed on ``columns``' bit patterns plus their context row."""
+        positions = [_kernels.COST_MODEL_CONFIG_COLUMNS.index(name) for name in columns]
+        bits = self.matrix[:, positions].view(np.uint64)
+        _, index = _distinct(
+            [(*row, context) for row, context in zip(bits.tolist(), context_index.tolist())]
+        )
+        first = np.unique(index, return_index=True)[1]
+        return first.astype(np.int64), index
 
     def __len__(self) -> int:
         return len(self.configs)
@@ -482,46 +495,75 @@ def simulate_frame_multi(
     fp: FramePrecomp,
     table: ConfigTable,
     collect_stages: bool = False,
-) -> List[BatchFrameOutput]:
+) -> _kernels.CostModelOutput:
     """Evaluate one frame on every config in one cost-model kernel call.
 
     This is the one vectorized form of the cost model in
     :mod:`repro.simgpu.cost` (:func:`repro.simgpu._kernels.cost_model`,
     compiled or its numpy reference); a single config is the ``C = 1``
-    table.  Returns one :class:`BatchFrameOutput` per config, in table
-    order — every element is computed independently along the config
-    axis, so row ``i`` is bit-identical to evaluating
-    ``table.configs[i]`` alone.  Totals are numpy row sums of the
-    kernel's ``(C, N)`` outputs: one ``sum(axis=1)`` per quantity and
-    per pass span, each row reduced exactly as a 1-D ``.sum()`` would.
+    table.  Returns the kernel's :class:`~repro.simgpu._kernels.
+    CostModelOutput`, whose ``len()`` is the number of configs: per-draw
+    ``times`` per config, core and DRAM cycles once per group of the
+    table's ``core_groups`` / ``dram_groups``.  Every element is the
+    same arithmetic as evaluating ``table.configs[i]`` alone, so config
+    ``i``'s rows are bit-identical to the ``C = 1`` case.
     """
     warm, switch = _context_rows(fp, table)
-    times, core, dram, stages = _kernels.cost_model(
+    return _kernels.cost_model(
         fp, table.matrix, warm, table.warm_index, switch, table.switch_index,
-        collect_stages,
+        table.core_groups, table.dram_groups, collect_stages,
     )
+
+
+def _per_config(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Per-config totals of group rows: each row summed once, then gathered.
+
+    The sum runs over the last (draw) axis of a C-contiguous array, so
+    each row is reduced exactly as a 1-D ``.sum()`` of it would be.
+    """
+    return rows.sum(axis=-1)[..., index]
+
+
+def _stage_totals(costs: _kernels.CostModelOutput) -> Dict[str, np.ndarray]:
+    """Per-config stage-cycle totals by ``BatchFrameOutput.stage_cycles`` key."""
+    if costs.stages is None:
+        raise SimulationError("stage cycles were not collected")
+    per_stage = dict(
+        zip(_kernels.COST_MODEL_STAGES, _per_config(costs.stages, costs.core_index))
+    )
+    return {
+        "shader": per_stage["vertex"] + per_stage["pixel"],
+        "fetch": per_stage["fetch"],
+        "raster": per_stage["raster"],
+        "texture": per_stage["texture"],
+        "rop": per_stage["rop"],
+        "memory": _per_config(costs.dram, costs.dram_index),
+    }
+
+
+def _frame_outputs(
+    fp: FramePrecomp, costs: _kernels.CostModelOutput
+) -> List[BatchFrameOutput]:
+    """One :class:`BatchFrameOutput` per config from one frame's costs.
+
+    Totals are numpy row sums: one ``sum(axis=1)`` per quantity and per
+    pass span, each row reduced exactly as a 1-D ``.sum()`` would.
+    """
+    times = costs.times
     time_totals = times.sum(axis=1).tolist()
-    core_totals = core.sum(axis=1).tolist()
-    dram_totals = dram.sum(axis=1).tolist()
+    core_totals = _per_config(costs.core, costs.core_index).tolist()
+    dram_totals = _per_config(costs.dram, costs.dram_index).tolist()
     span_totals = [
         (pass_name, times[:, start:end].sum(axis=1).tolist())
         for pass_name, start, end in fp.pass_spans
     ]
     stage_totals: Optional[List[Dict[str, float]]] = None
-    if stages is not None:
-        per_stage = dict(zip(_kernels.COST_MODEL_STAGES, stages.sum(axis=2)))
-        columns = {
-            "shader": (per_stage["vertex"] + per_stage["pixel"]).tolist(),
-            "fetch": per_stage["fetch"].tolist(),
-            "raster": per_stage["raster"].tolist(),
-            "texture": per_stage["texture"].tolist(),
-            "rop": per_stage["rop"].tolist(),
-            "memory": dram_totals,
-        }
+    if costs.stages is not None:
+        columns = {name: values.tolist() for name, values in _stage_totals(costs).items()}
         stage_totals = [dict(zip(columns, row)) for row in zip(*columns.values())]
 
     outputs: List[BatchFrameOutput] = []
-    for ci in range(len(table)):
+    for ci in range(len(costs)):
         pass_times: Dict[str, float] = {}
         for pass_name, totals in span_totals:
             pass_times[pass_name] = pass_times.get(pass_name, 0.0) + totals[ci]
@@ -546,14 +588,15 @@ def simulate_frame_multi(
 
 def _evaluate_frames(
     trace: Trace, configs: Tuple[GpuConfig, ...], start: int, stop: int
-) -> Iterator[List[BatchFrameOutput]]:
+) -> Iterator[Tuple[FramePrecomp, _kernels.CostModelOutput]]:
     """Each frame of ``[start, stop)`` on every config, one frame at a time.
 
     The one per-frame driver loop: precompute from the per-process
     digest-keyed memo, one :func:`simulate_frame_multi` call per frame
     (looked up as a module global, so a wrapper installed on the module
     sees every call), a ``simulate_frame`` span under an enabled tracer,
-    and the ``frame_core_cycles`` observations.
+    and one ``frame_core_cycles`` observation per config.  Yields each
+    frame's precompute with its costs.
     """
     obs = current_obs()
     tracer = obs.tracer
@@ -571,23 +614,20 @@ def _evaluate_frames(
                 draws=fp.num_draws,
                 configs=len(configs),
             ) as span:
-                outputs = simulate_frame_multi(fp, table, collect_stages=True)
-                totals: Dict[str, float] = {}
-                for out in outputs:
-                    for stage, cycles in (out.stage_cycles or {}).items():
-                        totals[stage] = totals.get(stage, 0.0) + cycles
+                costs = simulate_frame_multi(fp, table, collect_stages=True)
                 span.set(
-                    time_ns=sum(out.time_ns for out in outputs),
+                    time_ns=sum(costs.times.sum(axis=1).tolist()),
                     **{
-                        f"{stage}_cycles": cycles
-                        for stage, cycles in totals.items()
+                        f"{stage}_cycles": sum(totals.tolist())
+                        for stage, totals in _stage_totals(costs).items()
                     },
                 )
         else:
-            outputs = simulate_frame_multi(fp, table)
-        for out in outputs:
-            obs.metrics.observe("frame_core_cycles", out.core_cycles)
-        yield outputs
+            costs = simulate_frame_multi(fp, table)
+        obs.metrics.observe_many(
+            "frame_core_cycles", _per_config(costs.core, costs.core_index).tolist()
+        )
+        yield fp, costs
 
 
 def _check_range(trace: Trace, start: int, stop: int) -> None:
@@ -618,8 +658,8 @@ def simulate_frame_range_multi(
     if not configs:
         return []
     per_config: List[List[BatchFrameOutput]] = [[] for _ in configs]
-    for outputs in _evaluate_frames(trace, configs, start, stop):
-        for slot, out in enumerate(outputs):
+    for fp, costs in _evaluate_frames(trace, configs, start, stop):
+        for slot, out in enumerate(_frame_outputs(fp, costs)):
             per_config[slot].append(out)
     return per_config
 
@@ -633,19 +673,19 @@ def simulate_frame_times_multi(
     """Frame totals of ``[start, stop)`` on every config: ``(C, stop - start)``.
 
     The same evaluation as :func:`simulate_frame_range_multi`, keeping
-    only each output's ``time_ns``: a frame's per-draw matrices are
-    released once its totals are read, so callers that need only
-    totals (pathfinding sweeps, frequency scaling) never hold or ship
-    per-draw detail.  Row ``i`` equals
-    ``[out.time_ns for out in simulate_frame_range_multi(...)[i]]``.
+    only each frame's ``times.sum(axis=1)``: a frame's per-draw matrices
+    are released once its totals are read and no per-config output is
+    built, so callers that need only totals (pathfinding sweeps,
+    frequency scaling) never hold or ship per-draw detail.  Row ``i``
+    equals ``[out.time_ns for out in simulate_frame_range_multi(...)[i]]``.
     """
     _check_range(trace, start, stop)
     configs = tuple(configs)
     times = np.empty((len(configs), stop - start))
     if not configs:
         return times
-    for column, outputs in enumerate(_evaluate_frames(trace, configs, start, stop)):
-        times[:, column] = [out.time_ns for out in outputs]
+    for column, (_, costs) in enumerate(_evaluate_frames(trace, configs, start, stop)):
+        times[:, column] = costs.times.sum(axis=1)
     return times
 
 

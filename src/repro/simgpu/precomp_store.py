@@ -17,10 +17,18 @@ serializes each frame's arrays into one file under
   :func:`repro.util.atomicfile.write_atomic`; concurrent publishers of
   the same frame race benignly — content-addressed means both write
   identical bytes and the last rename wins atomically;
-- loaded **zero-copy** via ``np.memmap``: workers map the arrays
+- loaded **zero-copy** via ``np.memmap``: a process maps the arrays
   read-only straight out of the page cache instead of recomputing or
   unpickling them, and frames of the same trace share one mapping per
   file.
+
+The store carries precompute from one process to the next: from a
+set-up that published it to the op that reads it, and from one op to
+the next.  Within an op it is read once: before each fan-out the runtime
+holds every frame in its own process's memo
+(:func:`repro.simgpu.batch.prepublish_precomp`), and ``fork``-started
+workers inherit it instead of loading their frames again (under another
+start method they read the store).
 
 File format (``.fpc``): a magic line, an 8-byte little-endian header
 length, a JSON header (frame index, draw count, pass spans, and per
@@ -36,6 +44,7 @@ store entirely (mirroring ``$REPRO_RUN_STORE``).
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import threading
@@ -277,12 +286,16 @@ class PrecompStore:
             meta = header["arrays"][name]
             dtype = np.dtype(meta["dtype"])
             shape = tuple(meta["shape"])
-            count = int(np.prod(shape)) if shape else 1
+            count = math.prod(shape)
             start = data_start + meta["offset"]
             end = start + count * dtype.itemsize
             if end > mapping.shape[0]:
                 raise PrecompStoreError(f"truncated blob {name!r} in {path}")
-            arrays[name] = mapping[start:end].view(dtype).reshape(shape)
+            # A plain ndarray view of the mapping: slicing the memmap
+            # itself builds a memmap subclass object per step.
+            arrays[name] = np.frombuffer(
+                mapping, dtype=dtype, count=count, offset=start
+            ).reshape(shape)
         num_draws = int(header["num_draws"])
         return FramePrecomp(
             frame_index=int(header["frame_index"]),

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cluster_frame import cluster_frame
 from repro.core.features import FeatureExtractor
@@ -149,6 +151,38 @@ class TestMetrics:
             method="test",
         )
         assert cluster_outlier_rate(clustering, [1.0, 1.2], outlier_threshold=0.2) == 0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        labels=st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=60),
+        data=st.data(),
+    )
+    def test_cluster_quality_equals_the_mask_loop(self, labels, data):
+        """The sorted-slice sums give the same errors as one mask per cluster."""
+        from repro.core.cluster_frame import FrameClustering
+
+        _, labels = np.unique(np.array(labels), return_inverse=True)  # 0..K-1, singletons kept
+        num_clusters = int(labels.max()) + 1
+        times = np.array(data.draw(st.lists(
+            st.floats(min_value=1e-3, max_value=1e9), min_size=len(labels), max_size=len(labels),
+        )))
+        representatives = np.array([
+            data.draw(st.sampled_from(np.flatnonzero(labels == c).tolist()))
+            for c in range(num_clusters)
+        ])
+        clustering = FrameClustering(
+            labels=labels,
+            representatives=representatives,
+            weights=np.bincount(labels),
+            method="test",
+        )
+        reference = []
+        for cluster in range(num_clusters):
+            member_times = times[labels == cluster]
+            true_total = float(member_times.sum())
+            estimated = float(times[representatives[cluster]]) * member_times.shape[0]
+            reference.append(abs(estimated - true_total) / true_total)
+        assert cluster_quality(clustering, times).intra_cluster_errors == tuple(reference)
 
     def test_time_length_mismatch_rejected(self):
         from repro.core.cluster_frame import FrameClustering

@@ -266,17 +266,55 @@ def _git(*args):
     return subprocess.run(["git", *args], capture_output=True, text=True, check=False)
 
 
+def _checkout(root, files):
+    """A fresh git checkout at ``root`` with ``files`` committed."""
+    root.mkdir()
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    for args in (
+        ("init", "-q"),
+        ("add", "."),
+        ("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "init"),
+    ):
+        assert _git("-C", str(root), *args).returncode == 0
+    return root
+
+
 @pytest.mark.skipif(shutil.which("git") is None, reason="git is not installed")
 class TestGitSha:
     """The SHA names the source that was imported, not the working directory."""
 
     def test_names_the_package_checkout_from_elsewhere(self, tmp_path, monkeypatch):
-        src = Path(repro.__file__).resolve().parent.parent
-        expected = _git("-C", str(src), "rev-parse", "HEAD")
+        package = Path(repro.__file__).resolve().parent
+        expected = _git("-C", str(package), "rev-parse", "HEAD")
         if expected.returncode != 0:
             pytest.skip("the package under test is not in a git checkout")
+        modified = _git(
+            "-C", str(package), "status", "--porcelain", "--untracked-files=no", "--", "."
+        ).stdout.strip()
         monkeypatch.chdir(tmp_path)
-        assert git_sha() == expected.stdout.strip()
+        assert git_sha() == expected.stdout.strip() + ("-dirty" if modified else "")
+
+    def test_modified_tracked_file_marks_the_sha_dirty(self, tmp_path, monkeypatch):
+        checkout = _checkout(tmp_path / "checkout", {"pkg/mod.py": "x = 1\n"})
+        head = _git("-C", str(checkout), "rev-parse", "HEAD").stdout.strip()
+        monkeypatch.setattr(history, "_PACKAGE_DIR", checkout / "pkg")
+        monkeypatch.chdir(tmp_path)
+        (checkout / "pkg" / "new.py").write_text("untracked files are not edits\n")
+        assert git_sha() == head
+        (checkout / "pkg" / "mod.py").write_text("x = 2\n")
+        assert git_sha() == f"{head}-dirty"
+
+    def test_untracked_copy_inside_a_checkout_has_no_sha(self, tmp_path, monkeypatch):
+        checkout = _checkout(tmp_path / "checkout", {"README": "another project\n"})
+        copy = checkout / "src" / "repro"
+        copy.mkdir(parents=True)
+        (copy / "__init__.py").write_text("a copy git does not track\n")
+        monkeypatch.setattr(history, "_PACKAGE_DIR", copy)
+        monkeypatch.chdir(checkout)
+        assert _git("rev-parse", "HEAD").returncode == 0
+        assert git_sha() is None
 
     def test_exported_package_has_no_sha_inside_a_checkout(self, tmp_path, monkeypatch):
         checkout = tmp_path / "checkout"

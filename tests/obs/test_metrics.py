@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -72,6 +74,30 @@ class TestHistograms:
         hist = metrics.snapshot().histogram("sz")
         assert hist.buckets == (1.0, 10.0)
         assert hist.counts == (0, 1, 1)  # underflow, (1,10], overflow
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        batches=st.lists(
+            st.lists(
+                st.floats(allow_nan=False, allow_infinity=False, width=64), max_size=12
+            ),
+            max_size=4,
+        ),
+        buckets=st.one_of(st.none(), st.just((1.0, 10.0))),
+    )
+    def test_observe_many_equals_repeated_observe(self, batches, buckets):
+        one, many = Metrics(), Metrics()
+        if buckets is not None:  # a series registered before the batches
+            one.observe("h", 5.0, buckets=buckets, kind="x")
+            many.observe("h", 5.0, buckets=buckets, kind="x")
+        for values in batches:
+            for value in values:
+                one.observe("h", value, kind="x")
+            many.observe_many("h", values, kind="x")
+        assert many.snapshot() == one.snapshot()
+        hist = one.snapshot().histogram("h", kind="x")
+        if hist is not None:  # total equal bit for bit, not only approx
+            assert many.snapshot().histogram("h", kind="x").total.hex() == hist.total.hex()
 
     def test_merge_rejects_mismatched_buckets(self):
         a, b = Metrics(), Metrics()

@@ -19,6 +19,7 @@ from repro.simgpu import _kernels, batch
 from repro.simgpu.batch import (
     ConfigTable,
     _context_rows,
+    _frame_outputs,
     clear_precomp_cache,
     frame_precomp_cached,
     simulate_frame_multi,
@@ -180,32 +181,42 @@ class TestMultiConfigParity:
         assert simulate_frame_times_multi(simple_trace, [], 0, 2).shape == (0, 2)
 
     def test_pass_and_stage_totals_are_per_config_row_sums(self):
-        # One sum(axis=1) per pass span (and per stage) over all configs
-        # must equal the per-(config, pass) 1-D sums it replaced.
+        # One sum(axis=1) per pass span (and per stage or group row) over
+        # all configs must equal the per-(config, pass) 1-D sums it
+        # replaced, each config reading its own core and DRAM rows.
         trace = datasets.load("bioshock2_like", frames=3, seed=5, scale=0.05)
         table = ConfigTable(self._candidates())
+        assert len(table.core_groups[0]) < len(table)
+        assert len(table.dram_groups[0]) < len(table)
         for frame in trace.frames:
             fp = frame_precomp_cached(trace, frame)
             assert len({name for name, _, _ in fp.pass_spans}) > 1
-            outputs = simulate_frame_multi(fp, table, collect_stages=True)
+            outputs = _frame_outputs(fp, simulate_frame_multi(fp, table, collect_stages=True))
             warm, switch = _context_rows(fp, table)
-            times, _, dram, stages = _kernels.cost_model(
-                fp, table.matrix, warm, table.warm_index, switch, table.switch_index, True
+            costs = _kernels.cost_model(
+                fp, table.matrix, warm, table.warm_index, switch, table.switch_index,
+                table.core_groups, table.dram_groups, collect_stages=True,
             )
-            vertex, fetch, raster, pixel, tex, rop = stages
+            times = costs.times
+            vertex, fetch, raster, pixel, tex, rop = costs.stages
+            assert len(outputs) == len(table)
             for ci, out in enumerate(outputs):
+                core_row, dram_row = costs.core_index[ci], costs.dram_index[ci]
                 pass_times = {}
                 for name, start, end in fp.pass_spans:
                     total = float(times[ci, start:end].sum())
                     pass_times[name] = pass_times.get(name, 0.0) + total
                 assert out.pass_times_ns == pass_times
+                assert out.time_ns == float(times[ci].sum())
+                assert out.core_cycles == float(costs.core[core_row].sum())
+                assert out.dram_cycles == float(costs.dram[dram_row].sum())
                 assert out.stage_cycles == {
-                    "shader": float(vertex[ci].sum() + pixel[ci].sum()),
-                    "fetch": float(fetch[ci].sum()),
-                    "raster": float(raster[ci].sum()),
-                    "texture": float(tex[ci].sum()),
-                    "rop": float(rop[ci].sum()),
-                    "memory": float(dram[ci].sum()),
+                    "shader": float(vertex[core_row].sum() + pixel[core_row].sum()),
+                    "fetch": float(fetch[core_row].sum()),
+                    "raster": float(raster[core_row].sum()),
+                    "texture": float(tex[core_row].sum()),
+                    "rop": float(rop[core_row].sum()),
+                    "memory": float(costs.dram[dram_row].sum()),
                 }
                 assert np.array_equal(out.draw_times_ns, times[ci])
 

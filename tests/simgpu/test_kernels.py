@@ -218,7 +218,7 @@ _magnitudes = st.one_of(
 
 
 @st.composite
-def cost_model_inputs(draw):
+def cost_model_inputs(draw, configs=st.lists(config_strategy, min_size=1, max_size=8)):
     """One frame's cost-model inputs: draw arrays, configs and context rows."""
     n = draw(st.integers(min_value=0, max_value=10))
 
@@ -233,7 +233,7 @@ def cost_model_inputs(draw):
     flags = draw(st.lists(st.integers(min_value=0, max_value=15), min_size=n, max_size=n))
     for bit, name in enumerate(_kernels.COST_MODEL_FLAG_FIELDS):
         frame[name] = np.array([bool(f >> bit & 1) for f in flags], dtype=bool)
-    table = ConfigTable(draw(st.lists(config_strategy, min_size=1, max_size=8)))
+    table = ConfigTable(draw(configs))
     unit = st.floats(min_value=0.0, max_value=1.0)
     warm = np.array(
         [column(unit) for _ in table.warm_capacities], dtype=np.float64
@@ -270,6 +270,83 @@ def _cost_model_with(name, monkeypatch, inputs):
     return _kernels.cost_model(*inputs, collect_stages=True)
 
 
+#: Every array of a :class:`~repro.simgpu._kernels.CostModelOutput`.
+_OUTPUT_FIELDS = ("times", "core", "core_index", "dram", "dram_index", "stages")
+
+#: Few values per config column, so a handful of configs forms some
+#: shared core and DRAM groups and some distinct ones.
+grouped_config_strategy = st.builds(
+    lambda cores, tex_kb, l2_kb, bandwidth, clock, mem_clock, shader_sw: (
+        GpuConfig().scaled(
+            name="grouped",
+            num_shader_cores=cores,
+            tex_cache_kb=tex_kb,
+            l2_cache_kb=l2_kb,
+            dram_bytes_per_mem_cycle=bandwidth,
+            core_clock_mhz=clock,
+            memory_clock_mhz=mem_clock,
+            shader_switch_cycles=shader_sw,
+        )
+    ),
+    cores=st.sampled_from([4, 8]),
+    tex_kb=st.sampled_from([64, 256]),
+    l2_kb=st.sampled_from([256, 1024]),
+    bandwidth=st.sampled_from([32.0, 64.0]),
+    clock=st.sampled_from([800.0, 1200.0, 1600.0]),
+    mem_clock=st.sampled_from([1500.0, 2000.0]),
+    shader_sw=st.sampled_from([0, 200]),
+)
+
+
+@st.composite
+def grouped_cost_model_inputs(draw):
+    """:func:`cost_model_inputs` over configs that share columns, with their groups."""
+    table = ConfigTable(draw(st.lists(grouped_config_strategy, min_size=2, max_size=10)))
+    inputs = draw(cost_model_inputs(configs=st.just(table.configs)))
+    return (*inputs, table.core_groups, table.dram_groups), table
+
+
+class TestGroupedCostModel:
+    """Each term priced once per group equals every member priced alone."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=grouped_cost_model_inputs())
+    def test_groups_are_the_distinct_term_inputs(self, case):
+        _, table = case
+        for columns, (first, index), context in (
+            (_kernels.COST_MODEL_CORE_COLUMNS, table.core_groups, table.switch_index),
+            (_kernels.COST_MODEL_DRAM_COLUMNS, table.dram_groups, table.warm_index),
+        ):
+            positions = [_kernels.COST_MODEL_CONFIG_COLUMNS.index(c) for c in columns]
+            keys = [
+                (table.matrix[i, positions].tobytes(), int(context[i]))
+                for i in range(len(table))
+            ]
+            # One group per distinct key, each led by its first member.
+            assert len(set(keys)) == len(first)
+            for i, key in enumerate(keys):
+                assert first[index[i]] == keys.index(key)
+
+    @pytest.mark.parametrize("backend_name", ["python", *COMPILED_BACKENDS])
+    @settings(max_examples=60, deadline=None)
+    @given(case=grouped_cost_model_inputs())
+    def test_each_config_equals_itself_alone(self, backend_name, case):
+        inputs, table = case
+        frame, configs, warm, warm_index, switch, switch_index, _, _ = inputs
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            grouped = _cost_model_with(backend_name, monkeypatch, inputs)
+            for i in range(len(table)):
+                alone = _cost_model_with(backend_name, monkeypatch, (
+                    frame, configs[i:i + 1], warm[warm_index[i]:warm_index[i] + 1], [0],
+                    switch[switch_index[i]:switch_index[i] + 1], [0],
+                ))
+                core, dram = grouped.core_index[i], grouped.dram_index[i]
+                assert np.array_equal(alone.times[0], grouped.times[i])
+                assert np.array_equal(alone.core[0], grouped.core[core])
+                assert np.array_equal(alone.dram[0], grouped.dram[dram])
+                assert np.array_equal(alone.stages[:, 0], grouped.stages[:, core])
+
+
 class TestCostModelInputs:
     def test_mismatched_draw_lengths_rejected(self, force_backend):
         force_backend("python")
@@ -286,9 +363,13 @@ class TestCostModelInputs:
 
     def test_stages_only_when_asked(self, force_backend):
         force_backend("python")
-        *outputs, stages = _kernels.cost_model(*_every_flag_combination())
-        assert stages is None
-        assert all(out.shape == (2, 16) for out in outputs)
+        out = _kernels.cost_model(*_every_flag_combination())
+        assert out.stages is None
+        assert len(out) == 2
+        assert all(rows.shape == (2, 16) for rows in (out.times, out.core, out.dram))
+        assert out.core_index.tolist() == out.dram_index.tolist() == [0, 1]
+        asked = _kernels.cost_model(*_every_flag_combination(), collect_stages=True)
+        assert asked.stages.shape == (6, 2, 16)
 
 
 def _reuse_with(backend, tex_ids, sizes, offsets):
@@ -347,15 +428,24 @@ class TestCompiledParity:
         assert np.array_equal(labels, expected_labels)
         assert np.array_equal(leaders, expected_leaders)
 
-    @settings(max_examples=150, deadline=None)
-    @given(inputs=cost_model_inputs())
+    @settings(max_examples=200, deadline=None)
+    @given(
+        inputs=st.one_of(
+            cost_model_inputs(), grouped_cost_model_inputs().map(lambda case: case[0])
+        )
+    )
     @example(inputs=_every_flag_combination())
     def test_cost_model_bit_parity(self, backend_name, inputs):
-        """Per-draw times, core, dram and every stage buffer equal with ``==``."""
+        """Per-draw times and every core, dram and stage row equal with ``==``.
+
+        With groups, the C kernel prices each group's rows once and the
+        python reference prices every config, so this also checks them.
+        """
         with pytest.MonkeyPatch.context() as monkeypatch:
             expected = _cost_model_with("python", monkeypatch, inputs)
             actual = _cost_model_with(backend_name, monkeypatch, inputs)
-        for name, want, got in zip(("times", "core", "dram", "stages"), expected, actual):
+        for name in _OUTPUT_FIELDS:
+            want, got = getattr(expected, name), getattr(actual, name)
             assert got.shape == want.shape, name
             assert np.array_equal(got, want), name
 

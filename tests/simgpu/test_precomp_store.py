@@ -292,6 +292,40 @@ class TestPrepublish:
         stages = runtime.metrics.snapshot().histogram_totals("stage_s", "stage")
         assert "precomp_publish" in stages
 
+    def test_forked_workers_load_nothing_from_the_store(
+        self, tmp_path, monkeypatch, trace
+    ):
+        """The parent holds every frame before the fan-out; its workers inherit it."""
+        import os
+
+        from repro.runtime.engine import Runtime
+        from repro.simgpu import _kernels
+        from repro.simgpu.config import GpuConfig
+
+        if _kernels._try_load("cext") is None:
+            pytest.skip("cext backend unavailable")
+        monkeypatch.setenv(_kernels.KERNELS_ENV, "cext")
+        monkeypatch.setenv(
+            precomp_store.PRECOMP_DIR_ENV, str(tmp_path / "precomp")
+        )
+        assert prepublish_precomp(trace) == trace.num_frames  # a warm store
+        clear_precomp_cache()  # ... and a cold memo
+        parent, parent_loads = os.getpid(), []
+        original = PrecompStore.load
+
+        def load(self, digest, frame_index):
+            if os.getpid() != parent:
+                raise AssertionError(f"worker loaded frame {frame_index} from the store")
+            parent_loads.append(frame_index)
+            return original(self, digest, frame_index)
+
+        monkeypatch.setattr(PrecompStore, "load", load)
+        runtime = Runtime(jobs=2)
+        for clock in (800.0, 1200.0):  # two fan-outs, one load per frame
+            runtime.frame_times_many(trace, [GpuConfig().with_core_clock(clock)])
+        assert sorted(parent_loads) == [frame.index for frame in trace.frames]
+        assert runtime.metrics.counter_total("precomp_store_hits") == trace.num_frames
+
     def test_runtime_skips_prepublish_on_python_backend(
         self, tmp_path, monkeypatch, trace
     ):

@@ -21,7 +21,6 @@ PUBLIC_MODULES = [
     "repro.core",
     "repro.core.calibrate",
     "repro.core.incremental",
-    "repro.core.online",
     "repro.core.perfphase",
     "repro.core.subsetio",
     "repro.runtime",
