@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Tuple
 
 from repro.synth.materials import MaterialTables
@@ -30,9 +31,13 @@ class SceneObject:
     caster: bool  # casts into shadow maps
     anim_phase: float  # phase offset for per-frame coverage wobble
 
-    @property
+    @cached_property
     def visibility_key(self) -> float:
-        """Stable per-object threshold deciding visibility vs camera."""
+        """Stable per-object threshold deciding visibility vs camera.
+
+        Hashed once per object: it depends only on ``(zone, object_id)``,
+        and the zone's objects are reused by every frame in it.
+        """
         return stable_unit("visibility", self.zone, self.object_id)
 
 
