@@ -2,10 +2,11 @@
 
 A :class:`Frame` stores its draws as one :class:`~repro.gfx.drawtable.DrawTable`
 and its render passes as :class:`PassSpan` row ranges of that table.  The
-``DrawCall``/``RenderPass`` form is a view: a frame built from passes
-(the synthetic generator, tests) keeps them and builds its table on
-first use; a frame built from a table (the loaders, :meth:`Frame.take`)
-builds its passes on first use.
+``DrawCall``/``RenderPass`` form is a view: a frame built from a table
+(the loaders, the synthetic generator, :meth:`Frame.take`) builds its
+passes on first use, for the sequential reference simulator; a frame
+built from passes (hand-built traces and tests) keeps them and builds
+its table on first use.
 """
 
 from __future__ import annotations
