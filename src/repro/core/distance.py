@@ -19,16 +19,19 @@ def euclidean_to_point(matrix: np.ndarray, point: np.ndarray) -> np.ndarray:
 def pairwise_euclidean(matrix: np.ndarray) -> np.ndarray:
     """Full (n, n) Euclidean distance matrix.
 
-    Uses the expanded-square identity with a clamp against negative
-    round-off before the square root.
+    Sums squared differences one row at a time, so the matrix is exactly
+    symmetric and identical rows are exactly 0 apart.  The
+    expanded-square identity ``|a|^2 + |b|^2 - 2 a.b`` cancels
+    catastrophically for near-identical rows: it can put equal rows
+    about 1e-6 apart, enough to break the triangle inequality.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise ValidationError(f"matrix must be 2-D, got shape {matrix.shape}")
-    sq = np.einsum("ij,ij->i", matrix, matrix)
-    gram = matrix @ matrix.T
-    d2 = sq[:, None] + sq[None, :] - 2.0 * gram
-    np.maximum(d2, 0.0, out=d2)
+    d2 = np.empty((len(matrix), len(matrix)))
+    for i, row in enumerate(matrix):
+        diff = matrix - row
+        d2[i] = np.einsum("ij,ij->i", diff, diff)
     return np.sqrt(d2)
 
 
