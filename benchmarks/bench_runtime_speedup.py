@@ -9,6 +9,9 @@ speedups to ``BENCH_runtime.json`` at the repository root:
 
 Every configuration must produce an identical ``PipelineResult`` — the
 benchmark asserts it, so it doubles as an end-to-end determinism check.
+The record's ``tasks_run`` shows whether the parallel run used the pool:
+a fan-out below the runtime's work floors is one task run inline, so
+equal serial and parallel counts mean no worker process started.
 Every timed run starts from the same state: the kernel backend is
 resolved (and on a cold kernel cache, compiled) before the first one,
 the shared precompute store is off, and the in-process precompute memo
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import tempfile
 import time
@@ -34,6 +36,7 @@ from repro import datasets  # noqa: E402
 from repro.core.pipeline import SubsettingPipeline  # noqa: E402
 from repro.obs.history import record_run  # noqa: E402
 from repro.runtime import Runtime  # noqa: E402
+from repro.runtime.engine import available_cpus  # noqa: E402
 from repro.simgpu import _kernels  # noqa: E402
 from repro.simgpu.batch import clear_precomp_cache  # noqa: E402
 from repro.simgpu.config import GpuConfig  # noqa: E402
@@ -63,16 +66,20 @@ def run_benchmark(frames: int, scale: float, jobs: int) -> dict:
     # host "parallel vs serial" measures nothing but that overhead — so
     # clamp, and skip the comparison instead of publishing a <1x
     # "speedup" that reads like a regression.
-    host_cpus = os.cpu_count() or 1
+    host_cpus = available_cpus()
     requested_jobs = jobs
     jobs = max(1, min(jobs, host_cpus))
 
-    reference, serial_s, _ = _timed_run(trace, config, Runtime.serial())
+    reference, serial_s, serial_snap = _timed_run(trace, config, Runtime.serial())
+    tasks_run = {"serial": serial_snap.counter_total("tasks_run"), "parallel": None}
     if jobs > 1:
-        parallel, parallel_s, _ = _timed_run(trace, config, Runtime(jobs=jobs))
+        parallel, parallel_s, parallel_snap = _timed_run(
+            trace, config, Runtime(jobs=jobs)
+        )
         assert parallel == reference, "parallel run diverged from serial"
         parallel_timing = round(parallel_s, 4)
         parallel_speedup = round(serial_s / parallel_s, 3)
+        tasks_run["parallel"] = parallel_snap.counter_total("tasks_run")
     else:
         parallel_timing = None
         parallel_speedup = "skipped_single_cpu"
@@ -107,6 +114,7 @@ def run_benchmark(frames: int, scale: float, jobs: int) -> dict:
             "parallel_vs_serial": parallel_speedup,
             "warm_vs_cold": round(cold_s / warm_s, 3),
         },
+        "tasks_run": tasks_run,
         "cold_counters": {
             "frames_simulated": cold_snap.counter_total("frames_simulated"),
             "cache_misses": cold_snap.counter_total("cache_misses"),
@@ -175,7 +183,9 @@ def main(argv=None) -> int:
         print(
             f"  serial {timings['serial']:.2f}s | "
             f"parallel {timings['parallel']:.2f}s "
-            f"({record['speedups']['parallel_vs_serial']:.2f}x)"
+            f"({record['speedups']['parallel_vs_serial']:.2f}x; tasks "
+            f"{record['tasks_run']['serial']} serial, "
+            f"{record['tasks_run']['parallel']} parallel)"
         )
     print(
         f"  cold cache {timings['cold_cache']:.2f}s | "

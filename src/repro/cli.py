@@ -103,9 +103,9 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
         type=_jobs_arg,
         default=1,
         help=(
-            "worker processes for simulation/clustering: a count, or "
-            "'auto' to size to the host and run small workloads inline "
-            "(default: 1, serial)"
+            "most worker processes for simulation/clustering: a count, "
+            "or 'auto' for the CPUs this process may use; fan-outs too "
+            "small to pay for a pool run inline (default: 1, serial)"
         ),
     )
     group.add_argument(
@@ -632,7 +632,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--sim-jobs", type=_jobs_arg, default=1,
-        help="worker processes per job's simulations (count or 'auto')",
+        help=(
+            "most worker processes per job's simulations (count or "
+            "'auto'); small fan-outs run inline"
+        ),
     )
     serve.add_argument(
         "--job-dir", default=None,

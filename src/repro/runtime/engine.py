@@ -219,18 +219,8 @@ class TaskEngine:
         return values
 
 
-def _chunk_ranges(
-    num_items: int, num_chunks: int, min_items: int = 1
-) -> List[Tuple[int, int]]:
-    """Split ``[0, num_items)`` into contiguous near-equal ranges.
-
-    ``min_items`` floors the chunk size: chunks smaller than it cost more
-    in task dispatch than the work they carry, so the chunk count is
-    reduced until every range holds at least ``min_items`` items (or one
-    chunk remains).
-    """
-    if min_items > 1:
-        num_chunks = min(num_chunks, max(1, num_items // min_items))
+def _chunk_ranges(num_items: int, num_chunks: int) -> List[Tuple[int, int]]:
+    """Split ``[0, num_items)`` into contiguous near-equal ranges."""
     num_chunks = max(1, min(num_chunks, num_items))
     base, extra = divmod(num_items, num_chunks)
     ranges: List[Tuple[int, int]] = []
@@ -242,17 +232,24 @@ def _chunk_ranges(
     return ranges
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the host count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class Runtime:
     """Parallel, cache-aware execution facade for the pipeline layers.
 
     The default construction (``Runtime()`` / :meth:`Runtime.serial`) is
     the zero-surprise configuration: one process, no cache, results
-    bit-identical to the historical serial code paths.  ``jobs=N`` adds
-    process-pool parallelism over ``jobs * CHUNKS_PER_JOB`` frame ranges;
-    ``jobs="auto"`` sizes the pool to the host CPU count *and* runs
-    workloads smaller than ``SERIAL_CUTOFF`` frames inline, where pool
-    startup and pickling cost more than the simulation itself (results
-    are identical either way — only the execution strategy adapts).
+    bit-identical to the historical serial code paths.  ``jobs=N`` is
+    the most worker processes a run may use, and ``jobs="auto"`` sets it
+    to the CPUs this process may run on.  Either way each fan-out gets
+    as many tasks as its work pays for (:meth:`_ranges`), so one too
+    small to pay for pool start-up and pickling runs inline (results are
+    identical either way — only the execution strategy adapts).
     ``cache_dir=...`` adds the content-addressed artifact store, so
     repeated experiments and interrupted sweeps skip every
     already-computed simulation.
@@ -264,14 +261,24 @@ class Runtime:
     one by default).
     """
 
-    #: Frame ranges per worker under ``jobs=N``.
+    #: Most frame ranges per worker process in one fan-out.
     CHUNKS_PER_JOB = 2
 
-    #: Below this many frames, ``jobs="auto"`` runs inline.  Not tuned:
-    #: in BENCH_runtime.json the pool still loses at 40 frames (a
-    #: 0.85-0.96x speedup at ``jobs=2`` on a 2-vCPU host, four runs), so
-    #: on that host the break-even lies above this cutoff.
-    SERIAL_CUTOFF = 32
+    #: Least draw x config evaluations one simulation task carries: half
+    #: the fan-out size at which ``jobs=2`` first beats ``jobs=1`` on wall
+    #: time, so a pooled fan-out has at least 2 tasks.  ``frame_times_many``
+    #: on ``bioshock2_like`` (2-vCPU host, compiled kernels, precompute
+    #: memo warm, store off, 3 alternating pairs of fresh processes) read
+    #: inline against pooled 0.055 vs 0.078 s at 4.85M, 0.116 vs 0.121 s
+    #: at 5.0M, 0.098 vs 0.094 s at 10.0M and 0.324 vs 0.225 s at 39.3M;
+    #: the pool never saved CPU (docs/RUNTIME.md, "Fan-out sizing").
+    MIN_TASK_DRAW_CONFIGS = 5_000_000
+
+    #: Least draws one clustering task carries, set the same way from
+    #: ``cluster_frames`` on ``bioshock1_like``: inline against pooled
+    #: 0.110 vs 0.149 s at 18,291 draws, 0.151 vs 0.155 s at 24,608 and
+    #: 0.294 vs 0.237 s at 45,782.
+    MIN_TASK_DRAWS = 10_000
 
     def __init__(
         self,
@@ -281,9 +288,8 @@ class Runtime:
         tracer: Optional[object] = None,
         progress: Optional[Union[ProgressReporter, NullProgress]] = None,
     ) -> None:
-        self.adaptive = jobs == "auto"
-        if self.adaptive:
-            jobs = os.cpu_count() or 1
+        if jobs == "auto":
+            jobs = available_cpus()
         self.obs = ObsContext(
             tracer=tracer if tracer is not None else NULL_TRACER,
             metrics=metrics if metrics is not None else Metrics(),
@@ -332,25 +338,20 @@ class Runtime:
 
     # -- chunking ----------------------------------------------------------
 
-    def _ranges(self, num_items: int) -> List[Tuple[int, int]]:
-        """Work partition for ``num_items`` frames under this runtime.
+    def _ranges(
+        self, num_frames: int, work: int, min_task_work: int
+    ) -> List[Tuple[int, int]]:
+        """Frame ranges for a fan-out of ``work`` units over ``num_frames``.
 
-        ``jobs="auto"`` runtimes return a single range for workloads
-        under ``SERIAL_CUTOFF`` (the engine runs one task inline, so
-        small traces never touch the pool) and floor the chunk size at
-        a quarter of it for everything else; explicit ``jobs=N`` keeps
-        the historical fixed partition.
+        One range per ``min_task_work`` units of work, at most ``jobs *
+        CHUNKS_PER_JOB``; a single range runs inline (the engine never
+        pools one task), so a fan-out too small to pay for the pool
+        never starts one.  ``jobs=1`` always gets one range.
         """
         if self.jobs == 1:
-            return [(0, num_items)]
-        num_chunks = self.jobs * self.CHUNKS_PER_JOB
-        if self.adaptive:
-            if num_items < self.SERIAL_CUTOFF:
-                return [(0, num_items)]
-            return _chunk_ranges(
-                num_items, num_chunks, min_items=self.SERIAL_CUTOFF // 4
-            )
-        return _chunk_ranges(num_items, num_chunks)
+            return [(0, num_frames)]
+        num_tasks = min(self.jobs * self.CHUNKS_PER_JOB, work // min_task_work)
+        return _chunk_ranges(num_frames, max(1, num_tasks))
 
     # -- simulation --------------------------------------------------------
 
@@ -427,7 +428,11 @@ class Runtime:
                 need.setdefault(row, config)
         if need:
             need_configs = tuple(need.values())
-            ranges = self._ranges(trace.num_frames)
+            ranges = self._ranges(
+                trace.num_frames,
+                trace.num_draws * len(need_configs),
+                self.MIN_TASK_DRAW_CONFIGS,
+            )
             tasks = [
                 Task(
                     task_id=f"{label}:{start}:{stop}",
@@ -521,7 +526,9 @@ class Runtime:
         if hit is not CACHE_MISS:
             return list(hit)
         payload_params = tuple(sorted(params.items()))
-        ranges = self._ranges(trace.num_frames)
+        ranges = self._ranges(
+            trace.num_frames, trace.num_draws, self.MIN_TASK_DRAWS
+        )
         tasks = [
             Task(
                 task_id=f"cluster:{start}:{stop}",

@@ -66,6 +66,19 @@ def _isolated_precomp_store(tmp_path_factory):
     os.environ.pop("REPRO_PRECOMP_DIR", None)
 
 
+@pytest.fixture
+def pooled_fan_outs(monkeypatch):
+    """Send every fan-out of 2 or more frames to the process pool.
+
+    At the real floors every small test trace runs inline, so tests of
+    the pool itself lower both of ``Runtime``'s work floors to 1.
+    """
+    from repro.runtime.engine import Runtime
+
+    monkeypatch.setattr(Runtime, "MIN_TASK_DRAW_CONFIGS", 1)
+    monkeypatch.setattr(Runtime, "MIN_TASK_DRAWS", 1)
+
+
 def make_draw(
     shader_id: int = 1,
     vertex_count: int = 300,

@@ -38,6 +38,7 @@ def _run(trace, config, jobs):
     return runtime
 
 
+@pytest.mark.usefixtures("pooled_fan_outs")
 class TestParallelObservabilityParity:
     def test_workload_counters_and_span_counts_match(self, trace, config):
         serial = _run(trace, config, jobs=1)

@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.obs.context import current_obs
-from repro.runtime.engine import Runtime, TaskEngine, _chunk_ranges
+from repro.runtime.engine import Runtime, TaskEngine, _chunk_ranges, available_cpus
 from repro.runtime.tasks import Task, task_function
 
 # Test task kinds register at import time; worker processes inherit them
@@ -159,19 +159,6 @@ class TestChunkRanges:
     def test_exact_multiple(self):
         assert _chunk_ranges(16, 4) == [(0, 4), (4, 8), (8, 12), (12, 16)]
 
-    def test_min_items_floors_chunk_size(self):
-        ranges = _chunk_ranges(20, 8, min_items=8)
-        assert ranges == [(0, 10), (10, 20)]
-        for start, stop in ranges:
-            assert stop - start >= 8
-
-    def test_min_items_never_empties(self):
-        # Fewer items than the floor still yields one full-cover range.
-        assert _chunk_ranges(3, 4, min_items=8) == [(0, 3)]
-
-    def test_min_items_one_is_historical_behavior(self):
-        assert _chunk_ranges(10, 4, min_items=1) == _chunk_ranges(10, 4)
-
 
 class TestSingleTaskInline:
     def test_one_pending_task_runs_in_parent(self):
@@ -186,37 +173,75 @@ class TestSingleTaskInline:
         assert any(pid != os.getpid() for pid in results)
 
 
-class TestAdaptiveRuntime:
-    def test_auto_resolves_to_host_cpus(self):
-        runtime = Runtime(jobs="auto")
-        assert runtime.adaptive
-        assert runtime.jobs == (os.cpu_count() or 1)
+FLOOR = 1000  # work units per task in the pure partition tests below
 
-    def test_explicit_jobs_is_not_adaptive(self):
-        assert not Runtime(jobs=4).adaptive
-        assert not Runtime().adaptive
+
+class TestAdaptiveRuntime:
+    """One rule sizes every fan-out by its work, under any ``jobs``."""
+
+    def test_auto_resolves_to_host_cpus(self):
+        assert Runtime(jobs="auto").jobs == available_cpus()
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here"
+    )
+    def test_auto_counts_only_the_cpus_it_may_run_on(self):
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # child: pin to one CPU, report what "auto" resolves to
+            try:
+                os.close(read_fd)
+                os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+                os.write(write_fd, str(Runtime(jobs="auto").jobs).encode())
+            finally:
+                os._exit(0)
+        os.close(write_fd)
+        with os.fdopen(read_fd) as reader:
+            reported = reader.read()
+        os.waitpid(pid, 0)
+        assert reported == "1"
+
+    def test_jobs_one_is_one_range_at_any_work(self):
+        runtime = Runtime(jobs=1)
+        for work in (0, 1, FLOOR, 2 * FLOOR, 10**12):
+            assert runtime._ranges(8, work, FLOOR) == [(0, 8)]
 
     def test_small_workload_gets_single_range(self):
-        runtime = Runtime(jobs="auto")
-        assert Runtime.SERIAL_CUTOFF == 32
-        assert runtime._ranges(8) == [(0, 8)]
-        assert runtime._ranges(31) == [(0, 31)]
+        runtime = Runtime(jobs=4)
+        assert runtime._ranges(8, 0, FLOOR) == [(0, 8)]
+        assert runtime._ranges(8, FLOOR, FLOOR) == [(0, 8)]
+        assert runtime._ranges(8, 2 * FLOOR - 1, FLOOR) == [(0, 8)]
+        assert runtime._ranges(8, 2 * FLOOR, FLOOR) == [(0, 4), (4, 8)]
 
     def test_large_workload_chunks_with_floor(self):
-        runtime = Runtime(jobs="auto")
-        ranges = runtime._ranges(64)
-        flat = [i for start, stop in ranges for i in range(start, stop)]
-        assert flat == list(range(64))
-        if runtime.jobs > 1:
-            for start, stop in ranges:
-                assert stop - start >= Runtime.SERIAL_CUTOFF // 4
+        runtime = Runtime(jobs=2)
+        most = 2 * Runtime.CHUNKS_PER_JOB
+        assert len(runtime._ranges(64, 10**12, FLOOR)) == most
+        assert len(runtime._ranges(64, most * FLOOR, FLOOR)) == most
+        assert len(runtime._ranges(64, (most - 1) * FLOOR, FLOOR)) == most - 1
 
     def test_explicit_jobs_partition_unchanged(self):
+        # Above the floors a fan-out keeps the jobs * CHUNKS_PER_JOB ranges.
         runtime = Runtime(jobs=4)
-        assert runtime._ranges(8) == [
+        assert runtime._ranges(8, 10**12, FLOOR) == [
             (0, 1), (1, 2), (2, 3), (3, 4),
             (4, 5), (5, 6), (6, 7), (7, 8),
         ]
+
+    def test_ranges_are_contiguous_and_cover_every_frame(self):
+        for jobs in (1, 2, 3, 4):
+            runtime = Runtime(jobs=jobs)
+            for num_frames in (0, 1, 5, 17, 64):
+                for work in (0, FLOOR, 3 * FLOOR, 7 * FLOOR, 10**12):
+                    ranges = runtime._ranges(num_frames, work, FLOOR)
+                    flat = [i for start, stop in ranges for i in range(start, stop)]
+                    assert flat == list(range(num_frames))
+
+    def test_auto_follows_the_same_rule(self):
+        auto = Runtime(jobs="auto")
+        explicit = Runtime(jobs=auto.jobs)
+        for work in (0, FLOOR, 2 * FLOOR, 5 * FLOOR, 10**12):
+            assert auto._ranges(40, work, FLOOR) == explicit._ranges(40, work, FLOOR)
 
     def test_bad_jobs_string_rejected(self):
         with pytest.raises(ConfigError, match="jobs"):

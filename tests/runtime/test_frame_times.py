@@ -87,7 +87,9 @@ def test_total_time_adds_frame_totals_left_to_right(trace, candidates):
     assert runtime.total_time_ns(trace, config) == sum_in_order(frame_times)
 
 
-def test_extended_sweep_simulates_only_the_new_candidate(trace, candidates, tmp_path):
+def test_extended_sweep_simulates_only_the_new_candidate(
+    trace, candidates, tmp_path, pooled_fan_outs
+):
     subset = build_subset(trace)
     subset_frames = subset.num_frames
     first = Runtime(jobs=2, cache_dir=tmp_path)

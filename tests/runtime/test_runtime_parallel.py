@@ -7,6 +7,8 @@ and a warm-cache suite re-run must perform zero frame simulations.
 
 import pytest
 
+from repro import datasets
+from repro.analysis.correlation import subset_parent_correlation
 from repro.analysis.suite import subset_suite
 from repro.analysis.sweep import pathfinding_sweep
 from repro.analysis.validation import validate_subset
@@ -36,6 +38,7 @@ def serial_result(trace, config):
     return SubsettingPipeline().run(trace, config)
 
 
+@pytest.mark.usefixtures("pooled_fan_outs")
 class TestParallelMatchesSerial:
     def test_pipeline_jobs4_identical(self, trace, config, serial_result):
         parallel = SubsettingPipeline().run(
@@ -72,6 +75,43 @@ class TestParallelMatchesSerial:
         )
         assert cold == serial_result
         assert warm == serial_result
+
+
+class TestFanOutSizing:
+    def test_sweep_sized_fan_outs_start_no_pool(self, monkeypatch):
+        # Every fan-out of a 144-candidate sweep over 60 frames x 0.5
+        # (33,662 draws) is below the simulation floor, so jobs=2 runs
+        # it inline, with the same result.
+        trace = datasets.load("bioshock2_like", frames=60, seed=7, scale=0.5)
+        subset = build_subset(trace)
+        base = GpuConfig.preset("mainstream")
+        candidates = [
+            base.scaled(
+                name=f"c{cores}-tex{tex_kb}-bw{bandwidth}-{clock}MHz",
+                num_shader_cores=cores,
+                tex_cache_kb=tex_kb,
+                dram_bytes_per_mem_cycle=float(bandwidth),
+                core_clock_mhz=float(clock),
+            )
+            for cores in (4, 8, 12, 16)
+            for tex_kb in (64, 128, 256, 512)
+            for bandwidth in (32, 64, 96)
+            for clock in (800, 1200, 1600)
+        ]
+
+        def run(runtime):
+            return (
+                pathfinding_sweep(trace, subset, candidates, runtime=runtime),
+                subset_parent_correlation(trace, subset, base, runtime=runtime),
+            )
+
+        serial = run(Runtime(jobs=1))
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a fan-out under the floors started a pool")
+
+        monkeypatch.setattr("repro.runtime.engine.ProcessPoolExecutor", no_pool)
+        assert run(Runtime(jobs=2)) == serial
 
 
 class TestWarmCacheSkipsSimulation:

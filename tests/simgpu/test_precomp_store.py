@@ -269,7 +269,7 @@ class TestPrepublish:
         assert prepublish_precomp(trace) == 0
 
     def test_runtime_prepublishes_with_compiled_backend(
-        self, tmp_path, monkeypatch, trace
+        self, tmp_path, monkeypatch, trace, pooled_fan_outs
     ):
         from repro.simgpu import _kernels
 
@@ -293,11 +293,12 @@ class TestPrepublish:
         assert "precomp_publish" in stages
 
     def test_forked_workers_load_nothing_from_the_store(
-        self, tmp_path, monkeypatch, trace
+        self, tmp_path, monkeypatch, trace, pooled_fan_outs
     ):
         """The parent holds every frame before the fan-out; its workers inherit it."""
         import os
 
+        from repro.obs.spans import Tracer
         from repro.runtime.engine import Runtime
         from repro.simgpu import _kernels
         from repro.simgpu.config import GpuConfig
@@ -320,14 +321,15 @@ class TestPrepublish:
             return original(self, digest, frame_index)
 
         monkeypatch.setattr(PrecompStore, "load", load)
-        runtime = Runtime(jobs=2)
+        runtime = Runtime(jobs=2, tracer=Tracer())
         for clock in (800.0, 1200.0):  # two fan-outs, one load per frame
             runtime.frame_times_many(trace, [GpuConfig().with_core_clock(clock)])
         assert sorted(parent_loads) == [frame.index for frame in trace.frames]
         assert runtime.metrics.counter_total("precomp_store_hits") == trace.num_frames
+        assert any(span.pid != parent for span in runtime.tracer.spans())
 
     def test_runtime_skips_prepublish_on_python_backend(
-        self, tmp_path, monkeypatch, trace
+        self, tmp_path, monkeypatch, trace, pooled_fan_outs
     ):
         """Pure-python kernels: the parent must not serialize precompute."""
         from repro.runtime.engine import Runtime
@@ -347,7 +349,7 @@ class TestPrepublish:
         assert published == 0
 
     def test_parallel_sweep_parity_with_store(
-        self, tmp_path, monkeypatch, trace
+        self, tmp_path, monkeypatch, trace, pooled_fan_outs
     ):
         """End to end: a pooled sweep with the store on matches store-off."""
         from repro.runtime.engine import Runtime
