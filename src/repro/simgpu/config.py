@@ -8,11 +8,12 @@ produces the DVFS points for the frequency-scaling experiment.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.util.validation import check_fraction, check_positive, check_type
+
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,9 @@ class GpuConfig:
         check_type("GpuConfig.name", self.name, str)
         if not self.name:
             raise ConfigError("GpuConfig.name must be non-empty")
+        # A sweep builds hundreds of configs, so a plainly valid value (a
+        # positive int, a float in range) skips the checks; any other value
+        # still goes through them, so they alone decide what is rejected.
         for field_name in (
             "num_shader_cores",
             "simd_width",
@@ -79,8 +83,9 @@ class GpuConfig:
             "cacheline_bytes",
         ):
             value = getattr(self, field_name)
-            check_type(f"GpuConfig.{field_name}", value, int)
-            check_positive(f"GpuConfig.{field_name}", value)
+            if type(value) is not int or value <= 0:
+                check_type(f"GpuConfig.{field_name}", value, int)
+                check_positive(f"GpuConfig.{field_name}", value)
         for field_name in (
             "core_clock_mhz",
             "memory_clock_mhz",
@@ -91,7 +96,9 @@ class GpuConfig:
             "tex_rate_per_unit",
             "dram_bytes_per_mem_cycle",
         ):
-            check_positive(f"GpuConfig.{field_name}", getattr(self, field_name))
+            value = getattr(self, field_name)
+            if type(value) is not float or not 0.0 < value < _INF:
+                check_positive(f"GpuConfig.{field_name}", value)
         for field_name in (
             "l2_hit_tex",
             "l2_hit_rt",
@@ -101,7 +108,9 @@ class GpuConfig:
             "mem_overlap_residual",
             "noise_amplitude",
         ):
-            check_fraction(f"GpuConfig.{field_name}", getattr(self, field_name))
+            value = getattr(self, field_name)
+            if type(value) is not float or not 0.0 <= value <= 1.0:
+                check_fraction(f"GpuConfig.{field_name}", value)
         for field_name in (
             "draw_overhead_cycles",
             "shader_switch_cycles",
@@ -142,8 +151,7 @@ class GpuConfig:
     def with_core_clock(self, core_clock_mhz: float) -> "GpuConfig":
         """This configuration at a different core clock (DVFS point)."""
         check_positive("core_clock_mhz", core_clock_mhz)
-        return dataclasses.replace(
-            self,
+        return self.scaled(
             core_clock_mhz=core_clock_mhz,
             name=f"{self.name}@{core_clock_mhz:g}MHz",
         )
@@ -151,18 +159,26 @@ class GpuConfig:
     def with_memory_clock(self, memory_clock_mhz: float) -> "GpuConfig":
         """This configuration at a different memory clock."""
         check_positive("memory_clock_mhz", memory_clock_mhz)
-        return dataclasses.replace(
-            self,
+        return self.scaled(
             memory_clock_mhz=memory_clock_mhz,
             name=f"{self.name}@mem{memory_clock_mhz:g}MHz",
         )
 
     def scaled(self, **overrides) -> "GpuConfig":
         """A variant with arbitrary field overrides (pathfinding sweeps)."""
-        try:
-            return dataclasses.replace(self, **overrides)
-        except TypeError as exc:
-            raise ConfigError(f"unknown GpuConfig field in overrides: {exc}") from exc
+        unknown = overrides.keys() - self.__dict__.keys()
+        if unknown:
+            raise ConfigError(
+                f"unknown GpuConfig field in overrides: {', '.join(sorted(unknown))}"
+            )
+        # This config's fields plus the overrides, validated as the
+        # constructor validates them, without the frozen __init__'s
+        # per-field object.__setattr__ (twice the cost of validating; a
+        # sweep builds hundreds of variants).
+        variant = object.__new__(type(self))
+        variant.__dict__.update(self.__dict__, **overrides)
+        variant.__post_init__()
+        return variant
 
     # -- presets -------------------------------------------------------------
 

@@ -1,8 +1,12 @@
 """Tests for GpuConfig validation, presets, and variants."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import ConfigError, ValidationError
+from repro.runtime.keys import config_digest
 from repro.simgpu.config import GpuConfig
 
 
@@ -31,6 +35,28 @@ class TestValidation:
     def test_negative_penalty_rejected(self):
         with pytest.raises(ConfigError):
             GpuConfig(draw_overhead_cycles=-1.0)
+
+    @pytest.mark.parametrize(
+        "field_name, value",
+        [
+            ("num_shader_cores", True),
+            ("num_shader_cores", 8.0),
+            ("core_clock_mhz", float("nan")),
+            ("core_clock_mhz", float("inf")),
+            ("core_clock_mhz", "1000"),
+            ("l2_hit_tex", float("nan")),
+            ("l2_hit_tex", False),
+        ],
+    )
+    def test_ill_typed_and_non_finite_rejected(self, field_name, value):
+        with pytest.raises(ValidationError, match=field_name):
+            GpuConfig(**{field_name: value})
+        with pytest.raises(ValidationError, match=field_name):
+            GpuConfig().scaled(**{field_name: value})
+
+    def test_int_rates_and_fractions_accepted(self):
+        cfg = GpuConfig(core_clock_mhz=800, l2_hit_tex=1, serial_fraction=0)
+        assert (cfg.core_clock_mhz, cfg.l2_hit_tex, cfg.serial_fraction) == (800, 1, 0)
 
 
 class TestDerived:
@@ -83,6 +109,18 @@ class TestVariants:
     def test_scaled_overrides(self):
         variant = GpuConfig().scaled(num_shader_cores=16)
         assert variant.num_shader_cores == 16
+
+    def test_scaled_equals_the_constructor(self):
+        base = GpuConfig.preset("lowpower")
+        overrides = dict(name="c4-800MHz", num_shader_cores=4, core_clock_mhz=800.0)
+        variant = base.scaled(**overrides)
+        expected = dataclasses.replace(base, **overrides)
+        assert variant == expected
+        assert hash(variant) == hash(expected)
+        assert config_digest(variant) == config_digest(expected)
+        assert pickle.loads(pickle.dumps(variant)) == expected
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            variant.num_shader_cores = 2
 
     def test_scaled_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="unknown GpuConfig field"):
