@@ -265,20 +265,22 @@ class Runtime:
     CHUNKS_PER_JOB = 2
 
     #: Least draw x config evaluations one simulation task carries: half
-    #: the fan-out size at which ``jobs=2`` first beats ``jobs=1`` on wall
-    #: time, so a pooled fan-out has at least 2 tasks.  ``frame_times_many``
-    #: on ``bioshock2_like`` (2-vCPU host, compiled kernels, precompute
-    #: memo warm, store off, 3 alternating pairs of fresh processes) read
-    #: inline against pooled 0.055 vs 0.078 s at 4.85M, 0.116 vs 0.121 s
-    #: at 5.0M, 0.098 vs 0.094 s at 10.0M and 0.324 vs 0.225 s at 39.3M;
-    #: the pool never saved CPU (docs/RUNTIME.md, "Fan-out sizing").
+    #: the break-even size from which ``jobs=2`` beats ``jobs=1`` on wall
+    #: time, so a pooled fan-out has at least 2 tasks.  Three runs of
+    #: ``benchmarks/bench_fanout_floors.py`` (``frame_times_many`` on
+    #: ``bioshock2_like``, 2-vCPU host, compiled kernels) put it at 9.8M,
+    #: 10.0M and 20.0M; the floor halves the median.  Inline against
+    #: pooled read 0.066 vs 0.081 s at 4.85M and 0.343 vs 0.245 s at
+    #: 39.3M (medians), and the pool never saved CPU (docs/RUNTIME.md,
+    #: "Fan-out sizing").
     MIN_TASK_DRAW_CONFIGS = 5_000_000
 
     #: Least draws one clustering task carries, set the same way from
-    #: ``cluster_frames`` on ``bioshock1_like``: inline against pooled
-    #: 0.110 vs 0.149 s at 18,291 draws, 0.151 vs 0.155 s at 24,608 and
-    #: 0.294 vs 0.237 s at 45,782.
-    MIN_TASK_DRAWS = 10_000
+    #: ``cluster_frames`` on ``bioshock1_like``: the runs put the
+    #: break-even at 32,231, 24,608 and 45,782 draws.  Inline against
+    #: pooled read 0.101 vs 0.136 s at 18,291 draws and 0.166 vs 0.159 s
+    #: at 32,231 (medians).
+    MIN_TASK_DRAWS = 16_000
 
     def __init__(
         self,
