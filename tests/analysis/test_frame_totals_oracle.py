@@ -49,7 +49,7 @@ def _oracle_times(trace, subset, configs):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_pathfinding_sweep_matches_oracle(parent_and_subset, jobs):
+def test_pathfinding_sweep_matches_oracle(parent_and_subset, jobs, pooled_fan_outs):
     trace, subset = parent_and_subset
     candidates = default_candidates()
     result = pathfinding_sweep(trace, subset, candidates, runtime=Runtime(jobs=jobs))

@@ -125,7 +125,7 @@ class TestRecordShape:
         return record, task_wall
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_subset_record(self, trace_file, tmp_path, capsys, jobs):
+    def test_subset_record(self, trace_file, tmp_path, capsys, jobs, pooled_fan_outs):
         record, task_wall = self._run("subset", trace_file, tmp_path, capsys, jobs)
         workers = ["worker.cluster_frame_range", "worker.simulate_frame_range"]
         assert sorted(record.stages) == SUBSET_STAGES + workers
@@ -138,7 +138,7 @@ class TestRecordShape:
         assert counters == SUBSET_COUNTERS
         assert not [key for key in record.metrics if key.startswith("hist:task_wall_s{worker=")]
 
-    def test_sweep_record(self, trace_file, tmp_path, capsys):
+    def test_sweep_record(self, trace_file, tmp_path, capsys, pooled_fan_outs):
         record, task_wall = self._run("sweep", trace_file, tmp_path, capsys, "2")
         assert sorted(record.stages) == [
             "sweep.parent", "sweep.subset", "worker.simulate_frame_times"

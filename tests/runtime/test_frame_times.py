@@ -53,7 +53,9 @@ def _artifacts(cache_dir: Path):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_totals_equal_per_draw_frame_times_cold_and_warm(trace, candidates, jobs, tmp_path):
+def test_totals_equal_per_draw_frame_times_cold_and_warm(
+    trace, candidates, jobs, tmp_path, pooled_fan_outs
+):
     expected = _per_draw_frame_times(trace, candidates)
     for state in ("cold", "warm"):
         runtime = Runtime(jobs=jobs, cache_dir=tmp_path)

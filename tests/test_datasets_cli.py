@@ -143,7 +143,7 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
-    def test_simulate_jobs_matches_serial(self, trace_file, capsys):
+    def test_simulate_jobs_matches_serial(self, trace_file, capsys, pooled_fan_outs):
         assert main(["simulate", str(trace_file), "--no-cache"]) == 0
         serial = capsys.readouterr().out.splitlines()[0]
         assert (
@@ -171,7 +171,7 @@ class TestCli:
         assert main(["simulate", str(trace_file), "--no-cache"]) == 0
         assert not cache_dir.exists()
 
-    def test_subset_jobs_matches_serial(self, trace_file, capsys):
+    def test_subset_jobs_matches_serial(self, trace_file, capsys, pooled_fan_outs):
         assert main(["subset", str(trace_file), "--no-cache"]) == 0
         serial = capsys.readouterr().out
         assert (
