@@ -11,7 +11,8 @@ Every configuration must produce an identical ``PipelineResult`` — the
 benchmark asserts it, so it doubles as an end-to-end determinism check.
 The record's ``tasks_run`` shows whether the parallel run used the pool:
 a fan-out below the runtime's work floors is one task run inline, so
-equal serial and parallel counts mean no worker process started.
+equal serial and parallel counts mean no worker process started, and
+``parallel_vs_serial`` then reads ``skipped_inline`` instead of a ratio.
 Every timed run starts from the same state: the kernel backend is
 resolved (and on a cold kernel cache, compiled) before the first one,
 the shared precompute store is off, and the in-process precompute memo
@@ -78,8 +79,13 @@ def run_benchmark(frames: int, scale: float, jobs: int) -> dict:
         )
         assert parallel == reference, "parallel run diverged from serial"
         parallel_timing = round(parallel_s, 4)
-        parallel_speedup = round(serial_s / parallel_s, 3)
         tasks_run["parallel"] = parallel_snap.counter_total("tasks_run")
+        # Equal task counts mean every fan-out ran inline on both sides,
+        # so the ratio would compare two serial runs: skip it too.
+        if tasks_run["parallel"] == tasks_run["serial"]:
+            parallel_speedup = "skipped_inline"
+        else:
+            parallel_speedup = round(serial_s / parallel_s, 3)
     else:
         parallel_timing = None
         parallel_speedup = "skipped_single_cpu"
@@ -154,10 +160,9 @@ def main(argv=None) -> int:
             record["speedups"]["warm_vs_cold"]
         ),
     }
-    if timings_s["parallel"] is not None:
-        run_metrics["gauge:parallel_vs_serial_speedup"] = float(
-            record["speedups"]["parallel_vs_serial"]
-        )
+    speedup = record["speedups"]["parallel_vs_serial"]
+    if not isinstance(speedup, str):
+        run_metrics["gauge:parallel_vs_serial_speedup"] = float(speedup)
     record_run(
         "bench:runtime_speedup",
         argv=sys.argv[1:],
@@ -180,11 +185,11 @@ def main(argv=None) -> int:
             "skipped (single-cpu host)"
         )
     else:
+        ratio = "inline on both sides" if isinstance(speedup, str) else f"{speedup:.2f}x"
         print(
             f"  serial {timings['serial']:.2f}s | "
             f"parallel {timings['parallel']:.2f}s "
-            f"({record['speedups']['parallel_vs_serial']:.2f}x; tasks "
-            f"{record['tasks_run']['serial']} serial, "
+            f"({ratio}; tasks {record['tasks_run']['serial']} serial, "
             f"{record['tasks_run']['parallel']} parallel)"
         )
     print(
