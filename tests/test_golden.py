@@ -1,4 +1,5 @@
-"""Golden result: one seeded corpus through the whole methodology.
+"""Golden result: one seeded corpus through the whole methodology, and
+the experiment rows (E1, E2, E3, E8, radius calibration) on a smaller one.
 
 Every refactor of clustering, subsetting or the cost model must reproduce
 these digests byte for byte.  Each section is a sha256 over labelled
@@ -20,7 +21,15 @@ from typing import Any, Dict, Iterable, Tuple
 import numpy as np
 
 from repro import datasets
-from repro.analysis.experiments import e9_cross_architecture_transfer
+from repro.analysis.experiments import (
+    e1_clustering_accuracy,
+    e2_cluster_outliers,
+    e3_error_efficiency_tradeoff,
+    e8_baselines,
+    e9_cross_architecture_transfer,
+    incremental_clustering_metrics,
+)
+from repro.core.calibrate import calibrate_radius
 from repro.core.pipeline import SubsettingPipeline
 from repro.core.subsetting import build_combined_subset
 from repro.simgpu.batch import simulate_trace_multi
@@ -32,6 +41,11 @@ GAME = "bioshock1_like"
 FRAMES = 24
 SEED = 3
 PRESETS = ("lowpower", "mainstream", "highend")
+
+#: The experiment rows are scored on a smaller corpus of the same game.
+EXPERIMENTS_FRAMES = 12
+EXPERIMENTS_SCALE = 0.5
+E3_RADII = (0.1, 0.21, 0.45)
 
 
 def _sha256(parts: Iterable[Tuple[str, Any]]) -> str:
@@ -45,6 +59,54 @@ def _sha256(parts: Iterable[Tuple[str, Any]]) -> str:
         else:
             h.update(repr(value).encode())
     return h.hexdigest()
+
+
+def _plain(value: Any) -> Any:
+    """``value`` with numpy scalars as Python ones, so a repr is the same
+    on every numpy version."""
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, (tuple, list)):
+        return tuple(_plain(item) for item in value)
+    return value
+
+
+def experiment_digest() -> str:
+    """sha256 over the rows E1, E2, E3 and E8 report, the incremental
+    ablation's per-frame scores and two radius calibrations.
+
+    E7's k-means and agglomerative rows stay out: their bits may differ
+    between numpy versions.
+    """
+    trace = datasets.load(
+        GAME, frames=EXPERIMENTS_FRAMES, seed=SEED, scale=EXPERIMENTS_SCALE
+    )
+    mainstream = GpuConfig.preset("mainstream")
+    traces = {trace.name: trace}
+    incremental = incremental_clustering_metrics(trace, mainstream)
+    parts = [
+        ("e1", e1_clustering_accuracy(traces, mainstream).rows),
+        ("e2", e2_cluster_outliers(traces, mainstream).rows),
+        ("e3", e3_error_efficiency_tradeoff(trace, mainstream, E3_RADII).rows),
+        ("e8", e8_baselines(trace, mainstream).rows),
+        (
+            "incremental",
+            [(m.error, m.efficiency, m.outlier_rate, m.num_clusters) for m in incremental],
+        ),
+    ]
+    for label, objective in (
+        ("target_efficiency", {"target_efficiency": 0.6}),
+        ("max_error", {"max_error": 0.01}),
+    ):
+        result = calibrate_radius(trace, mainstream, **objective)
+        parts.append(
+            (
+                f"calibrate.{label}",
+                [result.radius]
+                + [(p.radius, p.mean_error, p.mean_efficiency) for p in result.history],
+            )
+        )
+    return _sha256((label, _plain(value)) for label, value in parts)
 
 
 def compute_digests() -> Dict[str, str]:
@@ -94,6 +156,7 @@ def compute_digests() -> Dict[str, str]:
         "combined_estimate": _sha256(
             [("highend", combined.estimate_on_config(GpuConfig.preset("highend")))]
         ),
+        "experiments": experiment_digest(),
     }
 
 
@@ -107,6 +170,12 @@ if __name__ == "__main__":
         json.dumps(
             {
                 "input": {"game": GAME, "frames": FRAMES, "seed": SEED, "scale": 1.0},
+                "experiments_input": {
+                    "game": GAME,
+                    "frames": EXPERIMENTS_FRAMES,
+                    "seed": SEED,
+                    "scale": EXPERIMENTS_SCALE,
+                },
                 "sha256": compute_digests(),
             },
             indent=2,
