@@ -9,7 +9,6 @@ reference values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,9 +24,10 @@ from repro.baselines.framesample import every_nth_frame_subset
 from repro.baselines.simpoint_like import simpoint_frames_subset
 from repro.core.cluster_frame import DEFAULT_RADIUS, cluster_frame
 from repro.core.features import FEATURE_NAMES, FeatureExtractor
-from repro.core.metrics import cluster_quality
+from repro.core.metrics import frame_prediction_error
 from repro.core.phasedetect import detect_phases, phase_purity
-from repro.core.predict import predict_time_ns, rep_times_from_draw_times
+from repro.core.pipeline import score_frame
+from repro.core.predict import FramePrediction
 from repro.core.subsetting import build_subset
 from repro.gfx.trace import Trace
 from repro.runtime.engine import Runtime
@@ -36,16 +36,6 @@ from repro.simgpu.config import GpuConfig
 from repro.simgpu.dvfs import DEFAULT_CLOCKS_MHZ
 from repro.synth.generator import generate_trace
 from repro.util.stats import sum_in_order
-
-
-@dataclass(frozen=True)
-class FrameMetrics:
-    """Per-frame clustering metrics shared by several experiments."""
-
-    error: float
-    efficiency: float
-    outlier_rate: float
-    num_clusters: int
 
 
 def clustering_metrics(
@@ -57,7 +47,7 @@ def clustering_metrics(
     feature_columns: Optional[Sequence[int]] = None,
     seed: int = 0,
     runtime: Optional[Runtime] = None,
-) -> List[FrameMetrics]:
+) -> List[FramePrediction]:
     """Cluster every frame and score it against the detailed simulation.
 
     The ground-truth simulation runs on ``runtime`` (serial and uncached
@@ -77,18 +67,7 @@ def clustering_metrics(
         clustering = cluster_frame(
             matrix, method=method, radius=radius, k=k, seed=seed
         )
-        rep_times = rep_times_from_draw_times(clustering, truth.draw_times_ns)
-        predicted = predict_time_ns(rep_times, clustering.weights)
-        out.append(
-            FrameMetrics(
-                error=abs(predicted - truth.time_ns) / truth.time_ns,
-                efficiency=clustering.efficiency,
-                outlier_rate=cluster_quality(
-                    clustering, truth.draw_times_ns
-                ).outlier_rate,
-                num_clusters=clustering.num_clusters,
-            )
-        )
+        out.append(score_frame(clustering, truth))
     return out
 
 
@@ -100,7 +79,7 @@ def incremental_clustering_metrics(
     trace: Trace,
     config: GpuConfig,
     radius: float = DEFAULT_RADIUS,
-) -> List[FrameMetrics]:
+) -> List[FramePrediction]:
     """Like :func:`clustering_metrics`, with cross-frame leader reuse.
 
     Uses a trace-wide normalizer (required for leader coordinates to keep
@@ -116,22 +95,10 @@ def incremental_clustering_metrics(
     clusterer = IncrementalClusterer(
         radius=radius, normalizer=fit_shared_normalizer(matrices)
     )
-    out = []
-    for matrix, truth in zip(matrices, ground):
-        clustering = clusterer.cluster_frame(matrix)
-        rep_times = rep_times_from_draw_times(clustering, truth.draw_times_ns)
-        predicted = predict_time_ns(rep_times, clustering.weights)
-        out.append(
-            FrameMetrics(
-                error=abs(predicted - truth.time_ns) / truth.time_ns,
-                efficiency=clustering.efficiency,
-                outlier_rate=cluster_quality(
-                    clustering, truth.draw_times_ns
-                ).outlier_rate,
-                num_clusters=clustering.num_clusters,
-            )
-        )
-    return out
+    return [
+        score_frame(clusterer.cluster_frame(matrix), truth)
+        for matrix, truth in zip(matrices, ground)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +427,7 @@ def e7_ablations(
     """Implied ablation: clustering algorithm and feature-group sensitivity."""
     rows = []
 
-    def add_row(label: str, metrics: List[FrameMetrics]) -> None:
+    def add_row(label: str, metrics: List[FramePrediction]) -> None:
         rows.append(
             (
                 label,
@@ -532,9 +499,7 @@ def e8_baselines(
     budgets: List[int] = []
     for frame, truth in zip(trace.frames, ground):
         clustering = cluster_frame(extractor.frame_matrix(frame), radius=radius)
-        rep_times = rep_times_from_draw_times(clustering, truth.draw_times_ns)
-        predicted = predict_time_ns(rep_times, clustering.weights)
-        cluster_errors.append(abs(predicted - truth.time_ns) / truth.time_ns)
+        cluster_errors.append(score_frame(clustering, truth).error)
         budget = clustering.num_clusters
         budgets.append(budget)
         n = clustering.num_draws
@@ -546,7 +511,7 @@ def e8_baselines(
         for method, sample in samples.items():
             estimate = sample.predict_time_ns(truth.draw_times_ns)
             sample_errors[method].append(
-                abs(estimate - truth.time_ns) / truth.time_ns
+                frame_prediction_error(truth.time_ns, estimate)
             )
 
     mean_budget = _mean(budgets)

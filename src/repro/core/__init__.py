@@ -6,8 +6,9 @@ Two composable reductions:
    independent characteristics per draw-call; :mod:`repro.core.cluster_frame`
    groups draws by similarity; :mod:`repro.core.predict` estimates frame
    performance from one simulated representative per cluster; and
-   :mod:`repro.core.metrics` scores prediction error, clustering efficiency,
-   and cluster-outlier rate (experiments E1-E3).
+   :func:`repro.core.pipeline.score_frame` scores each frame's prediction
+   error, clustering efficiency and cluster-outlier rate with the
+   :mod:`repro.core.metrics` errors (experiments E1-E3).
 
 2. **Inter-frame** — :mod:`repro.core.shadervector` characterizes frame
    intervals by shader usage; :mod:`repro.core.phasedetect` finds repeating
@@ -21,11 +22,7 @@ end to end and validates the result against the performance model.
 from repro.core.calibrate import CalibrationResult, calibrate_radius
 from repro.core.cluster_frame import FrameClustering, cluster_frame
 from repro.core.features import FEATURE_NAMES, FeatureExtractor
-from repro.core.metrics import (
-    cluster_outlier_rate,
-    clustering_efficiency,
-    frame_prediction_error,
-)
+from repro.core.metrics import frame_prediction_error
 from repro.core.phasedetect import PhaseDetection, detect_phases
 from repro.core.pipeline import PipelineResult, SubsettingPipeline
 from repro.core.shadervector import interval_signature, shader_vector
@@ -42,9 +39,7 @@ __all__ = [
     "FeatureExtractor",
     "FrameClustering",
     "cluster_frame",
-    "clustering_efficiency",
     "frame_prediction_error",
-    "cluster_outlier_rate",
     "shader_vector",
     "interval_signature",
     "PhaseDetection",

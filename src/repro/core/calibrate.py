@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core.cluster_frame import cluster_frame
 from repro.core.features import FeatureExtractor
-from repro.core.predict import predict_time_ns, rep_times_from_draw_times
+from repro.core.pipeline import score_frame
 from repro.errors import ClusteringError
 from repro.gfx.trace import Trace
 from repro.simgpu.batch import simulate_frame_range
@@ -42,7 +42,7 @@ class CalibrationResult:
     history: Tuple[CalibrationPoint, ...]
 
 
-def _sample_frames(trace: Trace, max_frames: int, seed: int) -> List[int]:
+def _sample_frames(trace: Trace, max_frames: int) -> List[int]:
     if trace.num_frames <= max_frames:
         return list(range(trace.num_frames))
     positions = np.linspace(0, trace.num_frames - 1, max_frames)
@@ -51,27 +51,24 @@ def _sample_frames(trace: Trace, max_frames: int, seed: int) -> List[int]:
 
 def _measure(
     trace: Trace,
-    config: GpuConfig,
     frame_positions: List[int],
     ground,
     extractor: FeatureExtractor,
     radius: float,
 ) -> CalibrationPoint:
-    errors = []
-    efficiencies = []
-    for position in frame_positions:
-        truth = ground[position]
-        clustering = cluster_frame(
-            extractor.frame_matrix(trace.frames[position]), radius=radius
+    predictions = [
+        score_frame(
+            cluster_frame(
+                extractor.frame_matrix(trace.frames[position]), radius=radius
+            ),
+            ground[position],
         )
-        rep_times = rep_times_from_draw_times(clustering, truth.draw_times_ns)
-        predicted = predict_time_ns(rep_times, clustering.weights)
-        errors.append(abs(predicted - truth.time_ns) / truth.time_ns)
-        efficiencies.append(clustering.efficiency)
+        for position in frame_positions
+    ]
     return CalibrationPoint(
         radius=radius,
-        mean_error=float(np.mean(errors)),
-        mean_efficiency=float(np.mean(efficiencies)),
+        mean_error=float(np.mean([p.error for p in predictions])),
+        mean_efficiency=float(np.mean([p.efficiency for p in predictions])),
     )
 
 
@@ -83,7 +80,6 @@ def calibrate_radius(
     radius_bounds: Tuple[float, float] = (0.01, 3.0),
     iterations: int = 10,
     sample_frames: int = 12,
-    seed: int = 0,
 ) -> CalibrationResult:
     """Binary-search the similarity radius for an operating point.
 
@@ -107,7 +103,7 @@ def calibrate_radius(
     if not 0 < lo < hi:
         raise ClusteringError(f"bad radius_bounds {radius_bounds}")
 
-    frame_positions = _sample_frames(trace, sample_frames, seed)
+    frame_positions = _sample_frames(trace, sample_frames)
     ground = simulate_frame_range(trace, config, 0, trace.num_frames)
     extractor = FeatureExtractor(trace)
 
@@ -115,7 +111,7 @@ def calibrate_radius(
     best: Optional[CalibrationPoint] = None
     for _ in range(iterations):
         mid = (lo + hi) / 2.0
-        point = _measure(trace, config, frame_positions, ground, extractor, mid)
+        point = _measure(trace, frame_positions, ground, extractor, mid)
         history.append(point)
         if target_efficiency is not None:
             if best is None or abs(point.mean_efficiency - target_efficiency) < abs(
@@ -137,7 +133,7 @@ def calibrate_radius(
     if best is None:
         # No feasible radius under the error budget: take the tightest.
         best = _measure(
-            trace, config, frame_positions, ground, extractor, radius_bounds[0]
+            trace, frame_positions, ground, extractor, radius_bounds[0]
         )
         history.append(best)
     return CalibrationResult(

@@ -1,9 +1,11 @@
-"""Clustering-quality metrics: the quantities the paper's tables report.
+"""Clustering-quality metrics: the errors the paper's tables report.
 
 - per-frame performance prediction error (paper: 1.0% average)
-- clustering efficiency (paper: 65.8% average)
 - cluster outliers: clusters whose intra-cluster prediction error
   exceeds 20% (paper: 3.0% of clusters on average)
+
+:func:`repro.core.pipeline.score_frame` applies both to one frame, with
+its clustering efficiency (paper: 65.8% average).
 """
 
 from __future__ import annotations
@@ -17,17 +19,6 @@ from repro.core.cluster_frame import FrameClustering
 from repro.errors import ValidationError
 
 OUTLIER_ERROR_THRESHOLD = 0.20
-
-
-def clustering_efficiency(num_draws: int, num_clusters: int) -> float:
-    """Fraction of per-draw simulations avoided by clustering."""
-    if num_draws <= 0:
-        raise ValidationError(f"num_draws must be > 0, got {num_draws}")
-    if not 0 < num_clusters <= num_draws:
-        raise ValidationError(
-            f"num_clusters must be in [1, {num_draws}], got {num_clusters}"
-        )
-    return 1.0 - num_clusters / num_draws
 
 
 def frame_prediction_error(actual_ns: float, predicted_ns: float) -> float:
@@ -98,12 +89,3 @@ def cluster_quality(
     return ClusterQuality(
         intra_cluster_errors=tuple(errors), outlier_threshold=outlier_threshold
     )
-
-
-def cluster_outlier_rate(
-    clustering: FrameClustering,
-    draw_times_ns: Sequence[float],
-    outlier_threshold: float = OUTLIER_ERROR_THRESHOLD,
-) -> float:
-    """Fraction of clusters whose intra-cluster error exceeds the threshold."""
-    return cluster_quality(clustering, draw_times_ns, outlier_threshold).outlier_rate

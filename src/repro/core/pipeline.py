@@ -16,7 +16,7 @@ Given a trace and a GPU configuration:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,9 +38,38 @@ from repro.errors import SubsetError
 from repro.gfx.trace import Trace
 from repro.obs.metrics import MetricsSnapshot
 from repro.runtime.engine import Runtime, summary_line
+from repro.simgpu.batch import BatchFrameOutput
 from repro.simgpu.config import GpuConfig
 from repro.util.stats import sum_in_order
 from repro.util.tables import format_table
+
+
+def score_frame(
+    clustering: FrameClustering,
+    truth: BatchFrameOutput,
+    isolated_times_ns: Optional[Sequence[float]] = None,
+) -> FramePrediction:
+    """Score one frame's clustering against its detailed simulation.
+
+    The representatives are priced at their in-context cost, read out of
+    ``truth``'s per-draw times, for the predicted frame time (E1) and
+    the share of outlier clusters (E2).  ``isolated_times_ns`` are the
+    representatives re-simulated alone, in cluster order; when given,
+    the isolated prediction is carried too.
+    """
+    isolated = None
+    if isolated_times_ns is not None:
+        isolated = predict_time_ns(isolated_times_ns, clustering.weights)
+    in_context_times = rep_times_from_draw_times(clustering, truth.draw_times_ns)
+    return FramePrediction(
+        frame_index=truth.frame_index,
+        actual_time_ns=truth.time_ns,
+        predicted_time_ns=predict_time_ns(in_context_times, clustering.weights),
+        num_draws=clustering.num_draws,
+        num_clusters=clustering.num_clusters,
+        outlier_rate=cluster_quality(clustering, truth.draw_times_ns).outlier_rate,
+        isolated_time_ns=isolated,
+    )
 
 
 @dataclass(frozen=True)
@@ -50,7 +79,6 @@ class PipelineResult:
     trace_name: str
     config_name: str
     frame_predictions: Tuple[FramePrediction, ...]
-    frame_outlier_rates: Tuple[float, ...]
     detection: PhaseDetection
     subset: WorkloadSubset
     actual_total_time_ns: float
@@ -81,7 +109,7 @@ class PipelineResult:
 
     @property
     def mean_outlier_rate(self) -> float:
-        return float(np.mean(self.frame_outlier_rates))
+        return float(np.mean([p.outlier_rate for p in self.frame_predictions]))
 
     # -- E5 / phase-level accuracy ---------------------------------------------
 
@@ -218,17 +246,12 @@ class SubsettingPipeline:
             raise SubsetError(
                 f"{len(clusterings)} clusterings for {trace.num_frames} frames"
             )
-        return Trace(
-            name=f"{trace.name}.reps",
-            frames=tuple(
+        return trace.with_frames(
+            "reps",
+            [
                 frame.take(np.sort(clustering.representatives))
                 for frame, clustering in zip(trace.frames, clusterings)
-            ),
-            shaders=dict(trace.shaders),
-            textures=dict(trace.textures),
-            render_targets=dict(trace.render_targets),
-            buffers=dict(trace.buffers),
-            metadata={**trace.metadata, "parent": trace.name},
+            ],
         )
 
     # -- full run ---------------------------------------------------------
@@ -268,41 +291,17 @@ class SubsettingPipeline:
             )
 
             predictions: List[FramePrediction] = []
-            outlier_rates: List[float] = []
             with runtime.stage("predict"):
-                for frame, clustering, truth, rep_out in zip(
-                    trace.frames, clusterings, ground, rep_outputs
+                for clustering, truth, rep_out in zip(
+                    clusterings, ground, rep_outputs
                 ):
-                    order = np.sort(clustering.representatives)
-                    position_of = {
-                        int(draw_i): pos for pos, draw_i in enumerate(order)
-                    }
-                    isolated_times = [
-                        float(rep_out.draw_times_ns[position_of[int(rep)]])
-                        for rep in clustering.representatives
+                    # The representatives were simulated in draw order;
+                    # score_frame takes their times in cluster order.
+                    reps = clustering.representatives
+                    isolated = rep_out.draw_times_ns[
+                        np.searchsorted(np.sort(reps), reps)
                     ]
-                    isolated = predict_time_ns(isolated_times, clustering.weights)
-                    in_context_times = rep_times_from_draw_times(
-                        clustering, truth.draw_times_ns
-                    )
-                    predicted = predict_time_ns(
-                        in_context_times, clustering.weights
-                    )
-                    predictions.append(
-                        FramePrediction(
-                            frame_index=frame.index,
-                            actual_time_ns=truth.time_ns,
-                            predicted_time_ns=predicted,
-                            num_draws=clustering.num_draws,
-                            num_clusters=clustering.num_clusters,
-                            isolated_time_ns=isolated,
-                        )
-                    )
-                    outlier_rates.append(
-                        cluster_quality(
-                            clustering, truth.draw_times_ns
-                        ).outlier_rate
-                    )
+                    predictions.append(score_frame(clustering, truth, isolated))
 
             with runtime.stage("phase_detect"):
                 detection = detect_phases(
@@ -325,7 +324,6 @@ class SubsettingPipeline:
             trace_name=trace.name,
             config_name=config.name,
             frame_predictions=tuple(predictions),
-            frame_outlier_rates=tuple(outlier_rates),
             detection=detection,
             subset=subset,
             actual_total_time_ns=actual_total,

@@ -1,29 +1,25 @@
 """Frame-performance prediction from cluster representatives.
 
 Predicted frame time = sum over clusters of (population x representative
-time).  Representative times come from simulating only the representative
-draws, in their original submission order — exactly the reduced
-simulation a pathfinding team would run.
+time).  :func:`repro.core.pipeline.score_frame` prices the
+representatives and scores one frame into a :class:`FramePrediction`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.cluster_frame import FrameClustering
+from repro.core.metrics import frame_prediction_error
 from repro.errors import ValidationError
-from repro.gfx.frame import Frame
-from repro.gfx.trace import Trace
-from repro.simgpu.config import GpuConfig
-from repro.simgpu.simulator import GpuSimulator
 
 
 @dataclass(frozen=True)
 class FramePrediction:
-    """Predicted vs actual performance of one frame.
+    """Predicted vs actual performance of one frame, and its E2 score.
 
     Two predictions are carried:
 
@@ -33,6 +29,9 @@ class FramePrediction:
     - ``isolated_time_ns`` — representatives re-simulated alone, as a
       deployment would run them; includes the cold-context bias of
       isolated re-simulation.  May be ``None`` when not computed.
+
+    ``outlier_rate`` is the share of clusters whose representative misses
+    the cluster's true total by more than 20% (E2).
     """
 
     frame_index: int
@@ -40,12 +39,13 @@ class FramePrediction:
     predicted_time_ns: float
     num_draws: int
     num_clusters: int
+    outlier_rate: float
     isolated_time_ns: Optional[float] = None
 
     @property
     def error(self) -> float:
         """Relative in-context prediction error, as a fraction (0.01 == 1%)."""
-        return abs(self.predicted_time_ns - self.actual_time_ns) / self.actual_time_ns
+        return frame_prediction_error(self.actual_time_ns, self.predicted_time_ns)
 
     @property
     def isolated_error(self) -> float:
@@ -54,7 +54,7 @@ class FramePrediction:
             raise ValidationError(
                 "isolated prediction was not computed for this frame"
             )
-        return abs(self.isolated_time_ns - self.actual_time_ns) / self.actual_time_ns
+        return frame_prediction_error(self.actual_time_ns, self.isolated_time_ns)
 
     @property
     def efficiency(self) -> float:
@@ -77,71 +77,13 @@ def predict_time_ns(
     return float(rep_times @ weight_arr)
 
 
-def representative_draw_order(clustering: FrameClustering) -> np.ndarray:
-    """Representative indices sorted into original submission order.
-
-    Simulating representatives in submission order preserves whatever
-    context effects (state switches, warmth) survive subsetting.
-    """
-    return np.sort(clustering.representatives)
-
-
-def predict_frame(
-    frame: Frame,
-    trace: Trace,
-    clustering: FrameClustering,
-    config: GpuConfig,
-    actual_time_ns: float,
-    draw_times_ns: Optional[Sequence[float]] = None,
-) -> FramePrediction:
-    """Simulate a frame's representatives alone and predict its full time.
-
-    ``actual_time_ns`` is the ground-truth frame time from the full
-    simulation the caller already ran.  When that run's per-draw times
-    are supplied via ``draw_times_ns``, the in-context prediction (the
-    paper's metric) is computed from them; otherwise the isolated
-    re-simulation serves as both predictions.
-    """
-    draws = frame.draw_list
-    if len(draws) != clustering.num_draws:
-        raise ValidationError(
-            f"clustering covers {clustering.num_draws} draws but frame "
-            f"{frame.index} has {len(draws)}"
-        )
-    order = representative_draw_order(clustering)
-    rep_draws = [draws[i] for i in order]
-    costs = GpuSimulator(config).simulate_draws(
-        rep_draws, trace, frame_index=frame.index
-    )
-    time_by_draw_index = {
-        int(draw_index): cost.time_ns for draw_index, cost in zip(order, costs)
-    }
-    isolated_times = [
-        time_by_draw_index[int(rep)] for rep in clustering.representatives
-    ]
-    isolated = predict_time_ns(isolated_times, clustering.weights)
-    if draw_times_ns is not None:
-        in_context_times = rep_times_from_draw_times(clustering, draw_times_ns)
-        predicted = predict_time_ns(in_context_times, clustering.weights)
-    else:
-        predicted = isolated
-    return FramePrediction(
-        frame_index=frame.index,
-        actual_time_ns=actual_time_ns,
-        predicted_time_ns=predicted,
-        num_draws=clustering.num_draws,
-        num_clusters=clustering.num_clusters,
-        isolated_time_ns=isolated,
-    )
-
-
 def rep_times_from_draw_times(
     clustering: FrameClustering, draw_times_ns: Sequence[float]
-) -> List[float]:
+) -> np.ndarray:
     """Representative times read out of a full per-draw simulation.
 
-    Used for cluster-quality metrics (E2), where the question is how well
-    the representative's *in-context* cost stands for its cluster.
+    These are the representatives' *in-context* costs, which the paper's
+    prediction error (E1) prices them at.
     """
     times = np.asarray(draw_times_ns, dtype=float)
     if times.shape[0] != clustering.num_draws:
@@ -149,4 +91,4 @@ def rep_times_from_draw_times(
             f"draw_times covers {times.shape[0]} draws but clustering has "
             f"{clustering.num_draws}"
         )
-    return [float(times[int(rep)]) for rep in clustering.representatives]
+    return times[np.asarray(clustering.representatives, dtype=np.int64)]

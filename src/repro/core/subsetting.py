@@ -185,18 +185,9 @@ def build_combined_subset(
         }
         draw_weights.append(tuple(weight_of[int(i)] for i in order))
         rep_frames.append(frame.take(order))
-    rep_trace = Trace(
-        name=f"{trace.name}.combined",
-        frames=tuple(rep_frames),
-        shaders=dict(trace.shaders),
-        textures=dict(trace.textures),
-        render_targets=dict(trace.render_targets),
-        buffers=dict(trace.buffers),
-        metadata={**trace.metadata, "parent": trace.name},
-    )
     return CombinedSubset(
         parent_name=trace.name,
-        rep_trace=rep_trace,
+        rep_trace=trace.with_frames("combined", rep_frames),
         frame_weights=subset.frame_weights,
         draw_weights=tuple(draw_weights),
         parent_num_frames=trace.num_frames,

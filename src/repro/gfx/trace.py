@@ -13,7 +13,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterator, List, Mapping, Tuple
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -279,6 +279,23 @@ class Trace:
             draws_per_pass_type=dict(pass_counts),
         )
 
+    def with_frames(self, suffix: str, frames: Sequence[Frame], **metadata) -> "Trace":
+        """A trace of ``frames`` on this trace's tables, named ``<name>.<suffix>``.
+
+        The name enters :attr:`content_digest`, so each kind of derived
+        trace keeps its own suffix.  ``metadata`` is added to this
+        trace's, with ``parent`` set to its name.
+        """
+        return Trace(
+            name=f"{self.name}.{suffix}",
+            frames=tuple(frames),
+            shaders=dict(self.shaders),
+            textures=dict(self.textures),
+            render_targets=dict(self.render_targets),
+            buffers=dict(self.buffers),
+            metadata={**self.metadata, "parent": self.name, **metadata},
+        )
+
     def subset_frames(self, frame_indices: List[int], name_suffix: str = "subset") -> "Trace":
         """Build a new trace containing only the given frames (by position).
 
@@ -287,20 +304,13 @@ class Trace:
         """
         if not frame_indices:
             raise ValidationError("frame_indices must be non-empty")
-        picked = []
         for pos in frame_indices:
             if not 0 <= pos < self.num_frames:
                 raise ValidationError(
                     f"frame position {pos} out of range [0, {self.num_frames})"
                 )
-            picked.append(self.frames[pos])
-        return Trace(
-            name=f"{self.name}.{name_suffix}",
-            frames=tuple(picked),
-            shaders=dict(self.shaders),
-            textures=dict(self.textures),
-            render_targets=dict(self.render_targets),
-            buffers=dict(self.buffers),
-            metadata={**self.metadata, "parent": self.name,
-                      "parent_frames": self.num_frames},
+        return self.with_frames(
+            name_suffix,
+            [self.frames[pos] for pos in frame_indices],
+            parent_frames=self.num_frames,
         )

@@ -224,9 +224,9 @@ def pipeline_artifact_sections(result: Any, trace: Any) -> Dict[str, Any]:
             "efficiency": float(p.efficiency),
             "num_draws": int(p.num_draws),
             "num_clusters": int(p.num_clusters),
-            "outlier_rate": float(rate),
+            "outlier_rate": float(p.outlier_rate),
         }
-        for p, rate in zip(result.frame_predictions, result.frame_outlier_rates)
+        for p in result.frame_predictions
     ]
     fidelity = {
         "trace": result.trace_name,

@@ -7,12 +7,8 @@ from hypothesis import strategies as st
 
 from repro.core.cluster_frame import cluster_frame
 from repro.core.features import FeatureExtractor
-from repro.core.metrics import (
-    cluster_outlier_rate,
-    cluster_quality,
-    clustering_efficiency,
-    frame_prediction_error,
-)
+from repro.core.metrics import cluster_quality, frame_prediction_error
+from repro.core.predict import FramePrediction
 from repro.core.representatives import cluster_sizes, representative_indices
 from repro.errors import ClusteringError, ValidationError
 
@@ -98,12 +94,18 @@ class TestRepresentatives:
 
 class TestMetrics:
     def test_efficiency_bounds(self):
-        assert clustering_efficiency(100, 34) == pytest.approx(0.66)
-        assert clustering_efficiency(10, 10) == 0.0
-        with pytest.raises(ValidationError):
-            clustering_efficiency(10, 0)
-        with pytest.raises(ValidationError):
-            clustering_efficiency(10, 11)
+        def efficiency(num_draws, num_clusters):
+            return FramePrediction(
+                frame_index=0,
+                actual_time_ns=1.0,
+                predicted_time_ns=1.0,
+                num_draws=num_draws,
+                num_clusters=num_clusters,
+                outlier_rate=0.0,
+            ).efficiency
+
+        assert efficiency(100, 34) == pytest.approx(0.66)
+        assert efficiency(10, 10) == 0.0
 
     def test_prediction_error(self):
         assert frame_prediction_error(100.0, 101.0) == pytest.approx(0.01)
@@ -139,7 +141,7 @@ class TestMetrics:
         quality = cluster_quality(clustering, [1.0, 3.0])
         assert quality.intra_cluster_errors[0] == pytest.approx(0.5)
         assert quality.num_outliers == 1
-        assert cluster_outlier_rate(clustering, [1.0, 3.0]) == 1.0
+        assert quality.outlier_rate == 1.0
 
     def test_threshold_respected(self):
         from repro.core.cluster_frame import FrameClustering
@@ -150,7 +152,8 @@ class TestMetrics:
             weights=np.array([2]),
             method="test",
         )
-        assert cluster_outlier_rate(clustering, [1.0, 1.2], outlier_threshold=0.2) == 0.0
+        quality = cluster_quality(clustering, [1.0, 1.2], outlier_threshold=0.2)
+        assert quality.outlier_rate == 0.0
 
     @settings(max_examples=150, deadline=None)
     @given(

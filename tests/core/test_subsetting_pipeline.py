@@ -7,9 +7,9 @@ import pytest
 
 import repro.core.pipeline as pipeline_module
 from repro import datasets
-from repro.core.pipeline import SubsettingPipeline
+from repro.core.pipeline import SubsettingPipeline, score_frame
+from repro.core.metrics import cluster_quality
 from repro.core.predict import (
-    predict_frame,
     predict_time_ns,
     rep_times_from_draw_times,
 )
@@ -18,6 +18,7 @@ from repro.core.features import FeatureExtractor
 from repro.core.phasedetect import detect_phases
 from repro.core.subsetting import build_subset
 from repro.errors import SubsetError, ValidationError
+from repro.simgpu.batch import simulate_frame_range
 from repro.simgpu.config import GpuConfig
 from repro.simgpu.simulator import GpuSimulator
 from repro.synth.generator import TraceGenerator
@@ -46,16 +47,6 @@ class TestPredict:
     def test_predict_time_weighted_sum(self):
         assert predict_time_ns([10.0, 5.0], [3, 2]) == pytest.approx(40.0)
 
-    def test_representative_draw_order_sorted(self, game_trace):
-        from repro.core.predict import representative_draw_order
-
-        frame = game_trace.frames[0]
-        features = FeatureExtractor(game_trace).frame_matrix(frame)
-        clustering = cluster_frame(features)
-        order = representative_draw_order(clustering)
-        assert list(order) == sorted(order)
-        assert set(order) == set(int(r) for r in clustering.representatives)
-
     def test_isolated_error_requires_computation(self):
         from repro.core.predict import FramePrediction
 
@@ -65,6 +56,7 @@ class TestPredict:
             predicted_time_ns=101.0,
             num_draws=10,
             num_clusters=5,
+            outlier_rate=0.0,
         )
         with pytest.raises(ValidationError, match="isolated"):
             prediction.isolated_error
@@ -73,24 +65,34 @@ class TestPredict:
         with pytest.raises(ValidationError):
             predict_time_ns([1.0], [1, 2])
 
-    def test_predict_frame_both_paths(self, game_trace):
-        frame = game_trace.frames[0]
-        features = FeatureExtractor(game_trace).frame_matrix(frame)
-        clustering = cluster_frame(features)
-        ground = GpuSimulator(CFG).simulate_frame(
-            frame, game_trace, keep_draw_costs=True
+    def test_score_frame_both_paths(self, game_trace):
+        pipeline = SubsettingPipeline()
+        clusterings = pipeline.cluster_all_frames(game_trace)
+        clustering = clusterings[0]
+        truth = simulate_frame_range(game_trace, CFG, 0, 1)[0]
+        rep_trace = pipeline.representative_trace(game_trace, clusterings)
+        rep_out = simulate_frame_range(rep_trace, CFG, 0, 1)[0]
+        reps = clustering.representatives
+        isolated_times = rep_out.draw_times_ns[np.searchsorted(np.sort(reps), reps)]
+
+        in_context = score_frame(clustering, truth)
+        prediction = score_frame(clustering, truth, isolated_times)
+        assert in_context.isolated_time_ns is None
+        assert prediction.isolated_time_ns == predict_time_ns(
+            isolated_times, clustering.weights
         )
-        prediction = predict_frame(
-            frame,
-            game_trace,
-            clustering,
-            CFG,
-            actual_time_ns=ground.time_ns,
-            draw_times_ns=ground.draw_times_ns(),
+        assert prediction.predicted_time_ns == in_context.predicted_time_ns
+        assert prediction.predicted_time_ns == predict_time_ns(
+            rep_times_from_draw_times(clustering, truth.draw_times_ns),
+            clustering.weights,
         )
+        assert prediction.outlier_rate == cluster_quality(
+            clustering, truth.draw_times_ns
+        ).outlier_rate
+        assert prediction.frame_index == game_trace.frames[0].index
         assert prediction.error < 0.1
         assert prediction.isolated_error < 0.25
-        assert prediction.efficiency > 0.0
+        assert prediction.efficiency == clustering.efficiency > 0.0
 
     def test_rep_times_lookup(self, game_trace):
         frame = game_trace.frames[0]
@@ -177,9 +179,17 @@ class TestPipeline:
         pipeline = SubsettingPipeline()
         clusterings = pipeline.cluster_all_frames(game_trace)
         rep_trace = pipeline.representative_trace(game_trace, clusterings)
+        assert rep_trace.name == f"{game_trace.name}.reps"
         assert rep_trace.num_frames == game_trace.num_frames
-        for frame, clustering in zip(rep_trace.frames, clusterings):
+        for frame, parent, clustering in zip(
+            rep_trace.frames, game_trace.frames, clusterings
+        ):
             assert frame.num_draws == clustering.num_clusters
+            # The representatives keep their submission order.
+            np.testing.assert_array_equal(
+                frame.table.vertex_count,
+                parent.table.vertex_count[np.sort(clustering.representatives)],
+            )
 
     def test_representative_trace_wrong_length_rejected(self, game_trace):
         pipeline = SubsettingPipeline()
