@@ -267,17 +267,19 @@ def precompute_frame(trace: Trace, frame) -> FramePrecomp:
 #: Per-process FramePrecomp cache: trace content digest -> frame index ->
 #: precomputed arrays.  Keyed by digest (not object identity) so a trace
 #: deserialized anew in each task of a sweep still shares the work, and
-#: bounded (``$REPRO_PRECOMP_MEMO_TRACES``, default 2) so long-lived
-#: workers touring many traces don't accumulate.
+#: bounded to the :data:`MEMO_TRACES` most recently used traces so
+#: long-lived workers touring many traces don't accumulate.
 _FRAME_PRECOMP_MEMO: "OrderedDict[str, Dict[int, FramePrecomp]]" = OrderedDict()
+
+#: How many traces the precompute memo holds.
+MEMO_TRACES = 2
 
 
 def _memo_frames(digest: str) -> Dict[int, FramePrecomp]:
     """The memo's per-trace frame dict, evicting LRU traces over limit."""
     frames = _FRAME_PRECOMP_MEMO.get(digest)
     if frames is None:
-        limit = precomp_store.memo_trace_limit()
-        while len(_FRAME_PRECOMP_MEMO) >= limit:
+        while len(_FRAME_PRECOMP_MEMO) >= MEMO_TRACES:
             _FRAME_PRECOMP_MEMO.popitem(last=False)
         frames = {}
         _FRAME_PRECOMP_MEMO[digest] = frames

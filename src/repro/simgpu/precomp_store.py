@@ -58,12 +58,6 @@ from repro.util.atomicfile import write_atomic
 #: Environment override for the store root ("" disables the store).
 PRECOMP_DIR_ENV = "REPRO_PRECOMP_DIR"
 
-#: Environment override for the in-process memo's trace capacity.
-PRECOMP_MEMO_ENV = "REPRO_PRECOMP_MEMO_TRACES"
-
-#: Default in-process memo capacity (traces), when the env is unset.
-DEFAULT_MEMO_TRACES = 2
-
 #: Bump on any .fpc layout change; pairs with CACHE_FORMAT_VERSION in
 #: the versioned directory name so stale files are never read.
 PRECOMP_FORMAT_VERSION = 1
@@ -126,17 +120,6 @@ def set_precomp_dir(value: str) -> None:
     """
     os.environ[PRECOMP_DIR_ENV] = value
     reset_active_store()
-
-
-def memo_trace_limit() -> int:
-    """In-process precompute memo capacity, in traces (min 1)."""
-    raw = os.environ.get(PRECOMP_MEMO_ENV, "").strip()
-    if not raw:
-        return DEFAULT_MEMO_TRACES
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return DEFAULT_MEMO_TRACES
 
 
 def _align(offset: int) -> int:

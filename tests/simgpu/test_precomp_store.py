@@ -5,8 +5,8 @@ The store's contract is *bit-identity*: a FramePrecomp loaded from an
 (values **and** dtypes), because simulation results are compared with
 ``==`` downstream.  These tests also pin the operational behaviours:
 concurrent publishers converge on one file, corruption is evicted and
-recomputed, the in-process memo honors ``$REPRO_PRECOMP_MEMO_TRACES``,
-and ``clear_precomp_cache`` releases mmap handles.
+recomputed, the in-process memo keeps the ``MEMO_TRACES`` most recently
+used traces, and ``clear_precomp_cache`` releases mmap handles.
 """
 
 import threading
@@ -24,12 +24,7 @@ from repro.simgpu.batch import (
     precompute_frame,
     prepublish_precomp,
 )
-from repro.simgpu.precomp_store import (
-    ARRAY_FIELDS,
-    PrecompStore,
-    active_store,
-    memo_trace_limit,
-)
+from repro.simgpu.precomp_store import ARRAY_FIELDS, PrecompStore, active_store
 
 from tests.conftest import make_draw, make_world
 
@@ -207,31 +202,20 @@ class TestCacheLevels:
         assert metrics.counter_total("precomp_store_misses") == 0
         assert metrics.counter_total("precomp_store_publishes") == 0
 
-    def test_memo_limit_from_env(self, monkeypatch):
-        monkeypatch.setenv(precomp_store.PRECOMP_MEMO_ENV, "3")
-        assert memo_trace_limit() == 3
-        monkeypatch.setenv(precomp_store.PRECOMP_MEMO_ENV, "0")
-        assert memo_trace_limit() == 1  # clamped: the memo never disables
-        monkeypatch.setenv(precomp_store.PRECOMP_MEMO_ENV, "nonsense")
-        assert memo_trace_limit() == precomp_store.DEFAULT_MEMO_TRACES
-        monkeypatch.delenv(precomp_store.PRECOMP_MEMO_ENV)
-        assert memo_trace_limit() == precomp_store.DEFAULT_MEMO_TRACES
-
     def test_memo_evicts_lru_trace_beyond_limit(self, monkeypatch):
         from repro.simgpu import batch
 
-        monkeypatch.setenv(precomp_store.PRECOMP_MEMO_ENV, "2")
         monkeypatch.setenv(precomp_store.PRECOMP_DIR_ENV, "")
         clear_precomp_cache()
         traces = [
             make_world([[make_draw(texture_ids=(10 + i,))]], name=f"t{i}")
-            for i in range(3)
+            for i in range(batch.MEMO_TRACES + 1)
         ]
         for t in traces:
             frame_precomp_cached(t, t.frames[0])
-        assert len(batch._FRAME_PRECOMP_MEMO) == 2
+        assert len(batch._FRAME_PRECOMP_MEMO) == batch.MEMO_TRACES
         assert trace_digest(traces[0]) not in batch._FRAME_PRECOMP_MEMO
-        assert trace_digest(traces[2]) in batch._FRAME_PRECOMP_MEMO
+        assert trace_digest(traces[-1]) in batch._FRAME_PRECOMP_MEMO
 
     def test_clear_releases_store_handles(self, tmp_path, monkeypatch, trace):
         monkeypatch.setenv(
