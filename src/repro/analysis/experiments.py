@@ -22,7 +22,7 @@ from repro.baselines.draw_sampling import (
 )
 from repro.baselines.framesample import every_nth_frame_subset
 from repro.baselines.simpoint_like import simpoint_frames_subset
-from repro.core.cluster_frame import DEFAULT_RADIUS, cluster_frame
+from repro.core.cluster_frame import DEFAULT_RADIUS, FrameClustering
 from repro.core.features import FEATURE_NAMES, FeatureExtractor
 from repro.core.metrics import frame_prediction_error
 from repro.core.phasedetect import detect_phases, phase_purity
@@ -31,7 +31,7 @@ from repro.core.predict import FramePrediction
 from repro.core.subsetting import build_subset
 from repro.gfx.trace import Trace
 from repro.runtime.engine import Runtime
-from repro.simgpu.batch import simulate_frame_range, simulate_trace_multi
+from repro.simgpu.batch import BatchFrameOutput, simulate_trace_multi
 from repro.simgpu.config import GpuConfig
 from repro.simgpu.dvfs import DEFAULT_CLOCKS_MHZ
 from repro.synth.generator import generate_trace
@@ -41,34 +41,27 @@ from repro.util.stats import sum_in_order
 def clustering_metrics(
     trace: Trace,
     config: GpuConfig,
-    method: str = "leader",
-    radius: float = DEFAULT_RADIUS,
-    k: Optional[int] = None,
-    feature_columns: Optional[Sequence[int]] = None,
-    seed: int = 0,
     runtime: Optional[Runtime] = None,
+    **params: object,
 ) -> List[FramePrediction]:
     """Cluster every frame and score it against the detailed simulation.
 
-    The ground-truth simulation runs on ``runtime`` (serial and uncached
-    by default).  With a cached runtime it is served from the artifact
-    cache on repeat calls — radius and feature ablations re-cluster
-    against the same cached ground truth.
+    ``params`` are :func:`~repro.core.cluster_frame.cluster_frame`'s.
+    Both the ground truth and the clusterings come from ``runtime``
+    (serial and uncached by default), so a cached runtime serves a
+    repeated call — E2 after E1 — from its artifact cache.
     """
     if runtime is None:
         runtime = Runtime.serial()
     ground = runtime.simulate_frames(trace, config, label="ground_truth")
-    extractor = FeatureExtractor(trace)
-    out = []
-    for frame, truth in zip(trace.frames, ground):
-        matrix = extractor.frame_matrix(frame)
-        if feature_columns is not None:
-            matrix = matrix[:, list(feature_columns)]
-        clustering = cluster_frame(
-            matrix, method=method, radius=radius, k=k, seed=seed
-        )
-        out.append(score_frame(clustering, truth))
-    return out
+    return _score_frames(runtime.cluster_frames(trace, **params), ground)
+
+
+def _score_frames(
+    clusterings: Sequence[FrameClustering], ground: Sequence[BatchFrameOutput]
+) -> List[FramePrediction]:
+    """:func:`~repro.core.pipeline.score_frame` over a trace's frames."""
+    return [score_frame(c, truth) for c, truth in zip(clusterings, ground)]
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -77,11 +70,12 @@ def _mean(values: Sequence[float]) -> float:
 
 def incremental_clustering_metrics(
     trace: Trace,
-    config: GpuConfig,
+    ground: Sequence[BatchFrameOutput],
     radius: float = DEFAULT_RADIUS,
 ) -> List[FramePrediction]:
     """Like :func:`clustering_metrics`, with cross-frame leader reuse.
 
+    ``ground`` is the trace's detailed simulation, one output per frame.
     Uses a trace-wide normalizer (required for leader coordinates to keep
     their meaning across frames), so its radius is not directly
     comparable to the per-frame-normalized default — the ablation compares
@@ -89,16 +83,11 @@ def incremental_clustering_metrics(
     """
     from repro.core.incremental import IncrementalClusterer, fit_shared_normalizer
 
-    ground = simulate_frame_range(trace, config, 0, trace.num_frames)
-    extractor = FeatureExtractor(trace)
-    matrices = [extractor.frame_matrix(frame) for frame in trace.frames]
+    matrices = FeatureExtractor(trace).trace_matrices()
     clusterer = IncrementalClusterer(
         radius=radius, normalizer=fit_shared_normalizer(matrices)
     )
-    return [
-        score_frame(clusterer.cluster_frame(matrix), truth)
-        for matrix, truth in zip(matrices, ground)
-    ]
+    return _score_frames([clusterer.cluster_frame(m) for m in matrices], ground)
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +185,11 @@ def e3_error_efficiency_tradeoff(
     """Methodology figure: how the similarity radius trades error for efficiency."""
     from repro.util.charts import line_chart
 
+    runtime = Runtime.serial()
+    ground = runtime.simulate_frames(trace, config, label="ground_truth")
     rows = []
     for radius in radii:
-        metrics = clustering_metrics(trace, config, radius=radius)
+        metrics = _score_frames(runtime.cluster_frames(trace, radius=radius), ground)
         rows.append(
             (
                 radius,
@@ -285,20 +276,26 @@ def e4_phase_detection(
 
 def e5_subset_size(
     game: str,
-    config: GpuConfig,
     lengths: Sequence[int] = (120, 240, 480, 960),
     scale: float = 0.15,
     seed: int = 7,
     radius: float = DEFAULT_RADIUS,
 ) -> ExperimentResult:
-    """Paper claim: subsets shrink below 1% of the parent as captures lengthen."""
+    """Paper claim: subsets shrink below 1% of the parent as captures lengthen.
+
+    Sizes are counted in draws and clusters, so nothing is simulated:
+    only the kept frames are clustered.
+    """
+    runtime = Runtime.serial()
     rows = []
     for length in lengths:
         trace = generate_trace(game, num_frames=length, seed=seed, scale=scale)
         subset = build_subset(trace)
-        metrics = clustering_metrics(trace, config, radius=radius)
         kept_clusters = sum(
-            metrics[p].num_clusters for p in subset.frame_positions
+            clustering.num_clusters
+            for clustering in runtime.cluster_frames(
+                subset.materialize(trace), radius=radius
+            )
         )
         combined = kept_clusters / trace.num_draws
         rows.append(
@@ -437,32 +434,27 @@ def e7_ablations(
             )
         )
 
-    baseline = clustering_metrics(trace, config, radius=radius)
+    runtime = Runtime.serial()
+    ground = runtime.simulate_frames(trace, config, label="ground_truth")
+
+    def scored(**params: object) -> List[FramePrediction]:
+        return _score_frames(runtime.cluster_frames(trace, **params), ground)
+
+    baseline = scored(radius=radius)
     add_row("leader (default)", baseline)
     # Match k-means' budget to leader's mean cluster count for fairness.
     mean_k = max(1, round(_mean([m.num_clusters for m in baseline])))
-    add_row(
-        f"kmeans (k={mean_k})",
-        clustering_metrics(trace, config, method="kmeans", k=mean_k),
-    )
-    add_row(
-        "kmeans_bic",
-        clustering_metrics(trace, config, method="kmeans_bic"),
-    )
-    add_row(
-        "agglomerative",
-        clustering_metrics(trace, config, method="agglomerative", radius=radius),
-    )
+    add_row(f"kmeans (k={mean_k})", scored(method="kmeans", k=mean_k))
+    add_row("kmeans_bic", scored(method="kmeans_bic"))
+    add_row("agglomerative", scored(method="agglomerative", radius=radius))
     add_row(
         "incremental leader",
-        incremental_clustering_metrics(trace, config, radius=radius),
+        incremental_clustering_metrics(trace, ground, radius=radius),
     )
     for group in FEATURE_GROUPS:
         add_row(
             f"leader - {group} features",
-            clustering_metrics(
-                trace, config, radius=radius, feature_columns=_columns_without(group)
-            ),
+            scored(radius=radius, columns=_columns_without(group)),
         )
     return ExperimentResult(
         experiment_id="E7",
@@ -487,8 +479,9 @@ def e8_baselines(
     seed: int = 0,
 ) -> ExperimentResult:
     """Implied comparison: similarity clustering vs naive sampling at equal budget."""
-    ground = simulate_frame_range(trace, config, 0, trace.num_frames)
-    extractor = FeatureExtractor(trace)
+    runtime = Runtime.serial()
+    ground = runtime.simulate_frames(trace, config, label="ground_truth")
+    clusterings = runtime.cluster_frames(trace, radius=radius)
 
     cluster_errors: List[float] = []
     sample_errors: Dict[str, List[float]] = {
@@ -497,8 +490,7 @@ def e8_baselines(
         "first_n": [],
     }
     budgets: List[int] = []
-    for frame, truth in zip(trace.frames, ground):
-        clustering = cluster_frame(extractor.frame_matrix(frame), radius=radius)
+    for clustering, truth in zip(clusterings, ground):
         cluster_errors.append(score_frame(clustering, truth).error)
         budget = clustering.num_clusters
         budgets.append(budget)

@@ -5,7 +5,7 @@ Subcommands::
     repro generate  --game bioshock1_like --frames 120 -o trace.jsonl
     repro info      trace.jsonl
     repro simulate  trace.jsonl --preset mainstream
-    repro subset    trace.jsonl --preset mainstream --radius 0.16
+    repro subset    trace.jsonl --preset mainstream --radius 0.21
     repro sweep     trace.jsonl --preset mainstream
     repro experiment e1 [--full-scale]   # e1..e9
     repro check     src/repro --format github
@@ -967,7 +967,7 @@ def _cmd_experiment(args) -> int:
         session.finish()
         return 0
     if experiment_id == "e5":
-        print(experiments.e5_subset_size("bioshock1_like", config).render())
+        print(experiments.e5_subset_size("bioshock1_like").render())
         session.finish()
         return 0
     # single-game experiments

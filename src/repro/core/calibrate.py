@@ -11,16 +11,15 @@ sample of frames.  This is how the repository's default radius was set
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.cluster_frame import cluster_frame
-from repro.core.features import FeatureExtractor
 from repro.core.pipeline import score_frame
 from repro.errors import ClusteringError
 from repro.gfx.trace import Trace
-from repro.simgpu.batch import simulate_frame_range
+from repro.runtime.engine import Runtime
+from repro.simgpu.batch import BatchFrameOutput
 from repro.simgpu.config import GpuConfig
 
 
@@ -50,20 +49,16 @@ def _sample_frames(trace: Trace, max_frames: int) -> List[int]:
 
 
 def _measure(
-    trace: Trace,
-    frame_positions: List[int],
-    ground,
-    extractor: FeatureExtractor,
+    runtime: Runtime,
+    sample: Trace,
+    ground: Sequence[BatchFrameOutput],
     radius: float,
 ) -> CalibrationPoint:
     predictions = [
-        score_frame(
-            cluster_frame(
-                extractor.frame_matrix(trace.frames[position]), radius=radius
-            ),
-            ground[position],
+        score_frame(clustering, truth)
+        for clustering, truth in zip(
+            runtime.cluster_frames(sample, radius=radius), ground
         )
-        for position in frame_positions
     ]
     return CalibrationPoint(
         radius=radius,
@@ -88,6 +83,9 @@ def calibrate_radius(
     below this fraction) must be given.  Both objectives are monotone in
     the radius, which is what makes bisection sound (efficiency rises,
     error broadly rises).
+
+    Only the sampled frames are simulated and clustered: a frame's
+    detailed simulation and clustering depend on that frame alone.
     """
     if (target_efficiency is None) == (max_error is None):
         raise ClusteringError(
@@ -103,15 +101,15 @@ def calibrate_radius(
     if not 0 < lo < hi:
         raise ClusteringError(f"bad radius_bounds {radius_bounds}")
 
-    frame_positions = _sample_frames(trace, sample_frames)
-    ground = simulate_frame_range(trace, config, 0, trace.num_frames)
-    extractor = FeatureExtractor(trace)
+    sample = trace.subset_frames(_sample_frames(trace, sample_frames))
+    runtime = Runtime.serial()
+    ground = runtime.simulate_frames(sample, config, label="ground_truth")
 
     history: List[CalibrationPoint] = []
     best: Optional[CalibrationPoint] = None
     for _ in range(iterations):
         mid = (lo + hi) / 2.0
-        point = _measure(trace, frame_positions, ground, extractor, mid)
+        point = _measure(runtime, sample, ground, mid)
         history.append(point)
         if target_efficiency is not None:
             if best is None or abs(point.mean_efficiency - target_efficiency) < abs(
@@ -132,9 +130,7 @@ def calibrate_radius(
                 hi = mid
     if best is None:
         # No feasible radius under the error budget: take the tightest.
-        best = _measure(
-            trace, frame_positions, ground, extractor, radius_bounds[0]
-        )
+        best = _measure(runtime, sample, ground, radius_bounds[0])
         history.append(best)
     return CalibrationResult(
         radius=best.radius, achieved=best, history=tuple(history)

@@ -65,6 +65,7 @@ def cluster_frame(
     k_candidates: Optional[Sequence[int]] = None,
     linkage: str = "average",
     normalize: str = "zscore",
+    columns: Optional[Sequence[int]] = None,
     seed: int = 0,
 ) -> FrameClustering:
     """Cluster one frame's feature matrix.
@@ -80,6 +81,8 @@ def cluster_frame(
             of two up to num_draws.
         linkage: linkage rule for 'agglomerative'.
         normalize: 'zscore' (default), 'minmax', or 'none'.
+        columns: the feature columns to cluster on (default all), e.g.
+            to ablate a feature group (E7).
         seed: randomness seed (k-means initialization).
     """
     check_in("method", method, METHODS)
@@ -88,6 +91,8 @@ def cluster_frame(
         raise ClusteringError(
             f"features must be a non-empty 2-D matrix, got shape {features.shape}"
         )
+    if columns is not None:
+        features = features[:, list(columns)]
     normalized = Normalizer(normalize).fit_transform(features)
 
     if method == "leader":

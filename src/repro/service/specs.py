@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple
 
+from repro.core.cluster_frame import DEFAULT_RADIUS
 from repro.core.phasedetect import DEFAULT_INTERVAL_LENGTH, DEFAULT_TOLERANCE
 from repro.simgpu.config import GpuConfig
 from repro.synth.profiles import BIOSHOCK_SERIES
@@ -46,10 +47,8 @@ from repro.util.validation import (
 #: Work the executor knows how to run.
 JOB_KINDS: Tuple[str, ...] = ("simulate", "subset", "sweep")
 
-#: Default radius mirrored from the clustering layer (import kept local
-#: to the validator below to avoid a module-load dependency fan-out).
 _DEFAULT_SUBSET_PARAMS: Dict[str, Any] = {
-    "radius": 0.16,
+    "radius": DEFAULT_RADIUS,
     "interval_length": DEFAULT_INTERVAL_LENGTH,
     "tolerance": DEFAULT_TOLERANCE,
     "seed": 0,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.gfx.drawcall import DrawCall
@@ -80,29 +80,6 @@ class GpuSimulator:
                 f"config must be GpuConfig, got {type(config).__name__}"
             )
         self.config = config
-
-    # -- draws ---------------------------------------------------------------
-
-    def simulate_draws(
-        self,
-        draws: Sequence[DrawCall],
-        trace: Trace,
-        frame_index: int = 0,
-    ) -> List[DrawCost]:
-        """Simulate an ordered draw sequence with a fresh execution context.
-
-        This is the primitive the subsetting methodology uses: simulating
-        a frame's representative subset means running exactly this on the
-        subset sequence.  Context (warmth, switches) is rebuilt from the
-        sequence itself, so a subset's costs legitimately differ from the
-        same draws' in-context costs within the full frame.
-        """
-        tracker = StateTracker(self.config)
-        tracker.begin_frame()
-        costs: List[DrawCost] = []
-        for position, draw in enumerate(draws):
-            costs.append(self._one_draw(draw, trace, tracker, frame_index, position))
-        return costs
 
     # -- frames ----------------------------------------------------------------
 

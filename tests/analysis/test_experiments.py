@@ -6,6 +6,9 @@ import pytest
 
 from repro.analysis import experiments as ex
 from repro.analysis.report import ExperimentResult
+from repro.core.cluster_frame import cluster_frame
+from repro.core.features import FeatureExtractor
+from repro.runtime.engine import Runtime
 from repro.simgpu.config import GpuConfig
 from repro.synth.generator import TraceGenerator
 from repro.synth.phasescript import PhaseScript, Segment, SegmentKind
@@ -47,8 +50,12 @@ class TestClusteringMetrics:
 
     def test_feature_columns_subset(self, tiny_corpus):
         trace = tiny_corpus["bioshock1_like"]
-        metrics = ex.clustering_metrics(trace, CFG, feature_columns=[0, 1, 2])
+        metrics = ex.clustering_metrics(trace, CFG, columns=[0, 1, 2])
         assert len(metrics) == trace.num_frames
+        extractor = FeatureExtractor(trace)
+        for m, frame in zip(metrics, trace.frames):
+            expected = cluster_frame(extractor.frame_matrix(frame)[:, [0, 1, 2]])
+            assert m.num_clusters == expected.num_clusters
 
 
 class TestE1E2:
@@ -66,6 +73,18 @@ class TestE1E2:
         result = ex.e2_cluster_outliers(tiny_corpus, CFG)
         rates = result.column("outlier rate %")
         assert all(0.0 <= r <= 100.0 for r in rates)
+
+    def test_e2_reads_back_the_clusterings_e1_made(self, tiny_corpus, tmp_path):
+        runtime = Runtime(cache_dir=tmp_path)
+        frames = sum(trace.num_frames for trace in tiny_corpus.values())
+        e1 = ex.e1_clustering_accuracy(tiny_corpus, CFG, runtime=runtime)
+        assert runtime.metrics.snapshot().counter_total("frames_clustered") == frames
+        e2 = ex.e2_cluster_outliers(tiny_corpus, CFG, runtime=runtime)
+        snapshot = runtime.metrics.snapshot()
+        assert snapshot.counter_total("frames_clustered") == frames
+        assert snapshot.counter_total("frames_simulated") == frames
+        assert e1.rows == ex.e1_clustering_accuracy(tiny_corpus, CFG).rows
+        assert e2.rows == ex.e2_cluster_outliers(tiny_corpus, CFG).rows
 
     def test_render_contains_paper_refs(self, tiny_corpus):
         text = ex.e1_clustering_accuracy(tiny_corpus, CFG).render()
@@ -97,9 +116,7 @@ class TestE4:
 
 class TestE5:
     def test_fraction_shrinks_with_length(self):
-        result = ex.e5_subset_size(
-            "bioshock1_like", CFG, lengths=(40, 160), scale=0.06
-        )
+        result = ex.e5_subset_size("bioshock1_like", lengths=(40, 160), scale=0.06)
         fractions = result.column("combined subset draws %")
         assert fractions[-1] < fractions[0]
 
@@ -144,6 +161,26 @@ class TestE8:
         methods = result.column("method")
         assert any("phase subset" in m for m in methods)
         assert any("simpoint" in m for m in methods)
+
+
+class TestGroundTruthSimulatedOnce:
+    """A runner simulates each frame of its ground truth once, whatever
+    number of clusterings it scores against it."""
+
+    def test_e3_simulates_each_frame_once(self, tiny_corpus, simulated_frames):
+        trace = tiny_corpus["bioshock1_like"]
+        ex.e3_error_efficiency_tradeoff(trace, CFG, radii=(0.05, 0.3, 1.0))
+        assert sorted(simulated_frames) == [f.index for f in trace.frames]
+
+    def test_e7_simulates_each_frame_once(self, tiny_corpus, simulated_frames):
+        trace = tiny_corpus["bioshock1_like"]
+        ex.e7_ablations(trace, CFG)
+        assert sorted(simulated_frames) == [f.index for f in trace.frames]
+
+    def test_e5_simulates_nothing(self, simulated_frames):
+        result = ex.e5_subset_size("bioshock1_like", lengths=(40,), scale=0.06)
+        assert simulated_frames == []
+        assert result.column("combined subset draws %")[0] > 0.0
 
 
 class TestReport:

@@ -79,6 +79,28 @@ def pooled_fan_outs(monkeypatch):
     monkeypatch.setattr(Runtime, "MIN_TASK_DRAWS", 1)
 
 
+@pytest.fixture
+def simulated_frames(monkeypatch):
+    """Record each frame the batch simulator evaluates.
+
+    Every detailed simulation, per-draw outputs or frame totals, prices
+    each frame through ``repro.simgpu.batch.simulate_frame_multi``; the
+    returned list gets one entry per such evaluation (one frame on all
+    of a fan-out's configs), in this process.
+    """
+    from repro.simgpu import batch
+
+    evaluations = []
+    original = batch.simulate_frame_multi
+
+    def counting(*args, **kwargs):
+        evaluations.append(args[0].frame_index)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(batch, "simulate_frame_multi", counting)
+    return evaluations
+
+
 def make_draw(
     shader_id: int = 1,
     vertex_count: int = 300,

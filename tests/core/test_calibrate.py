@@ -64,6 +64,12 @@ class TestCalibrateRadius:
                 trace, CFG, target_efficiency=0.5, radius_bounds=(2.0, 1.0)
             )
 
+    def test_simulates_only_the_sampled_frames(self, trace, simulated_frames):
+        calibrate_radius(
+            trace, CFG, target_efficiency=0.5, iterations=3, sample_frames=6
+        )
+        assert len(simulated_frames) == 6 < trace.num_frames
+
     def test_infeasible_budget_falls_back_to_tightest(self, trace):
         result = calibrate_radius(
             trace,

@@ -70,6 +70,16 @@ class TestClusterFrame:
         with pytest.raises(ClusteringError):
             cluster_frame(np.empty((0, 5)))
 
+    def test_columns_cluster_on_the_selected_features(self, frame_features):
+        columns = [0, 1, 2, 11]
+        selected = cluster_frame(frame_features, radius=0.5, columns=columns)
+        expected = cluster_frame(frame_features[:, columns], radius=0.5)
+        np.testing.assert_array_equal(selected.labels, expected.labels)
+        np.testing.assert_array_equal(
+            selected.representatives, expected.representatives
+        )
+        np.testing.assert_array_equal(selected.weights, expected.weights)
+
 
 class TestRepresentatives:
     def test_medoid_is_nearest_to_centroid(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.cluster_frame import DEFAULT_RADIUS
 from repro.service.specs import validate_job_request
 from repro.simgpu.config import GpuConfig
 from repro.util.validation import FieldValidationError
@@ -28,6 +29,11 @@ def test_subset_params_get_defaults():
     assert set(spec.params) == {
         "radius", "interval_length", "tolerance", "seed"
     }
+
+
+def test_subset_default_radius_is_the_clustering_default():
+    spec = validate_job_request(job_payload(kind="subset"))
+    assert spec.params["radius"] == DEFAULT_RADIUS
 
 
 def test_unknown_kind_is_rejected_with_field_path():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.gfx.frame import Frame
+from repro.gfx.frame import Frame, frame_from_draws
 from repro.simgpu.config import GpuConfig
 from repro.simgpu.simulator import GpuSimulator
 
@@ -94,13 +94,12 @@ class TestSimulateDraws:
         sim = GpuSimulator(CFG)
         frame = simple_trace.frames[0]
         full = sim.simulate_frame(frame, simple_trace, keep_draw_costs=True)
-        draws = frame.draw_list
-        alone = sim.simulate_draws([draws[5]], simple_trace, frame_index=frame.index)
+        alone = sim.simulate_frame(
+            frame_from_draws(frame.index, [frame.draw_list[5]]),
+            simple_trace,
+            keep_draw_costs=True,
+        )
         in_context = full.draw_costs[5]
-        assert alone[0].time_ns != pytest.approx(in_context.time_ns, rel=1e-6)
-
-    def test_draw_sequence_order_preserved(self, simple_trace):
-        sim = GpuSimulator(CFG)
-        draws = simple_trace.frames[0].draw_list[:4]
-        costs = sim.simulate_draws(draws, simple_trace)
-        assert len(costs) == 4
+        assert alone.draw_costs[0].time_ns != pytest.approx(
+            in_context.time_ns, rel=1e-6
+        )

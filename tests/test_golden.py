@@ -32,7 +32,7 @@ from repro.analysis.experiments import (
 from repro.core.calibrate import calibrate_radius
 from repro.core.pipeline import SubsettingPipeline
 from repro.core.subsetting import build_combined_subset
-from repro.simgpu.batch import simulate_trace_multi
+from repro.simgpu.batch import simulate_frame_range, simulate_trace_multi
 from repro.simgpu.config import GpuConfig
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
@@ -83,7 +83,9 @@ def experiment_digest() -> str:
     )
     mainstream = GpuConfig.preset("mainstream")
     traces = {trace.name: trace}
-    incremental = incremental_clustering_metrics(trace, mainstream)
+    incremental = incremental_clustering_metrics(
+        trace, simulate_frame_range(trace, mainstream, 0, trace.num_frames)
+    )
     parts = [
         ("e1", e1_clustering_accuracy(traces, mainstream).rows),
         ("e2", e2_cluster_outliers(traces, mainstream).rows),
