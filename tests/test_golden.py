@@ -1,5 +1,6 @@
-"""Golden result: one seeded corpus through the whole methodology, and
-the experiment rows (E1, E2, E3, E8, radius calibration) on a smaller one.
+"""Golden result: one seeded corpus through the whole methodology (E9 and
+E10 included), and the experiment rows (E1, E2, E3, E8, radius
+calibration) on a smaller one.
 
 Every refactor of clustering, subsetting or the cost model must reproduce
 these digests byte for byte.  Each section is a sha256 over labelled
@@ -27,9 +28,11 @@ from repro.analysis.experiments import (
     e3_error_efficiency_tradeoff,
     e8_baselines,
     e9_cross_architecture_transfer,
+    e10_phase_signal_stability,
     incremental_clustering_metrics,
 )
 from repro.core.calibrate import calibrate_radius
+from repro.core.perfphase import pass_time_matrix
 from repro.core.pipeline import SubsettingPipeline
 from repro.core.subsetting import build_combined_subset
 from repro.simgpu.batch import simulate_frame_range, simulate_trace_multi
@@ -141,6 +144,7 @@ def compute_digests() -> Dict[str, str]:
         for res in simulate_trace_multi(trace, presets)
     ]
     e9 = e9_cross_architecture_transfer({trace.name: trace}, PRESETS)
+    e10 = e10_phase_signal_stability({trace.name: trace})
     combined = build_combined_subset(trace, result.subset, clusterings)
 
     return {
@@ -157,6 +161,13 @@ def compute_digests() -> Dict[str, str]:
         "e9_rows": _sha256([("rows", e9.rows)]),
         "combined_estimate": _sha256(
             [("highend", combined.estimate_on_config(GpuConfig.preset("highend")))]
+        ),
+        "e10": _sha256(
+            [("rows", _plain(e10.rows))]
+            + [
+                (name, pass_time_matrix(trace, GpuConfig.preset(name)))
+                for name in ("lowpower", "highend")
+            ]
         ),
         "experiments": experiment_digest(),
     }
