@@ -11,12 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
+from repro.analysis.sweep import parent_and_subset_times
 from repro.core.subsetting import WorkloadSubset
 from repro.gfx.trace import Trace
 from repro.runtime.engine import Runtime
 from repro.simgpu.config import GpuConfig
-from repro.simgpu.dvfs import DEFAULT_CLOCKS_MHZ
-from repro.util.stats import pearson_correlation, sum_in_order
+from repro.util.stats import pearson_correlation
+
+#: Core clocks of the frequency-scaling sweep, lowest (the base) first.
+DEFAULT_CLOCKS_MHZ = (600.0, 800.0, 1000.0, 1200.0, 1400.0, 1600.0)
 
 
 @dataclass(frozen=True)
@@ -78,20 +81,14 @@ def subset_parent_correlation(
     """
     if runtime is None:
         runtime = Runtime.serial()
-    subset_trace = subset.materialize(trace)
     configs = [base_config.with_core_clock(clock) for clock in clocks_mhz]
-    parent_runs = runtime.frame_times_many(trace, configs, label="correlation.parent")
-    subset_runs = runtime.frame_times_many(
-        subset_trace, configs, label="correlation.subset"
+    parent_times, subset_times = parent_and_subset_times(
+        trace, subset, configs, runtime, "correlation"
     )
-    parent_times = [sum_in_order(frame_times) for frame_times in parent_runs]
-    subset_times = [
-        subset.estimate_total_time_ns(frame_times) for frame_times in subset_runs
-    ]
     return CorrelationResult(
         trace_name=trace.name,
         subset_method=subset.method,
         clocks_mhz=tuple(clocks_mhz),
-        parent_times_ns=tuple(parent_times),
-        subset_estimated_times_ns=tuple(subset_times),
+        parent_times_ns=parent_times,
+        subset_estimated_times_ns=subset_times,
     )

@@ -1,4 +1,4 @@
-"""Canned experiment runners E1-E8 (see DESIGN.md section 4).
+"""Canned experiment runners E1-E10 (see DESIGN.md section 4).
 
 Each runner consumes traces the caller generated (so CI and paper-scale
 runs share code) and returns an
@@ -13,8 +13,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.correlation import subset_parent_correlation
+from repro.analysis.correlation import DEFAULT_CLOCKS_MHZ, subset_parent_correlation
 from repro.analysis.report import ExperimentResult
+from repro.analysis.sweep import parent_and_subset_times
 from repro.baselines.draw_sampling import (
     first_n_draw_sample,
     random_draw_sample,
@@ -31,9 +32,8 @@ from repro.core.predict import FramePrediction
 from repro.core.subsetting import build_subset
 from repro.gfx.trace import Trace
 from repro.runtime.engine import Runtime
-from repro.simgpu.batch import BatchFrameOutput, simulate_trace_multi
+from repro.simgpu.batch import BatchFrameOutput
 from repro.simgpu.config import GpuConfig
-from repro.simgpu.dvfs import DEFAULT_CLOCKS_MHZ
 from repro.synth.generator import generate_trace
 from repro.util.stats import sum_in_order
 
@@ -560,14 +560,14 @@ def e9_cross_architecture_transfer(
     total-time estimate on each preset.
     """
     configs = [GpuConfig.preset(preset) for preset in presets]
+    runtime = Runtime.serial()
     rows = []
     for name, trace in traces.items():
         subset = build_subset(trace)
-        parent_results = simulate_trace_multi(trace, configs)
-        subset_results = simulate_trace_multi(subset.materialize(trace), configs)
-        for preset, parent, result in zip(presets, parent_results, subset_results):
-            actual = parent.total_time_ns
-            estimate = subset.estimate_total_time_ns(result.frame_times_ns)
+        actual_times, estimates = parent_and_subset_times(
+            trace, subset, configs, runtime, "e9"
+        )
+        for preset, actual, estimate in zip(presets, actual_times, estimates):
             rows.append(
                 (
                     name,

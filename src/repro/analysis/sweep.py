@@ -100,18 +100,38 @@ def pathfinding_sweep(
     with runtime.tracer.span(
         "sweep", category="sweep", trace=trace.name, candidates=len(candidates)
     ):
-        subset_trace = subset.materialize(trace)
-        parent_runs = runtime.frame_times_many(trace, candidates, label="sweep.parent")
-        subset_runs = runtime.frame_times_many(
-            subset_trace, candidates, label="sweep.subset"
+        parent_times, subset_times = parent_and_subset_times(
+            trace, subset, candidates, runtime, "sweep"
         )
-    parent_times = [sum_in_order(frame_times) for frame_times in parent_runs]
-    subset_times = [
-        subset.estimate_total_time_ns(frame_times) for frame_times in subset_runs
-    ]
     return PathfindingResult(
         trace_name=trace.name,
         config_names=tuple(names),
-        parent_times_ns=tuple(parent_times),
-        subset_estimated_times_ns=tuple(subset_times),
+        parent_times_ns=parent_times,
+        subset_estimated_times_ns=subset_times,
+    )
+
+
+def parent_and_subset_times(
+    trace: Trace,
+    subset: WorkloadSubset,
+    configs: Sequence[GpuConfig],
+    runtime: Runtime,
+    label: str,
+) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """Price ``subset`` against its parent ``trace`` on every config.
+
+    Returns each config's parent total (its frame times summed in order)
+    and its subset estimate (:meth:`WorkloadSubset.estimate_total_time_ns`
+    of the kept frames' times).  Both sides are frame totals from
+    :meth:`Runtime.frame_times_many`, under the stages
+    ``<label>.parent`` and ``<label>.subset``.
+    """
+    subset_trace = subset.materialize(trace)
+    parent_runs = runtime.frame_times_many(trace, configs, label=f"{label}.parent")
+    subset_runs = runtime.frame_times_many(
+        subset_trace, configs, label=f"{label}.subset"
+    )
+    return (
+        tuple(sum_in_order(frame_times) for frame_times in parent_runs),
+        tuple(subset.estimate_total_time_ns(frame_times) for frame_times in subset_runs),
     )

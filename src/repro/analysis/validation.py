@@ -19,14 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from repro.analysis.correlation import subset_parent_correlation
-from repro.analysis.sweep import default_candidates, pathfinding_sweep
+from repro.analysis.correlation import DEFAULT_CLOCKS_MHZ, subset_parent_correlation
+from repro.analysis.sweep import (
+    default_candidates,
+    parent_and_subset_times,
+    pathfinding_sweep,
+)
 from repro.core.subsetting import WorkloadSubset
 from repro.gfx.trace import Trace
 from repro.runtime.engine import Runtime
 from repro.simgpu.config import GpuConfig
-from repro.simgpu.dvfs import DEFAULT_CLOCKS_MHZ
-from repro.util.stats import sum_in_order
 from repro.util.tables import format_table
 
 
@@ -112,23 +114,15 @@ def validate_subset(
             )
         )
 
-        subset_trace = subset.materialize(trace)
         transfer_configs = [
             GpuConfig.preset(preset) for preset in transfer_presets
         ]
-        parent_runs = runtime.frame_times_many(
-            trace, transfer_configs, label="validate.parent"
-        )
-        subset_runs = runtime.frame_times_many(
-            subset_trace, transfer_configs, label="validate.subset"
+        actual_times, estimates = parent_and_subset_times(
+            trace, subset, transfer_configs, runtime, "validate"
         )
         worst_error = 0.0
         worst_preset = ""
-        for preset, parent_frame_times, subset_frame_times in zip(
-            transfer_presets, parent_runs, subset_runs
-        ):
-            actual = sum_in_order(parent_frame_times)
-            estimate = subset.estimate_total_time_ns(subset_frame_times)
+        for preset, actual, estimate in zip(transfer_presets, actual_times, estimates):
             error = abs(estimate - actual) / actual
             if error > worst_error:
                 worst_error = error

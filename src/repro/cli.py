@@ -849,6 +849,7 @@ def _cmd_subset(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    from repro.analysis.sweep import parent_and_subset_times
     from repro.core.subsetio import check_subset_against, load_subset
 
     session = _ObsSession(args, "estimate")
@@ -859,11 +860,9 @@ def _cmd_estimate(args) -> int:
     session.configs[config.name] = config
     session.traces[trace.name] = trace
     runtime = session.runtime
-    subset_trace = subset.materialize(trace)
-    estimate_ns = subset.estimate_total_time_ns(
-        runtime.frame_times_many(subset_trace, [config], label="estimate.subset")[0]
+    (actual_ns,), (estimate_ns,) = parent_and_subset_times(
+        trace, subset, [config], runtime, "estimate"
     )
-    actual_ns = runtime.total_time_ns(trace, config, label="estimate.parent")
     error = abs(estimate_ns - actual_ns) / actual_ns
     print(
         f"{trace.name} on {config.name}: subset estimate "

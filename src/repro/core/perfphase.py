@@ -20,7 +20,7 @@ import numpy as np
 from repro.core.shadervector import partition_intervals
 from repro.errors import PhaseDetectionError
 from repro.gfx.trace import Trace
-from repro.simgpu.batch import simulate_frame_range
+from repro.runtime.engine import Runtime
 from repro.simgpu.config import GpuConfig
 
 
@@ -31,7 +31,7 @@ def pass_time_matrix(trace: Trace, config: GpuConfig) -> np.ndarray:
     it captures *where* the frame's time goes on this architecture.
     Columns are ordered by sorted pass-type name.
     """
-    outputs = simulate_frame_range(trace, config, 0, trace.num_frames)
+    outputs = Runtime.serial().simulate_frames(trace, config)
     pass_names = sorted({name for out in outputs for name in out.pass_times_ns})
     column = {name: j for j, name in enumerate(pass_names)}
     matrix = np.zeros((len(outputs), len(pass_names)))

@@ -17,6 +17,7 @@ import numpy as np
 from repro.core.phasedetect import PhaseDetection, detect_phases
 from repro.errors import SubsetError
 from repro.gfx.trace import Trace
+from repro.runtime.engine import Runtime
 from repro.simgpu.config import GpuConfig
 
 
@@ -85,11 +86,8 @@ class WorkloadSubset:
 
     def estimate_on_config(self, parent: Trace, config: GpuConfig) -> float:
         """Simulate only the subset on ``config`` and estimate parent time."""
-        from repro.simgpu.batch import simulate_trace_multi
-
-        subset_trace = self.materialize(parent)
-        result = simulate_trace_multi(subset_trace, [config])[0]
-        return self.estimate_total_time_ns(result.frame_times_ns)
+        frame_times = Runtime.serial().frame_times_many(self.materialize(parent), [config])
+        return self.estimate_total_time_ns(frame_times[0])
 
 
 @dataclass(frozen=True)
@@ -131,11 +129,7 @@ class CombinedSubset:
 
     def estimate_on_config(self, config: GpuConfig) -> float:
         """Simulate only the representatives and estimate parent total time."""
-        from repro.simgpu.batch import simulate_frame_range
-
-        outputs = simulate_frame_range(
-            self.rep_trace, config, 0, self.rep_trace.num_frames
-        )
+        outputs = Runtime.serial().simulate_frames(self.rep_trace, config)
         total = 0.0
         for output, weights, frame_weight in zip(
             outputs, self.draw_weights, self.frame_weights

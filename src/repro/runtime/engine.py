@@ -502,7 +502,11 @@ class Runtime:
     def simulate_trace(
         self, trace: Trace, config: GpuConfig, label: str = "simulate"
     ) -> TraceResult:
-        """Cache-aware, parallel equivalent of ``simulate_trace_multi``."""
+        """``trace`` on ``config`` as a :class:`~repro.simgpu.simulator.TraceResult`.
+
+        Packages :meth:`simulate_frames`: per-frame times, cycles and
+        pass times, without per-draw costs.
+        """
         from repro.simgpu.batch import trace_result_from_outputs
 
         outputs = self.simulate_frames(trace, config, label=label)

@@ -6,7 +6,13 @@ Task *functions* are module-level (so worker processes can resolve them
 by kind name after a fork/spawn) and registered in
 :data:`TASK_FUNCTIONS`; they receive the run's shared ``context``
 (shipped once per worker, not once per task — the trace is the heavy
-part) and their payload, and return their value.
+part) and their payload, and return their value.  The two simulation
+kinds are the only callers of the batch drivers
+(:func:`~repro.simgpu.batch.simulate_frame_range_multi`,
+:func:`~repro.simgpu.batch.simulate_frame_times_multi`): the rest of
+the package simulates a trace through
+:class:`~repro.runtime.engine.Runtime` or the sequential
+:class:`~repro.simgpu.simulator.GpuSimulator` reference.
 
 Task bodies run under an ambient :class:`repro.obs.ObsContext`: the
 counters, histograms and nested spans they record land in the parent's
@@ -96,10 +102,10 @@ def resolve_task_function(kind: str) -> TaskFunction:
 def _simulate_frame_range(context: Any, payload: Any) -> Tuple[Tuple[Any, ...], ...]:
     """Simulate frames ``[start, stop)`` of the context trace on N configs.
 
-    All configs are evaluated in one task so the order-dependent context
-    rows (texture warmth, switch penalties) are computed once per
-    distinct warm capacity and switch-cost triple, exactly as in a
-    serial :func:`repro.simgpu.batch.simulate_trace_multi` sweep.
+    All configs are evaluated in one
+    :func:`repro.simgpu.batch.simulate_frame_range_multi` call, so the
+    order-dependent context rows (texture warmth, switch penalties) are
+    computed once per distinct warm capacity and switch-cost triple.
 
     ``payload`` optionally carries the phase label (the runtime's stage
     name, e.g. ``ground_truth``); simulated-frame counts are recorded as

@@ -18,7 +18,6 @@ Two execution paths produce identical numbers:
 
 from repro.simgpu.config import GpuConfig
 from repro.simgpu.cost import DrawCost
-from repro.simgpu.dvfs import FrequencySweepResult, frequency_sweep
 from repro.simgpu.simulator import FrameResult, GpuSimulator, TraceResult
 
 __all__ = [
@@ -27,6 +26,4 @@ __all__ = [
     "GpuSimulator",
     "FrameResult",
     "TraceResult",
-    "frequency_sweep",
-    "FrequencySweepResult",
 ]

@@ -23,11 +23,12 @@ One per-frame driver loop feeds two drivers:
 :func:`simulate_frame_range_multi` builds every per-frame output
 (per-draw times included), and :func:`simulate_frame_times_multi` keeps
 only frame totals and builds no per-config output, for callers that
-rank or correlate candidates.  :func:`simulate_frame_range` (one
-config, per-frame outputs) and :func:`simulate_trace_multi` (whole-trace
-results) are thin views of the first.  The sequential
-:class:`~repro.simgpu.simulator.GpuSimulator` stays the reference
-oracle.
+rank or correlate candidates.  They are the bodies of the runtime's
+simulation tasks; everything else simulates a trace through
+:class:`~repro.runtime.engine.Runtime` (``simulate_frames_many``,
+``frame_times_many``), which caches and fans out these calls.  The
+sequential :class:`~repro.simgpu.simulator.GpuSimulator` stays the
+reference oracle.
 
 Every caller, in-process or in a worker, gets per-frame precompute from
 a memo keyed by the trace's content digest (:func:`frame_precomp_cached`),
@@ -691,13 +692,6 @@ def simulate_frame_times_multi(
     return times
 
 
-def simulate_frame_range(
-    trace: Trace, config: GpuConfig, start: int, stop: int
-) -> List[BatchFrameOutput]:
-    """Simulate frames ``[start, stop)`` of ``trace`` on one config."""
-    return simulate_frame_range_multi(trace, (config,), start, stop)[0]
-
-
 def trace_result_from_outputs(
     trace_name: str, config_name: str, outputs: Sequence[BatchFrameOutput]
 ) -> TraceResult:
@@ -719,21 +713,3 @@ def trace_result_from_outputs(
         config_name=config_name,
         frame_results=frame_results,
     )
-
-
-def simulate_trace_multi(
-    trace: Trace, configs: Sequence[GpuConfig]
-) -> List[TraceResult]:
-    """Config-vectorized: the whole trace on every candidate, one pass.
-
-    The fast path for architecture sweeps: each frame's precompute comes
-    from the digest-keyed memo (and the shared store), and every frame is
-    evaluated on all configs as a single ``(num_configs, num_draws)``
-    broadcast.  One config is simply the ``C = 1`` case.
-    """
-    configs = tuple(configs)
-    per_config = simulate_frame_range_multi(trace, configs, 0, trace.num_frames)
-    return [
-        trace_result_from_outputs(trace.name, config.name, outputs)
-        for config, outputs in zip(configs, per_config)
-    ]

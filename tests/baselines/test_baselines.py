@@ -131,12 +131,12 @@ class TestSimPointLike:
         assert subset.num_frames < game_trace.num_frames
 
     def test_estimate_reasonable(self, game_trace):
-        from repro.simgpu.batch import simulate_trace_multi
+        from repro.runtime.engine import Runtime
         from repro.simgpu.config import GpuConfig
 
         config = GpuConfig.preset("mainstream")
         subset = simpoint_frames_subset(game_trace, seed=0)
-        actual = simulate_trace_multi(game_trace, [config])[0].total_time_ns
+        actual = Runtime.serial().simulate_trace(game_trace, config).total_time_ns
         estimate = subset.estimate_on_config(game_trace, config)
         assert abs(estimate - actual) / actual < 0.25
 

@@ -5,7 +5,7 @@ import pytest
 from repro.core.pipeline import SubsettingPipeline
 from repro.core.subsetting import build_combined_subset, build_subset
 from repro.errors import SubsetError
-from repro.simgpu.batch import simulate_trace_multi
+from repro.runtime.engine import Runtime
 from repro.simgpu.config import GpuConfig
 from repro.synth.generator import TraceGenerator
 from repro.synth.phasescript import PhaseScript, Segment, SegmentKind
@@ -53,7 +53,7 @@ class TestBuildCombinedSubset:
         trace, _, _, combined = world
         for preset in ("lowpower", "mainstream", "highend"):
             config = GpuConfig.preset(preset)
-            actual = simulate_trace_multi(trace, [config])[0].total_time_ns
+            actual = Runtime.serial().simulate_trace(trace, config).total_time_ns
             estimate = combined.estimate_on_config(config)
             error = abs(estimate - actual) / actual
             assert error < 0.15, f"{preset}: {100 * error:.1f}%"
@@ -66,7 +66,7 @@ class TestBuildCombinedSubset:
         parent, estimates = [], []
         for clock in clocks:
             config = CFG.with_core_clock(clock)
-            parent.append(simulate_trace_multi(trace, [config])[0].total_time_ns)
+            parent.append(Runtime.serial().simulate_trace(trace, config).total_time_ns)
             estimates.append(combined.estimate_on_config(config))
         parent_imp = [parent[0] / t - 1 for t in parent[1:]]
         est_imp = [estimates[0] / t - 1 for t in estimates[1:]]

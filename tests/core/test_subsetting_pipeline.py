@@ -18,7 +18,7 @@ from repro.core.features import FeatureExtractor
 from repro.core.phasedetect import detect_phases
 from repro.core.subsetting import build_subset
 from repro.errors import SubsetError, ValidationError
-from repro.simgpu.batch import simulate_frame_range
+from repro.runtime.engine import Runtime
 from repro.simgpu.config import GpuConfig
 from repro.simgpu.simulator import GpuSimulator
 from repro.synth.generator import TraceGenerator
@@ -69,9 +69,9 @@ class TestPredict:
         pipeline = SubsettingPipeline()
         clusterings = pipeline.cluster_all_frames(game_trace)
         clustering = clusterings[0]
-        truth = simulate_frame_range(game_trace, CFG, 0, 1)[0]
+        truth = Runtime.serial().simulate_frames(game_trace, CFG)[0]
         rep_trace = pipeline.representative_trace(game_trace, clusterings)
-        rep_out = simulate_frame_range(rep_trace, CFG, 0, 1)[0]
+        rep_out = Runtime.serial().simulate_frames(rep_trace, CFG)[0]
         reps = clustering.representatives
         isolated_times = rep_out.draw_times_ns[np.searchsorted(np.sort(reps), reps)]
 

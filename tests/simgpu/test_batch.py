@@ -15,6 +15,7 @@ from repro.gfx.state import (
 )
 from repro import datasets
 from repro.errors import SimulationError
+from repro.runtime.engine import Runtime
 from repro.simgpu import _kernels, batch
 from repro.simgpu.batch import (
     ConfigTable,
@@ -23,10 +24,8 @@ from repro.simgpu.batch import (
     clear_precomp_cache,
     frame_precomp_cached,
     simulate_frame_multi,
-    simulate_frame_range,
     simulate_frame_range_multi,
     simulate_frame_times_multi,
-    simulate_trace_multi,
 )
 from repro.simgpu.config import GpuConfig
 from repro.simgpu.precomp_store import PRECOMP_DIR_ENV
@@ -77,7 +76,7 @@ config_strategy = st.builds(
 class TestEquivalence:
     def test_matches_sequential_on_fixture(self, simple_trace):
         seq = GpuSimulator(CFG).simulate_trace(simple_trace, keep_draw_costs=True)
-        bat = simulate_trace_multi(simple_trace, [CFG])[0]
+        bat = Runtime.serial().simulate_trace(simple_trace, CFG)
         assert bat.total_time_ns == pytest.approx(seq.total_time_ns, rel=1e-12)
         for fs, fb in zip(seq.frame_results, bat.frame_results):
             assert fb.time_ns == pytest.approx(fs.time_ns, rel=1e-12)
@@ -90,7 +89,7 @@ class TestEquivalence:
 
     def test_per_draw_times_match(self, simple_trace):
         seq = GpuSimulator(CFG).simulate_trace(simple_trace, keep_draw_costs=True)
-        outputs = simulate_frame_range(simple_trace, CFG, 0, simple_trace.num_frames)
+        outputs = simulate_frame_range_multi(simple_trace, [CFG], 0, simple_trace.num_frames)[0]
         for fs, out in zip(seq.frame_results, outputs):
             np.testing.assert_allclose(
                 out.draw_times_ns, np.array(fs.draw_times_ns()), rtol=1e-12
@@ -105,7 +104,7 @@ class TestEquivalence:
         trace = make_world([draws])
         config = GpuConfig.preset(preset)
         seq = GpuSimulator(config).simulate_trace(trace)
-        bat = simulate_trace_multi(trace, [config])[0]
+        bat = Runtime.serial().simulate_trace(trace, config)
         assert bat.total_time_ns == pytest.approx(seq.total_time_ns, rel=1e-9)
 
 
@@ -126,10 +125,11 @@ class TestMultiConfigParity:
         # Row i of the (C, N) broadcast is the same arithmetic as the
         # C = 1 pass over that config — bit-identical, not just close.
         configs = self._candidates()
-        multi = simulate_trace_multi(simple_trace, configs)
-        for config, result in zip(configs, multi):
-            single = simulate_trace_multi(simple_trace, [config])[0]
-            for fs, fm in zip(single.frame_results, result.frame_results):
+        n = simple_trace.num_frames
+        multi = simulate_frame_range_multi(simple_trace, configs, 0, n)
+        for config, outputs in zip(configs, multi):
+            single = simulate_frame_range_multi(simple_trace, [config], 0, n)[0]
+            for fs, fm in zip(single, outputs):
                 assert fm.time_ns == fs.time_ns
                 assert fm.core_cycles == fs.core_cycles
                 assert fm.dram_cycles == fs.dram_cycles
@@ -137,10 +137,10 @@ class TestMultiConfigParity:
 
     def test_three_way_parity_on_fixture(self, simple_trace):
         configs = self._candidates()
-        multi = simulate_trace_multi(simple_trace, configs)
-        for config, result in zip(configs, multi):
+        multi = simulate_frame_range_multi(simple_trace, configs, 0, simple_trace.num_frames)
+        for config, outputs in zip(configs, multi):
             seq = GpuSimulator(config).simulate_trace(simple_trace)
-            for fs, fm in zip(seq.frame_results, result.frame_results):
+            for fs, fm in zip(seq.frame_results, outputs):
                 assert fm.time_ns == pytest.approx(fs.time_ns, rel=1e-12)
                 assert fm.core_cycles == pytest.approx(
                     fs.core_cycles, rel=1e-12
@@ -162,21 +162,18 @@ class TestMultiConfigParity:
         """Sequential, single-config (C = 1) and config-vectorized runs
         agree per frame on time_ns / core_cycles / dram_cycles."""
         trace = make_world(frames)
-        multi = simulate_trace_multi(trace, configs)
-        for config, result in zip(configs, multi):
+        n = trace.num_frames
+        multi = simulate_frame_range_multi(trace, configs, 0, n)
+        for config, outputs in zip(configs, multi):
             seq = GpuSimulator(config).simulate_trace(trace)
-            bat = simulate_trace_multi(trace, [config])[0]
-            triples = zip(
-                seq.frame_results, bat.frame_results, result.frame_results
-            )
-            for fs, fb, fm in triples:
+            single = simulate_frame_range_multi(trace, [config], 0, n)[0]
+            for fs, fb, fm in zip(seq.frame_results, single, outputs):
                 for attr in ("time_ns", "core_cycles", "dram_cycles"):
                     want = getattr(fs, attr)
                     assert getattr(fb, attr) == pytest.approx(want, rel=1e-9)
                     assert getattr(fm, attr) == pytest.approx(want, rel=1e-9)
 
     def test_empty_configs(self, simple_trace):
-        assert simulate_trace_multi(simple_trace, []) == []
         assert simulate_frame_range_multi(simple_trace, [], 0, 1) == []
         assert simulate_frame_times_multi(simple_trace, [], 0, 2).shape == (0, 2)
 
@@ -323,7 +320,7 @@ class TestSwitchEvents:
             for p, d in zip(previous, rows)
         ]
         seq = GpuSimulator(CFG).simulate_trace(trace, keep_draw_costs=True)
-        out = simulate_frame_range(trace, CFG, 0, 1)[0]
+        out = simulate_frame_range_multi(trace, [CFG], 0, 1)[0][0]
         np.testing.assert_allclose(
             out.draw_times_ns, np.array(seq.frame_results[0].draw_times_ns()), rtol=1e-12
         )

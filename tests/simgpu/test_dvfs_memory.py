@@ -1,15 +1,17 @@
-"""Tests for the memory-domain frequency sweep (extension)."""
+"""Memory-clock scaling of the cost model, on batched frame totals."""
 
+import numpy as np
 import pytest
 
-from repro.errors import SimulationError
+from repro.runtime.engine import Runtime
 from repro.simgpu.config import GpuConfig
-from repro.simgpu.dvfs import frequency_sweep
 
 from tests.conftest import make_draw, make_world
 
 CFG = GpuConfig.preset("mainstream")
 CLOCKS = (800.0, 1600.0, 3200.0)
+CORE_SWEEP = [CFG.with_core_clock(clock) for clock in CLOCKS]
+MEMORY_SWEEP = [CFG.with_memory_clock(clock) for clock in CLOCKS]
 
 
 @pytest.fixture(scope="module")
@@ -26,29 +28,22 @@ def heavy_fill_trace():
 
 class TestMemorySweep:
     def test_memory_clock_helps_bandwidth_bound(self, heavy_fill_trace):
-        sweep = frequency_sweep(
-            heavy_fill_trace, CFG, CLOCKS, domain="memory"
-        )
-        assert sweep.speedups[-1] > 1.05
+        times = Runtime.serial().frame_times_many(heavy_fill_trace, MEMORY_SWEEP).sum(axis=1)
+        assert times[0] / times[-1] > 1.05
 
     def test_domains_differ(self, heavy_fill_trace):
-        core = frequency_sweep(heavy_fill_trace, CFG, CLOCKS, domain="core")
-        mem = frequency_sweep(heavy_fill_trace, CFG, CLOCKS, domain="memory")
-        assert core.total_times_ns != mem.total_times_ns
+        core = Runtime.serial().frame_times_many(heavy_fill_trace, CORE_SWEEP).sum(axis=1)
+        mem = Runtime.serial().frame_times_many(heavy_fill_trace, MEMORY_SWEEP).sum(axis=1)
+        assert not np.array_equal(core, mem)
 
     def test_compute_bound_ignores_memory_clock(self):
         # Tiny texture traffic, big ALU load: memory clock barely matters.
         draws = [make_draw(vertex_count=200000, pixels=100, texture_ids=())
                  for _ in range(4)]
         trace = make_world([draws])
-        sweep = frequency_sweep(trace, CFG, CLOCKS, domain="memory")
-        assert sweep.speedups[-1] < 1.4
-
-    def test_bad_domain_rejected(self, heavy_fill_trace):
-        with pytest.raises(SimulationError, match="domain"):
-            frequency_sweep(heavy_fill_trace, CFG, CLOCKS, domain="uncore")
+        times = Runtime.serial().frame_times_many(trace, MEMORY_SWEEP).sum(axis=1)
+        assert times[0] / times[-1] < 1.4
 
     def test_monotone(self, heavy_fill_trace):
-        sweep = frequency_sweep(heavy_fill_trace, CFG, CLOCKS, domain="memory")
-        times = sweep.total_times_ns
+        times = Runtime.serial().frame_times_many(heavy_fill_trace, MEMORY_SWEEP).sum(axis=1)
         assert times[0] >= times[1] >= times[2]

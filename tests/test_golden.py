@@ -35,7 +35,7 @@ from repro.core.calibrate import calibrate_radius
 from repro.core.perfphase import pass_time_matrix
 from repro.core.pipeline import SubsettingPipeline
 from repro.core.subsetting import build_combined_subset
-from repro.simgpu.batch import simulate_frame_range, simulate_trace_multi
+from repro.runtime.engine import Runtime
 from repro.simgpu.config import GpuConfig
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
@@ -87,7 +87,7 @@ def experiment_digest() -> str:
     mainstream = GpuConfig.preset("mainstream")
     traces = {trace.name: trace}
     incremental = incremental_clustering_metrics(
-        trace, simulate_frame_range(trace, mainstream, 0, trace.num_frames)
+        trace, Runtime.serial().simulate_frames(trace, mainstream)
     )
     parts = [
         ("e1", e1_clustering_accuracy(traces, mainstream).rows),
@@ -140,8 +140,8 @@ def compute_digests() -> Dict[str, str]:
     )
     presets = [GpuConfig.preset(name) for name in PRESETS]
     preset_parts = [
-        (res.config_name, np.asarray(res.frame_times_ns))
-        for res in simulate_trace_multi(trace, presets)
+        (config.name, np.asarray([out.time_ns for out in outputs]))
+        for config, outputs in zip(presets, Runtime.serial().simulate_frames_many(trace, presets))
     ]
     e9 = e9_cross_architecture_transfer({trace.name: trace}, PRESETS)
     e10 = e10_phase_signal_stability({trace.name: trace})

@@ -8,7 +8,7 @@ from repro.core.pipeline import SubsettingPipeline
 from repro.core.subsetting import build_subset
 from repro.gfx.traceio import trace_from_string, trace_to_string
 from repro.gfx.validate import validate_trace
-from repro.simgpu.batch import simulate_trace_multi
+from repro.runtime.engine import Runtime
 from repro.simgpu.config import GpuConfig
 from repro.simgpu.simulator import GpuSimulator
 from repro.synth.generator import TraceGenerator
@@ -26,19 +26,19 @@ def generated_trace(request):
 class TestGeneratedTracesAreSimulable:
     def test_validate_and_simulate(self, generated_trace):
         validate_trace(generated_trace)
-        result = simulate_trace_multi(generated_trace, [CFG])[0]
+        result = Runtime.serial().simulate_trace(generated_trace, CFG)
         assert result.total_time_ns > 0
         assert all(t > 0 for t in result.frame_times_ns)
 
     def test_sequential_batch_agree_on_generated(self, generated_trace):
         seq = GpuSimulator(CFG).simulate_trace(generated_trace)
-        bat = simulate_trace_multi(generated_trace, [CFG])[0]
+        bat = Runtime.serial().simulate_trace(generated_trace, CFG)
         assert bat.total_time_ns == pytest.approx(seq.total_time_ns, rel=1e-9)
 
     def test_serialization_roundtrip_preserves_simulation(self, generated_trace):
         back = trace_from_string(trace_to_string(generated_trace))
-        a = simulate_trace_multi(generated_trace, [CFG])[0].total_time_ns
-        b = simulate_trace_multi(back, [CFG])[0].total_time_ns
+        a = Runtime.serial().simulate_trace(generated_trace, CFG).total_time_ns
+        b = Runtime.serial().simulate_trace(back, CFG).total_time_ns
         assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -63,7 +63,7 @@ class TestSubsetTransfersAcrossArchitectures:
         subset = build_subset(generated_trace)
         for preset in ("lowpower", "mainstream", "highend"):
             config = GpuConfig.preset(preset)
-            actual = simulate_trace_multi(generated_trace, [config])[0].total_time_ns
+            actual = Runtime.serial().simulate_trace(generated_trace, config).total_time_ns
             estimate = subset.estimate_on_config(generated_trace, config)
             assert abs(estimate - actual) / actual < 0.12, preset
 

@@ -17,7 +17,6 @@ PUBLIC_MODULES = [
     "repro.synth",
     "repro.simgpu",
     "repro.simgpu.batch",
-    "repro.simgpu.dvfs",
     "repro.core",
     "repro.core.calibrate",
     "repro.core.incremental",
