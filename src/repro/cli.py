@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_runtime_flags(validate)
 
-    exp = sub.add_parser("experiment", help="run a canned experiment (E1-E9)")
+    exp = sub.add_parser("experiment", help="run a canned experiment (E1-E10)")
     exp.add_argument("id", choices=EXPERIMENT_RUNNERS)
     exp.add_argument(
         "--full-scale",
@@ -937,11 +937,23 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+#: The presets an experiment simulates, recorded in its run record; the
+#: experiments not named here simulate ``mainstream``.
+_EXPERIMENT_PRESETS = {
+    "e4": (),
+    "e5": (),
+    "e9": ("lowpower", "mainstream", "highend"),
+    "e10": ("lowpower", "highend"),
+}
+
+
 def _cmd_experiment(args) -> int:
     config = GpuConfig.preset("mainstream")
     experiment_id = args.id
+    presets = _EXPERIMENT_PRESETS.get(experiment_id, (config.name,))
+    simulated = [GpuConfig.preset(name) for name in presets]
     session = _ObsSession(args, f"experiment:{experiment_id}")
-    session.configs[config.name] = config
+    session.configs.update((c.name, c) for c in simulated)
     session.seeds["corpus"] = args.seed
     runtime = session.runtime
     if experiment_id in ("e1", "e2", "e4", "e6", "e9", "e10"):
@@ -958,15 +970,15 @@ def _cmd_experiment(args) -> int:
             "e6": lambda: experiments.e6_frequency_correlation(
                 traces, config, runtime=runtime
             ),
-            "e9": lambda: experiments.e9_cross_architecture_transfer(traces),
-            "e10": lambda: experiments.e10_phase_signal_stability(traces),
+            "e9": lambda: experiments.e9_cross_architecture_transfer(traces, presets),
+            "e10": lambda: experiments.e10_phase_signal_stability(traces, *simulated),
         }[experiment_id]
         print(runner().render())
         print(summary_line(runtime.metrics.snapshot()))
         session.finish()
         return 0
     if experiment_id == "e5":
-        print(experiments.e5_subset_size("bioshock1_like").render())
+        print(experiments.e5_subset_size("bioshock1_like", seed=args.seed).render())
         session.finish()
         return 0
     # single-game experiments

@@ -196,3 +196,27 @@ class TestCli:
         assert main(["experiment", "e4"]) == 0
         out = capsys.readouterr().out
         assert "[E4]" in out
+
+    def test_experiment_e5_seed_reaches_runner(self, tmp_path, monkeypatch):
+        # Stub the runner: the test is about what the CLI hands it and
+        # records, not about E5's clustering.
+        import json
+
+        from repro.analysis import experiments
+        from repro.analysis.report import ExperimentResult
+
+        calls = []
+
+        def fake_e5(game, **kwargs):
+            calls.append((game, kwargs))
+            return ExperimentResult("E5", "stub", ("frames",), ((1,),))
+
+        monkeypatch.setattr(experiments, "e5_subset_size", fake_e5)
+        record = tmp_path / "run.json"
+        argv = ["experiment", "e5", "--seed", "3", "--manifest-out", str(record),
+                "--no-run-store"]
+        assert main(argv) == 0
+        assert calls == [("bioshock1_like", {"seed": 3})]
+        written = json.loads(record.read_text())
+        assert written["seeds"] == {"corpus": 3}
+        assert written["config_digests"] == {}
