@@ -5,7 +5,8 @@ candidate config is the dominant cost of architecture pathfinding:
 the per-draw model is identical across configs, so a per-config
 ``simulate_trace`` loop redoes precompute and the Python dispatch
 ``num_configs`` times for numbers
-:func:`repro.simgpu.batch.simulate_trace_multi` produces in a single
+:meth:`repro.runtime.engine.Runtime.frame_times_many` (or
+``simulate_frames_many``) produces in a single
 ``(num_configs, num_draws)`` pass.  PERF001 keeps the anti-pattern
 from creeping back in.
 """
@@ -21,10 +22,8 @@ from repro.checks.registry import get_rule, rule
 if TYPE_CHECKING:
     from repro.checks.engine import ModuleContext
 
-#: Whole-trace simulation entry points that a per-config loop multiplies.
-_SIM_CALL_NAMES = frozenset(
-    {"simulate_trace", "simulate_trace_multi", "simulate_frame_range"}
-)
+#: One-config whole-trace simulation calls that a per-config loop multiplies.
+_SIM_CALL_NAMES = frozenset({"simulate_trace", "simulate_frames", "total_time_ns"})
 
 #: Identifier fragments that mark a loop as iterating architecture
 #: points rather than workloads.
@@ -69,26 +68,26 @@ def _sim_calls(body: ast.AST) -> Iterator[ast.Call]:
     name="simulate-trace-per-config-loop",
     severity="warning",
     hint=(
-        "evaluate every candidate in one pass with "
-        "repro.simgpu.batch.simulate_trace_multi (or simulate_frame_multi "
-        "against a ConfigTable); a per-config simulate_trace loop redoes "
-        "the trace precompute and the Python dispatch once per config"
+        "evaluate every candidate in one pass with Runtime.frame_times_many "
+        "(frame totals) or Runtime.simulate_frames_many (per-frame outputs); "
+        "a per-config loop redoes the trace precompute and the Python "
+        "dispatch once per config"
     ),
 )
 def simulate_trace_per_config_loop(ctx: "ModuleContext") -> Iterator[Finding]:
     """Whole-trace simulation inside a loop over candidate configs.
 
-    An architecture sweep that calls ``simulate_trace`` (or
-    ``simulate_trace_multi`` / ``simulate_frame_range``) once per config
-    scales its cost with the candidate count even though every per-draw
-    input except the config columns is loop-invariant.  The
-    config-vectorized path evaluates all candidates against one
-    :class:`~repro.simgpu.batch.FramePrecomp` as a single
-    ``(num_configs, num_draws)`` numpy pass with identical results.  A
-    loop counts as "over configs" when its target or iterable names
-    configs, clocks, or candidates; a deliberate reference loop
-    (cross-checking the scalar simulator) carries an inline PERF001
-    suppression.
+    An architecture sweep that calls ``simulate_trace`` (or the
+    one-config ``Runtime`` calls ``simulate_frames`` / ``total_time_ns``)
+    once per config scales its cost with the candidate count even though
+    every per-draw input except the config columns is loop-invariant.
+    ``Runtime.frame_times_many`` and ``simulate_frames_many`` evaluate
+    all candidates against one :class:`~repro.simgpu.batch.FramePrecomp`
+    as a single ``(num_configs, num_draws)`` pass with identical
+    results.  A loop counts as "over configs" when its target or
+    iterable names configs, clocks, or candidates; a deliberate
+    reference loop (cross-checking the scalar simulator) carries an
+    inline PERF001 suppression.
     """
     this = get_rule("PERF001")
     module = ctx.module

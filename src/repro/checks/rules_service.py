@@ -42,12 +42,11 @@ if TYPE_CHECKING:
 SIM_ENTRY_POINTS = frozenset(
     {
         "simulate_trace",
-        "simulate_trace_multi",
         "simulate_frames",
         "simulate_frames_many",
         "frame_times_many",
+        "total_time_ns",
         "cluster_frames",
-        "run_pipeline",
         "pathfinding_sweep",
     }
 )

@@ -1,6 +1,5 @@
 """PERF001 fixture: whole-trace simulation inside per-config loops."""
 
-from repro.simgpu.batch import simulate_frame_range, simulate_trace_multi
 from repro.simgpu.simulator import GpuSimulator
 
 
@@ -11,20 +10,19 @@ def sweep_loop(trace, configs):
     return results
 
 
-def clock_sweep(trace, base_config, clocks_mhz):
+def clock_sweep(runtime, trace, base_config, clocks_mhz):
     times = []
     for clock in clocks_mhz:
         config = base_config.with_core_clock(clock)
-        result = simulate_trace_multi(trace, [config])[0]  # expect: PERF001
-        times.append(result.total_time_ns)
+        times.append(runtime.total_time_ns(trace, config))  # expect: PERF001
     return times
 
 
-def candidate_frames(trace, candidates):
+def candidate_frames(runtime, trace, candidates):
     per_config = {}
     for candidate in candidates:
-        per_config[candidate.name] = simulate_frame_range(  # expect: PERF001
-            trace, candidate, 0, trace.num_frames
+        per_config[candidate.name] = runtime.simulate_frames(  # expect: PERF001
+            trace, candidate
         )
     return per_config
 

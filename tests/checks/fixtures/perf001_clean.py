@@ -1,12 +1,11 @@
 """PERF001 clean twin: vectorized sweeps and legitimate loops."""
 
-from repro.simgpu.batch import simulate_trace_multi
 from repro.simgpu.simulator import GpuSimulator
 
 
-def vectorized_sweep(trace, configs):
+def vectorized_sweep(runtime, trace, configs):
     # The fast path: every candidate in one (num_configs, num_draws) pass.
-    return simulate_trace_multi(trace, configs)
+    return runtime.frame_times_many(trace, configs)
 
 
 def per_trace_loop(traces, config):
