@@ -6,13 +6,7 @@ Task *functions* are module-level (so worker processes can resolve them
 by kind name after a fork/spawn) and registered in
 :data:`TASK_FUNCTIONS`; they receive the run's shared ``context``
 (shipped once per worker, not once per task — the trace is the heavy
-part) and their payload, and return their value.  The two simulation
-kinds are the only callers of the batch drivers
-(:func:`~repro.simgpu.batch.simulate_frame_range_multi`,
-:func:`~repro.simgpu.batch.simulate_frame_times_multi`): the rest of
-the package simulates a trace through
-:class:`~repro.runtime.engine.Runtime` or the sequential
-:class:`~repro.simgpu.simulator.GpuSimulator` reference.
+part) and their payload, and return their value.
 
 Task bodies run under an ambient :class:`repro.obs.ObsContext`: the
 counters, histograms and nested spans they record land in the parent's
