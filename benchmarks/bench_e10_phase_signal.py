@@ -5,9 +5,9 @@ signal)."""
 from repro.analysis.experiments import e10_phase_signal_stability
 
 
-def bench_e10(benchmark, corpus, record_result):
+def bench_e10(benchmark, corpus, runtime, record_result):
     result = benchmark.pedantic(
-        lambda: e10_phase_signal_stability(corpus),
+        lambda: e10_phase_signal_stability(corpus, runtime=runtime),
         rounds=1,
         iterations=1,
     )

@@ -8,9 +8,9 @@ efficiency 65.8%.
 from repro.analysis.experiments import e1_clustering_accuracy
 
 
-def bench_e1(benchmark, corpus, gpu_config, record_result):
+def bench_e1(benchmark, corpus, gpu_config, runtime, record_result):
     result = benchmark.pedantic(
-        lambda: e1_clustering_accuracy(corpus, gpu_config),
+        lambda: e1_clustering_accuracy(corpus, gpu_config, runtime=runtime),
         rounds=1,
         iterations=1,
     )

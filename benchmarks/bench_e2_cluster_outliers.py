@@ -7,9 +7,9 @@ cluster prediction error > 20%).
 from repro.analysis.experiments import e2_cluster_outliers
 
 
-def bench_e2(benchmark, corpus, gpu_config, record_result):
+def bench_e2(benchmark, corpus, gpu_config, runtime, record_result):
     result = benchmark.pedantic(
-        lambda: e2_cluster_outliers(corpus, gpu_config),
+        lambda: e2_cluster_outliers(corpus, gpu_config, runtime=runtime),
         rounds=1,
         iterations=1,
     )

@@ -6,9 +6,11 @@ from repro.analysis.experiments import e3_error_efficiency_tradeoff
 RADII = (0.05, 0.1, 0.21, 0.3, 0.45, 0.7, 1.0)
 
 
-def bench_e3(benchmark, single_game, gpu_config, record_result):
+def bench_e3(benchmark, single_game, gpu_config, runtime, record_result):
     result = benchmark.pedantic(
-        lambda: e3_error_efficiency_tradeoff(single_game, gpu_config, RADII),
+        lambda: e3_error_efficiency_tradeoff(
+            single_game, gpu_config, RADII, runtime=runtime
+        ),
         rounds=1,
         iterations=1,
     )

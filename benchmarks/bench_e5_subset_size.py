@@ -16,12 +16,14 @@ CI_LENGTHS = (80, 160, 320, 640)
 FULL_LENGTHS = (240, 480, 960, 1920, 3840)
 
 
-def bench_e5(benchmark, record_result):
+def bench_e5(benchmark, runtime, record_result):
     full = datasets.full_scale_requested()
     lengths = FULL_LENGTHS if full else CI_LENGTHS
     scale = 0.3 if full else 0.1
     result = benchmark.pedantic(
-        lambda: e5_subset_size("bioshock1_like", lengths=lengths, scale=scale),
+        lambda: e5_subset_size(
+            "bioshock1_like", lengths=lengths, scale=scale, runtime=runtime
+        ),
         rounds=1,
         iterations=1,
     )

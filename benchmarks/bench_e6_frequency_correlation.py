@@ -7,9 +7,9 @@ scaling correlates with the parent's at r >= 0.997.
 from repro.analysis.experiments import e6_frequency_correlation
 
 
-def bench_e6(benchmark, corpus, gpu_config, record_result):
+def bench_e6(benchmark, corpus, gpu_config, runtime, record_result):
     result = benchmark.pedantic(
-        lambda: e6_frequency_correlation(corpus, gpu_config),
+        lambda: e6_frequency_correlation(corpus, gpu_config, runtime=runtime),
         rounds=1,
         iterations=1,
     )

@@ -4,9 +4,9 @@
 from repro.analysis.experiments import e7_ablations
 
 
-def bench_e7(benchmark, single_game, gpu_config, record_result):
+def bench_e7(benchmark, single_game, gpu_config, runtime, record_result):
     result = benchmark.pedantic(
-        lambda: e7_ablations(single_game, gpu_config),
+        lambda: e7_ablations(single_game, gpu_config, runtime=runtime),
         rounds=1,
         iterations=1,
     )

@@ -3,9 +3,9 @@
 from repro.analysis.experiments import e8_baselines
 
 
-def bench_e8(benchmark, single_game, gpu_config, record_result):
+def bench_e8(benchmark, single_game, gpu_config, runtime, record_result):
     result = benchmark.pedantic(
-        lambda: e8_baselines(single_game, gpu_config),
+        lambda: e8_baselines(single_game, gpu_config, runtime=runtime),
         rounds=1,
         iterations=1,
     )

@@ -4,9 +4,9 @@
 from repro.analysis.experiments import e9_cross_architecture_transfer
 
 
-def bench_e9(benchmark, corpus, record_result):
+def bench_e9(benchmark, corpus, runtime, record_result):
     result = benchmark.pedantic(
-        lambda: e9_cross_architecture_transfer(corpus),
+        lambda: e9_cross_architecture_transfer(corpus, runtime=runtime),
         rounds=1,
         iterations=1,
     )

@@ -20,6 +20,7 @@ from repro import datasets
 from repro.analysis.report import ExperimentResult
 from repro.gfx.trace import Trace
 from repro.obs.history import record_run
+from repro.runtime.engine import Runtime
 from repro.simgpu.config import GpuConfig
 
 _RESULTS: List[ExperimentResult] = []
@@ -59,6 +60,12 @@ def single_game(corpus) -> Trace:
 @pytest.fixture(scope="session")
 def gpu_config() -> GpuConfig:
     return GpuConfig.preset("mainstream")
+
+
+@pytest.fixture()
+def runtime() -> Runtime:
+    """A fresh serial, uncached runtime: each bench simulates all its work."""
+    return Runtime()
 
 
 @pytest.fixture()

@@ -13,6 +13,7 @@ Run:
 from repro import datasets
 from repro.analysis.sweep import default_candidates, pathfinding_sweep
 from repro.core.subsetting import build_subset
+from repro.runtime import Runtime
 from repro.util.tables import format_table
 
 
@@ -25,7 +26,9 @@ def main() -> None:
         f"({100 * subset.frame_fraction:.1f}%)"
     )
 
-    result = pathfinding_sweep(trace, subset, default_candidates())
+    result = pathfinding_sweep(
+        trace, subset, default_candidates(), runtime=Runtime()
+    )
 
     rows = []
     parent_base = max(result.parent_times_ns)

@@ -12,6 +12,7 @@ Run:
 from repro import datasets
 from repro.analysis.correlation import subset_parent_correlation
 from repro.core.subsetting import build_subset
+from repro.runtime import Runtime
 from repro.simgpu import GpuConfig
 from repro.util.tables import format_table
 
@@ -20,11 +21,14 @@ CLOCKS_MHZ = (600.0, 800.0, 1000.0, 1200.0, 1400.0, 1600.0)
 
 def main() -> None:
     config = GpuConfig.preset("mainstream")
+    runtime = Runtime()
     rows = []
     for game in datasets.available():
         trace = datasets.load(game, frames=96, scale=0.2)
         subset = build_subset(trace)
-        result = subset_parent_correlation(trace, subset, config, CLOCKS_MHZ)
+        result = subset_parent_correlation(
+            trace, subset, config, CLOCKS_MHZ, runtime=runtime
+        )
         rows.append(
             [
                 game,

@@ -8,7 +8,7 @@ the GPU performance model, and prints the evaluation report.
 Run:
     python examples/quickstart.py
 
-The pipeline accepts a ``Runtime`` for parallel workers and an on-disk
+The pipeline takes a ``Runtime`` for parallel workers and an on-disk
 artifact cache — the same machinery behind the CLI's ``--jobs`` /
 ``--cache-dir`` / ``--no-cache`` flags.  Re-run this script and the
 cached ground truth makes the pipeline skip every frame simulation
@@ -38,7 +38,7 @@ def main() -> None:
     config = GpuConfig.preset("mainstream")
     pipeline = SubsettingPipeline()
     # Two worker processes plus a persistent artifact cache.  Results are
-    # bit-identical to runtime=None (the serial, uncached default).
+    # bit-identical to runtime=Runtime() (serial, uncached).
     runtime = Runtime(jobs=2, cache_dir=CACHE_DIR)
     result = pipeline.run(trace, config, runtime=runtime)
 

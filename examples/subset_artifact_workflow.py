@@ -18,15 +18,17 @@ from repro import datasets
 from repro.analysis.validation import validate_subset
 from repro.core.pipeline import SubsettingPipeline
 from repro.core.subsetio import check_subset_against, load_subset, save_subset
+from repro.runtime import Runtime
 from repro.simgpu import GpuConfig
 
 
 def main() -> None:
     config = GpuConfig.preset("mainstream")
     trace = datasets.load("bioshock2_like", frames=96, scale=0.2)
+    runtime = Runtime()
 
     # --- extraction (the expensive one-off) -------------------------------
-    result = SubsettingPipeline().run(trace, config)
+    result = SubsettingPipeline().run(trace, config, runtime=runtime)
     print(
         f"extracted subset: {result.subset.num_frames}/{trace.num_frames} "
         f"frames ({100 * result.subset.frame_fraction:.1f}%), combined with "
@@ -42,7 +44,8 @@ def main() -> None:
         subset = load_subset(artifact)
         check_subset_against(subset, trace)  # guards against wrong capture
         validation = validate_subset(
-            trace, subset, config, clocks_mhz=(600.0, 1000.0, 1400.0)
+            trace, subset, config, clocks_mhz=(600.0, 1000.0, 1400.0),
+            runtime=runtime,
         )
         print()
         print(validation.report())
@@ -50,7 +53,7 @@ def main() -> None:
 
         for preset in ("lowpower", "highend"):
             candidate = GpuConfig.preset(preset)
-            estimate_ms = subset.estimate_on_config(trace, candidate) / 1e6
+            estimate_ms = subset.estimate_on_config(trace, candidate, runtime) / 1e6
             print(
                 f"candidate {preset:10s}: estimated total "
                 f"{estimate_ms:9.2f} ms from the subset alone"

@@ -16,10 +16,13 @@ Quickstart::
 
     from repro import datasets
     from repro.core.pipeline import SubsettingPipeline
+    from repro.runtime import Runtime
     from repro.simgpu import GpuConfig
 
     trace = datasets.load("bioshock1_like", frames=60, seed=7)
-    result = SubsettingPipeline().run(trace, GpuConfig.preset("mainstream"))
+    result = SubsettingPipeline().run(
+        trace, GpuConfig.preset("mainstream"), runtime=Runtime()
+    )
     print(result.report())
 """
 

@@ -9,7 +9,7 @@ the parent's, reporting r >= 0.997 for subsets under 1% of the parent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.analysis.sweep import parent_and_subset_times
 from repro.core.subsetting import WorkloadSubset
@@ -68,7 +68,8 @@ def subset_parent_correlation(
     subset: WorkloadSubset,
     base_config: GpuConfig,
     clocks_mhz: Sequence[float] = DEFAULT_CLOCKS_MHZ,
-    runtime: Optional[Runtime] = None,
+    *,
+    runtime: Runtime,
 ) -> CorrelationResult:
     """Sweep core clocks on parent and subset; package both curves.
 
@@ -79,8 +80,6 @@ def subset_parent_correlation(
     precompute and the artifact cache skips clocks simulated by an
     earlier run.
     """
-    if runtime is None:
-        runtime = Runtime.serial()
     configs = [base_config.with_core_clock(clock) for clock in clocks_mhz]
     parent_times, subset_times = parent_and_subset_times(
         trace, subset, configs, runtime, "correlation"

@@ -41,18 +41,16 @@ from repro.util.stats import sum_in_order
 def clustering_metrics(
     trace: Trace,
     config: GpuConfig,
-    runtime: Optional[Runtime] = None,
+    runtime: Runtime,
     **params: object,
 ) -> List[FramePrediction]:
     """Cluster every frame and score it against the detailed simulation.
 
     ``params`` are :func:`~repro.core.cluster_frame.cluster_frame`'s.
-    Both the ground truth and the clusterings come from ``runtime``
-    (serial and uncached by default), so a cached runtime serves a
-    repeated call — E2 after E1 — from its artifact cache.
+    Both the ground truth and the clusterings come from ``runtime``, so
+    a cached runtime serves a repeated call — E2 after E1 — from its
+    artifact cache.
     """
-    if runtime is None:
-        runtime = Runtime.serial()
     ground = runtime.simulate_frames(trace, config, label="ground_truth")
     return _score_frames(runtime.cluster_frames(trace, **params), ground)
 
@@ -98,7 +96,8 @@ def e1_clustering_accuracy(
     traces: Dict[str, Trace],
     config: GpuConfig,
     radius: float = DEFAULT_RADIUS,
-    runtime: Optional[Runtime] = None,
+    *,
+    runtime: Runtime,
 ) -> ExperimentResult:
     """Paper table: per-game frame prediction error and clustering efficiency."""
     rows = []
@@ -152,7 +151,8 @@ def e2_cluster_outliers(
     traces: Dict[str, Trace],
     config: GpuConfig,
     radius: float = DEFAULT_RADIUS,
-    runtime: Optional[Runtime] = None,
+    *,
+    runtime: Runtime,
 ) -> ExperimentResult:
     """Paper figure: fraction of clusters with intra-cluster error > 20%."""
     rows = []
@@ -181,11 +181,12 @@ def e3_error_efficiency_tradeoff(
     trace: Trace,
     config: GpuConfig,
     radii: Sequence[float] = (0.05, 0.1, 0.21, 0.3, 0.45, 0.7, 1.0),
+    *,
+    runtime: Runtime,
 ) -> ExperimentResult:
     """Methodology figure: how the similarity radius trades error for efficiency."""
     from repro.util.charts import line_chart
 
-    runtime = Runtime.serial()
     ground = runtime.simulate_frames(trace, config, label="ground_truth")
     rows = []
     for radius in radii:
@@ -280,13 +281,14 @@ def e5_subset_size(
     scale: float = 0.15,
     seed: int = 7,
     radius: float = DEFAULT_RADIUS,
+    *,
+    runtime: Runtime,
 ) -> ExperimentResult:
     """Paper claim: subsets shrink below 1% of the parent as captures lengthen.
 
     Sizes are counted in draws and clusters, so nothing is simulated:
     only the kept frames are clustered.
     """
-    runtime = Runtime.serial()
     rows = []
     for length in lengths:
         trace = generate_trace(game, num_frames=length, seed=seed, scale=scale)
@@ -337,7 +339,8 @@ def e6_frequency_correlation(
     traces: Dict[str, Trace],
     config: GpuConfig,
     clocks_mhz: Sequence[float] = DEFAULT_CLOCKS_MHZ,
-    runtime: Optional[Runtime] = None,
+    *,
+    runtime: Runtime,
 ) -> ExperimentResult:
     """Paper validation: subset/parent improvement correlation under DVFS."""
     from repro.util.charts import line_chart
@@ -420,6 +423,8 @@ def e7_ablations(
     trace: Trace,
     config: GpuConfig,
     radius: float = DEFAULT_RADIUS,
+    *,
+    runtime: Runtime,
 ) -> ExperimentResult:
     """Implied ablation: clustering algorithm and feature-group sensitivity."""
     rows = []
@@ -434,7 +439,6 @@ def e7_ablations(
             )
         )
 
-    runtime = Runtime.serial()
     ground = runtime.simulate_frames(trace, config, label="ground_truth")
 
     def scored(**params: object) -> List[FramePrediction]:
@@ -477,9 +481,10 @@ def e8_baselines(
     config: GpuConfig,
     radius: float = DEFAULT_RADIUS,
     seed: int = 0,
+    *,
+    runtime: Runtime,
 ) -> ExperimentResult:
     """Implied comparison: similarity clustering vs naive sampling at equal budget."""
-    runtime = Runtime.serial()
     ground = runtime.simulate_frames(trace, config, label="ground_truth")
     clusterings = runtime.cluster_frames(trace, radius=radius)
 
@@ -551,6 +556,8 @@ def e8_baselines(
 def e9_cross_architecture_transfer(
     traces: Dict[str, Trace],
     presets: Sequence[str] = ("lowpower", "mainstream", "highend"),
+    *,
+    runtime: Runtime,
 ) -> ExperimentResult:
     """Subsets extracted once must hold on every candidate architecture.
 
@@ -560,7 +567,6 @@ def e9_cross_architecture_transfer(
     total-time estimate on each preset.
     """
     configs = [GpuConfig.preset(preset) for preset in presets]
-    runtime = Runtime.serial()
     rows = []
     for name, trace in traces.items():
         subset = build_subset(trace)
@@ -600,6 +606,8 @@ def e10_phase_signal_stability(
     config_b: Optional[GpuConfig] = None,
     interval_length: int = 4,
     tolerance: float = 0.10,
+    *,
+    runtime: Runtime,
 ) -> ExperimentResult:
     """Why shader vectors and not measured performance?
 
@@ -626,10 +634,10 @@ def e10_phase_signal_stability(
             tolerance=tolerance,
         )
         perf_a = detect_phases_from_performance(
-            pass_time_matrix(trace, config_a), interval_length, tolerance
+            pass_time_matrix(trace, config_a, runtime), interval_length, tolerance
         )
         perf_b = detect_phases_from_performance(
-            pass_time_matrix(trace, config_b), interval_length, tolerance
+            pass_time_matrix(trace, config_b, runtime), interval_length, tolerance
         )
         perf_agreement = cross_architecture_agreement(perf_a, perf_b)
         rows.append(

@@ -97,7 +97,8 @@ def subset_suite(
     config: GpuConfig,
     pipeline: Optional[SubsettingPipeline] = None,
     validation_clocks: Sequence[float] = (600.0, 1000.0, 1400.0),
-    runtime: Optional[Runtime] = None,
+    *,
+    runtime: Runtime,
 ) -> SuiteResult:
     """Run the methodology and validation across a corpus.
 
@@ -109,8 +110,6 @@ def subset_suite(
         raise ValidationError("traces must be non-empty")
     if pipeline is None:
         pipeline = SubsettingPipeline()
-    if runtime is None:
-        runtime = Runtime.serial()
     game_results: Dict[str, PipelineResult] = {}
     validations: Dict[str, SubsetValidation] = {}
     with runtime.tracer.span("suite", category="suite", config=config.name):

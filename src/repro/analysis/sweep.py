@@ -10,14 +10,14 @@ the simulation cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.core.subsetting import WorkloadSubset
 from repro.errors import ValidationError
 from repro.gfx.trace import Trace
 from repro.runtime.engine import Runtime
 from repro.simgpu.config import GpuConfig
-from repro.util.stats import pearson_correlation, spearman_correlation, sum_in_order
+from repro.util.stats import spearman_correlation, sum_in_order
 
 
 @dataclass(frozen=True)
@@ -50,13 +50,6 @@ class PathfindingResult:
             self.parent_times_ns, self.subset_estimated_times_ns
         )
 
-    @property
-    def time_correlation(self) -> float:
-        """Pearson r of absolute candidate times."""
-        return pearson_correlation(
-            self.parent_times_ns, self.subset_estimated_times_ns
-        )
-
     def winner_agrees(self) -> bool:
         return self.parent_ranking()[0] == self.subset_ranking()[0]
 
@@ -82,7 +75,8 @@ def pathfinding_sweep(
     trace: Trace,
     subset: WorkloadSubset,
     candidates: Sequence[GpuConfig] = (),
-    runtime: Optional[Runtime] = None,
+    *,
+    runtime: Runtime,
 ) -> PathfindingResult:
     """Evaluate candidate architectures on parent and subset.
 
@@ -95,8 +89,6 @@ def pathfinding_sweep(
     names = [c.name for c in candidates]
     if len(set(names)) != len(names):
         raise ValidationError(f"candidate names must be unique, got {names}")
-    if runtime is None:
-        runtime = Runtime.serial()
     with runtime.tracer.span(
         "sweep", category="sweep", trace=trace.name, candidates=len(candidates)
     ):

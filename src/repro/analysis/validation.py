@@ -88,7 +88,8 @@ def validate_subset(
     clocks_mhz: Sequence[float] = DEFAULT_CLOCKS_MHZ,
     candidates: Optional[Sequence[GpuConfig]] = None,
     transfer_presets: Sequence[str] = ("lowpower", "mainstream", "highend"),
-    runtime: Optional[Runtime] = None,
+    *,
+    runtime: Runtime,
 ) -> SubsetValidation:
     """Run all three validation checks on ``subset`` against ``trace``.
 
@@ -96,8 +97,6 @@ def validate_subset(
     transfer presets, and the candidate sweep all share its workers and
     artifact cache (a preset simulated by one check is free in the next).
     """
-    if runtime is None:
-        runtime = Runtime.serial()
     checks = []
 
     with runtime.tracer.span("validate", category="validate", trace=trace.name):

@@ -23,7 +23,7 @@ if TYPE_CHECKING:
     from repro.checks.engine import ModuleContext
 
 #: One-config whole-trace simulation calls that a per-config loop multiplies.
-_SIM_CALL_NAMES = frozenset({"simulate_trace", "simulate_frames", "total_time_ns"})
+_SIM_CALL_NAMES = frozenset({"simulate_trace", "simulate_frames"})
 
 #: Identifier fragments that mark a loop as iterating architecture
 #: points rather than workloads.
@@ -78,9 +78,9 @@ def simulate_trace_per_config_loop(ctx: "ModuleContext") -> Iterator[Finding]:
     """Whole-trace simulation inside a loop over candidate configs.
 
     An architecture sweep that calls ``simulate_trace`` (or the
-    one-config ``Runtime`` calls ``simulate_frames`` / ``total_time_ns``)
-    once per config scales its cost with the candidate count even though
-    every per-draw input except the config columns is loop-invariant.
+    one-config ``Runtime.simulate_frames``) once per config scales its
+    cost with the candidate count even though every per-draw input
+    except the config columns is loop-invariant.
     ``Runtime.frame_times_many`` and ``simulate_frames_many`` evaluate
     all candidates against one :class:`~repro.simgpu.batch.FramePrecomp`
     as a single ``(num_configs, num_draws)`` pass with identical

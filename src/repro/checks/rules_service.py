@@ -45,7 +45,6 @@ SIM_ENTRY_POINTS = frozenset(
         "simulate_frames",
         "simulate_frames_many",
         "frame_times_many",
-        "total_time_ns",
         "cluster_frames",
         "pathfinding_sweep",
     }

@@ -7,7 +7,7 @@ Subcommands::
     repro simulate  trace.jsonl --preset mainstream
     repro subset    trace.jsonl --preset mainstream --radius 0.21
     repro sweep     trace.jsonl --preset mainstream
-    repro experiment e1 [--full-scale]   # e1..e9
+    repro experiment e1 [--full-scale]   # e1..e10
     repro check     src/repro --format github
     repro runs      list|show|diff|regress   # run-history store
     repro trace     report spans.jsonl       # span hotspot rollup
@@ -772,12 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _corpus(args) -> dict:
-    if args.full_scale:
-        return datasets.paper_corpus(seed=args.seed)
-    return datasets.bench_corpus(seed=args.seed)
-
-
 def _cmd_generate(args) -> int:
     trace = generate_trace(
         args.game, num_frames=args.frames, seed=args.seed, scale=args.scale
@@ -947,6 +941,28 @@ _EXPERIMENT_PRESETS = {
 }
 
 
+#: The games whose traces an experiment reads; the experiments not named
+#: here read all three.  E5 generates its own captures.
+_EXPERIMENT_GAMES = {
+    "e3": ("bioshock2_like",),
+    "e5": (),
+    "e7": ("bioshock2_like",),
+    "e8": ("bioshock2_like",),
+}
+
+
+def _experiment_traces(args, games: Sequence[str]) -> dict:
+    """``games`` at paper size under ``--full-scale``, else at CI size."""
+    if args.full_scale:
+        frames, scale = datasets.PAPER_FRAMES_PER_GAME, 1.0
+    else:
+        frames, scale = datasets.CI_FRAMES_PER_GAME, datasets.CI_SCALE
+    return {
+        game: datasets.load(game, frames=frames, seed=args.seed, scale=scale)
+        for game in games
+    }
+
+
 def _cmd_experiment(args) -> int:
     config = GpuConfig.preset("mainstream")
     experiment_id = args.id
@@ -956,48 +972,39 @@ def _cmd_experiment(args) -> int:
     session.configs.update((c.name, c) for c in simulated)
     session.seeds["corpus"] = args.seed
     runtime = session.runtime
-    if experiment_id in ("e1", "e2", "e4", "e6", "e9", "e10"):
-        traces = _corpus(args)
-        session.traces.update(traces)
-        runner = {
-            "e1": lambda: experiments.e1_clustering_accuracy(
-                traces, config, runtime=runtime
-            ),
-            "e2": lambda: experiments.e2_cluster_outliers(
-                traces, config, runtime=runtime
-            ),
-            "e4": lambda: experiments.e4_phase_detection(traces),
-            "e6": lambda: experiments.e6_frequency_correlation(
-                traces, config, runtime=runtime
-            ),
-            "e9": lambda: experiments.e9_cross_architecture_transfer(traces, presets),
-            "e10": lambda: experiments.e10_phase_signal_stability(traces, *simulated),
-        }[experiment_id]
-        print(runner().render())
-        print(summary_line(runtime.metrics.snapshot()))
-        session.finish()
-        return 0
-    if experiment_id == "e5":
-        print(experiments.e5_subset_size("bioshock1_like", seed=args.seed).render())
-        session.finish()
-        return 0
-    # single-game experiments
-    scale = 1.0 if args.full_scale else datasets.CI_SCALE
-    frames = (
-        datasets.PAPER_FRAMES_PER_GAME
-        if args.full_scale
-        else datasets.CI_FRAMES_PER_GAME
+    traces = _experiment_traces(
+        args, _EXPERIMENT_GAMES.get(experiment_id, BIOSHOCK_SERIES)
     )
-    trace = datasets.load(
-        "bioshock2_like", frames=frames, seed=args.seed, scale=scale
-    )
-    session.traces[trace.name] = trace
+    session.traces.update(traces)
+    trace = traces.get("bioshock2_like")
     runner = {
-        "e3": lambda: experiments.e3_error_efficiency_tradeoff(trace, config),
-        "e7": lambda: experiments.e7_ablations(trace, config),
-        "e8": lambda: experiments.e8_baselines(trace, config),
+        "e1": lambda: experiments.e1_clustering_accuracy(
+            traces, config, runtime=runtime
+        ),
+        "e2": lambda: experiments.e2_cluster_outliers(
+            traces, config, runtime=runtime
+        ),
+        "e3": lambda: experiments.e3_error_efficiency_tradeoff(
+            trace, config, runtime=runtime
+        ),
+        "e4": lambda: experiments.e4_phase_detection(traces),
+        "e5": lambda: experiments.e5_subset_size(
+            "bioshock1_like", seed=args.seed, runtime=runtime
+        ),
+        "e6": lambda: experiments.e6_frequency_correlation(
+            traces, config, runtime=runtime
+        ),
+        "e7": lambda: experiments.e7_ablations(trace, config, runtime=runtime),
+        "e8": lambda: experiments.e8_baselines(trace, config, runtime=runtime),
+        "e9": lambda: experiments.e9_cross_architecture_transfer(
+            traces, presets, runtime=runtime
+        ),
+        "e10": lambda: experiments.e10_phase_signal_stability(
+            traces, *simulated, runtime=runtime
+        ),
     }[experiment_id]
     print(runner().render())
+    print(summary_line(runtime.metrics.snapshot()))
     session.finish()
     return 0
 

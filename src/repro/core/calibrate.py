@@ -75,6 +75,8 @@ def calibrate_radius(
     radius_bounds: Tuple[float, float] = (0.01, 3.0),
     iterations: int = 10,
     sample_frames: int = 12,
+    *,
+    runtime: Runtime,
 ) -> CalibrationResult:
     """Binary-search the similarity radius for an operating point.
 
@@ -102,7 +104,6 @@ def calibrate_radius(
         raise ClusteringError(f"bad radius_bounds {radius_bounds}")
 
     sample = trace.subset_frames(_sample_frames(trace, sample_frames))
-    runtime = Runtime.serial()
     ground = runtime.simulate_frames(sample, config, label="ground_truth")
 
     history: List[CalibrationPoint] = []

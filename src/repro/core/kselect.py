@@ -99,40 +99,3 @@ def select_k_bic(
         bic_by_k=tuple((k, scores[k]) for k in candidates),
     )
 
-
-def silhouette_score(matrix: np.ndarray, labels: np.ndarray, sample: int = 256,
-                     seed: int = 0) -> float:
-    """Mean silhouette over a sample of points (exact when n <= sample)."""
-    from repro.core.distance import cdist_euclidean
-    from repro.util.rng import make_rng
-
-    matrix = np.asarray(matrix, dtype=float)
-    labels = np.asarray(labels)
-    n = matrix.shape[0]
-    unique = np.unique(labels)
-    if len(unique) < 2:
-        raise ClusteringError("silhouette requires at least two clusters")
-    if n > sample:
-        picks = make_rng(seed, "silhouette", n).choice(n, size=sample, replace=False)
-    else:
-        picks = np.arange(n)
-    total = 0.0
-    counted = 0
-    dists = cdist_euclidean(matrix[picks], matrix)
-    for row, i in enumerate(picks):
-        own = labels[i]
-        own_mask = labels == own
-        own_size = int(own_mask.sum())
-        if own_size <= 1:
-            continue  # singleton: silhouette undefined, conventionally 0
-        a = dists[row][own_mask].sum() / (own_size - 1)
-        b = min(
-            dists[row][labels == other].mean()
-            for other in unique
-            if other != own
-        )
-        total += (b - a) / max(a, b) if max(a, b) > 0 else 0.0
-        counted += 1
-    if counted == 0:
-        return 0.0
-    return total / counted

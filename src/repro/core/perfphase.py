@@ -24,14 +24,16 @@ from repro.runtime.engine import Runtime
 from repro.simgpu.config import GpuConfig
 
 
-def pass_time_matrix(trace: Trace, config: GpuConfig) -> np.ndarray:
+def pass_time_matrix(
+    trace: Trace, config: GpuConfig, runtime: Runtime
+) -> np.ndarray:
     """(num_frames, num_pass_types) matrix of per-pass times on ``config``.
 
     The per-pass breakdown is the performance analog of a shader vector:
     it captures *where* the frame's time goes on this architecture.
     Columns are ordered by sorted pass-type name.
     """
-    outputs = Runtime.serial().simulate_frames(trace, config)
+    outputs = runtime.simulate_frames(trace, config)
     pass_names = sorted({name for out in outputs for name in out.pass_times_ns})
     column = {name: j for j, name in enumerate(pass_names)}
     matrix = np.zeros((len(outputs), len(pass_names)))

@@ -219,11 +219,9 @@ class SubsettingPipeline:
     # -- pieces (reused by the experiment harness) -----------------------------
 
     def cluster_all_frames(
-        self, trace: Trace, runtime: Optional[Runtime] = None
+        self, trace: Trace, runtime: Runtime
     ) -> List[FrameClustering]:
         """Cluster every frame of ``trace`` on its feature matrix."""
-        if runtime is None:
-            runtime = Runtime.serial()
         return runtime.cluster_frames(
             trace,
             method=self.cluster_method,
@@ -261,24 +259,25 @@ class SubsettingPipeline:
         trace: Trace,
         config: GpuConfig,
         keep_clusterings: bool = False,
-        runtime: Optional[Runtime] = None,
+        *,
+        runtime: Runtime,
     ) -> PipelineResult:
         """Execute the full methodology on ``trace`` at ``config``.
 
         Pass ``keep_clusterings=True`` to retain the per-frame
         clusterings, e.g. to compose the final deliverable artifact::
 
-            result = pipeline.run(trace, config, keep_clusterings=True)
+            result = pipeline.run(
+                trace, config, keep_clusterings=True, runtime=runtime
+            )
             artifact = build_combined_subset(
                 trace, result.subset, result.clusterings
             )
 
-        ``runtime`` selects the execution backend (parallel workers,
-        artifact cache).  The default serial runtime reproduces the
-        historical single-process behavior bit for bit.
+        ``runtime`` is the caller's execution backend (parallel workers,
+        artifact cache); ``Runtime()`` reproduces the historical
+        single-process behavior bit for bit.
         """
-        if runtime is None:
-            runtime = Runtime.serial()
         with runtime.tracer.span(
             "pipeline", category="pipeline", trace=trace.name, config=config.name
         ):

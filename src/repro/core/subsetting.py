@@ -84,9 +84,11 @@ class WorkloadSubset:
             )
         return float(times @ np.asarray(self.frame_weights))
 
-    def estimate_on_config(self, parent: Trace, config: GpuConfig) -> float:
+    def estimate_on_config(
+        self, parent: Trace, config: GpuConfig, runtime: Runtime
+    ) -> float:
         """Simulate only the subset on ``config`` and estimate parent time."""
-        frame_times = Runtime.serial().frame_times_many(self.materialize(parent), [config])
+        frame_times = runtime.frame_times_many(self.materialize(parent), [config])
         return self.estimate_total_time_ns(frame_times[0])
 
 
@@ -127,9 +129,9 @@ class CombinedSubset:
         """Simulated draws / parent draws (the paper's '< 1%' at scale)."""
         return self.num_draws / self.parent_num_draws
 
-    def estimate_on_config(self, config: GpuConfig) -> float:
+    def estimate_on_config(self, config: GpuConfig, runtime: Runtime) -> float:
         """Simulate only the representatives and estimate parent total time."""
-        outputs = Runtime.serial().simulate_frames(self.rep_trace, config)
+        outputs = runtime.simulate_frames(self.rep_trace, config)
         total = 0.0
         for output, weights, frame_weight in zip(
             outputs, self.draw_weights, self.frame_weights

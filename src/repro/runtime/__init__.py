@@ -13,9 +13,10 @@ library runs on:
   stable digest of (trace content, GPU config, algorithm parameters,
   format version), persisted on disk so re-runs and interrupted sweeps
   skip completed work;
-- :class:`~repro.runtime.engine.Runtime` — the facade the pipeline,
-  suite, sweep, and CLI layers accept as ``runtime=``.  It records
-  through one :class:`~repro.obs.context.ObsContext`: counters (tasks
+- :class:`~repro.runtime.engine.Runtime` — the facade every layer that
+  simulates or clusters takes from its caller (only entry points build
+  one).  It records through one
+  :class:`~repro.obs.context.ObsContext`: counters (tasks
   run, cache hits/misses, frames simulated) and stage times land on
   ``runtime.metrics``, spans on ``runtime.tracer``, and
   :func:`~repro.runtime.engine.summary_line` prints the digest under

@@ -49,7 +49,6 @@ from repro.obs.spans import NULL_TRACER, Tracer
 from repro.runtime.cache import CACHE_MISS, ArtifactCache, NullCache
 from repro.runtime.keys import config_digest, task_key
 from repro.runtime.tasks import Task, TaskResult, resolve_task_function
-from repro.util.stats import sum_in_order
 
 if TYPE_CHECKING:
     from repro.gfx.trace import Trace
@@ -259,6 +258,10 @@ class Runtime:
     ``metrics`` is the registry every counter and histogram of the run
     lands in, the artifact cache's hit and miss counts included (a fresh
     one by default).
+
+    An entry point (a CLI subcommand, a service job, a benchmark, a
+    test) builds one and hands it to every layer below; library code
+    takes the caller's runtime and never builds its own.
     """
 
     #: Most frame ranges per worker process in one fan-out.
@@ -511,12 +514,6 @@ class Runtime:
 
         outputs = self.simulate_frames(trace, config, label=label)
         return trace_result_from_outputs(trace.name, config.name, outputs)
-
-    def total_time_ns(
-        self, trace: Trace, config: GpuConfig, label: str = "simulate"
-    ) -> float:
-        """Whole-trace time on ``config``: its frame totals, summed in order."""
-        return sum_in_order(self.frame_times_many(trace, [config], label)[0])
 
     # -- clustering --------------------------------------------------------
 

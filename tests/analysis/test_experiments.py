@@ -40,7 +40,7 @@ def tiny_corpus():
 class TestClusteringMetrics:
     def test_per_frame_rows(self, tiny_corpus):
         trace = tiny_corpus["bioshock1_like"]
-        metrics = ex.clustering_metrics(trace, CFG)
+        metrics = ex.clustering_metrics(trace, CFG, runtime=Runtime())
         assert len(metrics) == trace.num_frames
         for m in metrics:
             assert 0.0 <= m.error < 1.0
@@ -50,7 +50,7 @@ class TestClusteringMetrics:
 
     def test_feature_columns_subset(self, tiny_corpus):
         trace = tiny_corpus["bioshock1_like"]
-        metrics = ex.clustering_metrics(trace, CFG, columns=[0, 1, 2])
+        metrics = ex.clustering_metrics(trace, CFG, columns=[0, 1, 2], runtime=Runtime())
         assert len(metrics) == trace.num_frames
         extractor = FeatureExtractor(trace)
         for m, frame in zip(metrics, trace.frames):
@@ -60,7 +60,7 @@ class TestClusteringMetrics:
 
 class TestE1E2:
     def test_e1_structure(self, tiny_corpus):
-        result = ex.e1_clustering_accuracy(tiny_corpus, CFG)
+        result = ex.e1_clustering_accuracy(tiny_corpus, CFG, runtime=Runtime())
         assert isinstance(result, ExperimentResult)
         assert result.experiment_id == "E1"
         games = result.column("game")
@@ -70,7 +70,7 @@ class TestE1E2:
             assert 0.0 <= err < 50.0
 
     def test_e2_structure(self, tiny_corpus):
-        result = ex.e2_cluster_outliers(tiny_corpus, CFG)
+        result = ex.e2_cluster_outliers(tiny_corpus, CFG, runtime=Runtime())
         rates = result.column("outlier rate %")
         assert all(0.0 <= r <= 100.0 for r in rates)
 
@@ -83,11 +83,11 @@ class TestE1E2:
         snapshot = runtime.metrics.snapshot()
         assert snapshot.counter_total("frames_clustered") == frames
         assert snapshot.counter_total("frames_simulated") == frames
-        assert e1.rows == ex.e1_clustering_accuracy(tiny_corpus, CFG).rows
-        assert e2.rows == ex.e2_cluster_outliers(tiny_corpus, CFG).rows
+        assert e1.rows == ex.e1_clustering_accuracy(tiny_corpus, CFG, runtime=Runtime()).rows
+        assert e2.rows == ex.e2_cluster_outliers(tiny_corpus, CFG, runtime=Runtime()).rows
 
     def test_render_contains_paper_refs(self, tiny_corpus):
-        text = ex.e1_clustering_accuracy(tiny_corpus, CFG).render()
+        text = ex.e1_clustering_accuracy(tiny_corpus, CFG, runtime=Runtime()).render()
         assert "65.8%" in text
         assert "1.0%" in text
 
@@ -95,7 +95,7 @@ class TestE1E2:
 class TestE3:
     def test_efficiency_monotone_in_radius(self, tiny_corpus):
         result = ex.e3_error_efficiency_tradeoff(
-            tiny_corpus["bioshock1_like"], CFG, radii=(0.05, 0.3, 1.0)
+            tiny_corpus["bioshock1_like"], CFG, radii=(0.05, 0.3, 1.0), runtime=Runtime()
         )
         effs = result.column("efficiency %")
         assert effs[0] < effs[-1]
@@ -116,7 +116,9 @@ class TestE4:
 
 class TestE5:
     def test_fraction_shrinks_with_length(self):
-        result = ex.e5_subset_size("bioshock1_like", lengths=(40, 160), scale=0.06)
+        result = ex.e5_subset_size(
+            "bioshock1_like", lengths=(40, 160), scale=0.06, runtime=Runtime()
+        )
         fractions = result.column("combined subset draws %")
         assert fractions[-1] < fractions[0]
 
@@ -124,7 +126,7 @@ class TestE5:
 class TestE6:
     def test_correlation_above_paper_bar(self, tiny_corpus):
         result = ex.e6_frequency_correlation(
-            tiny_corpus, CFG, clocks_mhz=(600.0, 1000.0, 1400.0)
+            tiny_corpus, CFG, clocks_mhz=(600.0, 1000.0, 1400.0), runtime=Runtime()
         )
         for r in result.column("correlation r"):
             assert r > 0.99
@@ -132,7 +134,7 @@ class TestE6:
 
 class TestE7:
     def test_all_variants_present(self, tiny_corpus):
-        result = ex.e7_ablations(tiny_corpus["bioshock1_like"], CFG)
+        result = ex.e7_ablations(tiny_corpus["bioshock1_like"], CFG, runtime=Runtime())
         variants = result.column("variant")
         assert any("leader (default)" in v for v in variants)
         assert any("kmeans" in v for v in variants)
@@ -151,13 +153,13 @@ class TestE7:
 
 class TestE8:
     def test_clustering_beats_naive_baselines(self, tiny_corpus):
-        result = ex.e8_baselines(tiny_corpus["bioshock1_like"], CFG)
+        result = ex.e8_baselines(tiny_corpus["bioshock1_like"], CFG, runtime=Runtime())
         errors = dict(zip(result.column("method"), result.column("error %")))
         assert errors["clustering (paper)"] < errors["first_n"]
         assert errors["clustering (paper)"] < errors["random"]
 
     def test_frame_block_present(self, tiny_corpus):
-        result = ex.e8_baselines(tiny_corpus["bioshock1_like"], CFG)
+        result = ex.e8_baselines(tiny_corpus["bioshock1_like"], CFG, runtime=Runtime())
         methods = result.column("method")
         assert any("phase subset" in m for m in methods)
         assert any("simpoint" in m for m in methods)
@@ -169,27 +171,29 @@ class TestGroundTruthSimulatedOnce:
 
     def test_e3_simulates_each_frame_once(self, tiny_corpus, simulated_frames):
         trace = tiny_corpus["bioshock1_like"]
-        ex.e3_error_efficiency_tradeoff(trace, CFG, radii=(0.05, 0.3, 1.0))
+        ex.e3_error_efficiency_tradeoff(trace, CFG, radii=(0.05, 0.3, 1.0), runtime=Runtime())
         assert sorted(simulated_frames) == [f.index for f in trace.frames]
 
     def test_e7_simulates_each_frame_once(self, tiny_corpus, simulated_frames):
         trace = tiny_corpus["bioshock1_like"]
-        ex.e7_ablations(trace, CFG)
+        ex.e7_ablations(trace, CFG, runtime=Runtime())
         assert sorted(simulated_frames) == [f.index for f in trace.frames]
 
     def test_e5_simulates_nothing(self, simulated_frames):
-        result = ex.e5_subset_size("bioshock1_like", lengths=(40,), scale=0.06)
+        result = ex.e5_subset_size(
+            "bioshock1_like", lengths=(40,), scale=0.06, runtime=Runtime()
+        )
         assert simulated_frames == []
         assert result.column("combined subset draws %")[0] > 0.0
 
 
 class TestReport:
     def test_column_lookup(self, tiny_corpus):
-        result = ex.e1_clustering_accuracy(tiny_corpus, CFG)
+        result = ex.e1_clustering_accuracy(tiny_corpus, CFG, runtime=Runtime())
         with pytest.raises(ValueError):
             result.column("nonexistent")
 
     def test_as_dict(self, tiny_corpus):
-        data = ex.e2_cluster_outliers(tiny_corpus, CFG).as_dict()
+        data = ex.e2_cluster_outliers(tiny_corpus, CFG, runtime=Runtime()).as_dict()
         assert data["experiment"] == "E2"
         assert isinstance(data["rows"], list)

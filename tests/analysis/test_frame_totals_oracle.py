@@ -60,7 +60,7 @@ def test_pathfinding_sweep_matches_oracle(parent_and_subset, jobs, pooled_fan_ou
 
 def test_correlation_matches_oracle(parent_and_subset):
     trace, subset = parent_and_subset
-    result = subset_parent_correlation(trace, subset, CFG, CLOCKS)
+    result = subset_parent_correlation(trace, subset, CFG, CLOCKS, runtime=Runtime())
     configs = [CFG.with_core_clock(clock) for clock in CLOCKS]
     parent, estimates = _oracle_times(trace, subset, configs)
     assert result.parent_times_ns == parent
@@ -69,7 +69,9 @@ def test_correlation_matches_oracle(parent_and_subset):
 
 def test_validate_subset_matches_oracle(parent_and_subset):
     trace, subset = parent_and_subset
-    validation = validate_subset(trace, subset, CFG, CLOCKS, transfer_presets=PRESETS)
+    validation = validate_subset(
+        trace, subset, CFG, CLOCKS, transfer_presets=PRESETS, runtime=Runtime()
+    )
     by_name = {check.name: check for check in validation.checks}
 
     configs = [CFG.with_core_clock(clock) for clock in CLOCKS]

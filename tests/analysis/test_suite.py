@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis.suite import subset_suite
 from repro.errors import ValidationError
+from repro.runtime.engine import Runtime
 from repro.simgpu.config import GpuConfig
 from repro.synth.generator import TraceGenerator
 from repro.synth.phasescript import PhaseScript, Segment, SegmentKind
@@ -31,7 +32,7 @@ def corpus():
 class TestSubsetSuite:
     @pytest.fixture(scope="class")
     def result(self, corpus):
-        return subset_suite(corpus, CFG)
+        return subset_suite(corpus, CFG, runtime=Runtime())
 
     def test_per_game_results(self, result, corpus):
         assert set(result.game_results) == set(corpus)
@@ -52,7 +53,7 @@ class TestSubsetSuite:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValidationError, match="non-empty"):
-            subset_suite({}, CFG)
+            subset_suite({}, CFG, runtime=Runtime())
 
     def test_accounting_consistent(self, result):
         total = sum(

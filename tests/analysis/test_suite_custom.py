@@ -2,6 +2,7 @@
 
 from repro.analysis.suite import subset_suite
 from repro.core.pipeline import SubsettingPipeline
+from repro.runtime.engine import Runtime
 from repro.simgpu.config import GpuConfig
 from repro.synth.generator import TraceGenerator
 from repro.synth.phasescript import PhaseScript, Segment, SegmentKind
@@ -26,8 +27,8 @@ class TestSuiteCustomPipeline:
     def test_custom_pipeline_respected(self):
         tight = SubsettingPipeline(radius=0.05)
         loose = SubsettingPipeline(radius=1.0)
-        tight_result = subset_suite(corpus_of_one(), CFG, pipeline=tight)
-        loose_result = subset_suite(corpus_of_one(), CFG, pipeline=loose)
+        tight_result = subset_suite(corpus_of_one(), CFG, pipeline=tight, runtime=Runtime())
+        loose_result = subset_suite(corpus_of_one(), CFG, pipeline=loose, runtime=Runtime())
         tight_eff = tight_result.game_results["b1"].mean_efficiency
         loose_eff = loose_result.game_results["b1"].mean_efficiency
         assert loose_eff > tight_eff
@@ -35,7 +36,7 @@ class TestSuiteCustomPipeline:
         assert loose_result.total_subset_draws < tight_result.total_subset_draws
 
     def test_suite_report_verdict_line(self):
-        result = subset_suite(corpus_of_one(), CFG)
+        result = subset_suite(corpus_of_one(), CFG, runtime=Runtime())
         text = result.report()
         assert "all subsets validated:" in text
         assert ("yes" in text.rsplit("validated:", 1)[1]) == (

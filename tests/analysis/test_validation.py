@@ -8,6 +8,7 @@ from repro.analysis.validation import (
 )
 from repro.baselines.framesample import every_nth_frame_subset
 from repro.core.subsetting import build_subset
+from repro.runtime.engine import Runtime
 from repro.simgpu.config import GpuConfig
 from repro.synth.generator import TraceGenerator
 from repro.synth.phasescript import PhaseScript, Segment, SegmentKind
@@ -34,13 +35,13 @@ def game_trace():
 class TestValidateSubset:
     def test_phase_subset_passes(self, game_trace):
         subset = build_subset(game_trace)
-        validation = validate_subset(game_trace, subset, CFG, CLOCKS)
+        validation = validate_subset(game_trace, subset, CFG, CLOCKS, runtime=Runtime())
         assert validation.passed, validation.report()
         assert len(validation.checks) == 3
 
     def test_checks_have_thresholds(self, game_trace):
         subset = build_subset(game_trace)
-        validation = validate_subset(game_trace, subset, CFG, CLOCKS)
+        validation = validate_subset(game_trace, subset, CFG, CLOCKS, runtime=Runtime())
         names = [c.name for c in validation.checks]
         assert "frequency-scaling correlation" in names
         assert "cross-architecture transfer error" in names
@@ -50,7 +51,7 @@ class TestValidateSubset:
 
     def test_report_renders_with_verdict(self, game_trace):
         subset = build_subset(game_trace)
-        validation = validate_subset(game_trace, subset, CFG, CLOCKS)
+        validation = validate_subset(game_trace, subset, CFG, CLOCKS, runtime=Runtime())
         text = validation.report()
         assert "VERDICT: PASS" in text
         assert game_trace.name in text
@@ -59,7 +60,7 @@ class TestValidateSubset:
         # A single-frame periodic subset (first frame stands for everything)
         # generally misestimates the mixed workload.
         subset = every_nth_frame_subset(game_trace, stride=game_trace.num_frames)
-        validation = validate_subset(game_trace, subset, CFG, CLOCKS)
+        validation = validate_subset(game_trace, subset, CFG, CLOCKS, runtime=Runtime())
         transfer = next(
             c for c in validation.checks if "transfer" in c.name
         )
@@ -71,5 +72,5 @@ class TestValidateSubset:
         # Dense periodic sampling is a legitimate subset; the validator is
         # method-agnostic.
         subset = every_nth_frame_subset(game_trace, stride=2)
-        validation = validate_subset(game_trace, subset, CFG, CLOCKS)
+        validation = validate_subset(game_trace, subset, CFG, CLOCKS, runtime=Runtime())
         assert validation.passed

@@ -137,7 +137,7 @@ class TestSimPointLike:
         config = GpuConfig.preset("mainstream")
         subset = simpoint_frames_subset(game_trace, seed=0)
         actual = Runtime.serial().simulate_trace(game_trace, config).total_time_ns
-        estimate = subset.estimate_on_config(game_trace, config)
+        estimate = subset.estimate_on_config(game_trace, config, runtime=Runtime())
         assert abs(estimate - actual) / actual < 0.25
 
     def test_single_frame_rejected(self, simple_trace):

@@ -14,7 +14,7 @@ def clock_sweep(runtime, trace, base_config, clocks_mhz):
     times = []
     for clock in clocks_mhz:
         config = base_config.with_core_clock(clock)
-        times.append(runtime.total_time_ns(trace, config))  # expect: PERF001
+        times.append(runtime.simulate_trace(trace, config))  # expect: PERF001
     return times
 
 

@@ -28,8 +28,6 @@ def test_perf001_names_the_call():
         "configs",
         "simulate_trace() runs once per config in a loop over candidate "
         "configs",
-        "total_time_ns() runs once per config in a loop over candidate "
-        "configs",
     ]
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.calibrate import calibrate_radius
 from repro.errors import ClusteringError
+from repro.runtime.engine import Runtime
 from repro.simgpu.config import GpuConfig
 from repro.synth.generator import TraceGenerator
 from repro.synth.profiles import GameProfile
@@ -20,29 +21,29 @@ def trace():
 class TestCalibrateRadius:
     def test_hits_target_efficiency(self, trace):
         result = calibrate_radius(
-            trace, CFG, target_efficiency=0.5, iterations=8, sample_frames=6
+            trace, CFG, target_efficiency=0.5, iterations=8, sample_frames=6, runtime=Runtime()
         )
         assert abs(result.achieved.mean_efficiency - 0.5) < 0.12
 
     def test_error_budget_respected(self, trace):
         result = calibrate_radius(
-            trace, CFG, max_error=0.01, iterations=8, sample_frames=6
+            trace, CFG, max_error=0.01, iterations=8, sample_frames=6, runtime=Runtime()
         )
         assert result.achieved.mean_error <= 0.01 + 1e-9
 
     def test_error_budget_picks_largest_feasible(self, trace):
         tight = calibrate_radius(
-            trace, CFG, max_error=0.002, iterations=8, sample_frames=6
+            trace, CFG, max_error=0.002, iterations=8, sample_frames=6, runtime=Runtime()
         )
         loose = calibrate_radius(
-            trace, CFG, max_error=0.05, iterations=8, sample_frames=6
+            trace, CFG, max_error=0.05, iterations=8, sample_frames=6, runtime=Runtime()
         )
         assert loose.radius >= tight.radius
         assert loose.achieved.mean_efficiency >= tight.achieved.mean_efficiency
 
     def test_history_recorded(self, trace):
         result = calibrate_radius(
-            trace, CFG, target_efficiency=0.5, iterations=5, sample_frames=4
+            trace, CFG, target_efficiency=0.5, iterations=5, sample_frames=4, runtime=Runtime()
         )
         assert len(result.history) == 5
         for point in result.history:
@@ -50,23 +51,23 @@ class TestCalibrateRadius:
 
     def test_requires_exactly_one_objective(self, trace):
         with pytest.raises(ClusteringError, match="exactly one"):
-            calibrate_radius(trace, CFG)
+            calibrate_radius(trace, CFG, runtime=Runtime())
         with pytest.raises(ClusteringError, match="exactly one"):
-            calibrate_radius(trace, CFG, target_efficiency=0.5, max_error=0.01)
+            calibrate_radius(trace, CFG, target_efficiency=0.5, max_error=0.01, runtime=Runtime())
 
     def test_bad_targets_rejected(self, trace):
         with pytest.raises(ClusteringError):
-            calibrate_radius(trace, CFG, target_efficiency=1.5)
+            calibrate_radius(trace, CFG, target_efficiency=1.5, runtime=Runtime())
         with pytest.raises(ClusteringError):
-            calibrate_radius(trace, CFG, max_error=-0.1)
+            calibrate_radius(trace, CFG, max_error=-0.1, runtime=Runtime())
         with pytest.raises(ClusteringError, match="radius_bounds"):
             calibrate_radius(
-                trace, CFG, target_efficiency=0.5, radius_bounds=(2.0, 1.0)
+                trace, CFG, target_efficiency=0.5, radius_bounds=(2.0, 1.0), runtime=Runtime()
             )
 
     def test_simulates_only_the_sampled_frames(self, trace, simulated_frames):
         calibrate_radius(
-            trace, CFG, target_efficiency=0.5, iterations=3, sample_frames=6
+            trace, CFG, target_efficiency=0.5, iterations=3, sample_frames=6, runtime=Runtime()
         )
         assert len(simulated_frames) == 6 < trace.num_frames
 
@@ -78,5 +79,6 @@ class TestCalibrateRadius:
             iterations=4,
             sample_frames=4,
             radius_bounds=(0.05, 1.0),
+            runtime=Runtime(),
         )
         assert result.radius == 0.05

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.hierarchical import agglomerative_cluster
 from repro.core.kmeans import kmeans
-from repro.core.kselect import bic_score, select_k_bic, silhouette_score
+from repro.core.kselect import bic_score, select_k_bic
 from repro.core.leader import leader_cluster
 from repro.errors import ClusteringError
 
@@ -181,12 +181,3 @@ class TestKSelect:
     def test_bic_score_finite_for_normal_case(self):
         result = kmeans(THREE_BLOBS, k=3, seed=0)
         assert np.isfinite(bic_score(THREE_BLOBS, result))
-
-    def test_silhouette_high_for_blobs(self):
-        result = kmeans(THREE_BLOBS, k=3, seed=0)
-        score = silhouette_score(THREE_BLOBS, result.labels)
-        assert score > 0.8
-
-    def test_silhouette_requires_two_clusters(self):
-        with pytest.raises(ClusteringError, match="two clusters"):
-            silhouette_score(THREE_BLOBS, np.zeros(len(THREE_BLOBS), dtype=int))

@@ -26,7 +26,7 @@ def world():
     )
     trace = TraceGenerator(profile, seed=61).generate(script=script)
     pipeline = SubsettingPipeline()
-    clusterings = pipeline.cluster_all_frames(trace)
+    clusterings = pipeline.cluster_all_frames(trace, runtime=Runtime())
     subset = build_subset(trace)
     combined = build_combined_subset(trace, subset, clusterings)
     return trace, subset, clusterings, combined
@@ -54,7 +54,7 @@ class TestBuildCombinedSubset:
         for preset in ("lowpower", "mainstream", "highend"):
             config = GpuConfig.preset(preset)
             actual = Runtime.serial().simulate_trace(trace, config).total_time_ns
-            estimate = combined.estimate_on_config(config)
+            estimate = combined.estimate_on_config(config, runtime=Runtime())
             error = abs(estimate - actual) / actual
             assert error < 0.15, f"{preset}: {100 * error:.1f}%"
 
@@ -67,7 +67,7 @@ class TestBuildCombinedSubset:
         for clock in clocks:
             config = CFG.with_core_clock(clock)
             parent.append(Runtime.serial().simulate_trace(trace, config).total_time_ns)
-            estimates.append(combined.estimate_on_config(config))
+            estimates.append(combined.estimate_on_config(config, runtime=Runtime()))
         parent_imp = [parent[0] / t - 1 for t in parent[1:]]
         est_imp = [estimates[0] / t - 1 for t in estimates[1:]]
         assert pearson_correlation(parent_imp, est_imp) > 0.995

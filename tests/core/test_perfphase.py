@@ -9,6 +9,7 @@ from repro.core.perfphase import (
     pass_time_matrix,
 )
 from repro.errors import PhaseDetectionError
+from repro.runtime.engine import Runtime
 from repro.simgpu.config import GpuConfig
 from repro.synth.generator import TraceGenerator
 from repro.synth.phasescript import PhaseScript, Segment, SegmentKind
@@ -32,28 +33,28 @@ def game_trace():
 class TestPassTimeMatrix:
     def test_shape_and_totals(self, game_trace):
         config = GpuConfig.preset("mainstream")
-        matrix = pass_time_matrix(game_trace, config)
+        matrix = pass_time_matrix(game_trace, config, runtime=Runtime())
         assert matrix.shape[0] == game_trace.num_frames
         assert matrix.shape[1] >= 3  # forward, shadow, post, ui, ...
         assert np.all(matrix >= 0)
         assert np.all(matrix.sum(axis=1) > 0)
 
     def test_architecture_changes_matrix(self, game_trace):
-        a = pass_time_matrix(game_trace, GpuConfig.preset("lowpower"))
-        b = pass_time_matrix(game_trace, GpuConfig.preset("highend"))
+        a = pass_time_matrix(game_trace, GpuConfig.preset("lowpower"), runtime=Runtime())
+        b = pass_time_matrix(game_trace, GpuConfig.preset("highend"), runtime=Runtime())
         assert a.shape == b.shape
         assert not np.allclose(a, b)
 
 
 class TestDetectFromPerformance:
     def test_finds_repetition(self, game_trace):
-        matrix = pass_time_matrix(game_trace, GpuConfig.preset("mainstream"))
+        matrix = pass_time_matrix(game_trace, GpuConfig.preset("mainstream"), runtime=Runtime())
         phases = detect_phases_from_performance(matrix, interval_length=4)
         assert len(phases) == 6
         assert max(phases) + 1 < len(phases)  # some repetition found
 
     def test_tolerance_zero_splits_everything(self, game_trace):
-        matrix = pass_time_matrix(game_trace, GpuConfig.preset("mainstream"))
+        matrix = pass_time_matrix(game_trace, GpuConfig.preset("mainstream"), runtime=Runtime())
         strict = detect_phases_from_performance(matrix, 4, tolerance=0.0)
         loose = detect_phases_from_performance(matrix, 4, tolerance=0.5)
         assert max(strict) >= max(loose)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.pipeline import SubsettingPipeline
+from repro.runtime.engine import Runtime
 from repro.simgpu.config import GpuConfig
 from repro.synth.generator import TraceGenerator
 from repro.synth.phasescript import PhaseScript, Segment, SegmentKind
@@ -37,18 +38,20 @@ class TestPipelineVariants:
     )
     def test_variant_runs_and_stays_sane(self, small_trace, kwargs):
         pipeline = SubsettingPipeline(**kwargs)
-        result = pipeline.run(small_trace, CFG)
+        result = pipeline.run(small_trace, CFG, runtime=Runtime())
         assert result.mean_prediction_error < 0.10
         assert 0.0 < result.mean_efficiency < 1.0
         assert result.subset.num_frames >= 1
         assert result.subset_time_error < 0.25
 
     def test_interval_one_keeps_fewest_frames_on_smooth_trace(self, small_trace):
-        fine = SubsettingPipeline(interval_length=1).run(small_trace, CFG)
-        coarse = SubsettingPipeline(interval_length=8).run(small_trace, CFG)
+        fine = SubsettingPipeline(interval_length=1).run(small_trace, CFG, runtime=Runtime())
+        coarse = SubsettingPipeline(interval_length=8).run(small_trace, CFG, runtime=Runtime())
         # Finer intervals find more merges on a smooth capture.
         assert fine.subset.num_frames <= coarse.subset.num_frames + 4
 
     def test_lowpower_config_also_works(self, small_trace):
-        result = SubsettingPipeline().run(small_trace, GpuConfig.preset("lowpower"))
+        result = SubsettingPipeline().run(
+            small_trace, GpuConfig.preset("lowpower"), runtime=Runtime()
+        )
         assert result.mean_prediction_error < 0.10

@@ -57,7 +57,7 @@ class TestSubsetIO:
         save_subset(subset, path)
         back = load_subset(path)
         actual = Runtime.serial().simulate_trace(game_trace, config).total_time_ns
-        estimate = back.estimate_on_config(game_trace, config)
+        estimate = back.estimate_on_config(game_trace, config, runtime=Runtime())
         assert abs(estimate - actual) / actual < 0.1
 
     def test_detection_summary_serialized(self, game_trace):

@@ -67,7 +67,7 @@ class TestPredict:
 
     def test_score_frame_both_paths(self, game_trace):
         pipeline = SubsettingPipeline()
-        clusterings = pipeline.cluster_all_frames(game_trace)
+        clusterings = pipeline.cluster_all_frames(game_trace, runtime=Runtime())
         clustering = clusterings[0]
         truth = Runtime.serial().simulate_frames(game_trace, CFG)[0]
         rep_trace = pipeline.representative_trace(game_trace, clusterings)
@@ -128,7 +128,7 @@ class TestBuildSubset:
     def test_estimate_total_close_to_actual(self, game_trace):
         subset = build_subset(game_trace, interval_length=4)
         actual = GpuSimulator(CFG).simulate_trace(game_trace).total_time_ns
-        estimate = subset.estimate_on_config(game_trace, CFG)
+        estimate = subset.estimate_on_config(game_trace, CFG, runtime=Runtime())
         assert abs(estimate - actual) / actual < 0.08
 
     def test_detection_and_kwargs_mutually_exclusive(self, game_trace):
@@ -145,7 +145,7 @@ class TestBuildSubset:
 class TestPipeline:
     @pytest.fixture(scope="class")
     def result(self, game_trace):
-        return SubsettingPipeline().run(game_trace, CFG, keep_clusterings=True)
+        return SubsettingPipeline().run(game_trace, CFG, keep_clusterings=True, runtime=Runtime())
 
     def test_one_prediction_per_frame(self, result, game_trace):
         assert len(result.frame_predictions) == game_trace.num_frames
@@ -177,7 +177,7 @@ class TestPipeline:
 
     def test_representative_trace_structure(self, game_trace):
         pipeline = SubsettingPipeline()
-        clusterings = pipeline.cluster_all_frames(game_trace)
+        clusterings = pipeline.cluster_all_frames(game_trace, runtime=Runtime())
         rep_trace = pipeline.representative_trace(game_trace, clusterings)
         assert rep_trace.name == f"{game_trace.name}.reps"
         assert rep_trace.num_frames == game_trace.num_frames
@@ -218,9 +218,9 @@ def test_actual_total_does_not_depend_on_builtin_sum(monkeypatch):
     # the left-to-right sum in the last bit, so a pipeline that totals
     # with builtin sum() would report another ground truth on Python 3.12.
     trace = datasets.load("bioshock1_like", frames=8, seed=0, scale=0.1)
-    reference = SubsettingPipeline().run(trace, CFG)
+    reference = SubsettingPipeline().run(trace, CFG, runtime=Runtime())
     monkeypatch.setattr(pipeline_module, "sum", _compensated_sum, raising=False)
-    result = SubsettingPipeline().run(trace, CFG)
+    result = SubsettingPipeline().run(trace, CFG, runtime=Runtime())
     frame_times = [p.actual_time_ns for p in result.frame_predictions]
     assert result.actual_total_time_ns == sum_in_order(frame_times)
     assert result == reference

@@ -124,7 +124,7 @@ class TestGlobalRng:
 
         trace = datasets.load("bioshock1_like", frames=4, seed=0, scale=0.1)
         np.random.seed(123)
-        SubsettingPipeline().cluster_all_frames(trace)
+        SubsettingPipeline().cluster_all_frames(trace, runtime=Runtime())
         assert np.random.random() == 0.6964691855978616
 
 

@@ -19,7 +19,6 @@ from repro.runtime.keys import config_digest, task_key
 from repro.simgpu.config import GpuConfig
 from repro.synth.generator import TraceGenerator
 from repro.synth.profiles import GameProfile
-from repro.util.stats import sum_in_order
 
 SMALL = GameProfile.preset("bioshock1_like").scaled(0.05)
 
@@ -82,13 +81,6 @@ def test_no_configs(trace):
     assert Runtime.serial().frame_times_many(trace, []).shape == (0, trace.num_frames)
 
 
-def test_total_time_adds_frame_totals_left_to_right(trace, candidates):
-    runtime = Runtime.serial()
-    config = candidates[0]
-    frame_times = _per_draw_frame_times(trace, [config])[0]
-    assert runtime.total_time_ns(trace, config) == sum_in_order(frame_times)
-
-
 def test_extended_sweep_simulates_only_the_new_candidate(
     trace, candidates, tmp_path, pooled_fan_outs
 ):
@@ -105,7 +97,7 @@ def test_extended_sweep_simulates_only_the_new_candidate(
     assert extended.metrics.snapshot().counter_total("frames_simulated") == (
         trace.num_frames + subset_frames
     )
-    assert result == pathfinding_sweep(trace, subset, candidates)
+    assert result == pathfinding_sweep(trace, subset, candidates, runtime=Runtime())
 
 
 def test_sweep_writes_no_per_draw_artifact(trace, candidates, tmp_path):

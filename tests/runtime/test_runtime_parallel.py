@@ -35,7 +35,7 @@ def config():
 
 @pytest.fixture(scope="module")
 def serial_result(trace, config):
-    return SubsettingPipeline().run(trace, config)
+    return SubsettingPipeline().run(trace, config, runtime=Runtime())
 
 
 @pytest.mark.usefixtures("pooled_fan_outs")
@@ -54,15 +54,9 @@ class TestParallelMatchesSerial:
         )
         assert parallel == serial_result  # dataclass-wide equality
 
-    def test_pipeline_default_runtime_identical(self, trace, config, serial_result):
-        explicit = SubsettingPipeline().run(
-            trace, config, runtime=Runtime.serial()
-        )
-        assert explicit == serial_result
-
     def test_sweep_jobs4_identical(self, trace):
         subset = build_subset(trace)
-        serial = pathfinding_sweep(trace, subset)
+        serial = pathfinding_sweep(trace, subset, runtime=Runtime())
         parallel = pathfinding_sweep(trace, subset, runtime=Runtime(jobs=4))
         assert parallel == serial
 

@@ -1,10 +1,13 @@
 """Tests for the dataset registry and the command-line interface."""
 
+import re
+
 import pytest
 
 from repro import datasets
 from repro.cli import main
 from repro.errors import ValidationError
+from repro.runtime.engine import Runtime
 
 
 class TestDatasets:
@@ -189,10 +192,13 @@ class TestCli:
         assert main(["simulate", str(trace_file), "--jobs", "0"]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_experiment_e4_small(self, capsys, monkeypatch):
-        # Shrink the corpus so the CLI experiment path stays fast.
+    @pytest.fixture()
+    def small_corpus(self, monkeypatch):
+        # Shrink the CI corpus so the experiment command stays fast.
         monkeypatch.setattr(datasets, "CI_FRAMES_PER_GAME", 8)
         monkeypatch.setattr(datasets, "CI_SCALE", 0.05)
+
+    def test_experiment_e4_small(self, capsys, small_corpus):
         assert main(["experiment", "e4"]) == 0
         out = capsys.readouterr().out
         assert "[E4]" in out
@@ -207,8 +213,8 @@ class TestCli:
 
         calls = []
 
-        def fake_e5(game, **kwargs):
-            calls.append((game, kwargs))
+        def fake_e5(game, *, seed, runtime):
+            calls.append((game, seed, type(runtime)))
             return ExperimentResult("E5", "stub", ("frames",), ((1,),))
 
         monkeypatch.setattr(experiments, "e5_subset_size", fake_e5)
@@ -216,7 +222,85 @@ class TestCli:
         argv = ["experiment", "e5", "--seed", "3", "--manifest-out", str(record),
                 "--no-run-store"]
         assert main(argv) == 0
-        assert calls == [("bioshock1_like", {"seed": 3})]
+        assert calls == [("bioshock1_like", 3, Runtime)]
         written = json.loads(record.read_text())
         assert written["seeds"] == {"corpus": 3}
         assert written["config_digests"] == {}
+
+    @pytest.mark.parametrize(
+        "flags, env, sizes",
+        [
+            ([], "1", (datasets.CI_FRAMES_PER_GAME, datasets.CI_SCALE)),
+            (["--full-scale"], None, (datasets.PAPER_FRAMES_PER_GAME, 1.0)),
+        ],
+        ids=["benchmark-env-alone", "full-scale-flag"],
+    )
+    def test_experiment_traces_sized_by_the_flag_alone(
+        self, monkeypatch, flags, env, sizes
+    ):
+        # $REPRO_FULL_SCALE sizes the benchmark harness's corpus, not the
+        # command's: every experiment reads --full-scale alone.  The
+        # loader and runners are stubbed: the test is about the sizes asked.
+        from repro.analysis import experiments
+        from repro.analysis.report import ExperimentResult
+
+        real_load = datasets.load
+        requested = []
+
+        def small_load(name, frames=None, seed=datasets.DEFAULT_SEED, scale=1.0):
+            requested.append((name, frames, scale))
+            return real_load(name, frames=4, seed=seed, scale=0.05)
+
+        def stub(*args, **kwargs):
+            return ExperimentResult("EX", "stub", ("game",), (("-",),))
+
+        monkeypatch.setattr(datasets, "load", small_load)
+        monkeypatch.setattr(experiments, "e3_error_efficiency_tradeoff", stub)
+        monkeypatch.setattr(experiments, "e4_phase_detection", stub)
+        if env is None:
+            monkeypatch.delenv(datasets.FULL_SCALE_ENV, raising=False)
+        else:
+            monkeypatch.setenv(datasets.FULL_SCALE_ENV, env)
+        for experiment_id, games in (
+            ("e3", ["bioshock2_like"]),
+            ("e4", list(datasets.available())),
+        ):
+            requested.clear()
+            argv = ["experiment", experiment_id, *flags, "--no-cache",
+                    "--no-run-store"]
+            assert main(argv) == 0
+            assert requested == [(game, *sizes) for game in games], experiment_id
+
+    def test_experiment_e9_records_its_work(self, small_corpus, tmp_path):
+        import json
+
+        record = tmp_path / "run.json"
+        argv = ["experiment", "e9", "--no-cache", "--no-run-store",
+                "--manifest-out", str(record)]
+        assert main(argv) == 0
+        metrics = json.loads(record.read_text())["metrics"]
+        # Every parent frame on each of the three presets, plus the subsets.
+        assert metrics.get("counter:frames_simulated", 0) > 3 * 3 * 8
+        assert metrics.get("counter:tasks_run", 0) > 0
+
+    def test_experiment_e3_cache_dir_rerun_simulates_nothing(
+        self, small_corpus, tmp_path, capsys
+    ):
+        argv = ["experiment", "e3", "--cache-dir", str(tmp_path / "cache"),
+                "--no-run-store"]
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out.splitlines())
+
+        def frames_simulated(lines):
+            (line,) = [l for l in lines if l.startswith("[runtime]")]
+            return int(re.search(r"frames_simulated=(\d+)", line).group(1))
+
+        def table(lines):
+            return [l for l in lines if not l.startswith("[runtime]")]
+
+        cold, warm = outputs
+        assert frames_simulated(cold) > 0
+        assert frames_simulated(warm) == 0
+        assert table(warm) == table(cold)

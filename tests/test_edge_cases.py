@@ -22,7 +22,7 @@ CFG = GpuConfig.preset("mainstream")
 class TestSingleElementWorlds:
     def test_single_frame_single_draw_pipeline(self):
         trace = make_world([[make_draw()]])
-        result = SubsettingPipeline().run(trace, CFG)
+        result = SubsettingPipeline().run(trace, CFG, runtime=Runtime())
         assert result.mean_efficiency == 0.0  # one draw = one cluster
         assert result.subset.num_frames == 1
         assert result.subset_time_error == pytest.approx(0.0, abs=1e-12)

@@ -90,10 +90,10 @@ def experiment_digest() -> str:
         trace, Runtime.serial().simulate_frames(trace, mainstream)
     )
     parts = [
-        ("e1", e1_clustering_accuracy(traces, mainstream).rows),
-        ("e2", e2_cluster_outliers(traces, mainstream).rows),
-        ("e3", e3_error_efficiency_tradeoff(trace, mainstream, E3_RADII).rows),
-        ("e8", e8_baselines(trace, mainstream).rows),
+        ("e1", e1_clustering_accuracy(traces, mainstream, runtime=Runtime()).rows),
+        ("e2", e2_cluster_outliers(traces, mainstream, runtime=Runtime()).rows),
+        ("e3", e3_error_efficiency_tradeoff(trace, mainstream, E3_RADII, runtime=Runtime()).rows),
+        ("e8", e8_baselines(trace, mainstream, runtime=Runtime()).rows),
         (
             "incremental",
             [(m.error, m.efficiency, m.outlier_rate, m.num_clusters) for m in incremental],
@@ -103,7 +103,7 @@ def experiment_digest() -> str:
         ("target_efficiency", {"target_efficiency": 0.6}),
         ("max_error", {"max_error": 0.01}),
     ):
-        result = calibrate_radius(trace, mainstream, **objective)
+        result = calibrate_radius(trace, mainstream, **objective, runtime=Runtime())
         parts.append(
             (
                 f"calibrate.{label}",
@@ -118,7 +118,7 @@ def compute_digests() -> Dict[str, str]:
     """Section name -> sha256 of the golden corpus's results."""
     trace = datasets.load(GAME, frames=FRAMES, seed=SEED, scale=1.0)
     mainstream = GpuConfig.preset("mainstream")
-    result = SubsettingPipeline().run(trace, mainstream, keep_clusterings=True)
+    result = SubsettingPipeline().run(trace, mainstream, keep_clusterings=True, runtime=Runtime())
     clusterings = result.clusterings
     assert clusterings is not None
 
@@ -143,8 +143,8 @@ def compute_digests() -> Dict[str, str]:
         (config.name, np.asarray([out.time_ns for out in outputs]))
         for config, outputs in zip(presets, Runtime.serial().simulate_frames_many(trace, presets))
     ]
-    e9 = e9_cross_architecture_transfer({trace.name: trace}, PRESETS)
-    e10 = e10_phase_signal_stability({trace.name: trace})
+    e9 = e9_cross_architecture_transfer({trace.name: trace}, PRESETS, runtime=Runtime())
+    e10 = e10_phase_signal_stability({trace.name: trace}, runtime=Runtime())
     combined = build_combined_subset(trace, result.subset, clusterings)
 
     return {
@@ -160,12 +160,12 @@ def compute_digests() -> Dict[str, str]:
         "preset_times": _sha256(preset_parts),
         "e9_rows": _sha256([("rows", e9.rows)]),
         "combined_estimate": _sha256(
-            [("highend", combined.estimate_on_config(GpuConfig.preset("highend")))]
+            [("highend", combined.estimate_on_config(GpuConfig.preset("highend"), Runtime()))]
         ),
         "e10": _sha256(
             [("rows", _plain(e10.rows))]
             + [
-                (name, pass_time_matrix(trace, GpuConfig.preset(name)))
+                (name, pass_time_matrix(trace, GpuConfig.preset(name), runtime=Runtime()))
                 for name in ("lowpower", "highend")
             ]
         ),

@@ -44,14 +44,14 @@ class TestGeneratedTracesAreSimulable:
 
 class TestPipelineOnBothRenderers:
     def test_full_run(self, generated_trace):
-        result = SubsettingPipeline().run(generated_trace, CFG)
+        result = SubsettingPipeline().run(generated_trace, CFG, runtime=Runtime())
         assert result.mean_prediction_error < 0.05
         assert result.subset_time_error < 0.15
         assert 0.0 < result.combined_draw_fraction < 1.0
 
     def test_pipeline_deterministic(self, generated_trace):
-        a = SubsettingPipeline().run(generated_trace, CFG)
-        b = SubsettingPipeline().run(generated_trace, CFG)
+        a = SubsettingPipeline().run(generated_trace, CFG, runtime=Runtime())
+        b = SubsettingPipeline().run(generated_trace, CFG, runtime=Runtime())
         assert a.mean_prediction_error == b.mean_prediction_error
         assert a.subset.frame_positions == b.subset.frame_positions
 
@@ -64,7 +64,7 @@ class TestSubsetTransfersAcrossArchitectures:
         for preset in ("lowpower", "mainstream", "highend"):
             config = GpuConfig.preset(preset)
             actual = Runtime.serial().simulate_trace(generated_trace, config).total_time_ns
-            estimate = subset.estimate_on_config(generated_trace, config)
+            estimate = subset.estimate_on_config(generated_trace, config, runtime=Runtime())
             assert abs(estimate - actual) / actual < 0.12, preset
 
 
@@ -101,8 +101,8 @@ class TestNoiseAmplitudeControlsOutliers:
 
         profile = GameProfile.preset("bioshock1_like").scaled(0.08)
         trace = TraceGenerator(profile, seed=3).generate(num_frames=8)
-        noisy = clustering_metrics(trace, CFG.scaled(noise_amplitude=0.2))
-        quiet = clustering_metrics(trace, CFG.scaled(noise_amplitude=0.0))
+        noisy = clustering_metrics(trace, CFG.scaled(noise_amplitude=0.2), runtime=Runtime())
+        quiet = clustering_metrics(trace, CFG.scaled(noise_amplitude=0.0), runtime=Runtime())
         assert np.mean([m.outlier_rate for m in quiet]) <= np.mean(
             [m.outlier_rate for m in noisy]
         )
