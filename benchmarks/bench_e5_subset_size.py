@@ -8,18 +8,16 @@ the curve heads below 1% (and crosses it at full scale).
 
 
 from repro import datasets
-from repro.analysis.experiments import e5_subset_size
-
-# 1/length curve: long enough to show the trend at CI scale, long enough
-# to actually cross 1% at full scale.
-CI_LENGTHS = (80, 160, 320, 640)
-FULL_LENGTHS = (240, 480, 960, 1920, 3840)
+from repro.analysis.experiments import (
+    E5_CI_CAPTURES,
+    E5_PAPER_CAPTURES,
+    e5_subset_size,
+)
 
 
 def bench_e5(benchmark, runtime, record_result):
     full = datasets.full_scale_requested()
-    lengths = FULL_LENGTHS if full else CI_LENGTHS
-    scale = 0.3 if full else 0.1
+    lengths, scale = E5_PAPER_CAPTURES if full else E5_CI_CAPTURES
     result = benchmark.pedantic(
         lambda: e5_subset_size(
             "bioshock1_like", lengths=lengths, scale=scale, runtime=runtime

@@ -35,7 +35,7 @@ from repro import datasets  # noqa: E402
 from repro.core.pipeline import SubsettingPipeline  # noqa: E402
 from repro.obs.history import record_run  # noqa: E402
 from repro.obs.spans import Tracer  # noqa: E402
-from repro.runtime import Runtime  # noqa: E402
+from repro.runtime.engine import Runtime  # noqa: E402
 from repro.simgpu.config import GpuConfig  # noqa: E402
 
 OUTPUT_PATH = REPO_ROOT / "BENCH_obs.json"
@@ -61,10 +61,10 @@ def run_benchmark(frames: int, repeats: int) -> dict:
     config = GpuConfig.preset("mainstream")
 
     # Warm-up: JIT-free Python still pays import/allocator warmup once.
-    _timed_runs(trace, config, 1, Runtime.serial)
+    _timed_runs(trace, config, 1, Runtime)
 
-    disabled_a = _timed_runs(trace, config, repeats, Runtime.serial)
-    disabled_b = _timed_runs(trace, config, repeats, Runtime.serial)
+    disabled_a = _timed_runs(trace, config, repeats, Runtime)
+    disabled_b = _timed_runs(trace, config, repeats, Runtime)
     enabled = _timed_runs(
         trace, config, repeats, lambda: Runtime(jobs=1, tracer=Tracer())
     )

@@ -39,8 +39,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro import datasets  # noqa: E402
 from repro.core.pipeline import SubsettingPipeline  # noqa: E402
 from repro.obs.history import record_run  # noqa: E402
-from repro.runtime import Runtime  # noqa: E402
-from repro.runtime.engine import available_cpus  # noqa: E402
+from repro.runtime.engine import Runtime, available_cpus  # noqa: E402
 from repro.simgpu import _kernels  # noqa: E402
 from repro.simgpu.batch import clear_precomp_cache  # noqa: E402
 from repro.simgpu.config import GpuConfig  # noqa: E402
@@ -66,7 +65,7 @@ def run_benchmark(frames: int, scale: float, jobs: int) -> dict:
     # parallel run's workers would find it warm.
     _kernels.backend()
     set_precomp_dir("")
-    _timed_run(trace, config, Runtime.serial())
+    _timed_run(trace, config, Runtime())
 
     # A pool wider than the host is pure overhead, and on a single-CPU
     # host "parallel vs serial" measures nothing but that overhead — so
@@ -76,7 +75,7 @@ def run_benchmark(frames: int, scale: float, jobs: int) -> dict:
     requested_jobs = jobs
     jobs = max(1, min(jobs, host_cpus))
 
-    reference, serial_s, serial_snap = _timed_run(trace, config, Runtime.serial())
+    reference, serial_s, serial_snap = _timed_run(trace, config, Runtime())
     tasks_run = {"serial": serial_snap.counter_total("tasks_run"), "parallel": None}
     if jobs > 1:
         parallel, parallel_s, parallel_snap = _timed_run(

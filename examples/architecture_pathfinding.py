@@ -13,7 +13,7 @@ Run:
 from repro import datasets
 from repro.analysis.sweep import default_candidates, pathfinding_sweep
 from repro.core.subsetting import build_subset
-from repro.runtime import Runtime
+from repro.runtime.engine import Runtime
 from repro.util.tables import format_table
 
 

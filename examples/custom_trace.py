@@ -11,21 +11,16 @@ Run:
 
 from repro.core.cluster_frame import cluster_frame
 from repro.core.features import FeatureExtractor
-from repro.gfx import (
-    DrawCall,
-    Frame,
-    PrimitiveTopology,
-    RenderPass,
-    RenderTargetDesc,
-    Trace,
-    TextureDesc,
-    TextureFormat,
-    validate_trace,
-)
-from repro.gfx.enums import PassType
+from repro.gfx.drawcall import DrawCall
+from repro.gfx.enums import PassType, PrimitiveTopology, TextureFormat
+from repro.gfx.frame import Frame, RenderPass
+from repro.gfx.resources import RenderTargetDesc, TextureDesc
 from repro.gfx.shader import make_shader
 from repro.gfx.state import FULLSCREEN_STATE, OPAQUE_STATE
-from repro.simgpu import GpuConfig, GpuSimulator
+from repro.gfx.trace import Trace
+from repro.gfx.validate import validate_trace
+from repro.simgpu.config import GpuConfig
+from repro.simgpu.simulator import GpuSimulator
 
 
 def build_trace() -> Trace:

@@ -12,8 +12,8 @@ Run:
 from repro import datasets
 from repro.analysis.correlation import subset_parent_correlation
 from repro.core.subsetting import build_subset
-from repro.runtime import Runtime
-from repro.simgpu import GpuConfig
+from repro.runtime.engine import Runtime
+from repro.simgpu.config import GpuConfig
 from repro.util.tables import format_table
 
 CLOCKS_MHZ = (600.0, 800.0, 1000.0, 1200.0, 1400.0, 1600.0)

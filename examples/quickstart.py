@@ -20,8 +20,8 @@ from pathlib import Path
 
 from repro import datasets
 from repro.core.pipeline import SubsettingPipeline
-from repro.runtime import Runtime
-from repro.simgpu import GpuConfig
+from repro.runtime.engine import Runtime
+from repro.simgpu.config import GpuConfig
 
 CACHE_DIR = Path(tempfile.gettempdir()) / "repro-quickstart-cache"
 

@@ -18,8 +18,8 @@ from repro import datasets
 from repro.analysis.validation import validate_subset
 from repro.core.pipeline import SubsettingPipeline
 from repro.core.subsetio import check_subset_against, load_subset, save_subset
-from repro.runtime import Runtime
-from repro.simgpu import GpuConfig
+from repro.runtime.engine import Runtime
+from repro.simgpu.config import GpuConfig
 
 
 def main() -> None:

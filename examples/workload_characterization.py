@@ -12,7 +12,7 @@ Run:
 
 from repro import datasets
 from repro.analysis.characterize import characterize_trace
-from repro.simgpu import GpuConfig
+from repro.simgpu.config import GpuConfig
 
 
 def main() -> None:

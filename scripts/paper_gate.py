@@ -35,7 +35,7 @@ from repro.analysis.experiments import (  # noqa: E402
     e2_cluster_outliers,
     e6_frequency_correlation,
 )
-from repro.runtime import Runtime  # noqa: E402
+from repro.runtime.engine import Runtime  # noqa: E402
 from repro.simgpu.config import GpuConfig  # noqa: E402
 
 FRAMES, SEED, SCALE = 48, 7, 1.0

@@ -10,14 +10,18 @@ The package is organized as:
   shader-vector phase detection, and workload-subset extraction.
 - :mod:`repro.baselines` — sampling baselines for comparison.
 - :mod:`repro.analysis` — experiment harness reproducing the paper's
-  evaluation (E1..E8, DESIGN.md section 4).
+  evaluation (E1..E10, DESIGN.md section 4).
+
+Each public name has one import path, the module that defines it; the
+package ``__init__`` files hold only their docstrings.  The library's
+errors live in :mod:`repro.errors`.
 
 Quickstart::
 
     from repro import datasets
     from repro.core.pipeline import SubsettingPipeline
-    from repro.runtime import Runtime
-    from repro.simgpu import GpuConfig
+    from repro.runtime.engine import Runtime
+    from repro.simgpu.config import GpuConfig
 
     trace = datasets.load("bioshock1_like", frames=60, seed=7)
     result = SubsettingPipeline().run(
@@ -27,28 +31,3 @@ Quickstart::
 """
 
 __version__ = "1.0.0"
-
-from repro.errors import (
-    ClusteringError,
-    ConfigError,
-    PhaseDetectionError,
-    ReproError,
-    SimulationError,
-    SubsetError,
-    TraceError,
-    TraceFormatError,
-    ValidationError,
-)
-
-__all__ = [
-    "__version__",
-    "ReproError",
-    "ValidationError",
-    "TraceError",
-    "TraceFormatError",
-    "ConfigError",
-    "ClusteringError",
-    "PhaseDetectionError",
-    "SubsetError",
-    "SimulationError",
-]

@@ -1,27 +1,9 @@
 """Experiment harness reproducing the paper's evaluation.
 
-:mod:`repro.analysis.experiments` has one runner per experiment (E1-E8,
+:mod:`repro.analysis.experiments` has one runner per experiment (E1-E10,
 see DESIGN.md section 4); each returns an
 :class:`~repro.analysis.report.ExperimentResult` whose rows are the
 table/figure series the paper reports.  :mod:`repro.analysis.correlation`
 implements the frequency-scaling validation and
 :mod:`repro.analysis.sweep` the architecture-pathfinding use case.
 """
-
-from repro.analysis.characterize import WorkloadProfile, characterize_trace
-from repro.analysis.correlation import CorrelationResult, subset_parent_correlation
-from repro.analysis.report import ExperimentResult
-from repro.analysis.sweep import PathfindingResult, pathfinding_sweep
-from repro.analysis.validation import SubsetValidation, validate_subset
-
-__all__ = [
-    "ExperimentResult",
-    "CorrelationResult",
-    "subset_parent_correlation",
-    "PathfindingResult",
-    "pathfinding_sweep",
-    "WorkloadProfile",
-    "characterize_trace",
-    "SubsetValidation",
-    "validate_subset",
-]

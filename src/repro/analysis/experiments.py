@@ -275,10 +275,18 @@ def e4_phase_detection(
 # E5 — subset size vs capture length
 # ---------------------------------------------------------------------------
 
+#: E5's captures as ``(lengths, content scale)``.  The CI set runs in
+#: seconds and shows the 1/length trend; the paper set crosses 1% and is
+#: the one EXPERIMENTS.md's table reports (``repro experiment e5
+#: --full-scale``).
+E5_CI_CAPTURES: Tuple[Tuple[int, ...], float] = ((80, 160, 320, 640), 0.1)
+E5_PAPER_CAPTURES: Tuple[Tuple[int, ...], float] = ((240, 480, 960, 1920, 3840), 0.3)
+
+
 def e5_subset_size(
     game: str,
-    lengths: Sequence[int] = (120, 240, 480, 960),
-    scale: float = 0.15,
+    lengths: Sequence[int],
+    scale: float,
     seed: int = 7,
     radius: float = DEFAULT_RADIUS,
     *,

@@ -1,6 +1,7 @@
 """Baseline subsetting strategies the paper's methodology is compared to.
 
-Draw-level baselines (compete with per-frame clustering, E8):
+Draw-level baselines (compete with per-frame clustering, E8), in
+:mod:`repro.baselines.draw_sampling`:
 
 - :func:`random_draw_sample` — uniform random draws, scaled up.
 - :func:`systematic_draw_sample` — every-Nth draw.
@@ -8,25 +9,9 @@ Draw-level baselines (compete with per-frame clustering, E8):
 
 Frame-level baselines (compete with phase subsetting, E8/E6):
 
-- :func:`every_nth_frame_subset` — periodic frame sampling.
-- :func:`simpoint_frames_subset` — a SimPoint analog: k-means over
-  frame-granularity shader vectors, keep each cluster's medoid frame.
+- :func:`repro.baselines.framesample.every_nth_frame_subset` — periodic
+  frame sampling.
+- :func:`repro.baselines.simpoint_like.simpoint_frames_subset` — a
+  SimPoint analog: k-means over frame-granularity shader vectors, keep
+  each cluster's medoid frame.
 """
-
-from repro.baselines.draw_sampling import (
-    DrawSample,
-    first_n_draw_sample,
-    random_draw_sample,
-    systematic_draw_sample,
-)
-from repro.baselines.framesample import every_nth_frame_subset
-from repro.baselines.simpoint_like import simpoint_frames_subset
-
-__all__ = [
-    "DrawSample",
-    "random_draw_sample",
-    "systematic_draw_sample",
-    "first_n_draw_sample",
-    "every_nth_frame_subset",
-    "simpoint_frames_subset",
-]

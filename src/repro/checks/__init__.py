@@ -21,24 +21,3 @@ Entry points:
 
 The rule catalog with per-rule rationale lives in ``docs/CHECKS.md``.
 """
-
-from repro.checks.engine import (
-    CheckReport,
-    ModuleContext,
-    ProjectContext,
-    run_checks,
-)
-from repro.checks.findings import Finding
-from repro.checks.registry import Rule, all_rules, get_rule, rule
-
-__all__ = [
-    "CheckReport",
-    "Finding",
-    "ModuleContext",
-    "ProjectContext",
-    "Rule",
-    "all_rules",
-    "get_rule",
-    "rule",
-    "run_checks",
-]

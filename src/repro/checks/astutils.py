@@ -245,6 +245,22 @@ def walk_with_parents(
             stack.append((child, child_parents))
 
 
+def call_name(call: ast.Call) -> Optional[str]:
+    """The called name: ``f`` for ``f()`` and ``obj.f()``; None otherwise."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def short_qualname(qualname: str) -> str:
+    """The last two parts of a dotted name (``Class.method``) for messages."""
+    parts = qualname.split(".")
+    return ".".join(parts[-2:]) if len(parts) > 1 else qualname
+
+
 def call_keyword(call: ast.Call, name: str) -> Optional[ast.expr]:
     """The value of keyword ``name`` on a call, if present."""
     for keyword in call.keywords:

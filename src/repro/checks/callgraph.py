@@ -28,8 +28,6 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-# Leaf import — the package __init__ imports the engine, so going
-# through ``repro.checks`` here would be the IMP003 cycle we flag.
 import repro.checks.astutils as astutils
 
 #: Qualnames whose construction marks an attribute as a lock.
@@ -139,16 +137,11 @@ class CallGraph:
         self.memo: Dict[str, object] = {}
         #: function AST node per qualname (module-body pseudo-nodes excluded)
         self._nodes: Dict[str, astutils.FunctionNode] = {}
-        #: module each qualname was defined in
-        self._modules: Dict[str, astutils.ModuleSource] = {}
 
     # -- lookups -----------------------------------------------------------
 
     def node_for(self, qualname: str) -> Optional[astutils.FunctionNode]:
         return self._nodes.get(qualname)
-
-    def module_for(self, qualname: str) -> Optional[astutils.ModuleSource]:
-        return self._modules.get(qualname)
 
     def functions_in(self, relpath: str) -> List[FunctionInfo]:
         """Indexed functions of one module, in definition order."""
@@ -156,12 +149,6 @@ class CallGraph:
             (f for f in self.functions.values() if f.relpath == relpath),
             key=lambda f: f.lineno,
         )
-
-    def method_class(self, qualname: str) -> Optional[ClassInfo]:
-        info = self.functions.get(qualname)
-        if info is None or info.class_qualname is None:
-            return None
-        return self.classes.get(info.class_qualname)
 
     def resolve_method(
         self, class_qualname: str, method: str
@@ -596,28 +583,18 @@ class _FunctionScanner(ast.NodeVisitor):
             )
             self.generic_visit(node)
             return
-        raw_name = _raw_call_name(node)
         target = self._callable_target(node.func)
         self.sites.append(
             CallSite(
                 caller=self.caller,
                 callee=self._resolve_edge(target),
-                name=raw_name,
+                name=astutils.call_name(node) or "<expr>",
                 lineno=node.lineno,
                 col=node.col_offset,
                 dotted=target,
             )
         )
         self.generic_visit(node)
-
-
-def _raw_call_name(call: ast.Call) -> str:
-    func = call.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return "<expr>"
 
 
 def _param_types(
@@ -649,7 +626,6 @@ def _index_module(graph: CallGraph, module: astutils.ModuleSource) -> None:
             name=MODULE_BODY,
             lineno=1,
         )
-        graph._modules[body_qual] = module
     for node in module.tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             qual = f"{modname}.{node.name}"
@@ -662,7 +638,6 @@ def _index_module(graph: CallGraph, module: astutils.ModuleSource) -> None:
                 lineno=node.lineno,
             )
             graph._nodes[qual] = node
-            graph._modules[qual] = module
         elif isinstance(node, ast.ClassDef):
             cls_qual = f"{modname}.{node.name}"
             if cls_qual in graph.classes:
@@ -689,7 +664,6 @@ def _index_module(graph: CallGraph, module: astutils.ModuleSource) -> None:
                         class_qualname=cls_qual,
                     )
                     graph._nodes[meth_qual] = item
-                    graph._modules[meth_qual] = module
             graph.classes[cls_qual] = info
 
 

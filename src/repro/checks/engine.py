@@ -14,9 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
-# Leaf import (not `from repro.checks import astutils`): the package
-# __init__ imports this module, so going through the package would be
-# exactly the IMP003 cycle this subsystem flags.
 import repro.checks.astutils as astutils
 import repro.checks.callgraph as callgraph_mod
 from repro.checks.findings import Finding

@@ -48,6 +48,7 @@ from typing import (
 )
 
 import repro.checks.callgraph as cg
+from repro.checks.astutils import call_name, short_qualname
 from repro.checks.findings import Finding
 from repro.checks.registry import get_rule, rule
 
@@ -140,7 +141,6 @@ class _LockedCall:
     """One call made while holding a lock."""
 
     node: ast.Call
-    site_name: str
     lock: str
     method: str
 
@@ -286,7 +286,6 @@ class _MethodScanner(ast.NodeVisitor):
             self.scan.locked_calls.append(
                 _LockedCall(
                     node=node,
-                    site_name=_call_name(node),
                     lock=self.lock_held,
                     method=self.method,
                 )
@@ -327,15 +326,6 @@ class _MethodScanner(ast.NodeVisitor):
         else:
             self.visit(node.value)
         self.visit(node.slice)
-
-
-def _call_name(call: ast.Call) -> str:
-    func = call.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return "<expr>"
 
 
 def _receiver_names(call: ast.Call) -> List[str]:
@@ -500,7 +490,7 @@ def _blocking_reason(
     primitive, then a resolved project callee whose transitive chain
     reaches an I/O primitive (the chain is named in the message).
     """
-    name = _call_name(call)
+    name = call_name(call)
     receivers = [r.lower() for r in _receiver_names(call)]
     if name == "join" and any(
         frag in recv for recv in receivers for frag in _THREADY_FRAGMENTS
@@ -525,7 +515,7 @@ def _blocking_reason(
             return f"{site.name}() performs file I/O"
         if site.callee is not None and site.callee in index.reaching:
             chain = _chain_text(graph, index, site.callee)
-            return f"{_short(site.callee)}(){chain} performs file I/O"
+            return f"{short_qualname(site.callee)}(){chain} performs file I/O"
         return None
     return None
 
@@ -536,13 +526,8 @@ def _chain_text(
     chain = graph.call_chain(start, index.primitives)
     if not chain:
         return ""
-    hops = " -> ".join(_short(str(site.callee)) for site in chain)
+    hops = " -> ".join(short_qualname(str(site.callee)) for site in chain)
     return f" -> {hops}"
-
-
-def _short(qualname: str) -> str:
-    parts = qualname.split(".")
-    return ".".join(parts[-2:]) if len(parts) > 1 else qualname
 
 
 @rule(

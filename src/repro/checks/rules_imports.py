@@ -11,7 +11,7 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING, Dict, Iterator, List, Set, Tuple
 
-from repro.checks.astutils import ModuleSource
+from repro.checks.astutils import ModuleSource, resolve_relative_import
 from repro.checks.findings import Finding
 from repro.checks.registry import get_rule, rule
 
@@ -108,8 +108,12 @@ def _module_graph(
                 for alias in node.names:
                     add_edge(src, alias.name, node.lineno)
             elif isinstance(node, ast.ImportFrom):
-                base = _resolve_from_import(
-                    src, node, is_package=module.path.name == "__init__.py"
+                base = (
+                    resolve_relative_import(
+                        src, module.is_package, node.level, node.module
+                    )
+                    if node.level
+                    else node.module
                 )
                 if not base:
                     continue
@@ -135,24 +139,6 @@ def _toplevel_statements(tree: ast.Module) -> Iterator[ast.stmt]:
             stack.extend(node.finalbody)
             for handler in node.handlers:
                 stack.extend(handler.body)
-
-
-def _resolve_from_import(
-    src_module: str, node: ast.ImportFrom, *, is_package: bool = False
-) -> str:
-    """Absolute module a ``from ... import`` targets ("" if unresolvable)."""
-    if node.level == 0:
-        return node.module or ""
-    # Relative: level 1 means "my package" — which is the module itself
-    # for an __init__.py, its parent otherwise.
-    strip = node.level - 1 if is_package else node.level
-    parts = src_module.split(".")
-    if len(parts) < strip:
-        return ""
-    base_parts = parts[: len(parts) - strip] if strip else parts
-    if node.module:
-        base_parts = base_parts + node.module.split(".")
-    return ".".join(base_parts)
 
 
 def _cycles(graph: Dict[str, Set[str]]) -> List[List[str]]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING, Iterator, Set, Tuple
 
+from repro.checks.astutils import call_name
 from repro.checks.findings import Finding
 from repro.checks.registry import get_rule, rule
 
@@ -116,7 +117,6 @@ def dash_handler_runs_simulation(ctx: "ProjectContext") -> Iterator[Finding]:
     """
     from repro.checks.rules_service import (
         SIM_ENTRY_POINTS,
-        _call_name,
         _is_pipeline_run,
         transitive_sim_findings,
     )
@@ -159,7 +159,7 @@ def dash_handler_runs_simulation(ctx: "ProjectContext") -> Iterator[Finding]:
                             f"{alias.name}; the dashboard layer is read-only",
                         )
             elif isinstance(node, ast.Call):
-                name = _call_name(node)
+                name = call_name(node)
                 if name in SIM_ENTRY_POINTS:
                     direct.add((node.lineno, node.col_offset))
                     yield this.finding(

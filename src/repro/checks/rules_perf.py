@@ -14,8 +14,9 @@ from creeping back in.
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterator, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Iterator, Set, Tuple
 
+from repro.checks.astutils import call_name
 from repro.checks.findings import Finding
 from repro.checks.registry import get_rule, rule
 
@@ -48,18 +49,9 @@ def _iterates_configs(target: ast.AST, iterable: ast.AST) -> bool:
     return False
 
 
-def _call_name(call: ast.Call) -> Optional[str]:
-    func = call.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
-
 def _sim_calls(body: ast.AST) -> Iterator[ast.Call]:
     for node in ast.walk(body):
-        if isinstance(node, ast.Call) and _call_name(node) in _SIM_CALL_NAMES:
+        if isinstance(node, ast.Call) and call_name(node) in _SIM_CALL_NAMES:
             yield node
 
 
@@ -102,7 +94,7 @@ def simulate_trace_per_config_loop(ctx: "ModuleContext") -> Iterator[Finding]:
             module.relpath,
             call.lineno,
             call.col_offset,
-            f"{_call_name(call)}() runs once per config in a loop over "
+            f"{call_name(call)}() runs once per config in a loop over "
             f"candidate configs",
         )
 

@@ -25,13 +25,13 @@ from typing import (
     TYPE_CHECKING,
     Iterator,
     List,
-    Optional,
     Set,
     Tuple,
     cast,
 )
 
 import repro.checks.callgraph as cg
+from repro.checks.astutils import call_name, short_qualname
 from repro.checks.findings import Finding
 from repro.checks.registry import Rule, get_rule, rule
 
@@ -73,15 +73,6 @@ def _is_allowlisted(relpath: str) -> bool:
     )
 
 
-def _call_name(call: ast.Call) -> Optional[str]:
-    func = call.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
-
 def _receiver_names(call: ast.Call) -> Iterator[str]:
     func = call.func
     if not isinstance(func, ast.Attribute):
@@ -94,7 +85,7 @@ def _receiver_names(call: ast.Call) -> Iterator[str]:
 
 
 def _is_pipeline_run(call: ast.Call) -> bool:
-    if _call_name(call) != "run":
+    if call_name(call) != "run":
         return False
     for name in _receiver_names(call):
         lowered = name.lower()
@@ -135,11 +126,6 @@ def sim_reachability(graph: cg.CallGraph) -> Tuple[Set[str], Set[str]]:
     return result
 
 
-def _short(qualname: str) -> str:
-    parts = qualname.split(".")
-    return ".".join(parts[-2:]) if len(parts) > 1 else qualname
-
-
 def _terminal_sim_call(graph: cg.CallGraph, qualname: str) -> str:
     for site in graph.sites.get(qualname, ()):
         if _is_sim_seed_site(site):
@@ -151,12 +137,12 @@ def chain_description(
     graph: cg.CallGraph, start: str, seeds: Set[str]
 ) -> str:
     """``a.b -> c.d -> simulate_trace()`` for the finding message."""
-    hops: List[str] = [_short(start)]
+    hops: List[str] = [short_qualname(start)]
     tail = start
     chain = graph.call_chain(start, seeds) or []
     for site in chain:
         tail = str(site.callee)
-        hops.append(_short(tail))
+        hops.append(short_qualname(tail))
     return " -> ".join(hops) + f" -> {_terminal_sim_call(graph, tail)}()"
 
 
@@ -228,7 +214,7 @@ def service_handler_runs_simulation(
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
-            name = _call_name(node)
+            name = call_name(node)
             if name in SIM_ENTRY_POINTS:
                 direct.add((node.lineno, node.col_offset))
                 yield this.finding(

@@ -6,7 +6,7 @@ Subcommands::
     repro info      trace.jsonl
     repro simulate  trace.jsonl --preset mainstream
     repro subset    trace.jsonl --preset mainstream --radius 0.21
-    repro sweep     trace.jsonl --preset mainstream
+    repro sweep     trace.jsonl
     repro experiment e1 [--full-scale]   # e1..e10
     repro check     src/repro --format github
     repro runs      list|show|diff|regress   # run-history store
@@ -31,19 +31,13 @@ from repro.core.phasedetect import DEFAULT_INTERVAL_LENGTH, DEFAULT_TOLERANCE
 from repro.core.pipeline import SubsettingPipeline
 from repro.core.subsetting import build_subset
 from repro.errors import ReproError
-from repro.gfx.traceio import load_trace_auto as load_trace
-from repro.gfx.traceio import save_trace_auto as save_trace
-from repro.obs import (
-    NULL_TRACER,
-    JsonLogger,
-    NullLogger,
-    ObsContext,
-    ProgressReporter,
-    Tracer,
-    write_chrome_trace,
-    write_spans_jsonl,
-)
+from repro.gfx.traceio import load_trace_auto, save_trace_auto
+from repro.obs.context import ObsContext
+from repro.obs.export import write_chrome_trace, write_spans_jsonl
 from repro.obs.history import append_run, collect_record, open_store
+from repro.obs.logjson import JsonLogger, NullLogger
+from repro.obs.progress import ProgressReporter
+from repro.obs.spans import NULL_TRACER, Tracer
 from repro.runtime.engine import Runtime, stage_time_s, summary_line
 from repro.simgpu._kernels import KERNEL_BACKENDS, set_backend
 from repro.simgpu.config import GpuConfig
@@ -387,9 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="pathfinding sweep: parent vs subset over candidates"
     )
     sweep.add_argument("trace")
-    sweep.add_argument(
-        "--preset", choices=GpuConfig.preset_names(), default="mainstream"
-    )
     _add_runtime_flags(sweep)
 
     estimate = sub.add_parser(
@@ -776,7 +767,7 @@ def _cmd_generate(args) -> int:
     trace = generate_trace(
         args.game, num_frames=args.frames, seed=args.seed, scale=args.scale
     )
-    save_trace(trace, args.output)
+    save_trace_auto(trace, args.output)
     stats = trace.stats()
     print(
         f"wrote {args.output}: {stats.num_frames} frames, "
@@ -786,7 +777,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    trace = load_trace(args.trace)
+    trace = load_trace_auto(args.trace)
     stats = trace.stats()
     rows = [[key, value] for key, value in stats.as_dict().items()]
     print(format_table(["stat", "value"], rows, title=trace.name))
@@ -795,7 +786,7 @@ def _cmd_info(args) -> int:
 
 def _cmd_simulate(args) -> int:
     session = _ObsSession(args, "simulate")
-    trace = load_trace(args.trace)
+    trace = load_trace_auto(args.trace)
     config = GpuConfig.preset(args.preset)
     session.configs[config.name] = config
     session.traces[trace.name] = trace
@@ -812,7 +803,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_subset(args) -> int:
     session = _ObsSession(args, "subset")
-    trace = load_trace(args.trace)
+    trace = load_trace_auto(args.trace)
     config = GpuConfig.preset(args.preset)
     pipeline = SubsettingPipeline(
         radius=args.radius,
@@ -831,7 +822,7 @@ def _cmd_subset(args) -> int:
     session.artifacts = pipeline_artifact_sections(result, trace)
     if args.save_subset:
         subset_trace = result.subset.materialize(trace)
-        save_trace(subset_trace, args.save_subset)
+        save_trace_auto(subset_trace, args.save_subset)
         print(f"subset trace written to {args.save_subset}")
     if args.save_def:
         from repro.core.subsetio import save_subset as save_subset_def
@@ -847,7 +838,7 @@ def _cmd_estimate(args) -> int:
     from repro.core.subsetio import check_subset_against, load_subset
 
     session = _ObsSession(args, "estimate")
-    trace = load_trace(args.trace)
+    trace = load_trace_auto(args.trace)
     subset = load_subset(args.subset)
     check_subset_against(subset, trace)
     config = GpuConfig.preset(args.preset)
@@ -872,7 +863,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_characterize(args) -> int:
     from repro.analysis.characterize import characterize_trace
 
-    trace = load_trace(args.trace)
+    trace = load_trace_auto(args.trace)
     config = GpuConfig.preset(args.preset)
     print(characterize_trace(trace, config).report())
     return 0
@@ -883,7 +874,7 @@ def _cmd_validate(args) -> int:
     from repro.core.subsetio import check_subset_against, load_subset
 
     session = _ObsSession(args, "validate")
-    trace = load_trace(args.trace)
+    trace = load_trace_auto(args.trace)
     subset = load_subset(args.subset)
     check_subset_against(subset, trace)
     config = GpuConfig.preset(args.preset)
@@ -901,7 +892,7 @@ def _cmd_sweep(args) -> int:
     from repro.analysis.sweep import pathfinding_sweep
 
     session = _ObsSession(args, "sweep")
-    trace = load_trace(args.trace)
+    trace = load_trace_auto(args.trace)
     subset = build_subset(trace)
     session.traces[trace.name] = trace
     runtime = session.runtime
@@ -977,6 +968,9 @@ def _cmd_experiment(args) -> int:
     )
     session.traces.update(traces)
     trace = traces.get("bioshock2_like")
+    e5_lengths, e5_scale = (
+        experiments.E5_PAPER_CAPTURES if args.full_scale else experiments.E5_CI_CAPTURES
+    )
     runner = {
         "e1": lambda: experiments.e1_clustering_accuracy(
             traces, config, runtime=runtime
@@ -989,7 +983,7 @@ def _cmd_experiment(args) -> int:
         ),
         "e4": lambda: experiments.e4_phase_detection(traces),
         "e5": lambda: experiments.e5_subset_size(
-            "bioshock1_like", seed=args.seed, runtime=runtime
+            "bioshock1_like", e5_lengths, e5_scale, seed=args.seed, runtime=runtime
         ),
         "e6": lambda: experiments.e6_frequency_correlation(
             traces, config, runtime=runtime

@@ -18,40 +18,3 @@ Two composable reductions:
 :class:`repro.core.pipeline.SubsettingPipeline` runs the whole methodology
 end to end and validates the result against the performance model.
 """
-
-from repro.core.calibrate import CalibrationResult, calibrate_radius
-from repro.core.cluster_frame import FrameClustering, cluster_frame
-from repro.core.features import FEATURE_NAMES, FeatureExtractor
-from repro.core.metrics import frame_prediction_error
-from repro.core.phasedetect import PhaseDetection, detect_phases
-from repro.core.pipeline import PipelineResult, SubsettingPipeline
-from repro.core.shadervector import interval_signature, shader_vector
-from repro.core.subsetio import load_subset, save_subset
-from repro.core.subsetting import (
-    CombinedSubset,
-    WorkloadSubset,
-    build_combined_subset,
-    build_subset,
-)
-
-__all__ = [
-    "FEATURE_NAMES",
-    "FeatureExtractor",
-    "FrameClustering",
-    "cluster_frame",
-    "frame_prediction_error",
-    "shader_vector",
-    "interval_signature",
-    "PhaseDetection",
-    "detect_phases",
-    "WorkloadSubset",
-    "build_subset",
-    "CombinedSubset",
-    "build_combined_subset",
-    "save_subset",
-    "load_subset",
-    "calibrate_radius",
-    "CalibrationResult",
-    "SubsettingPipeline",
-    "PipelineResult",
-]

@@ -18,8 +18,7 @@ Each section starts with a 4-byte tag and a u32 record count.
 from __future__ import annotations
 
 import struct
-from pathlib import Path
-from typing import Any, BinaryIO, Callable, Dict, List, TypeVar, Union
+from typing import Any, BinaryIO, Callable, Dict, List, TypeVar
 
 import numpy as np
 
@@ -341,15 +340,3 @@ def read_trace_binary(stream: BinaryIO) -> Trace:
         )
     except ValidationError as exc:
         raise TraceFormatError(f"bad binary trace: {exc}") from exc
-
-
-def save_trace_binary(trace: Trace, path: Union[str, Path]) -> None:
-    """Write ``trace`` to ``path`` in the binary format (overwrites)."""
-    with open(path, "wb") as handle:
-        write_trace_binary(trace, handle)
-
-
-def load_trace_binary(path: Union[str, Path]) -> Trace:
-    """Read a binary-format trace from ``path``."""
-    with open(path, "rb") as handle:
-        return read_trace_binary(handle)

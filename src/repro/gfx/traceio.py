@@ -12,7 +12,7 @@ import io
 import json
 from operator import itemgetter
 from pathlib import Path
-from typing import Dict, IO, List, Sequence, Tuple, Union
+from typing import Dict, IO, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -235,9 +235,28 @@ def write_trace(trace: Trace, stream: IO[str]) -> None:
         stream.write(json.dumps(_frame_record(frame), check_circular=False) + "\n")
 
 
+def _numbered_lines(stream: IO[str]) -> Iterator[Tuple[int, str]]:
+    """``(line number, line)`` pairs from 1; undecodable bytes are a format error.
+
+    A text stream decodes a new chunk only when the text it holds has no
+    whole line left, so the bad bytes sit in the line being read, or in a
+    later one if the chunk has newlines before them.
+    """
+    line_number = 0
+    try:
+        for line_number, line in enumerate(stream, start=1):
+            yield line_number, line
+    except UnicodeDecodeError as exc:
+        bad_line = line_number + 1 + exc.object.count(b"\n", 0, exc.start)
+        raise TraceFormatError(
+            f"line {bad_line}: not UTF-8 text: {exc.reason}"
+        ) from exc
+
+
 def read_trace(stream: IO[str]) -> Trace:
     """Parse a trace from an open text stream of JSON lines."""
-    first = stream.readline()
+    lines = _numbered_lines(stream)
+    _, first = next(lines, (1, ""))
     if not first:
         raise TraceFormatError("empty trace stream")
     try:
@@ -259,7 +278,7 @@ def read_trace(stream: IO[str]) -> Trace:
     buffers: Dict[int, BufferDesc] = {}
     frames: List[Frame] = []
 
-    for line_number, line in enumerate(stream, start=2):
+    for line_number, line in lines:
         line = line.strip()
         if not line:
             continue
@@ -325,44 +344,35 @@ def read_trace(stream: IO[str]) -> Trace:
     )
 
 
-def save_trace(trace: Trace, path: Union[str, Path]) -> None:
-    """Write ``trace`` to ``path`` (overwrites)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        write_trace(trace, handle)
-
-
-def load_trace(path: Union[str, Path]) -> Trace:
-    """Read a trace from ``path``."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return read_trace(handle)
-
-
 BINARY_SUFFIXES = (".rpb", ".bin")
 
 
 def save_trace_auto(trace: Trace, path: Union[str, Path]) -> None:
-    """Write ``trace`` choosing the format by file suffix.
+    """Write ``trace`` to ``path`` (overwrites), choosing the format by suffix.
 
     ``.rpb``/``.bin`` select the compact binary format
     (:mod:`repro.gfx.tracebin`); anything else writes JSON lines.
     """
     if str(path).endswith(BINARY_SUFFIXES):
-        from repro.gfx.tracebin import save_trace_binary
+        from repro.gfx.tracebin import write_trace_binary
 
-        save_trace_binary(trace, path)
+        with open(path, "wb") as handle:
+            write_trace_binary(trace, handle)
     else:
-        save_trace(trace, path)
+        with open(path, "w", encoding="utf-8") as handle:
+            write_trace(trace, handle)
 
 
 def load_trace_auto(path: Union[str, Path]) -> Trace:
-    """Read a trace detecting the format from the file's first bytes."""
-    from repro.gfx.tracebin import MAGIC, load_trace_binary
+    """Read a trace from ``path``, detecting the format from its first bytes."""
+    from repro.gfx.tracebin import MAGIC, read_trace_binary
 
     with open(path, "rb") as handle:
-        head = handle.read(4)
-    if head == MAGIC:
-        return load_trace_binary(path)
-    return load_trace(path)
+        if handle.read(len(MAGIC)) == MAGIC:
+            handle.seek(0)
+            return read_trace_binary(handle)
+    with open(path, "r", encoding="utf-8") as handle:
+        return read_trace(handle)
 
 
 def trace_to_string(trace: Trace) -> str:

@@ -34,90 +34,3 @@ no-op context manager.  The runtime records through one
 See ``docs/OBSERVABILITY.md`` for the span model, metric naming
 conventions, and how to open a trace in Perfetto.
 """
-
-from repro.obs.artifacts import (
-    ARTIFACTS_VERSION,
-    artifact_link,
-    artifacts_dir_for,
-    load_artifacts,
-    pipeline_artifact_sections,
-    read_index,
-    sweep_artifact_sections,
-    write_artifacts,
-)
-from repro.obs.analyze import (
-    RegressionReport,
-    SpanRollup,
-    compare_to_baseline,
-    render_regressions,
-    rollup_spans,
-)
-from repro.obs.context import ObsContext, activate_obs, current_obs, current_tracer
-from repro.obs.export import (
-    chrome_trace_document,
-    chrome_trace_events,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_spans_jsonl,
-)
-from repro.obs.history import (
-    RUN_STORE_VERSION,
-    RunRecord,
-    RunStore,
-    new_run_id,
-    record_run,
-)
-from repro.obs.logjson import JsonLogger, NullLogger
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    HistogramSnapshot,
-    Metrics,
-    MetricsSnapshot,
-    label_key,
-)
-from repro.obs.progress import NULL_PROGRESS, NullProgress, ProgressReporter
-from repro.obs.spans import NULL_TRACER, NullTracer, Span, Tracer
-
-__all__ = [
-    "ARTIFACTS_VERSION",
-    "DEFAULT_BUCKETS",
-    "HistogramSnapshot",
-    "JsonLogger",
-    "Metrics",
-    "MetricsSnapshot",
-    "NULL_PROGRESS",
-    "NULL_TRACER",
-    "NullLogger",
-    "NullProgress",
-    "NullTracer",
-    "ObsContext",
-    "ProgressReporter",
-    "RUN_STORE_VERSION",
-    "RegressionReport",
-    "RunRecord",
-    "RunStore",
-    "Span",
-    "SpanRollup",
-    "Tracer",
-    "activate_obs",
-    "artifact_link",
-    "artifacts_dir_for",
-    "chrome_trace_document",
-    "chrome_trace_events",
-    "compare_to_baseline",
-    "current_obs",
-    "current_tracer",
-    "label_key",
-    "load_artifacts",
-    "new_run_id",
-    "pipeline_artifact_sections",
-    "read_index",
-    "record_run",
-    "render_regressions",
-    "rollup_spans",
-    "sweep_artifact_sections",
-    "validate_chrome_trace",
-    "write_artifacts",
-    "write_chrome_trace",
-    "write_spans_jsonl",
-]

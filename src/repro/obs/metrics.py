@@ -251,10 +251,6 @@ class Metrics:
 
     # -- reading -----------------------------------------------------------
 
-    def counter_value(self, name: str, **labels: Any) -> int:
-        with self._lock:
-            return int(self._counters.get((name, label_key(labels)), 0))
-
     def counter_total(self, name: str) -> int:
         """Sum of a counter across all label sets."""
         with self._lock:

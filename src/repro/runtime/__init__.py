@@ -26,40 +26,3 @@ See ``docs/RUNTIME.md`` for the architecture, the cache-key recipe, and
 the invalidation rules, and ``docs/OBSERVABILITY.md`` for the span
 model and metric naming conventions.
 """
-
-from repro.runtime.cache import (
-    CACHE_DIR_ENV,
-    CACHE_MISS,
-    ArtifactCache,
-    NullCache,
-    default_cache_dir,
-)
-from repro.runtime.engine import Runtime, TaskEngine, summary_line
-from repro.runtime.keys import (
-    CACHE_FORMAT_VERSION,
-    config_digest,
-    params_digest,
-    task_key,
-    trace_digest,
-)
-from repro.runtime.tasks import TASK_FUNCTIONS, Task, TaskResult, task_function
-
-__all__ = [
-    "ArtifactCache",
-    "CACHE_DIR_ENV",
-    "CACHE_FORMAT_VERSION",
-    "CACHE_MISS",
-    "NullCache",
-    "Runtime",
-    "TASK_FUNCTIONS",
-    "Task",
-    "TaskEngine",
-    "TaskResult",
-    "config_digest",
-    "default_cache_dir",
-    "params_digest",
-    "summary_line",
-    "task_function",
-    "task_key",
-    "trace_digest",
-]

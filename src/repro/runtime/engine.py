@@ -241,9 +241,9 @@ def available_cpus() -> int:
 class Runtime:
     """Parallel, cache-aware execution facade for the pipeline layers.
 
-    The default construction (``Runtime()`` / :meth:`Runtime.serial`) is
-    the zero-surprise configuration: one process, no cache, results
-    bit-identical to the historical serial code paths.  ``jobs=N`` is
+    The default construction (``Runtime()``) is the zero-surprise
+    configuration: one process, no cache, results bit-identical to
+    the historical serial code paths.  ``jobs=N`` is
     the most worker processes a run may use, and ``jobs="auto"`` sets it
     to the CPUs this process may run on.  Either way each fan-out gets
     as many tasks as its work pays for (:meth:`_ranges`), so one too
@@ -335,11 +335,6 @@ class Runtime:
                 yield
         finally:
             self.metrics.observe("stage_s", time.perf_counter() - start, stage=name)
-
-    @classmethod
-    def serial(cls) -> "Runtime":
-        """One process, no cache — the reference configuration."""
-        return cls(jobs=1)
 
     # -- chunking ----------------------------------------------------------
 

@@ -8,7 +8,7 @@ by kind name after a fork/spawn) and registered in
 (shipped once per worker, not once per task — the trace is the heavy
 part) and their payload, and return their value.
 
-Task bodies run under an ambient :class:`repro.obs.ObsContext`: the
+Task bodies run under an ambient :class:`repro.obs.context.ObsContext`: the
 counters, histograms and nested spans they record land in the parent's
 registry directly when executing inline, or in a worker-local registry
 that ships back inside a :class:`TaskResult` when executing in a pool

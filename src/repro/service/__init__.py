@@ -20,27 +20,3 @@ Pieces (each usable on its own):
 - :mod:`repro.service.http` — the ``ThreadingHTTPServer`` shim;
 - :mod:`repro.service.client` — stdlib client the CLI subcommands use.
 """
-
-from repro.service.api import Response, ServiceApp
-from repro.service.client import ServiceClient, ServiceClientError
-from repro.service.executor import (
-    JobConflictError,
-    JobExecutor,
-    QueueFullError,
-)
-from repro.service.jobs import JobRecord, JobStore
-from repro.service.specs import JobSpec, validate_job_request
-
-__all__ = [
-    "JobConflictError",
-    "JobExecutor",
-    "JobRecord",
-    "JobSpec",
-    "JobStore",
-    "QueueFullError",
-    "Response",
-    "ServiceApp",
-    "ServiceClient",
-    "ServiceClientError",
-    "validate_job_request",
-]

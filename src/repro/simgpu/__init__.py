@@ -11,19 +11,7 @@ cannot see and must tolerate.
 
 Two execution paths produce identical numbers:
 
-- :class:`GpuSimulator` — the authoritative per-draw sequential model.
+- :class:`~repro.simgpu.simulator.GpuSimulator` — the authoritative per-draw sequential model.
 - :mod:`repro.simgpu.batch` — a numpy-vectorized path for paper-scale
   corpora (hundreds of thousands of draws).
 """
-
-from repro.simgpu.config import GpuConfig
-from repro.simgpu.cost import DrawCost
-from repro.simgpu.simulator import FrameResult, GpuSimulator, TraceResult
-
-__all__ = [
-    "GpuConfig",
-    "DrawCost",
-    "GpuSimulator",
-    "FrameResult",
-    "TraceResult",
-]

@@ -14,9 +14,6 @@ from typing import Optional, Sequence, Tuple
 from repro.gfx.drawcall import DrawCall
 from repro.gfx.resources import RenderTargetDesc, TextureDesc
 from repro.gfx.shader import ShaderProgram
-# Leaf imports rather than `from repro.simgpu import ...`: the package
-# __init__ imports this module, so importing through the package would
-# make cost.py part of an import cycle (repro.checks rule IMP003).
 import repro.simgpu.memory as memory
 import repro.simgpu.raster as raster
 import repro.simgpu.rop as rop

@@ -17,16 +17,3 @@ expands it — deterministically from a seed — into a full
 Ground-truth segment boundaries are recorded in ``trace.metadata`` so
 phase-detection quality can be evaluated against them.
 """
-
-from repro.synth.generator import TraceGenerator, generate_trace
-from repro.synth.phasescript import PhaseScript, Segment, SegmentKind
-from repro.synth.profiles import GameProfile
-
-__all__ = [
-    "GameProfile",
-    "PhaseScript",
-    "Segment",
-    "SegmentKind",
-    "TraceGenerator",
-    "generate_trace",
-]

@@ -1,34 +1,5 @@
-"""Shared utilities: seeded RNG, statistics, tables, validation helpers."""
-
-from repro.util.rng import derive_seed, make_rng
-from repro.util.stats import (
-    geometric_mean,
-    mean_absolute_percentage_error,
-    pearson_correlation,
-    spearman_correlation,
-    summarize,
-)
-from repro.util.tables import format_table
-from repro.util.validation import (
-    check_fraction,
-    check_in,
-    check_nonnegative,
-    check_positive,
-    check_type,
-)
-
-__all__ = [
-    "derive_seed",
-    "make_rng",
-    "geometric_mean",
-    "mean_absolute_percentage_error",
-    "pearson_correlation",
-    "spearman_correlation",
-    "summarize",
-    "format_table",
-    "check_fraction",
-    "check_in",
-    "check_nonnegative",
-    "check_positive",
-    "check_type",
-]
+"""Shared utilities: seeded RNG (:mod:`repro.util.rng`), statistics
+(:mod:`repro.util.stats`), tables and charts (:mod:`repro.util.tables`,
+:mod:`repro.util.charts`), argument validation
+(:mod:`repro.util.validation`) and atomic file writes
+(:mod:`repro.util.atomicfile`)."""

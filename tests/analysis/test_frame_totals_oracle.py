@@ -33,7 +33,7 @@ def parent_and_subset():
 
 def _oracle_times(trace, subset, configs):
     """(parent totals, subset estimates) from per-draw outputs."""
-    runtime = Runtime.serial()
+    runtime = Runtime()
     parent = []
     for outputs in runtime.simulate_frames_many(trace, configs):
         total = 0.0

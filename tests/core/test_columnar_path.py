@@ -10,8 +10,7 @@ import pytest
 
 from repro.core.pipeline import SubsettingPipeline
 from repro.gfx.drawcall import DrawCall
-from repro.gfx.tracebin import save_trace_binary
-from repro.gfx.traceio import load_trace_auto, save_trace, trace_to_string
+from repro.gfx.traceio import load_trace_auto, save_trace_auto, trace_to_string
 from repro.runtime.engine import Runtime
 from repro.simgpu.config import GpuConfig
 from repro.synth.generator import generate_trace
@@ -34,8 +33,8 @@ def drawcalls_built(monkeypatch):
 @pytest.mark.parametrize("game", ["bioshock1_like", "bioshock_infinite_like"])
 def test_generate_and_write_build_no_drawcall(tmp_path, drawcalls_built, game):
     trace = generate_trace(game, num_frames=16, seed=3, scale=0.1)
-    save_trace(trace, tmp_path / "trace.jsonl")
-    save_trace_binary(trace, tmp_path / "trace.rpb")
+    save_trace_auto(trace, tmp_path / "trace.jsonl")
+    save_trace_auto(trace, tmp_path / "trace.rpb")
     trace_to_string(trace)
     assert trace.num_draws > 0
     assert len(drawcalls_built) == 0
@@ -43,8 +42,8 @@ def test_generate_and_write_build_no_drawcall(tmp_path, drawcalls_built, game):
 
 def test_load_and_subset_build_no_drawcall(tmp_path, drawcalls_built):
     trace = generate_trace("bioshock1_like", num_frames=16, seed=3, scale=0.1)
-    save_trace(trace, tmp_path / "trace.jsonl")
-    save_trace_binary(trace, tmp_path / "trace.rpb")
+    save_trace_auto(trace, tmp_path / "trace.jsonl")
+    save_trace_auto(trace, tmp_path / "trace.rpb")
     for name in ("trace.jsonl", "trace.rpb"):
         loaded = load_trace_auto(tmp_path / name)
         result = SubsettingPipeline().run(

@@ -53,7 +53,7 @@ class TestBuildCombinedSubset:
         trace, _, _, combined = world
         for preset in ("lowpower", "mainstream", "highend"):
             config = GpuConfig.preset(preset)
-            actual = Runtime.serial().simulate_trace(trace, config).total_time_ns
+            actual = Runtime().simulate_trace(trace, config).total_time_ns
             estimate = combined.estimate_on_config(config, runtime=Runtime())
             error = abs(estimate - actual) / actual
             assert error < 0.15, f"{preset}: {100 * error:.1f}%"
@@ -66,7 +66,7 @@ class TestBuildCombinedSubset:
         parent, estimates = [], []
         for clock in clocks:
             config = CFG.with_core_clock(clock)
-            parent.append(Runtime.serial().simulate_trace(trace, config).total_time_ns)
+            parent.append(Runtime().simulate_trace(trace, config).total_time_ns)
             estimates.append(combined.estimate_on_config(config, runtime=Runtime()))
         parent_imp = [parent[0] / t - 1 for t in parent[1:]]
         est_imp = [estimates[0] / t - 1 for t in estimates[1:]]

@@ -56,7 +56,7 @@ class TestSubsetIO:
         path = tmp_path / "subset.json"
         save_subset(subset, path)
         back = load_subset(path)
-        actual = Runtime.serial().simulate_trace(game_trace, config).total_time_ns
+        actual = Runtime().simulate_trace(game_trace, config).total_time_ns
         estimate = back.estimate_on_config(game_trace, config, runtime=Runtime())
         assert abs(estimate - actual) / actual < 0.1
 
@@ -197,7 +197,7 @@ class TestIncrementalClusterer:
         from repro.simgpu.config import GpuConfig
 
         config = GpuConfig.preset("mainstream")
-        ground = Runtime.serial().simulate_frames(game_trace, config)
+        ground = Runtime().simulate_frames(game_trace, config)
         normalizer = fit_shared_normalizer(matrices)
         clusterer = IncrementalClusterer(radius=0.3, normalizer=normalizer)
         errors = []

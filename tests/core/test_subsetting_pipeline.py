@@ -69,9 +69,9 @@ class TestPredict:
         pipeline = SubsettingPipeline()
         clusterings = pipeline.cluster_all_frames(game_trace, runtime=Runtime())
         clustering = clusterings[0]
-        truth = Runtime.serial().simulate_frames(game_trace, CFG)[0]
+        truth = Runtime().simulate_frames(game_trace, CFG)[0]
         rep_trace = pipeline.representative_trace(game_trace, clusterings)
-        rep_out = Runtime.serial().simulate_frames(rep_trace, CFG)[0]
+        rep_out = Runtime().simulate_frames(rep_trace, CFG)[0]
         reps = clustering.representatives
         isolated_times = rep_out.draw_times_ns[np.searchsorted(np.sort(reps), reps)]
 

@@ -18,8 +18,7 @@ from repro.gfx.enums import PassType, TextureFormat
 from repro.gfx.frame import Frame, PassSpan, RenderPass
 from repro.gfx.resources import BufferDesc
 from repro.gfx.shader import make_shader
-from repro.gfx.tracebin import save_trace_binary
-from repro.gfx.traceio import load_trace_auto, save_trace
+from repro.gfx.traceio import load_trace_auto, save_trace_auto
 from repro.runtime.keys import trace_digest
 from repro.synth.generator import generate_trace
 
@@ -31,8 +30,8 @@ def routes(tmp_path_factory):
     """(synth-built, .jsonl-loaded, .rpb-loaded) copies of one trace."""
     trace = generate_trace("bioshock1_like", num_frames=6, seed=5, scale=0.05)
     directory = tmp_path_factory.mktemp("routes")
-    save_trace(trace, directory / "trace.jsonl")
-    save_trace_binary(trace, directory / "trace.rpb")
+    save_trace_auto(trace, directory / "trace.jsonl")
+    save_trace_auto(trace, directory / "trace.rpb")
     return (
         trace,
         load_trace_auto(directory / "trace.jsonl"),

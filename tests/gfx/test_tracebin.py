@@ -18,13 +18,8 @@ from repro.gfx.enums import (
 )
 from repro.gfx.frame import Frame, RenderPass
 from repro.gfx.resources import BufferDesc
-from repro.gfx.tracebin import (
-    load_trace_binary,
-    read_trace_binary,
-    save_trace_binary,
-    write_trace_binary,
-)
-from repro.gfx.traceio import trace_to_string
+from repro.gfx.tracebin import read_trace_binary, write_trace_binary
+from repro.gfx.traceio import load_trace_auto, save_trace_auto, trace_to_string
 
 from tests.conftest import make_draw, make_world
 from tests.test_properties import draw_strategy
@@ -48,8 +43,8 @@ class TestRoundTrip:
 
     def test_file_roundtrip(self, simple_trace, tmp_path):
         path = tmp_path / "trace.rpb"
-        save_trace_binary(simple_trace, path)
-        back = load_trace_binary(path)
+        save_trace_auto(simple_trace, path)
+        back = load_trace_auto(path)
         assert back.frames == simple_trace.frames
 
     def test_synth_trace(self):

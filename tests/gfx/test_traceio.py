@@ -8,8 +8,9 @@ import pytest
 from repro.errors import TraceFormatError
 from repro.gfx.traceio import (
     FORMAT_VERSION,
-    load_trace,
-    save_trace,
+    load_trace_auto,
+    read_trace,
+    save_trace_auto,
     trace_from_string,
     trace_to_string,
 )
@@ -29,8 +30,8 @@ class TestRoundTrip:
 
     def test_file_roundtrip(self, simple_trace, tmp_path):
         path = tmp_path / "trace.jsonl"
-        save_trace(simple_trace, path)
-        back = load_trace(path)
+        save_trace_auto(simple_trace, path)
+        back = load_trace_auto(path)
         assert back.frames == simple_trace.frames
 
     def test_metadata_preserved(self):
@@ -80,6 +81,20 @@ class TestFormatErrors:
         extra = json.dumps({"type": "texture", "id": 1})  # missing fields
         with pytest.raises(TraceFormatError, match="line"):
             trace_from_string(text + extra + "\n")
+
+    @pytest.mark.parametrize("padding", [0, 20_000], ids=["short", "long-header"])
+    @pytest.mark.parametrize("bad_line", [1, 3, -1], ids=["first", "third", "last"])
+    def test_non_utf8_bytes_name_their_line(self, padding, bad_line):
+        # The stream decodes in chunks; a 20 KB header puts the later
+        # lines past the first decoded chunk.
+        trace = make_world([[make_draw()], [make_draw()]])
+        trace.metadata["note"] = "x" * padding
+        lines = trace_to_string(trace).encode().splitlines(keepends=True)
+        index = bad_line - 1 if bad_line > 0 else len(lines) + bad_line
+        lines[index] = lines[index][:2] + b"\xff" + lines[index][2:]
+        stream = io.TextIOWrapper(io.BytesIO(b"".join(lines)), encoding="utf-8")
+        with pytest.raises(TraceFormatError, match=f"^line {index + 1}: not UTF-8"):
+            read_trace(stream)
 
     def test_blank_lines_ignored(self, simple_trace):
         text = trace_to_string(simple_trace)

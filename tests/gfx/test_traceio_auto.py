@@ -1,5 +1,8 @@
 """Tests for format auto-detection in trace IO."""
 
+import pytest
+
+from repro.errors import TraceFormatError
 from repro.gfx.traceio import load_trace_auto, save_trace_auto
 
 from tests.conftest import make_draw, make_world
@@ -22,13 +25,24 @@ class TestAutoIO:
 
     def test_load_sniffs_content_not_suffix(self, tmp_path):
         # A binary trace saved with a .jsonl name still loads.
-        from repro.gfx.tracebin import save_trace_binary
+        from repro.gfx.tracebin import write_trace_binary
 
         trace = make_world([[make_draw()]])
         path = tmp_path / "mislabeled.jsonl"
-        save_trace_binary(trace, path)
+        with open(path, "wb") as handle:
+            write_trace_binary(trace, handle)
         back = load_trace_auto(path)
         assert back.frames == trace.frames
+
+    def test_non_utf8_file_is_a_format_error(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "junk.bin"
+        path.write_bytes(b"\x80\x81garbage\n")
+        with pytest.raises(TraceFormatError, match="line 1: not UTF-8"):
+            load_trace_auto(path)
+        assert main(["info", str(path)]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_cli_generates_binary(self, tmp_path):
         from repro.cli import main

@@ -127,13 +127,13 @@ class TestRunRecordTiming:
         from repro import cli
         from repro.obs.history import RunStore
 
-        load_trace = cli.load_trace
+        load_trace_auto = cli.load_trace_auto
 
         def slow_load(path):
             time.sleep(0.5)
-            return load_trace(path)
+            return load_trace_auto(path)
 
-        monkeypatch.setattr(cli, "load_trace", slow_load)
+        monkeypatch.setattr(cli, "load_trace_auto", slow_load)
         store_dir = tmp_path / "runs"
         argv = ["simulate", str(trace_file), "--no-cache", "--run-store", str(store_dir)]
         assert main(argv) == 0

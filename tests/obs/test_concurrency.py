@@ -29,10 +29,10 @@ class TestMetricsUnderContention:
                 metrics.inc("per_thread", thread=thread_index)
 
         _run_in_threads(work)
-        assert metrics.counter_value("shared") == THREADS * ROUNDS
+        assert metrics.snapshot().counter("shared") == THREADS * ROUNDS
         assert metrics.counter_total("per_thread") == THREADS * ROUNDS
         for i in range(THREADS):
-            assert metrics.counter_value("per_thread", thread=i) == ROUNDS
+            assert metrics.snapshot().counter("per_thread", thread=i) == ROUNDS
 
     def test_histogram_observations_are_lossless(self):
         metrics = Metrics()

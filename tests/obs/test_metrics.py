@@ -24,9 +24,9 @@ class TestLabels:
         metrics = Metrics()
         metrics.inc("frames", 3, phase="ground")
         metrics.inc("frames", 5, phase="reps")
-        assert metrics.counter_value("frames", phase="ground") == 3
-        assert metrics.counter_value("frames", phase="reps") == 5
-        assert metrics.counter_value("frames") == 0  # unlabeled is its own series
+        assert metrics.snapshot().counter("frames", phase="ground") == 3
+        assert metrics.snapshot().counter("frames", phase="reps") == 5
+        assert metrics.snapshot().counter("frames") == 0  # unlabeled is its own series
         assert metrics.counter_total("frames") == 8
 
 
@@ -35,7 +35,7 @@ class TestCountersAndGauges:
         metrics = Metrics()
         metrics.inc("n")
         metrics.inc("n", 4)
-        assert metrics.counter_value("n") == 5
+        assert metrics.snapshot().counter("n") == 5
 
     def test_gauge_last_write_wins(self):
         metrics = Metrics()
@@ -44,7 +44,7 @@ class TestCountersAndGauges:
         assert metrics.snapshot().gauge("workers") == 8.0
 
     def test_missing_counter_reads_zero(self):
-        assert Metrics().counter_value("nope") == 0
+        assert Metrics().snapshot().counter("nope") == 0
         assert Metrics().snapshot().counter("nope") == 0
 
 
@@ -118,7 +118,7 @@ class TestMerge:
         parent.inc("frames", 2, phase="ground")
         parent.merge(worker.dump())
 
-        assert parent.counter_value("frames", phase="ground") == 8
+        assert parent.snapshot().counter("frames", phase="ground") == 8
         assert parent.snapshot().gauge("depth") == 3.0
         hist = parent.snapshot().histogram("wall_s", worker="123")
         assert hist.count == 1
@@ -128,7 +128,7 @@ class TestMerge:
         metrics.inc("n")
         metrics.merge(None)
         metrics.merge({})
-        assert metrics.counter_value("n") == 1
+        assert metrics.snapshot().counter("n") == 1
 
     def test_dump_is_picklable_and_json_independent(self):
         import pickle
@@ -149,7 +149,7 @@ class TestSnapshot:
         snap = metrics.snapshot()
         metrics.inc("n", 10)
         assert snap.counter("n") == 1
-        assert metrics.counter_value("n") == 11
+        assert metrics.snapshot().counter("n") == 11
 
     def test_counter_totals_aggregate_over_labels(self):
         metrics = Metrics()

@@ -59,9 +59,9 @@ class TestParallelObservabilityParity:
         serial = _run(trace, config, jobs=1)
         parallel = _run(trace, config, jobs=4)
         for phase in ("ground_truth", "representatives"):
-            assert parallel.metrics.counter_value(
+            assert parallel.metrics.snapshot().counter(
                 "frames_simulated", phase=phase
-            ) == serial.metrics.counter_value("frames_simulated", phase=phase)
+            ) == serial.metrics.snapshot().counter("frames_simulated", phase=phase)
 
     def test_worker_spans_ship_and_stitch(self, trace, config):
         parallel = _run(trace, config, jobs=4)

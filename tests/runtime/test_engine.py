@@ -251,6 +251,6 @@ class TestAdaptiveRuntime:
         from repro.simgpu.config import GpuConfig
 
         config = GpuConfig.preset("mainstream")
-        reference = Runtime.serial().simulate_trace(simple_trace, config)
+        reference = Runtime().simulate_trace(simple_trace, config)
         adaptive = Runtime(jobs="auto").simulate_trace(simple_trace, config)
         assert adaptive == reference

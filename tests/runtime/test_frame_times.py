@@ -40,7 +40,7 @@ def candidates():
 
 
 def _per_draw_frame_times(trace, configs):
-    reference = Runtime.serial()
+    reference = Runtime()
     return [
         [out.time_ns for out in reference.simulate_frames(trace, config)]
         for config in configs
@@ -78,7 +78,7 @@ def test_duplicate_configs_simulate_once(trace, candidates):
 
 
 def test_no_configs(trace):
-    assert Runtime.serial().frame_times_many(trace, []).shape == (0, trace.num_frames)
+    assert Runtime().frame_times_many(trace, []).shape == (0, trace.num_frames)
 
 
 def test_extended_sweep_simulates_only_the_new_candidate(

@@ -23,7 +23,7 @@ def _spec(**kwargs):
 
 def _counter(metrics, name: str, **labels) -> int:
     if labels:
-        return metrics.counter_value(name, **labels)
+        return metrics.snapshot().counter(name, **labels)
     return metrics.counter_total(name)
 
 

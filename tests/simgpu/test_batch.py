@@ -76,7 +76,7 @@ config_strategy = st.builds(
 class TestEquivalence:
     def test_matches_sequential_on_fixture(self, simple_trace):
         seq = GpuSimulator(CFG).simulate_trace(simple_trace, keep_draw_costs=True)
-        bat = Runtime.serial().simulate_trace(simple_trace, CFG)
+        bat = Runtime().simulate_trace(simple_trace, CFG)
         assert bat.total_time_ns == pytest.approx(seq.total_time_ns, rel=1e-12)
         for fs, fb in zip(seq.frame_results, bat.frame_results):
             assert fb.time_ns == pytest.approx(fs.time_ns, rel=1e-12)
@@ -104,7 +104,7 @@ class TestEquivalence:
         trace = make_world([draws])
         config = GpuConfig.preset(preset)
         seq = GpuSimulator(config).simulate_trace(trace)
-        bat = Runtime.serial().simulate_trace(trace, config)
+        bat = Runtime().simulate_trace(trace, config)
         assert bat.total_time_ns == pytest.approx(seq.total_time_ns, rel=1e-9)
 
 

@@ -28,12 +28,12 @@ def heavy_fill_trace():
 
 class TestMemorySweep:
     def test_memory_clock_helps_bandwidth_bound(self, heavy_fill_trace):
-        times = Runtime.serial().frame_times_many(heavy_fill_trace, MEMORY_SWEEP).sum(axis=1)
+        times = Runtime().frame_times_many(heavy_fill_trace, MEMORY_SWEEP).sum(axis=1)
         assert times[0] / times[-1] > 1.05
 
     def test_domains_differ(self, heavy_fill_trace):
-        core = Runtime.serial().frame_times_many(heavy_fill_trace, CORE_SWEEP).sum(axis=1)
-        mem = Runtime.serial().frame_times_many(heavy_fill_trace, MEMORY_SWEEP).sum(axis=1)
+        core = Runtime().frame_times_many(heavy_fill_trace, CORE_SWEEP).sum(axis=1)
+        mem = Runtime().frame_times_many(heavy_fill_trace, MEMORY_SWEEP).sum(axis=1)
         assert not np.array_equal(core, mem)
 
     def test_compute_bound_ignores_memory_clock(self):
@@ -41,9 +41,9 @@ class TestMemorySweep:
         draws = [make_draw(vertex_count=200000, pixels=100, texture_ids=())
                  for _ in range(4)]
         trace = make_world([draws])
-        times = Runtime.serial().frame_times_many(trace, MEMORY_SWEEP).sum(axis=1)
+        times = Runtime().frame_times_many(trace, MEMORY_SWEEP).sum(axis=1)
         assert times[0] / times[-1] < 1.4
 
     def test_monotone(self, heavy_fill_trace):
-        times = Runtime.serial().frame_times_many(heavy_fill_trace, MEMORY_SWEEP).sum(axis=1)
+        times = Runtime().frame_times_many(heavy_fill_trace, MEMORY_SWEEP).sum(axis=1)
         assert times[0] >= times[1] >= times[2]

@@ -514,6 +514,6 @@ class TestKernelsMatchSequentialSimulator:
         config = GpuConfig()
         reference = GpuSimulator(config).simulate_trace(trace)
         monkeypatch.setenv(_kernels.KERNELS_ENV, "auto")
-        batch = Runtime.serial().simulate_trace(trace, config)
+        batch = Runtime().simulate_trace(trace, config)
         for ref, new in zip(reference.frame_results, batch.frame_results):
             assert new.time_ns == pytest.approx(ref.time_ns, rel=1e-12)

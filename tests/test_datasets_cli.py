@@ -138,6 +138,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "ranking agreement" in out
 
+    def test_sweep_takes_no_preset(self, trace_file, capsys):
+        # The sweep prices its own candidate set; it has no preset to pick.
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", str(trace_file), "--preset", "highend"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --preset" in capsys.readouterr().err
+
     def test_missing_file_is_clean_error(self, capsys):
         assert main(["info", "/nonexistent/trace.jsonl"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -213,8 +220,8 @@ class TestCli:
 
         calls = []
 
-        def fake_e5(game, *, seed, runtime):
-            calls.append((game, seed, type(runtime)))
+        def fake_e5(game, lengths, scale, *, seed, runtime):
+            calls.append((game, tuple(lengths), scale, seed, type(runtime)))
             return ExperimentResult("E5", "stub", ("frames",), ((1,),))
 
         monkeypatch.setattr(experiments, "e5_subset_size", fake_e5)
@@ -222,7 +229,13 @@ class TestCli:
         argv = ["experiment", "e5", "--seed", "3", "--manifest-out", str(record),
                 "--no-run-store"]
         assert main(argv) == 0
-        assert calls == [("bioshock1_like", 3, Runtime)]
+        assert main([*argv, "--full-scale"]) == 0
+        ci_lengths, ci_scale = experiments.E5_CI_CAPTURES
+        paper_lengths, paper_scale = experiments.E5_PAPER_CAPTURES
+        assert calls == [
+            ("bioshock1_like", ci_lengths, ci_scale, 3, Runtime),
+            ("bioshock1_like", paper_lengths, paper_scale, 3, Runtime),
+        ]
         written = json.loads(record.read_text())
         assert written["seeds"] == {"corpus": 3}
         assert written["config_digests"] == {}

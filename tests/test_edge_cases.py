@@ -70,7 +70,7 @@ class TestDegenerateDraws:
     def test_huge_instance_count(self):
         draw = make_draw(vertex_count=4, instance_count=100000, pixels=1000)
         trace = make_world([[draw]])
-        result = Runtime.serial().simulate_trace(trace, CFG)
+        result = Runtime().simulate_trace(trace, CFG)
         assert np.isfinite(result.total_time_ns)
 
     def test_identical_draws_cluster_to_one(self):
@@ -96,8 +96,8 @@ class TestExtremeConfigs:
         )
         small = make_world([[make_draw(pixels=1000)]])
         large = make_world([[make_draw(pixels=100000)]])
-        t_small = Runtime.serial().simulate_trace(small, tiny).total_time_ns
-        t_large = Runtime.serial().simulate_trace(large, tiny).total_time_ns
+        t_small = Runtime().simulate_trace(small, tiny).total_time_ns
+        t_large = Runtime().simulate_trace(large, tiny).total_time_ns
         assert t_large > t_small
 
     def test_giant_cache_eliminates_capacity_misses(self):
@@ -119,6 +119,6 @@ class TestExtremeConfigs:
         draw = make_draw()
         noisy = dataclasses.replace(draw)
         noisy.metadata["comment"] = "hello"
-        a = Runtime.serial().simulate_trace(make_world([[draw]]), CFG).total_time_ns
-        b = Runtime.serial().simulate_trace(make_world([[noisy]]), CFG).total_time_ns
+        a = Runtime().simulate_trace(make_world([[draw]]), CFG).total_time_ns
+        b = Runtime().simulate_trace(make_world([[noisy]]), CFG).total_time_ns
         assert a == b

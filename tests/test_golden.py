@@ -87,7 +87,7 @@ def experiment_digest() -> str:
     mainstream = GpuConfig.preset("mainstream")
     traces = {trace.name: trace}
     incremental = incremental_clustering_metrics(
-        trace, Runtime.serial().simulate_frames(trace, mainstream)
+        trace, Runtime().simulate_frames(trace, mainstream)
     )
     parts = [
         ("e1", e1_clustering_accuracy(traces, mainstream, runtime=Runtime()).rows),
@@ -141,7 +141,7 @@ def compute_digests() -> Dict[str, str]:
     presets = [GpuConfig.preset(name) for name in PRESETS]
     preset_parts = [
         (config.name, np.asarray([out.time_ns for out in outputs]))
-        for config, outputs in zip(presets, Runtime.serial().simulate_frames_many(trace, presets))
+        for config, outputs in zip(presets, Runtime().simulate_frames_many(trace, presets))
     ]
     e9 = e9_cross_architecture_transfer({trace.name: trace}, PRESETS, runtime=Runtime())
     e10 = e10_phase_signal_stability({trace.name: trace}, runtime=Runtime())

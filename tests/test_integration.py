@@ -26,19 +26,19 @@ def generated_trace(request):
 class TestGeneratedTracesAreSimulable:
     def test_validate_and_simulate(self, generated_trace):
         validate_trace(generated_trace)
-        result = Runtime.serial().simulate_trace(generated_trace, CFG)
+        result = Runtime().simulate_trace(generated_trace, CFG)
         assert result.total_time_ns > 0
         assert all(t > 0 for t in result.frame_times_ns)
 
     def test_sequential_batch_agree_on_generated(self, generated_trace):
         seq = GpuSimulator(CFG).simulate_trace(generated_trace)
-        bat = Runtime.serial().simulate_trace(generated_trace, CFG)
+        bat = Runtime().simulate_trace(generated_trace, CFG)
         assert bat.total_time_ns == pytest.approx(seq.total_time_ns, rel=1e-9)
 
     def test_serialization_roundtrip_preserves_simulation(self, generated_trace):
         back = trace_from_string(trace_to_string(generated_trace))
-        a = Runtime.serial().simulate_trace(generated_trace, CFG).total_time_ns
-        b = Runtime.serial().simulate_trace(back, CFG).total_time_ns
+        a = Runtime().simulate_trace(generated_trace, CFG).total_time_ns
+        b = Runtime().simulate_trace(back, CFG).total_time_ns
         assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -63,7 +63,7 @@ class TestSubsetTransfersAcrossArchitectures:
         subset = build_subset(generated_trace)
         for preset in ("lowpower", "mainstream", "highend"):
             config = GpuConfig.preset(preset)
-            actual = Runtime.serial().simulate_trace(generated_trace, config).total_time_ns
+            actual = Runtime().simulate_trace(generated_trace, config).total_time_ns
             estimate = subset.estimate_on_config(generated_trace, config, runtime=Runtime())
             assert abs(estimate - actual) / actual < 0.12, preset
 

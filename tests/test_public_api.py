@@ -1,8 +1,23 @@
-"""Public-API surface checks: exports exist and are importable."""
+"""Public-API surface checks: each public name has one import path.
 
+A name is imported from the module that defines it; package
+``__init__`` files hold only their docstring (``repro`` also holds
+``__version__``), so importing one library module loads only what it
+uses.
+"""
+
+import ast
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
+
+SRC = Path(repro.__file__).parent
 
 
 PUBLIC_MODULES = [
@@ -42,19 +57,61 @@ def test_module_imports(module_name):
 
 
 @pytest.mark.parametrize(
-    "module_name",
-    ["repro", "repro.gfx", "repro.synth", "repro.simgpu", "repro.core",
-     "repro.baselines", "repro.analysis", "repro.util"],
+    "init",
+    sorted(SRC.rglob("__init__.py")),
+    ids=lambda path: path.relative_to(SRC.parent).as_posix(),
 )
-def test_dunder_all_resolves(module_name):
-    module = importlib.import_module(module_name)
-    for name in getattr(module, "__all__", []):
-        assert hasattr(module, name), f"{module_name}.{name} missing"
+def test_package_init_holds_only_its_docstring(init):
+    tree = ast.parse(init.read_text(encoding="utf-8"))
+    assert ast.get_docstring(tree), f"{init} lacks a docstring"
+    rest = tree.body[1:]
+    if init.parent == SRC:
+        assert len(rest) == 1
+        (version,) = rest
+        assert isinstance(version, ast.Assign)
+        assert [target.id for target in version.targets] == ["__version__"]
+    else:
+        assert rest == [], (
+            f"{init} re-exports names; import them from their defining modules"
+        )
+
+
+#: Modules only the CLI or one of its subcommands uses.
+CLI_ONLY_MODULES = frozenset(
+    {
+        "repro.obs.history",
+        "repro.obs.analyze",
+        "repro.obs.artifacts",
+        "repro.obs.export",
+        "repro.obs.logjson",
+        "repro.analysis.validation",
+        "repro.analysis.characterize",
+        "repro.core.calibrate",
+        "repro.core.subsetio",
+    }
+)
+
+
+def test_library_modules_load_only_what_they_use():
+    # A fresh interpreter: the test session has imported everything.
+    script = (
+        "import sys\n"
+        "import repro.core.pipeline, repro.runtime.engine, repro.analysis.sweep\n"
+        "import repro.analysis.correlation, repro.gfx.traceio\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    loaded = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert sorted(CLI_ONLY_MODULES.intersection(loaded)) == []
 
 
 def test_version_string():
-    import repro
-
     parts = repro.__version__.split(".")
     assert len(parts) == 3
     assert all(p.isdigit() for p in parts)
